@@ -21,7 +21,6 @@ import argparse
 import dataclasses
 import logging
 import math
-import os
 import sys
 import tempfile
 from pathlib import Path
@@ -62,8 +61,6 @@ from .training import train
 
 logger = logging.getLogger("sepgcn.cli")
 
-_THREAD_ENV = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-
 
 # ---------------------------------------------------------------------------
 # configuration plumbing
@@ -73,17 +70,10 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     """Merge config file, --set overrides, and dedicated flags (flags win)."""
     file_pairs = load_config_file(args.config) if args.config else {}
     overrides = parse_overrides(args.set)
-
-    env_threads = os.environ.get("SEPGCN_THREADS")
-    if env_threads and "threads" not in overrides:
-        overrides["threads"] = env_threads
-
-    for attr, key in (("variant", "variant"), ("seed", "seed"), ("threads", "threads")):
-        value = getattr(args, attr, None)
+    for key in ("variant", "seed"):
+        value = getattr(args, key, None)
         if value is not None:
             overrides[key] = str(value)
-    if getattr(args, "deterministic", None) is not None:
-        overrides["deterministic"] = "true" if args.deterministic else "false"
 
     cfg = build_run_config(file_pairs, overrides)
 
@@ -98,11 +88,6 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         value = getattr(args, attr, None)
         if value is not None:
             setattr(cfg.paths, field_name, value)
-
-    if cfg.deterministic:
-        cfg.threads = 1
-    for name in _THREAD_ENV:
-        os.environ[name] = str(cfg.threads)
     return cfg
 
 
@@ -194,8 +179,13 @@ def cmd_prepare(args: argparse.Namespace) -> int:
     raw_path = _existing(
         _require_path(cfg.paths.raw, "paths.raw", "--raw"), "raw check-in file"
     )
-    with raw_path.open("r", encoding="utf-8") as f:
-        records, rejects = parse_checkins(f)
+    try:
+        with raw_path.open("r", encoding="utf-8") as f:
+            records, rejects = parse_checkins(f)
+    except UnicodeDecodeError as exc:
+        raise InputDataError(
+            f"{raw_path}: raw check-in file is not UTF-8 text ({exc.reason})"
+        ) from None
     if rejects:
         logger.warning("rejected %d malformed line(s)", len(rejects))
     ds = build_dataset(records, cfg.split)
@@ -425,19 +415,28 @@ def _apply_axis(cfg: RunConfig, axis: str, value: str) -> RunConfig:
     return cfg
 
 
-def _run_pipeline(cfg: RunConfig, ds):
-    """In-memory prepare-to-eval chain used by the sweep."""
+def _model_inputs(cfg: RunConfig, ds):
+    """Adjacency, edge-pair matrix and edge index of one dataset, built in memory.
+
+    Nothing here reads the model or training settings, so a sweep over those
+    reuses one result for every value.
+    """
     graph = build_adjacency(ds)
     sep = index = None
     if cfg.model.sep_enabled:
         index = _variant_index(cfg, EdgeIndex.from_dataset(ds))
         sep = _build_sep(cfg, ds, index)
+    return graph, sep, index
+
+
+def _run_pipeline(cfg: RunConfig, ds, graph, sep, index):
+    """In-memory train-to-eval chain used by the sweep."""
     hook = make_ranking_hook(ds, k=20)
     result = train(ds, graph, sep, index, cfg.model, cfg.train, hook)
     state = forward(cfg.model, graph, sep, index, result.e0)
     train_sets = {u: set(v) for u, v in ds.items_by_user("train").items()}
     test_sets = {u: set(v) for u, v in ds.items_by_user("test").items()}
-    report = evaluate_model(
+    return evaluate_model(
         state.e_star,
         ds.n_users,
         train_sets,
@@ -446,7 +445,6 @@ def _run_pipeline(cfg: RunConfig, ds):
         seed=cfg.seed,
         config_hash=cfg.fingerprint(),
     )
-    return report, result
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -468,12 +466,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         f"\tvariant={cfg.variant}\tn_values={len(values)}",
         "value\tk\tprecision\trecall\tndcg\taccuracy",
     ]
+    inputs = None
     for value in values:
         run_cfg = _apply_axis(cfg, args.axis, value)
-        run_ds = (
-            build_dataset(base_records, run_cfg.split) if args.axis == "kcore" else ds
-        )
-        report, _ = _run_pipeline(run_cfg, run_ds)
+        if args.axis == "kcore":
+            ds = build_dataset(base_records, run_cfg.split)
+        if inputs is None or args.axis == "kcore":
+            inputs = _model_inputs(run_cfg, ds)
+        report = _run_pipeline(run_cfg, ds, *inputs)
         for k in report.ks:
             block = report.blocks[k]
             lines.append(
@@ -603,13 +603,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     g.add_argument("--variant", choices=VARIANTS, help="model variant")
     g.add_argument("--seed", type=int, help="master seed (fans out to split/model/train)")
-    g.add_argument("--threads", type=int, help="worker/BLAS thread cap")
-    g.add_argument(
-        "--deterministic",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="force single-threaded, bit-reproducible execution",
-    )
 
     parser = argparse.ArgumentParser(
         prog="sepgcn",

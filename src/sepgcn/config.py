@@ -3,9 +3,9 @@
 One master seed fans out to the stages (split, model init, training,
 median sampling) so a single integer reproduces a whole run, while any
 stage seed can still be pinned individually. The fingerprint covers only
-behavior-relevant fields — never paths or thread counts — so two runs of
-the same experiment in different directories stamp identical hashes on
-their reports.
+behavior-relevant fields — never paths — so two runs of the same
+experiment in different directories stamp identical hashes on their
+reports.
 """
 from __future__ import annotations
 
@@ -46,8 +46,6 @@ class RunConfig:
     variant: str = "sepgcn"
     seed: int = 0
     median_seed: int = 3
-    threads: int = 1
-    deterministic: bool = True
 
     def validate(self) -> None:
         if self.variant not in VARIANTS:
@@ -60,8 +58,6 @@ class RunConfig:
             raise ConfigError("ranking cutoffs must be >= 1")
         if len(set(self.ks)) != len(self.ks):
             raise ConfigError("ranking cutoffs must be distinct")
-        if self.threads < 1:
-            raise ConfigError(f"threads must be >= 1, got {self.threads}")
         self.split.validate()
         self.similarity.validate()
         self.pruning.validate(self.similarity.alpha_sim)
@@ -85,15 +81,6 @@ class RunConfig:
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
-def _coerce_bool(raw: str) -> bool:
-    lowered = raw.lower()
-    if lowered in ("true", "1", "yes"):
-        return True
-    if lowered in ("false", "0", "no"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
-
-
 def _coerce_ks(raw: str) -> tuple[int, ...]:
     return tuple(int(part.strip()) for part in raw.split(",") if part.strip())
 
@@ -107,8 +94,6 @@ KEYMAP = {
     "variant": (None, "variant", str),
     "seed": (None, "seed", int),
     "ks": (None, "ks", _coerce_ks),
-    "threads": (None, "threads", int),
-    "deterministic": (None, "deterministic", _coerce_bool),
     "paths.raw": ("paths", "raw", str),
     "paths.snapshot": ("paths", "snapshot", str),
     "paths.sep": ("paths", "sep_matrix", str),
@@ -155,6 +140,8 @@ def load_config_file(path: str | Path) -> dict[str, str]:
         text = Path(path).read_text(encoding="utf-8")
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 text ({exc.reason})") from None
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:

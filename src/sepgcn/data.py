@@ -8,15 +8,15 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from zoneinfo import ZoneInfo
 
 import numpy as np
 
-from .errors import InputDataError
-from .geo import to_slot
+from .errors import ConfigError, InputDataError
+from .geo import SLOTS_PER_WEEK, to_slot
 
 SNAPSHOT_MAGIC = "SEPDATA1"
 
@@ -66,7 +66,7 @@ class SplitConfig:
 
     def validate(self) -> None:
         if not (0.0 < self.train_ratio < 1.0):
-            raise InputDataError(f"train_ratio must lie in (0,1), got {self.train_ratio}")
+            raise ConfigError(f"train_ratio must lie in (0,1), got {self.train_ratio}")
 
 
 @dataclass
@@ -351,40 +351,90 @@ def save_snapshot(ds: Dataset, path: str | Path) -> None:
             f.write(f"E\t{it.user}\t{it.item}\t{it.split}\t{slots}\n")
 
 
+_SNAPSHOT_COUNTS = ("n_users", "n_items", "n_interactions", "n_checkins")
+_SNAPSHOT_INTS = ("seed", "min_interactions", "kcore")
+
+
+def _snapshot_meta(path: Path, line: str) -> dict:
+    """The JSON header line, with every key load_snapshot reads type-checked."""
+    try:
+        meta = json.loads(line)
+    except ValueError:
+        raise InputDataError(f"{path}: snapshot header is not JSON: {line[:60]!r}") from None
+    if not isinstance(meta, dict):
+        raise InputDataError(f"{path}: snapshot header must be a JSON object")
+    for key in _SNAPSHOT_COUNTS + _SNAPSHOT_INTS + ("train_ratio",):
+        if key not in meta:
+            raise InputDataError(f"{path}: snapshot header lacks {key!r}")
+    bad = [k for k in _SNAPSHOT_COUNTS if type(meta[k]) is not int or meta[k] < 0]
+    bad += [k for k in _SNAPSHOT_INTS if type(meta[k]) is not int]
+    if type(meta["train_ratio"]) not in (int, float):
+        bad.append("train_ratio")
+    if bad:
+        raise InputDataError(f"{path}: snapshot header holds a bad value for {bad[0]!r}")
+    return meta
+
+
+def _snapshot_row(parts: list[str]):
+    """(row type, value) of one body row; ValueError says what is wrong with it."""
+    if parts[0] == "U" and len(parts) == 2:
+        return "U", parts[1]
+    if parts[0] == "I" and len(parts) == 4:
+        lat, lon = float(parts[2]), float(parts[3])
+        if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
+            raise ValueError("coordinates out of range")
+        return "I", (parts[1], lat, lon)
+    if parts[0] == "E" and len(parts) == 5:
+        slots = tuple(int(s) for s in parts[4].split(",")) if parts[4] else ()
+        if not all(0 <= s < SLOTS_PER_WEEK for s in slots):
+            raise ValueError(f"weekly slot outside [0, {SLOTS_PER_WEEK})")
+        if parts[3] not in ("train", "test"):
+            raise ValueError(f"split {parts[3]!r} is neither train nor test")
+        return "E", Interaction(int(parts[1]), int(parts[2]), slots, parts[3])
+    raise ValueError(f"unknown row type {parts[0]!r} with {len(parts)} fields")
+
+
 def load_snapshot(path: str | Path) -> Dataset:
     path = Path(path)
     if not path.exists():
         raise InputDataError(f"snapshot not found: {path}")
-    with path.open("r", encoding="utf-8") as f:
-        magic = f.readline().rstrip("\n")
-        if magic != SNAPSHOT_MAGIC:
-            raise InputDataError(f"{path}: bad snapshot header {magic!r}")
-        meta = json.loads(f.readline())
-        user_ids: list[str] = []
-        item_ids: list[str] = []
-        lat: list[float] = []
-        lon: list[float] = []
-        interactions: list[Interaction] = []
-        for line in f:
-            parts = line.rstrip("\n").split("\t")
-            if parts[0] == "U":
-                user_ids.append(parts[1])
-            elif parts[0] == "I":
-                item_ids.append(parts[1])
-                lat.append(float(parts[2]))
-                lon.append(float(parts[3]))
-            elif parts[0] == "E":
-                slots = tuple(int(s) for s in parts[4].split(",")) if parts[4] else ()
-                interactions.append(Interaction(int(parts[1]), int(parts[2]), slots, parts[3]))
-            else:
-                raise InputDataError(f"{path}: unknown snapshot row type {parts[0]!r}")
+    rows: dict[str, list] = {"U": [], "I": [], "E": []}
+    try:
+        with path.open("r", encoding="utf-8") as f:
+            magic = f.readline().rstrip("\n")
+            if magic != SNAPSHOT_MAGIC:
+                raise InputDataError(f"{path}: bad snapshot header {magic!r}")
+            meta = _snapshot_meta(path, f.readline())
+            for lineno, line in enumerate(f, start=3):
+                try:
+                    kind, value = _snapshot_row(line.rstrip("\n").split("\t"))
+                except ValueError as exc:
+                    raise InputDataError(f"{path}:{lineno}: bad snapshot row: {exc}") from None
+                rows[kind].append(value)
+    except UnicodeDecodeError as exc:
+        raise InputDataError(f"{path}: snapshot is not UTF-8 text ({exc.reason})") from None
     cfg = SplitConfig(
         train_ratio=meta["train_ratio"],
         seed=meta["seed"],
         min_interactions=meta["min_interactions"],
         kcore=meta["kcore"],
     )
-    ds = Dataset(user_ids, item_ids, interactions, np.array(lat), np.array(lon), cfg)
-    if ds.n_users != meta["n_users"] or ds.n_items != meta["n_items"]:
+    items = rows["I"]
+    ds = Dataset(
+        user_ids=rows["U"],
+        item_ids=[item_id for item_id, _, _ in items],
+        interactions=rows["E"],
+        item_lat=np.array([lat for _, lat, _ in items]),
+        item_lon=np.array([lon for _, _, lon in items]),
+        split=cfg,
+    )
+    counts = (ds.n_users, ds.n_items, len(ds.interactions), ds.n_checkins)
+    if counts != tuple(meta[k] for k in _SNAPSHOT_COUNTS):
         raise InputDataError(f"{path}: snapshot body does not match its header counts")
+    for it in ds.interactions:
+        if not (0 <= it.user < ds.n_users and 0 <= it.item < ds.n_items):
+            raise InputDataError(
+                f"{path}: interaction ({it.user}, {it.item}) indexes past "
+                f"{ds.n_users} users or {ds.n_items} items"
+            )
     return ds

@@ -7,25 +7,16 @@ unchanged.
 """
 from __future__ import annotations
 
-import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError
 
-logger = logging.getLogger(__name__)
-
 METRIC_NAMES = ("precision", "recall", "ndcg", "accuracy")
 DEFAULT_KS = (5, 20)
-
-
-@dataclass
-class RankedList:
-    items: np.ndarray
-    truncated: bool  # True when fewer than k candidates existed
 
 
 @dataclass
@@ -37,7 +28,6 @@ class MetricsAtK:
     accuracy: float
     n_evaluated_users: int
     n_excluded_users: int
-    per_user: dict[str, np.ndarray] | None = None
 
     def as_dict(self) -> dict[str, float]:
         return {name: getattr(self, name) for name in METRIC_NAMES}
@@ -51,34 +41,6 @@ class MetricsReport:
     n_excluded_users: int
     seed: int | None = None
     config_hash: str | None = None
-    extra: dict = field(default_factory=dict)
-
-
-def rank_topk(e_star: np.ndarray, n_users: int, user: int, exclude, k: int) -> RankedList:
-    """Top-k non-excluded items for one user, by dot-product score.
-
-    Ties resolve toward the smaller item index (stable sort over negated
-    scores). With fewer than k candidates the full candidate list is
-    returned and flagged.
-    """
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
-    if not 0 <= user < n_users:
-        raise ConfigError(f"user index {user} out of range [0, {n_users})")
-    n_items = e_star.shape[0] - n_users
-    scores = e_star[user] @ e_star[n_users:].T
-    mask = np.ones(n_items, dtype=bool)
-    if exclude:
-        mask[np.fromiter(exclude, dtype=np.int64)] = False
-    scores = np.where(mask, scores, -np.inf)
-    order = np.argsort(-scores, kind="stable")
-    n_candidates = int(mask.sum())
-    if n_candidates < k:
-        logger.warning(
-            "user %d has only %d candidate items for k=%d", user, n_candidates, k
-        )
-        return RankedList(order[:n_candidates], truncated=True)
-    return RankedList(order[:k], truncated=False)
 
 
 def rank_all(
@@ -118,7 +80,6 @@ def metrics_at_k(
     topk: dict[int, np.ndarray],
     test_sets: dict[int, set[int]],
     k: int,
-    keep_per_user: bool = False,
 ) -> MetricsAtK:
     """Mean precision/recall/NDCG/accuracy at one cutoff.
 
@@ -126,7 +87,6 @@ def metrics_at_k(
     counted. Accuracy is the hit-rate: 1 when at least one test item made
     the top-k, else 0.
     """
-    evaluated: list[int] = []
     excluded = 0
     precision, recall, ndcg, accuracy = [], [], [], []
     for user in sorted(test_sets):
@@ -139,21 +99,10 @@ def metrics_at_k(
         hits = sum(hit_flags)
         dcg = sum(1.0 / math.log2(p + 1) for p, h in enumerate(hit_flags, start=1) if h)
         idcg = _ideal_dcg(min(k, len(truth)))
-        evaluated.append(user)
         precision.append(hits / k)
         recall.append(hits / len(truth))
         ndcg.append(dcg / idcg)
         accuracy.append(1.0 if hits else 0.0)
-    per_user = None
-    if keep_per_user:
-        per_user = {
-            "user": np.asarray(evaluated, dtype=np.int64),
-            "precision": np.asarray(precision),
-            "recall": np.asarray(recall),
-            "ndcg": np.asarray(ndcg),
-            "accuracy": np.asarray(accuracy),
-        }
-    n_eval = len(evaluated)
 
     def mean(xs):
         return float(np.mean(xs)) if xs else 0.0
@@ -164,9 +113,8 @@ def metrics_at_k(
         recall=mean(recall),
         ndcg=mean(ndcg),
         accuracy=mean(accuracy),
-        n_evaluated_users=n_eval,
+        n_evaluated_users=len(precision),
         n_excluded_users=excluded,
-        per_user=per_user,
     )
 
 
@@ -178,14 +126,13 @@ def evaluate_model(
     ks: tuple[int, ...] = DEFAULT_KS,
     seed: int | None = None,
     config_hash: str | None = None,
-    keep_per_user: bool = False,
 ) -> MetricsReport:
     """Rank once at the largest cutoff, then score every requested k."""
     if not ks:
         raise ConfigError("at least one cutoff k is required")
     users = [u for u, truth in test_sets.items() if truth]
     topk = rank_all(e_star, n_users, train_sets, users, max(ks))
-    blocks = {k: metrics_at_k(topk, test_sets, k, keep_per_user) for k in sorted(ks)}
+    blocks = {k: metrics_at_k(topk, test_sets, k) for k in sorted(ks)}
     any_block = next(iter(blocks.values()))
     return MetricsReport(
         ks=tuple(sorted(ks)),
@@ -197,9 +144,9 @@ def evaluate_model(
     )
 
 
-def make_ranking_hook(dataset, n_users: int | None = None, k: int = 20):
+def make_ranking_hook(dataset, k: int = 20):
     """Adapter for the trainer: averaged table -> {"recall@k", "ndcg@k"}."""
-    n = dataset.n_users if n_users is None else n_users
+    n = dataset.n_users
     train_sets = {u: set(v) for u, v in dataset.items_by_user("train").items()}
     test_sets = {u: set(v) for u, v in dataset.items_by_user("test").items()}
 
@@ -209,43 +156,6 @@ def make_ranking_hook(dataset, n_users: int | None = None, k: int = 20):
         return {f"recall@{k}": block.recall, f"ndcg@{k}": block.ndcg}
 
     return hook
-
-
-@dataclass
-class AggregateReport:
-    ks: tuple[int, ...]
-    blocks: dict[int, dict[str, tuple[float, float]]]  # metric -> (mean, stddev)
-    n_runs: int
-    seeds: tuple[int, ...]
-    config_hash: str | None = None
-
-
-def multi_seed_report(reports: list[MetricsReport]) -> AggregateReport:
-    """Mean and sample standard deviation of every metric across runs."""
-    if not reports:
-        raise ConfigError("at least one run is required")
-    ks = reports[0].ks
-    if any(r.ks != ks for r in reports):
-        raise ConfigError("all runs must share the same cutoffs")
-    blocks: dict[int, dict[str, tuple[float, float]]] = {}
-    for k in ks:
-        blocks[k] = {}
-        for name in METRIC_NAMES:
-            values = np.array([getattr(r.blocks[k], name) for r in reports])
-            if len(values) > 1 and np.any(values != values[0]):
-                std = float(np.std(values, ddof=1))
-            else:
-                std = 0.0
-            blocks[k][name] = (float(np.mean(values)), std)
-    seeds = tuple(r.seed for r in reports if r.seed is not None)
-    hashes = {r.config_hash for r in reports if r.config_hash is not None}
-    return AggregateReport(
-        ks=ks,
-        blocks=blocks,
-        n_runs=len(reports),
-        seeds=seeds,
-        config_hash=hashes.pop() if len(hashes) == 1 else None,
-    )
 
 
 def _header_line(seed, config_hash, **counts) -> str:
@@ -284,19 +194,3 @@ def write_report_kv(report: MetricsReport, path: str | Path) -> None:
             block = report.blocks[k]
             for name in METRIC_NAMES:
                 f.write(f"k{k}.{name} = {getattr(block, name)!r}\n")
-
-
-def write_aggregate_tsv(agg: AggregateReport, path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="\n") as f:
-        f.write(
-            _header_line(
-                ",".join(str(s) for s in agg.seeds) if agg.seeds else None,
-                agg.config_hash,
-                n_runs=agg.n_runs,
-            )
-        )
-        f.write("k\tmetric\tmean\tstddev\n")
-        for k in agg.ks:
-            for name in METRIC_NAMES:
-                mean, std = agg.blocks[k][name]
-                f.write(f"{k}\t{name}\t{mean!r}\t{std!r}\n")

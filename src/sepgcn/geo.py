@@ -7,7 +7,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import datetime
-from typing import NamedTuple
 
 import numpy as np
 
@@ -15,11 +14,6 @@ from .errors import ConfigError, InputDataError, NumericalError
 
 EARTH_RADIUS_KM = 6371.0
 SLOTS_PER_WEEK = 168
-
-
-class GeoPoint(NamedTuple):
-    lat: float
-    lon: float
 
 
 @dataclass

@@ -14,9 +14,8 @@ class BipartiteGraph:
     """Normalized adjacency over n_users + n_items nodes.
 
     Users occupy rows 0..n-1 and items rows n..n+m-1, so the matrix has the
-    block layout [[0, R], [R^T, L]] with L zero unless an item-item block
-    was supplied. `a_norm` is D^{-1/2} A D^{-1/2}; isolated nodes keep
-    all-zero rows and columns.
+    block layout [[0, R], [R^T, 0]]. `a_norm` is D^{-1/2} A D^{-1/2};
+    isolated nodes keep all-zero rows and columns.
     """
 
     n_users: int
@@ -54,30 +53,11 @@ def sym_normalize(a: sp.spmatrix) -> tuple[sp.csr_matrix, np.ndarray]:
     return (d @ a @ d).tocsr(), deg
 
 
-def build_adjacency(dataset, item_item_block: sp.spmatrix | None = None) -> BipartiteGraph:
-    """Assemble and normalize the (n+m)-node adjacency from train edges.
-
-    `item_item_block` optionally fills the item-item corner (for the
-    spatially augmented baseline); it must be square, symmetric, and hold
-    no negative weights. Degrees count whatever ends up in the assembled
-    matrix, train edges plus block weights.
-    """
+def build_adjacency(dataset) -> BipartiteGraph:
+    """Assemble and normalize the (n+m)-node adjacency from train edges."""
     r = interaction_matrix(dataset)
     n, m = r.shape
-    if item_item_block is not None:
-        block = item_item_block.tocsr()
-        if block.shape != (m, m):
-            raise ConfigError(
-                f"item-item block must be {m}x{m} to match the item count, got {block.shape}"
-            )
-        diff = block - block.T
-        if diff.nnz and abs(diff).max() > 1e-12:
-            raise ConfigError("item-item block must be symmetric")
-        if block.nnz and block.data.min() < 0:
-            raise ConfigError("item-item block must be non-negative")
-    else:
-        block = None
-    a = sp.bmat([[None, r], [r.T, block]], format="csr")
+    a = sp.bmat([[None, r], [r.T, None]], format="csr")
     a_norm, deg = sym_normalize(a)
     return BipartiteGraph(n_users=n, n_items=m, a_norm=a_norm, degrees=deg)
 

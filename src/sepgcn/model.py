@@ -5,7 +5,7 @@ averaging, and dot-product scoring. Deliberately linear end to end.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -49,14 +49,6 @@ class ModelConfig:
         if self.sep_update not in ("every_layer", "once"):
             raise ConfigError(f"unknown sep_update mode {self.sep_update!r}")
 
-    @classmethod
-    def from_gamma(cls, gamma: float, **kwargs) -> "ModelConfig":
-        """Single-weight alias: gamma is the share taken from the edge context."""
-        if not (0.0 <= gamma <= 1.0):
-            raise ConfigError(f"gamma must lie in [0,1], got {gamma}")
-        return cls(alpha_user=1.0 - gamma, beta_item=1.0 - gamma, **kwargs)
-
-
 @dataclass
 class EmbeddingState:
     """All tables produced by one forward pass."""
@@ -64,7 +56,6 @@ class EmbeddingState:
     e0: np.ndarray
     layers: list[np.ndarray]
     e_star: np.ndarray
-    e_sep: np.ndarray | None = None
 
 
 def init_embeddings(cfg: ModelConfig, n_nodes: int) -> np.ndarray:
@@ -79,15 +70,6 @@ def edge_embed(node_table: np.ndarray, index: EdgeIndex, n_users: int) -> np.nda
     return np.concatenate(
         [node_table[index.users], node_table[n_users + index.items]], axis=1
     )
-
-
-def sep_propagate(edge_table: np.ndarray, sep: SepMatrix) -> np.ndarray:
-    """One propagation step over the edge-pair graph: X_normalized @ table."""
-    if edge_table.shape[0] != sep.n_edges:
-        raise ConfigError(
-            f"edge table has {edge_table.shape[0]} rows, matrix expects {sep.n_edges}"
-        )
-    return sep.to_csr() @ edge_table
 
 
 class SepOperator:
@@ -107,7 +89,6 @@ class SepOperator:
         n_items: int,
         alpha_user: float,
         beta_item: float,
-        active: np.ndarray | None = None,
     ):
         if sep.normalization == "raw":
             raise ConfigError("normalize the edge-pair matrix before building the operator")
@@ -123,9 +104,7 @@ class SepOperator:
         self.index = index
         self.x = sep.to_csr()
         self.xt = self.x.T.tocsr()
-        self.active = sep.active_edges() if active is None else np.asarray(active, bool)
-
-        act = np.flatnonzero(self.active)
+        act = np.flatnonzero(sep.active_edges())
         au, ai = index.users[act], index.items[act]
         count_u = np.bincount(au, minlength=n_users).astype(np.float64)
         count_i = np.bincount(ai, minlength=n_items).astype(np.float64)
@@ -174,43 +153,6 @@ class SepOperator:
         return grad
 
 
-def update_from_sep(
-    node_table: np.ndarray,
-    propagated_edges: np.ndarray,
-    index: EdgeIndex,
-    n_users: int,
-    n_items: int,
-    alpha_user: float,
-    beta_item: float,
-    sep: SepMatrix | None = None,
-) -> np.ndarray:
-    """Standalone edge-context update of a node table.
-
-    When `sep` is given, its live edges define which edges aggregate;
-    without it every indexed edge counts.
-    """
-    if propagated_edges.shape[0] != index.n_edges:
-        raise ConfigError(
-            f"edge table has {propagated_edges.shape[0]} rows, index holds {index.n_edges}"
-        )
-    if sep is None:
-        fake = SepMatrix(
-            n_edges=index.n_edges,
-            rows=np.zeros(0, np.int64),
-            cols=np.zeros(0, np.int64),
-            values=np.zeros(0),
-            normalization="sym_degree",
-        )
-        op = SepOperator(
-            fake, index, n_users, n_items, alpha_user, beta_item,
-            active=np.ones(index.n_edges, dtype=bool),
-        )
-        # bypass the matrix product: caller already supplies propagated rows
-        return op.update(node_table, propagated_edges)
-    op = SepOperator(sep, index, n_users, n_items, alpha_user, beta_item)
-    return op.update(node_table, propagated_edges)
-
-
 def _check_finite(table: np.ndarray, step: str) -> None:
     if not np.isfinite(table).all():
         raise NumericalError(f"non-finite values after {step}")
@@ -255,19 +197,17 @@ def forward(
 
     tables = [e0]
     current = e0
-    e_sep = None
     for k in range(1, cfg.layers + 1):
         current = spmv(graph, current)
         _check_finite(current, f"propagation at layer {k}")
         if operator is not None and (cfg.sep_update == "every_layer" or k == 1):
             edge_rows = edge_embed(current, operator.index, graph.n_users)
-            e_sep = operator.x @ edge_rows
-            current = operator.update(current, e_sep)
+            current = operator.update(current, operator.x @ edge_rows)
             _check_finite(current, f"edge update at layer {k}")
         tables.append(current)
 
     e_star = sum(tables[1:], tables[0].copy()) / (cfg.layers + 1)
-    return EmbeddingState(e0=e0, layers=tables[1:], e_star=e_star, e_sep=e_sep)
+    return EmbeddingState(e0=e0, layers=tables[1:], e_star=e_star)
 
 
 def score(e_star: np.ndarray, n_users: int, user: int, item: int) -> float:
@@ -301,7 +241,17 @@ def load_checkpoint(path: str | Path) -> tuple[np.ndarray, dict]:
     if head != CHECKPOINT_MAGIC:
         raise InputDataError(f"{path}: bad checkpoint magic {head[:16]!r}")
     meta_line, _, payload = rest.partition(b"\n")
-    meta = json.loads(meta_line)
+    try:
+        meta = json.loads(meta_line)
+    except ValueError:
+        raise InputDataError(f"{path}: checkpoint header is not JSON") from None
+    if not isinstance(meta, dict):
+        raise InputDataError(f"{path}: checkpoint header must be a JSON object")
+    for key in ("n_nodes", "dim"):
+        if type(meta.get(key)) is not int or meta[key] < 1:
+            raise InputDataError(
+                f"{path}: checkpoint {key} must be a positive integer, got {meta.get(key)!r}"
+            )
     n_nodes, dim = meta["n_nodes"], meta["dim"]
     expected = n_nodes * dim * 8
     if len(payload) != expected:
@@ -309,4 +259,6 @@ def load_checkpoint(path: str | Path) -> tuple[np.ndarray, dict]:
             f"{path}: payload holds {len(payload)} bytes, header promises {expected}"
         )
     e0 = np.frombuffer(payload, dtype="<f8").reshape(n_nodes, dim).copy()
+    if not np.isfinite(e0).all():
+        raise InputDataError(f"{path}: checkpoint holds non-finite values")
     return e0, meta

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import product
@@ -98,10 +99,10 @@ class EdgeIndex:
 class SepMatrix:
     """Sparse symmetric matrix of edge-pair similarities.
 
-    rows/cols/values store every entry (both (i,j) and (j,i) for the
-    symmetric tags) sorted by (row, col). `raw_degrees` is the row sum of
-    the raw builder output and survives normalization so the propagation
-    step can tell live edges from isolated ones.
+    rows/cols/values store every entry, both (i,j) and (j,i), sorted by
+    (row, col). `raw_degrees` is the row sum of the raw builder output and
+    survives normalization so the propagation step can tell live edges from
+    isolated ones.
     """
 
     n_edges: int
@@ -187,7 +188,8 @@ def candidate_pairs(index: EdgeIndex, params: SimilarityParams, pruning: Pruning
         if len(merged) > pruning.pair_budget:
             raise ConfigError(
                 f"candidate pair count exceeds pair_budget={pruning.pair_budget}; "
-                "tighten sigma_floor or lower max_neighbors"
+                "raise pruning.sigma_floor to shorten the distance cutoff, "
+                "or raise pruning.pair_budget"
             )
         return merged
 
@@ -356,97 +358,116 @@ def build_sep_matrix_bruteforce(
     )
 
 
-def normalize_sep(matrix: SepMatrix, method: str = "sym_degree") -> SepMatrix:
+def normalize_sep(matrix: SepMatrix) -> SepMatrix:
     """Scale the raw weights for propagation.
 
-    sym_degree divides each entry by sqrt(deg_i * deg_j) with degrees taken
-    from the raw row sums; row_unit scales each row to unit L2 norm.
-    Isolated edges have no entries, so they are untouched either way.
+    Divides each entry by sqrt(deg_i * deg_j) with degrees taken from the
+    raw row sums. Isolated edges have no entries, so they are untouched.
     """
     if matrix.normalization != "raw":
         raise ConfigError(f"cannot normalize a {matrix.normalization!r} matrix; need raw")
     deg = matrix.raw_degrees
-    if method == "sym_degree":
-        with np.errstate(divide="ignore"):
-            inv = 1.0 / np.sqrt(deg)
-        inv[~np.isfinite(inv)] = 0.0
-        # group the scale factors so (i,j) and (j,i) round identically
-        values = matrix.values * (inv[matrix.rows] * inv[matrix.cols])
-    elif method == "row_unit":
-        norms = np.sqrt(
-            np.bincount(matrix.rows, weights=matrix.values**2, minlength=matrix.n_edges)
-        )
-        with np.errstate(divide="ignore"):
-            inv = 1.0 / norms
-        inv[~np.isfinite(inv)] = 0.0
-        values = matrix.values * inv[matrix.rows]
-    else:
-        raise ConfigError(f"unknown normalization {method!r}")
+    with np.errstate(divide="ignore"):
+        inv = 1.0 / np.sqrt(deg)
+    inv[~np.isfinite(inv)] = 0.0
+    # group the scale factors so (i,j) and (j,i) round identically
+    values = matrix.values * (inv[matrix.rows] * inv[matrix.cols])
     return SepMatrix(
         n_edges=matrix.n_edges,
         rows=matrix.rows.copy(),
         cols=matrix.cols.copy(),
         values=values,
-        normalization=method,
-        raw_degrees=deg.copy() if deg is not None else None,
+        normalization="sym_degree",
+        raw_degrees=deg.copy(),
         meta=dict(matrix.meta),
     )
 
 
 def save_sep_matrix(matrix: SepMatrix, path: str | Path) -> None:
-    """Line-based triple export, byte-stable for identical inputs.
-
-    Symmetric tags store only the upper triangle; row_unit output is not
-    symmetric, so it stores every entry.
-    """
+    """Line-based export of the upper triangle, byte-stable for identical inputs."""
     path = Path(path)
-    triangular = matrix.normalization in ("raw", "sym_degree")
     meta = {
         "n_edges": matrix.n_edges,
         "normalization": matrix.normalization,
-        "storage": "upper" if triangular else "full",
+        "storage": "upper",
         **matrix.meta,
     }
+    keep = matrix.rows < matrix.cols
     with path.open("w", encoding="utf-8", newline="\n") as f:
         f.write(f"{SEPMAT_MAGIC} {json.dumps(meta, sort_keys=True)}\n")
-        if triangular:
-            keep = matrix.rows < matrix.cols
-        else:
-            keep = np.ones(matrix.nnz, dtype=bool)
         for i, j, v in zip(matrix.rows[keep], matrix.cols[keep], matrix.values[keep]):
             f.write(f"{i}\t{j}\t{float(v)!r}\n")
 
 
+def _sep_header(path: Path, header: str) -> dict:
+    """The JSON header of a matrix file, with the keys load_sep_matrix reads checked."""
+    if not header.startswith(SEPMAT_MAGIC + " "):
+        raise InputDataError(f"{path}: bad header {header[:40]!r}")
+    try:
+        meta = json.loads(header[len(SEPMAT_MAGIC) + 1 :])
+    except ValueError:
+        raise InputDataError(f"{path}: matrix header is not JSON") from None
+    if not isinstance(meta, dict):
+        raise InputDataError(f"{path}: matrix header must be a JSON object")
+    n_edges = meta.get("n_edges")
+    if type(n_edges) is not int or n_edges < 0:
+        raise InputDataError(f"{path}: n_edges must be a non-negative integer, got {n_edges!r}")
+    if meta.get("normalization") not in ("raw", "sym_degree"):
+        raise InputDataError(
+            f"{path}: normalization must be raw or sym_degree, got {meta.get('normalization')!r}"
+        )
+    if meta.get("storage") != "upper":
+        raise InputDataError(f"{path}: storage must be upper, got {meta.get('storage')!r}")
+    return meta
+
+
 def load_sep_matrix(path: str | Path) -> SepMatrix:
+    """Read a matrix file; every malformed line or value is an InputDataError.
+
+    Each stored entry must be an upper-triangle pair i < j < n_edges, listed
+    once, with a finite positive weight.
+    """
     path = Path(path)
     if not path.exists():
         raise InputDataError(f"matrix file not found: {path}")
-    with path.open("r", encoding="utf-8") as f:
-        header = f.readline().rstrip("\n")
-        if not header.startswith(SEPMAT_MAGIC + " "):
-            raise InputDataError(f"{path}: bad header {header[:40]!r}")
-        meta = json.loads(header[len(SEPMAT_MAGIC) + 1 :])
-        ii: list[int] = []
-        jj: list[int] = []
-        vv: list[float] = []
-        for line in f:
-            i, j, v = line.rstrip("\n").split("\t")
-            ii.append(int(i))
-            jj.append(int(j))
-            vv.append(float(v))
-    rows = np.array(ii, dtype=np.int64)
-    cols = np.array(jj, dtype=np.int64)
-    values = np.array(vv)
-    if meta["storage"] == "upper":
-        rows, cols, values = (
-            np.concatenate([rows, cols]),
-            np.concatenate([cols, rows]),
-            np.concatenate([values, values]),
-        )
+    try:
+        with path.open("r", encoding="utf-8") as f:
+            meta = _sep_header(path, f.readline().rstrip("\n"))
+            n_edges = meta["n_edges"]
+            ii: list[int] = []
+            jj: list[int] = []
+            vv: list[float] = []
+            for lineno, line in enumerate(f, start=2):
+                try:
+                    i, j, v = line.rstrip("\n").split("\t")
+                    i, j, v = int(i), int(j), float(v)
+                except ValueError:
+                    raise InputDataError(
+                        f"{path}:{lineno}: expected 'row<TAB>col<TAB>value', got {line[:60]!r}"
+                    ) from None
+                if not 0 <= i < j < n_edges:
+                    raise InputDataError(
+                        f"{path}:{lineno}: entry ({i}, {j}) is not an upper-triangle "
+                        f"pair of the {n_edges} edges"
+                    )
+                if not (math.isfinite(v) and v > 0.0):
+                    raise InputDataError(f"{path}:{lineno}: weight {v!r} is not positive and finite")
+                ii.append(i)
+                jj.append(j)
+                vv.append(v)
+    except UnicodeDecodeError as exc:
+        raise InputDataError(f"{path}: matrix file is not UTF-8 text ({exc.reason})") from None
+    upper_rows = np.array(ii, dtype=np.int64)
+    upper_cols = np.array(jj, dtype=np.int64)
+    if len(np.unique(upper_rows * n_edges + upper_cols)) != len(upper_rows):
+        raise InputDataError(f"{path}: an edge pair is listed twice")
+    rows = np.concatenate([upper_rows, upper_cols])
+    cols = np.concatenate([upper_cols, upper_rows])
+    values = np.concatenate([vv, vv])
     order = np.lexsort((cols, rows))
     extra = {k: v for k, v in meta.items() if k not in ("n_edges", "normalization", "storage")}
     return SepMatrix(
-        n_edges=meta["n_edges"],
+        n_edges=n_edges,
         rows=rows[order],
         cols=cols[order],
         values=values[order],

@@ -102,11 +102,6 @@ class TripletSampler:
         return TripletBatch(users, positives, negatives)
 
 
-def sample_triplets(dataset, batch_size: int, rng: np.random.Generator, neg_per_pos: int = 1) -> TripletBatch:
-    """One-shot convenience wrapper around TripletSampler."""
-    return TripletSampler(dataset).sample(batch_size, rng, neg_per_pos)
-
-
 def bpr_loss(scores_pos, scores_neg, e0: np.ndarray, l2_lambda: float) -> float:
     """Sum of -ln logistic(pos - neg) over triples, plus the L2 penalty.
 

@@ -1,7 +1,8 @@
 """End-to-end tests for the command-line pipeline."""
 
+import json
 import math
-import os
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ from sepgcn.cli import main
 from sepgcn.data import load_snapshot
 from sepgcn.geo import EARTH_RADIUS_KM
 from sepgcn.model import load_checkpoint
-from sepgcn.sep_graph import load_sep_matrix
+from sepgcn.sep_graph import build_sep_matrix, load_sep_matrix
 
 SETTINGS = [
     "--seed", "3",
@@ -260,6 +261,31 @@ class TestSweep:
         row10 = next(r for r in rows if r[0] == "10" and r[1] == "20")
         assert row0[2:] != row10[2:]
 
+    @pytest.mark.parametrize(
+        "axis, values, variant, builds",
+        [("alpha", "0.3,0.7", "sepgcn", 1), ("kcore", "0,3", "sepgcn", 2)],
+    )
+    def test_pair_graph_built_once_per_dataset(
+        self, chain, monkeypatch, capsys, axis, values, variant, builds
+    ):
+        from sepgcn import cli
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return build_sep_matrix(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "build_sep_matrix", counting)
+        code, _ = run(
+            ["sweep", "--snapshot", chain / "snap.txt", "--axis", axis, "--values", values,
+             "--variant", variant, *SETTINGS,
+             "--set", "train.epochs_max=1", "--set", "train.eval_every=0"],
+            capsys,
+        )
+        assert code == 0
+        assert len(calls) == builds
+
     def test_empty_values_exit_3(self, chain, capsys):
         code = main(["sweep", "--snapshot", str(chain / "snap.txt"), "--axis", "layers",
                      "--values", " , ", *[str(a) for a in SETTINGS]])
@@ -288,24 +314,30 @@ class TestConfigPrecedence:
         assert meta["dim"] == 16  # --set beats the file
         assert meta["seed"] == 3  # the flag beats --set
 
-    def test_threads_env_mirror(self, chain, tmp_path, monkeypatch):
-        monkeypatch.setenv("SEPGCN_THREADS", "3")
-        assert main(["prepare", "--raw", str(chain / "raw.tsv"),
-                     "--out", str(tmp_path / "s.txt"), "--no-deterministic",
-                     *[str(a) for a in SETTINGS]]) == 0
-        assert os.environ["OMP_NUM_THREADS"] == "3"
-
-    def test_deterministic_forces_single_thread(self, chain, tmp_path, monkeypatch):
-        monkeypatch.setenv("SEPGCN_THREADS", "3")
-        assert main(["prepare", "--raw", str(chain / "raw.tsv"),
-                     "--out", str(tmp_path / "s.txt"), *[str(a) for a in SETTINGS]]) == 0
-        assert os.environ["OMP_NUM_THREADS"] == "1"
-
     def test_unknown_key_exits_3(self, chain, tmp_path, capsys):
         code = main(["prepare", "--raw", str(chain / "raw.tsv"),
                      "--out", str(tmp_path / "s.txt"), "--set", "bogus.key=1"])
         assert code == 3
         assert "bogus.key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["threads=2", "deterministic=true"])
+    def test_thread_keys_are_unknown(self, chain, tmp_path, capsys, key):
+        code = main(["prepare", "--raw", str(chain / "raw.tsv"),
+                     "--out", str(tmp_path / "s.txt"), "--set", key])
+        assert code == 3
+        assert f"unknown config key {key.split('=')[0]!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [["--threads", "2"], ["--deterministic"]])
+    def test_thread_flags_rejected_by_parser(self, chain, tmp_path, flag):
+        with pytest.raises(SystemExit):
+            main(["prepare", "--raw", str(chain / "raw.tsv"),
+                  "--out", str(tmp_path / "s.txt"), *flag])
+
+    def test_bad_split_ratio_exits_3(self, chain, tmp_path, capsys):
+        code = main(["prepare", "--raw", str(chain / "raw.tsv"),
+                     "--out", str(tmp_path / "s.txt"), "--set", "split.train_ratio=1.5"])
+        assert code == 3
+        assert "train_ratio" in capsys.readouterr().err
 
     def test_bad_variant_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit):
@@ -326,3 +358,104 @@ class TestSynth:
                      "--set", "split.min_interactions=2"]) == 0
         ds = load_snapshot(tmp_path / "snap.txt")
         assert ds.n_checkins == 600
+
+
+def _edit_sep_header(key, value):
+    def edit(text):
+        head, _, body = text.partition("\n")
+        meta = json.loads(head.split(" ", 1)[1])
+        meta[key] = value
+        return f"SEPMAT1 {json.dumps(meta, sort_keys=True)}\n{body}"
+
+    return edit
+
+
+def _nan_first_entry(text):
+    lines = text.splitlines(keepends=True)
+    i, j, _ = lines[1].split("\t")
+    lines[1] = f"{i}\t{j}\tnan\n"
+    return "".join(lines)
+
+
+def _checkpoint_header(header):
+    def edit(blob):
+        magic, _, payload = blob.split(b"\n", 2)
+        return magic + b"\n" + header + b"\n" + payload
+
+    return edit
+
+
+def _snapshot_header(text):
+    lines = text.splitlines(keepends=True)
+    return "".join([lines[0], "{}\n", *lines[2:]])
+
+
+# (file to corrupt, edit of its contents)
+BAD_INPUTS = {
+    "sep-malformed-line": ("pairs.sep", lambda text: text + "garbage line\n"),
+    "sep-index-past-n_edges": ("pairs.sep", lambda text: text + "0\t99999999\t0.5\n"),
+    "sep-nan-value": ("pairs.sep", _nan_first_entry),
+    "sep-storage-full": ("pairs.sep", _edit_sep_header("storage", "full")),
+    "sep-normalization-row_unit": ("pairs.sep", _edit_sep_header("normalization", "row_unit")),
+    "snapshot-empty-header": ("snap.txt", _snapshot_header),
+    "checkpoint-header-not-json": ("ck.bin", _checkpoint_header(b"not json")),
+    "checkpoint-empty-header": ("ck.bin", _checkpoint_header(b"{}")),
+    "checkpoint-zero-dim": ("ck.bin", _checkpoint_header(b'{"dim": 0, "n_nodes": 180}')),
+    "checkpoint-negative-nodes": ("ck.bin", _checkpoint_header(b'{"dim": 16, "n_nodes": -1}')),
+}
+
+
+class TestBadInputFiles:
+    """Each corrupted input file ends the stage with its exit code and one error line."""
+
+    @pytest.mark.parametrize(
+        "stage, case",
+        [
+            (stage, case)
+            for case in sorted(BAD_INPUTS)
+            for stage in ("train", "eval")
+            if stage == "eval" or BAD_INPUTS[case][0] != "ck.bin"  # train reads no checkpoint
+        ],
+    )
+    def test_exit_2_with_one_error_line(self, chain, tmp_path, capsys, stage, case):
+        name, edit = BAD_INPUTS[case]
+        for f in ("snap.txt", "pairs.sep", "ck.bin"):
+            shutil.copy(chain / f, tmp_path / f)
+        target = tmp_path / name
+        if name == "ck.bin":
+            target.write_bytes(edit(target.read_bytes()))
+        else:
+            target.write_text(edit(target.read_text()))
+        common = ["--snapshot", tmp_path / "snap.txt", "--sep", tmp_path / "pairs.sep", *SETTINGS]
+        if stage == "train":
+            argv = ["train", *common, "--out", tmp_path / "new.bin"]
+        else:
+            argv = ["eval", *common, "--checkpoint", tmp_path / "ck.bin", "--out", tmp_path / "r"]
+        self.assert_exits(argv, 2, capsys)
+
+    @pytest.mark.parametrize(
+        "name, code", [("raw.tsv", 2), ("run.cfg", 3), ("snap.txt", 2), ("pairs.sep", 2)]
+    )
+    def test_non_utf8_file(self, chain, tmp_path, capsys, name, code):
+        for f in ("raw.tsv", "snap.txt", "pairs.sep", "ck.bin"):
+            shutil.copy(chain / f, tmp_path / f)
+        (tmp_path / "run.cfg").write_text("seed = 3\n")
+        with (tmp_path / name).open("ab") as f:
+            f.write(b"\xff\xfe\n")
+        common = ["--config", tmp_path / "run.cfg", *SETTINGS]
+        if name in ("raw.tsv", "run.cfg"):
+            argv = ["prepare", "--raw", tmp_path / "raw.tsv", "--out", tmp_path / "s.txt", *common]
+        else:
+            argv = ["eval", "--snapshot", tmp_path / "snap.txt", "--sep", tmp_path / "pairs.sep",
+                    "--checkpoint", tmp_path / "ck.bin", "--out", tmp_path / "r", *common]
+        assert "not UTF-8 text" in self.assert_exits(argv, code, capsys)
+
+    @staticmethod
+    def assert_exits(argv, code, capsys):
+        """Run a stage; it must end with `code` and one final `error:` line."""
+        assert main([str(a) for a in argv]) == code
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert errors == [err.strip().splitlines()[-1]]
+        assert "Traceback" not in err
+        return errors[0]

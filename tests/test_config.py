@@ -71,8 +71,6 @@ class TestBuild:
             "variant": "lightgcn",
             "seed": "4",
             "ks": "5,10,20",
-            "threads": "2",
-            "deterministic": "false",
             "similarity.median_mode": "per_user",
             "similarity.median_km": "12.5",
             "model.sep_update": "once",
@@ -100,7 +98,6 @@ class TestBuild:
         assert cfg.similarity.median_km == 12.5
         assert cfg.paths.sep_matrix == "some/where"
         assert cfg.train.optimizer == "sgd"
-        assert not cfg.deterministic
 
     def test_unknown_key_named_in_error(self):
         with pytest.raises(ConfigError, match="model.dims"):
@@ -110,12 +107,9 @@ class TestBuild:
         with pytest.raises(ConfigError, match="model.dim"):
             build_run_config({"model.dim": "thirty"})
 
-    def test_bool_and_none_coercions(self):
-        cfg = build_run_config({"deterministic": "no", "similarity.median_km": "none"})
-        assert cfg.deterministic is False
+    def test_none_coercion(self):
+        cfg = build_run_config({"similarity.median_km": "none"})
         assert cfg.similarity.median_km is None
-        with pytest.raises(ConfigError):
-            build_run_config({"deterministic": "maybe"})
 
     def test_single_k(self):
         cfg = build_run_config({"ks": "10"})
@@ -125,6 +119,8 @@ class TestBuild:
         cfg = build_run_config({"model.gamma": "0.3"})
         assert cfg.model.alpha_user == pytest.approx(0.7)
         assert cfg.model.beta_item == pytest.approx(0.7)
+        with pytest.raises(ConfigError, match="alpha_user"):
+            build_run_config({"model.gamma": "1.2"})
 
     def test_gamma_conflicts_with_explicit_alpha(self):
         with pytest.raises(ConfigError, match="alias"):
@@ -139,9 +135,7 @@ class TestBuild:
             build_run_config({"variant": "gcn"})
 
     def test_invalid_downstream_value_caught_by_validate(self):
-        from sepgcn.errors import InputDataError
-
-        with pytest.raises(InputDataError):  # split owns its ratio check
+        with pytest.raises(ConfigError, match="train_ratio"):
             build_run_config({"split.train_ratio": "1.5"})
         with pytest.raises(ConfigError):
             build_run_config({"ks": "5,5"})
@@ -176,11 +170,9 @@ class TestFingerprint:
         c = build_run_config({"seed": "3", "model.dim": "48"})
         assert c.fingerprint() != a.fingerprint()
 
-    def test_paths_and_threads_do_not_affect_hash(self):
+    def test_paths_do_not_affect_hash(self):
         a = build_run_config({"seed": "3"})
-        b = build_run_config(
-            {"seed": "3", "paths.snapshot": "/tmp/x", "threads": "4", "paths.raw": "r.tsv"}
-        )
+        b = build_run_config({"seed": "3", "paths.snapshot": "/tmp/x", "paths.raw": "r.tsv"})
         assert a.fingerprint() == b.fingerprint()
 
     def test_variant_and_ks_affect_hash(self):
@@ -191,12 +183,6 @@ class TestFingerprint:
 
 
 class TestRunConfigValidate:
-    def test_threads_bound(self):
-        cfg = RunConfig()
-        cfg.threads = 0
-        with pytest.raises(ConfigError, match="threads"):
-            cfg.validate()
-
     def test_empty_ks(self):
         cfg = RunConfig()
         cfg.ks = ()

@@ -1,6 +1,7 @@
 """Parsing, filtering, splitting, and snapshot round-trips for check-in data."""
 from __future__ import annotations
 
+import json
 import math
 from collections import Counter
 from datetime import datetime
@@ -19,7 +20,7 @@ from sepgcn.data import (
     parse_checkins,
     save_snapshot,
 )
-from sepgcn.errors import InputDataError
+from sepgcn.errors import ConfigError, InputDataError
 
 
 def rec(u, i, ts="2024-01-01T10:00:00", lat=40.0, lon=-74.0):
@@ -244,7 +245,7 @@ class TestBuildDataset:
         assert (ds.item_lat[1], ds.item_lon[1]) == (1.0, 1.0)
 
     def test_bad_ratio_and_empty_input(self):
-        with pytest.raises(InputDataError):
+        with pytest.raises(ConfigError):
             build_dataset([rec("u", "p")], self.cfg(train_ratio=1.0))
         with pytest.raises(InputDataError):
             build_dataset([], self.cfg())
@@ -304,3 +305,74 @@ class TestSnapshot:
             load_snapshot(path)
         with pytest.raises(InputDataError, match="not found"):
             load_snapshot(tmp_path / "missing.sepdata")
+
+    def saved_lines(self, tmp_path):
+        path = tmp_path / "good.sepdata"
+        save_snapshot(self.build(), path)
+        return path.read_text().splitlines()
+
+    def load_lines(self, tmp_path, lines):
+        path = tmp_path / "bad.sepdata"
+        path.write_text("\n".join(lines) + "\n")
+        return load_snapshot(path)
+
+    @pytest.mark.parametrize(
+        "header, match",
+        [
+            ("{}", "lacks"),
+            ("not json", "not JSON"),
+            ("[1, 2]", "JSON object"),
+        ],
+    )
+    def test_header_fields_are_checked(self, tmp_path, header, match):
+        lines = self.saved_lines(tmp_path)
+        with pytest.raises(InputDataError, match=match):
+            self.load_lines(tmp_path, [lines[0], header, *lines[2:]])
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("n_users", "-1"), ("n_items", '"20"'), ("kcore", "1.5"), ("train_ratio", "null")],
+    )
+    def test_header_values_are_typed(self, tmp_path, key, value):
+        lines = self.saved_lines(tmp_path)
+        meta = json.loads(lines[1])
+        meta[key] = json.loads(value)
+        with pytest.raises(InputDataError, match=key):
+            self.load_lines(tmp_path, [lines[0], json.dumps(meta), *lines[2:]])
+
+    @pytest.mark.parametrize(
+        "kind, edit, match",
+        [
+            ("E", lambda p: [p[0], p[1], "99999", *p[3:]], "indexes past"),
+            ("E", lambda p: [p[0], "-1", *p[2:]], "indexes past"),
+            ("E", lambda p: [*p[:3], "valid", p[4]], "neither train nor test"),
+            ("E", lambda p: [*p[:4], "168"], "weekly slot"),
+            ("E", lambda p: [*p[:4], "a,b"], "bad snapshot row"),
+            ("E", lambda p: p[:4], "bad snapshot row"),
+            ("I", lambda p: [*p[:2], "nan", p[3]], "out of range"),
+            ("I", lambda p: [*p[:3], "181.0"], "out of range"),
+            ("U", lambda p: ["X", p[1]], "unknown row type"),
+        ],
+    )
+    def test_bad_rows(self, tmp_path, kind, edit, match):
+        lines = self.saved_lines(tmp_path)
+        k = next(n for n, line in enumerate(lines) if line.startswith(kind + "\t"))
+        lines[k] = "\t".join(edit(lines[k].split("\t")))
+        with pytest.raises(InputDataError, match=match):
+            self.load_lines(tmp_path, lines)
+
+    def test_mutated_files_load_or_raise_input_error(self, tmp_path, mutate):
+        rng = np.random.default_rng(67)
+        lines = self.saved_lines(tmp_path)
+        outcomes = Counter()
+        for _ in range(300):
+            try:
+                ds = self.load_lines(tmp_path, mutate(lines, rng))
+            except InputDataError:
+                outcomes["rejected"] += 1
+                continue
+            outcomes["loaded"] += 1
+            for it in ds.interactions:
+                assert 0 <= it.user < ds.n_users and 0 <= it.item < ds.n_items
+            assert np.all(np.isfinite(ds.item_lat)) and np.all(np.isfinite(ds.item_lon))
+        assert outcomes["rejected"] > 0 and outcomes["loaded"] > 0

@@ -8,15 +8,11 @@ import pytest
 
 from sepgcn.errors import ConfigError
 from sepgcn.evaluate import (
-    AggregateReport,
     MetricsReport,
     evaluate_model,
     make_ranking_hook,
     metrics_at_k,
-    multi_seed_report,
     rank_all,
-    rank_topk,
-    write_aggregate_tsv,
     write_report_kv,
     write_report_tsv,
 )
@@ -58,17 +54,21 @@ def embed_for_scores(scores_by_user):
     return e_star
 
 
+def rank_one(e_star, exclude, k):
+    """rank_all's list for the single user of an embed_for_scores table."""
+    return rank_all(e_star, 1, {0: exclude}, [0], k)[0].tolist()
+
+
 class TestRankTopk:
+    """Top-k lists from rank_all, against a full sort with explicit tie-break."""
+
     def test_all_equal_scores_take_smallest_indices(self):
         e_star = embed_for_scores([[1.0] * 8])
-        ranked = rank_topk(e_star, 1, 0, set(), 3)
-        assert ranked.items.tolist() == [0, 1, 2]
-        assert not ranked.truncated
+        assert rank_one(e_star, set(), 3) == [0, 1, 2]
 
     def test_dominant_item_first(self):
         e_star = embed_for_scores([[0.1, 0.2, 5.0, 0.3]])
-        ranked = rank_topk(e_star, 1, 0, set(), 2)
-        assert ranked.items[0] == 2
+        assert rank_one(e_star, set(), 2)[0] == 2
 
     def test_matches_full_sort_oracle(self):
         rng = np.random.default_rng(0)
@@ -76,40 +76,35 @@ class TestRankTopk:
         scores[0, rng.choice(200, size=30, replace=False)] = scores[0, 0]  # force ties
         exclude = set(map(int, rng.choice(200, size=25, replace=False)))
         e_star = embed_for_scores(scores)
-        ranked = rank_topk(e_star, 1, 0, exclude, 20)
-        assert ranked.items.tolist() == sort_oracle(scores[0], exclude, 20)
+        assert rank_one(e_star, exclude, 20) == sort_oracle(scores[0], exclude, 20)
 
     def test_excluded_items_never_returned(self):
         rng = np.random.default_rng(1)
         e_star = embed_for_scores(rng.normal(size=(1, 50)))
         exclude = set(range(0, 50, 2))
-        ranked = rank_topk(e_star, 1, 0, exclude, 25)
-        assert not exclude.intersection(ranked.items.tolist())
+        assert not exclude.intersection(rank_one(e_star, exclude, 25))
 
-    def test_too_few_candidates_flagged(self, caplog):
+    def test_too_few_candidates_flagged(self):
+        """With fewer than k candidates the short list is the flag: it holds them all."""
         e_star = embed_for_scores([[1.0, 2.0, 3.0]])
-        with caplog.at_level("WARNING", logger="sepgcn.evaluate"):
-            ranked = rank_topk(e_star, 1, 0, {0, 2}, 5)
-        assert ranked.truncated
-        assert ranked.items.tolist() == [1]
-        assert "candidate" in caplog.text
+        assert rank_one(e_star, {0, 2}, 5) == [1]
 
     def test_validation(self):
         e_star = embed_for_scores([[1.0, 2.0]])
         with pytest.raises(ConfigError):
-            rank_topk(e_star, 1, 0, set(), 0)
-        with pytest.raises(ConfigError):
-            rank_topk(e_star, 1, 5, set(), 1)
+            rank_one(e_star, set(), 0)
 
     def test_rank_all_matches_single_user_path(self):
+        """Chunked many-user ranking equals ranking each user alone."""
         rng = np.random.default_rng(2)
         scores = rng.normal(size=(6, 40))
         e_star = embed_for_scores(scores)
         train_sets = {u: set(map(int, rng.choice(40, size=5, replace=False))) for u in range(6)}
-        joint = rank_all(e_star, 6, train_sets, range(6), 10)
+        joint = rank_all(e_star, 6, train_sets, range(6), 10, chunk=4)
         for u in range(6):
-            single = rank_topk(e_star, 6, u, train_sets[u], 10)
-            assert joint[u].tolist() == single.items.tolist()
+            single = rank_all(e_star, 6, train_sets, [u], 10)[u]
+            assert joint[u].tolist() == single.tolist()
+            assert single.tolist() == sort_oracle(scores[u], train_sets[u], 10)
 
 
 class TestMetricsAtK:
@@ -130,14 +125,13 @@ class TestMetricsAtK:
         for u in range(100):
             topk[u] = rng.permutation(50)[:k]
             tests[u] = set(map(int, rng.choice(50, size=rng.integers(1, 8), replace=False)))
-        block = metrics_at_k(topk, tests, k=k, keep_per_user=True)
+        block = metrics_at_k(topk, tests, k=k)
         expect = np.array([loop_metrics(topk[u], tests[u], k) for u in range(100)])
         means = expect.mean(axis=0)
         assert block.precision == pytest.approx(means[0], abs=1e-12)
         assert block.recall == pytest.approx(means[1], abs=1e-12)
         assert block.ndcg == pytest.approx(means[2], abs=1e-12)
         assert block.accuracy == pytest.approx(means[3], abs=1e-12)
-        np.testing.assert_allclose(block.per_user["ndcg"], expect[:, 2], atol=1e-12)
 
     def test_empty_test_sets_excluded_but_counted(self):
         topk = {0: np.array([1]), 1: np.array([1])}
@@ -243,58 +237,6 @@ class TestEvaluateModel:
         assert got == {"recall@20": report.blocks[20].recall, "ndcg@20": report.blocks[20].ndcg}
 
 
-class TestMultiSeed:
-    def report_with(self, values_by_k, seed):
-        blocks = {
-            k: metrics_at_k({0: np.array([1])}, {0: {1}}, k=1)
-            for k in values_by_k
-        }
-        for k, vals in values_by_k.items():
-            blocks[k].precision, blocks[k].recall, blocks[k].ndcg, blocks[k].accuracy = vals
-        return MetricsReport(
-            ks=tuple(sorted(values_by_k)),
-            blocks=blocks,
-            n_evaluated_users=1,
-            n_excluded_users=0,
-            seed=seed,
-            config_hash="cafe",
-        )
-
-    def test_identical_runs_zero_stddev(self):
-        runs = [self.report_with({5: (0.2, 0.3, 0.4, 0.5)}, seed=s) for s in range(3)]
-        agg = multi_seed_report(runs)
-        for name in ("precision", "recall", "ndcg", "accuracy"):
-            mean, std = agg.blocks[5][name]
-            assert std == 0.0
-        assert agg.blocks[5]["recall"][0] == pytest.approx(0.3)
-        assert agg.seeds == (0, 1, 2)
-
-    def test_two_runs_mean_and_sample_stddev(self):
-        runs = [
-            self.report_with({5: (0.2, 0.2, 0.2, 0.2)}, seed=0),
-            self.report_with({5: (0.4, 0.4, 0.4, 0.4)}, seed=1),
-        ]
-        agg = multi_seed_report(runs)
-        mean, std = agg.blocks[5]["recall"]
-        assert mean == pytest.approx(0.3)
-        assert std == pytest.approx(abs(0.4 - 0.2) / math.sqrt(2))
-
-    def test_single_run_stddev_zero(self):
-        agg = multi_seed_report([self.report_with({5: (1, 1, 1, 1)}, seed=0)])
-        assert agg.n_runs == 1
-        assert agg.blocks[5]["ndcg"] == (1.0, 0.0)
-
-    def test_mismatched_ks_rejected(self):
-        with pytest.raises(ConfigError):
-            multi_seed_report(
-                [self.report_with({5: (0, 0, 0, 0)}, 0), self.report_with({20: (0, 0, 0, 0)}, 1)]
-            )
-
-    def test_empty_rejected(self):
-        with pytest.raises(ConfigError):
-            multi_seed_report([])
-
-
 class TestWriters:
     def make_report(self):
         rng = np.random.default_rng(9)
@@ -336,14 +278,3 @@ class TestWriters:
         assert parsed["seed"] == "3"
         assert float(parsed["k20.ndcg"]) == report.blocks[20].ndcg
         assert float(parsed["k5.recall"]) == report.blocks[5].recall
-
-    def test_aggregate_tsv(self, tmp_path):
-        runs = [self.make_report() for _ in range(2)]
-        runs[1].seed = 4
-        agg = multi_seed_report(runs)
-        path = tmp_path / "agg.tsv"
-        write_aggregate_tsv(agg, path)
-        lines = path.read_text().splitlines()
-        assert lines[1] == "k\tmetric\tmean\tstddev"
-        assert len(lines) == 2 + 2 * 4
-        assert "n_runs=2" in lines[0]

@@ -78,25 +78,6 @@ class TestBuildAdjacency:
         np.testing.assert_array_equal(dense[2], 0)
         np.testing.assert_array_equal(dense[:, 4], 0)
 
-    def test_item_item_block_enters_degrees_and_pattern(self):
-        ds = make_dataset(2, 2, [(0, 0, "train"), (1, 1, "train")])
-        block = sp.coo_matrix(([0.5, 0.5], ([0, 1], [1, 0])), shape=(2, 2))
-        g = build_adjacency(ds, item_item_block=block)
-        r = interaction_matrix(ds).toarray()
-        a = np.block([[np.zeros((2, 2)), r], [r.T, block.toarray()]])
-        np.testing.assert_allclose(g.a_norm.toarray(), dense_norm_oracle(a), atol=1e-12)
-
-    def test_item_item_block_validation(self):
-        ds = make_dataset(2, 2, [(0, 0, "train"), (1, 1, "train")])
-        with pytest.raises(ConfigError, match="2x2"):
-            build_adjacency(ds, item_item_block=sp.eye(3))
-        lopsided = sp.coo_matrix(([1.0], ([0], [1])), shape=(2, 2))
-        with pytest.raises(ConfigError, match="symmetric"):
-            build_adjacency(ds, item_item_block=lopsided)
-        negative = sp.coo_matrix(([-1.0, -1.0], ([0, 1], [1, 0])), shape=(2, 2))
-        with pytest.raises(ConfigError, match="non-negative"):
-            build_adjacency(ds, item_item_block=negative)
-
 
 class TestSpmv:
     def test_zeros_map_to_zeros(self):

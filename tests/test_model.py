@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -20,8 +21,6 @@ from sepgcn.model import (
     load_checkpoint,
     save_checkpoint,
     score,
-    sep_propagate,
-    update_from_sep,
 )
 from sepgcn.sep_graph import (
     EdgeIndex,
@@ -125,13 +124,6 @@ class TestConfig:
             ModelConfig(sep_update="sometimes").validate()
         ModelConfig().validate()
 
-    def test_gamma_alias(self):
-        cfg = ModelConfig.from_gamma(0.3, dim=8)
-        assert cfg.alpha_user == cfg.beta_item == 0.7
-        assert cfg.dim == 8
-        with pytest.raises(ConfigError):
-            ModelConfig.from_gamma(1.2)
-
 
 class TestInitEmbeddings:
     def test_seed_determinism(self):
@@ -178,50 +170,71 @@ class TestEdgeEmbed:
 
 
 class TestSepPropagate:
+    """Propagation over the edge-pair graph: the operator's matrix times edge rows."""
+
+    def operator(self, sep, n_edges):
+        index = EdgeIndex(
+            users=np.arange(n_edges), items=np.arange(n_edges),
+            lat=np.zeros(n_edges), lon=np.zeros(n_edges), slots=((0,),) * n_edges,
+            edge_id={(k, k): k for k in range(n_edges)},
+        )
+        return SepOperator(sep, index, n_edges, n_edges, 0.5, 0.5)
+
     def test_empty_matrix_gives_zeros(self):
         sep = SepMatrix(3, np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0), "sym_degree")
-        np.testing.assert_array_equal(sep_propagate(np.ones((3, 4)), sep), np.zeros((3, 4)))
+        np.testing.assert_array_equal(self.operator(sep, 3).x @ np.ones((3, 4)), np.zeros((3, 4)))
 
     def test_unit_pair_swaps_rows(self):
         sep = SepMatrix(
             2, np.array([0, 1]), np.array([1, 0]), np.array([1.0, 1.0]), "sym_degree"
         )
         table = np.array([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_array_equal(sep_propagate(table, sep), table[::-1])
+        np.testing.assert_array_equal(self.operator(sep, 2).x @ table, table[::-1])
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(163)
-        _, _, index, sep = make_instance(rng, n_edges=50)
+        _, graph, index, sep = make_instance(rng, n_edges=50)
+        op = SepOperator(sep, index, graph.n_users, graph.n_items, 0.5, 0.5)
         table = rng.normal(size=(index.n_edges, 8))
-        np.testing.assert_allclose(
-            sep_propagate(table, sep), sep.to_csr().toarray() @ table, atol=1e-12
-        )
+        np.testing.assert_allclose(op.x @ table, sep.to_csr().toarray() @ table, atol=1e-12)
 
     def test_dimension_mismatch(self):
         sep = SepMatrix(3, np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0), "sym_degree")
-        with pytest.raises(ConfigError):
-            sep_propagate(np.ones((4, 2)), sep)
+        with pytest.raises(ConfigError, match="edges"):
+            self.operator(sep, 4)
+
+
+def sep_update(graph, index, sep, table, propagated, alpha, beta):
+    return SepOperator(sep, index, graph.n_users, graph.n_items, alpha, beta).update(
+        table, propagated
+    )
 
 
 class TestUpdateFromSep:
+    """SepOperator.update: the blend of each node with its active edges' mean."""
+
     def test_weights_one_change_nothing(self):
         rng = np.random.default_rng(167)
         ds, graph, index, sep = make_instance(rng)
         table = rng.normal(size=(graph.n_nodes, 4))
         propagated = rng.normal(size=(index.n_edges, 8))
-        out = update_from_sep(table, propagated, index, graph.n_users, graph.n_items, 1.0, 1.0, sep)
+        out = sep_update(graph, index, sep, table, propagated, 1.0, 1.0)
         np.testing.assert_array_equal(out, table)
 
     def test_alpha_zero_single_edge_copies_segment(self):
+        """Each node has one active edge, so alpha = beta = 0 copies its segments."""
         index = EdgeIndex(
-            users=np.array([0]), items=np.array([0]),
-            lat=np.zeros(1), lon=np.zeros(1), slots=((0,),), edge_id={(0, 0): 0},
+            users=np.array([0, 1]), items=np.array([0, 1]),
+            lat=np.zeros(2), lon=np.zeros(2), slots=((0,), (0,)),
+            edge_id={(0, 0): 0, (1, 1): 1},
         )
-        table = np.zeros((2, 2))
-        propagated = np.array([[5.0, 6.0, 7.0, 8.0]])
-        out = update_from_sep(table, propagated, index, 1, 1, 0.0, 0.0)
-        np.testing.assert_array_equal(out[0], [5.0, 6.0])
-        np.testing.assert_array_equal(out[1], [7.0, 8.0])
+        sep = SepMatrix(
+            2, np.array([0, 1]), np.array([1, 0]), np.array([1.0, 1.0]), "sym_degree"
+        )
+        op = SepOperator(sep, index, 2, 2, 0.0, 0.0)
+        propagated = np.array([[5.0, 6.0, 7.0, 8.0], [1.0, 2.0, 3.0, 4.0]])
+        out = op.update(np.zeros((4, 2)), propagated)
+        np.testing.assert_array_equal(out, [[5.0, 6.0], [1.0, 2.0], [7.0, 8.0], [3.0, 4.0]])
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(173)
@@ -229,9 +242,7 @@ class TestUpdateFromSep:
             ds, graph, index, sep = make_instance(rng)
             table = rng.normal(size=(graph.n_nodes, 4))
             propagated = rng.normal(size=(index.n_edges, 8))
-            got = update_from_sep(
-                table, propagated, index, graph.n_users, graph.n_items, 0.3, 0.6, sep
-            )
+            got = sep_update(graph, index, sep, table, propagated, 0.3, 0.6)
             expect = update_oracle(
                 table, propagated, index.users, index.items, graph.n_users, 0.3, 0.6,
                 sep.active_edges(),
@@ -244,7 +255,7 @@ class TestUpdateFromSep:
         active = sep.active_edges()
         table = rng.normal(size=(graph.n_nodes, 4))
         propagated = rng.normal(size=(index.n_edges, 8))
-        out = update_from_sep(table, propagated, index, graph.n_users, graph.n_items, 0.2, 0.2, sep)
+        out = sep_update(graph, index, sep, table, propagated, 0.2, 0.2)
         live_users = set(index.users[active])
         live_items = set(index.items[active])
         for u in range(graph.n_users):
@@ -400,3 +411,52 @@ class TestCheckpoint:
             load_checkpoint(good)
         with pytest.raises(InputDataError, match="not found"):
             load_checkpoint(tmp_path / "missing.ckpt")
+
+    @pytest.mark.parametrize(
+        "header, match",
+        [
+            (b"not json", "not JSON"),
+            (b"{}", "n_nodes"),
+            (b"[12, 5]", "JSON object"),
+            (b'{"n_nodes": 0, "dim": 5}', "n_nodes"),
+            (b'{"n_nodes": 12, "dim": -5}', "dim"),
+            (b'{"n_nodes": -12, "dim": -5}', "n_nodes"),
+            (b'{"n_nodes": 12.0, "dim": 5}', "n_nodes"),
+            (b'{"n_nodes": 12, "dim": true}', "dim"),
+        ],
+    )
+    def test_header_is_checked(self, tmp_path, header, match):
+        path = tmp_path / "x.ckpt"
+        save_checkpoint(np.zeros((12, 5)), {}, path)
+        magic, _, payload = path.read_bytes().split(b"\n", 2)
+        path.write_bytes(magic + b"\n" + header + b"\n" + payload)
+        with pytest.raises(InputDataError, match=match):
+            load_checkpoint(path)
+
+    def test_non_finite_payload_rejected(self, tmp_path):
+        e0 = np.zeros((3, 2))
+        e0[1, 1] = np.inf
+        path = tmp_path / "x.ckpt"
+        save_checkpoint(e0, {}, path)
+        with pytest.raises(InputDataError, match="non-finite"):
+            load_checkpoint(path)
+
+    def test_mutated_headers_load_or_raise_input_error(self, tmp_path, mutate):
+        rng = np.random.default_rng(251)
+        path = tmp_path / "good.ckpt"
+        save_checkpoint(rng.normal(size=(12, 5)), {"variant": "sepgcn", "layers": 3}, path)
+        magic, header, payload = path.read_bytes().split(b"\n", 2)
+        head = [magic.decode(), header.decode()]
+        outcomes = Counter()
+        for _ in range(300):
+            bad = tmp_path / "bad.ckpt"
+            bad.write_bytes("\n".join(mutate(head, rng)).encode() + b"\n" + payload)
+            try:
+                e0, meta = load_checkpoint(bad)
+            except InputDataError:
+                outcomes["rejected"] += 1
+                continue
+            outcomes["loaded"] += 1
+            assert e0.shape == (meta["n_nodes"], meta["dim"])
+            assert np.all(np.isfinite(e0))
+        assert outcomes["rejected"] > 0 and outcomes["loaded"] > 0

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import logging
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -109,8 +110,12 @@ class TestCandidatePairs:
 
     def test_pair_budget_exceeded(self):
         index = make_index([40.0] * 4, [-74.0] * 4, [(0,)] * 4)
-        with pytest.raises(ConfigError, match="pair_budget"):
+        with pytest.raises(ConfigError, match="pair_budget") as err:
             candidate_pairs(index, PARAMS, PruningParams(pair_budget=2))
+        # the budget is checked before the neighbour cap, so the cap cannot help
+        assert "pruning.sigma_floor" in str(err.value)
+        assert "pruning.pair_budget" in str(err.value)
+        assert "max_neighbors" not in str(err.value)
 
     def test_pruning_validation(self):
         index = make_index([40.0, 40.0], [-74.0, -74.0], [(0,), (0,)])
@@ -222,28 +227,17 @@ class TestNormalize:
         index = random_index(rng, 50, max_slots=5)
         raw = build_sep_matrix(index, PARAMS)
         assert raw.nnz > 0
-        got = normalize_sep(raw, "sym_degree").to_csr().toarray()
+        got = normalize_sep(raw).to_csr().toarray()
         x = raw.to_csr().toarray()
         deg = x.sum(axis=1)
         inv = np.array([1.0 / np.sqrt(d) if d > 0 else 0.0 for d in deg])
         np.testing.assert_allclose(got, np.diag(inv) @ x @ np.diag(inv), atol=1e-12)
-
-    def test_row_unit_rows_have_unit_norm(self):
-        rng = np.random.default_rng(137)
-        index = random_index(rng, 60, max_slots=5)
-        m = normalize_sep(build_sep_matrix(index, PARAMS), "row_unit")
-        x = m.to_csr().toarray()
-        norms = np.linalg.norm(x, axis=1)
-        live = norms > 0
-        np.testing.assert_allclose(norms[live], 1.0, rtol=1e-12)
 
     def test_normalizing_twice_is_rejected(self):
         index = make_index([40.0, 40.0], [-74.0, -74.0], [(0,), (0,)])
         m = normalize_sep(build_sep_matrix(index, PARAMS))
         with pytest.raises(ConfigError):
             normalize_sep(m)
-        with pytest.raises(ConfigError, match="unknown"):
-            normalize_sep(build_sep_matrix(index, PARAMS), "spectral")
 
     def test_raw_degrees_survive(self):
         index = make_index([40.0, 40.0], [-74.0, -74.0], [(0,), (0,)])
@@ -255,11 +249,11 @@ class TestExport:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(139)
         index = random_index(rng, 80, max_slots=5)
-        for method in (None, "sym_degree", "row_unit"):
+        for normalized in (False, True):
             m = build_sep_matrix(index, PARAMS)
-            if method:
-                m = normalize_sep(m, method)
-            path = tmp_path / f"{method}.sepmat"
+            if normalized:
+                m = normalize_sep(m)
+            path = tmp_path / f"{m.normalization}.sepmat"
             save_sep_matrix(m, path)
             back = load_sep_matrix(path)
             matrices_equal(m, back)
@@ -289,6 +283,79 @@ class TestExport:
             load_sep_matrix(path)
         with pytest.raises(InputDataError, match="not found"):
             load_sep_matrix(tmp_path / "none.sepmat")
+
+
+class TestLoadContract:
+    """Every malformed matrix file is an InputDataError naming the problem."""
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        index = random_index(np.random.default_rng(157), 40, max_slots=5)
+        path = tmp_path / "good.sepmat"
+        save_sep_matrix(normalize_sep(build_sep_matrix(index, PARAMS)), path)
+        return path.read_text().splitlines()
+
+    def write(self, tmp_path, lines):
+        path = tmp_path / "bad.sepmat"
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    @pytest.mark.parametrize(
+        "old, new, match",
+        [
+            ('"storage": "upper"', '"storage": "full"', "storage"),
+            ('"normalization": "sym_degree"', '"normalization": "row_unit"', "normalization"),
+            ('"n_edges": 40', '"n_edges": -1', "n_edges"),
+            ('"n_edges": 40', '"n_edges": "40"', "n_edges"),
+            ("{", "{{", "not JSON"),
+        ],
+    )
+    def test_header_fields_are_checked(self, tmp_path, saved, old, new, match):
+        lines = [saved[0].replace(old, new, 1), *saved[1:]]
+        with pytest.raises(InputDataError, match=match):
+            load_sep_matrix(self.write(tmp_path, lines))
+
+    def test_header_must_be_an_object(self, tmp_path, saved):
+        lines = ["SEPMAT1 [40]", *saved[1:]]
+        with pytest.raises(InputDataError, match="JSON object"):
+            load_sep_matrix(self.write(tmp_path, lines))
+
+    @pytest.mark.parametrize(
+        "entry, match",
+        [
+            ("garbage line", "expected"),
+            ("0\t1", "expected"),
+            ("0\t40\t0.5", "upper-triangle"),
+            ("-1\t3\t0.5", "upper-triangle"),
+            ("3\t1\t0.5", "upper-triangle"),
+            ("2\t2\t0.5", "upper-triangle"),
+            ("0\t1\tnan", "finite"),
+            ("0\t1\tinf", "finite"),
+            ("0\t1\t-0.5", "positive"),
+        ],
+    )
+    def test_bad_entry_lines(self, tmp_path, saved, entry, match):
+        with pytest.raises(InputDataError, match=match):
+            load_sep_matrix(self.write(tmp_path, [*saved, entry]))
+
+    def test_repeated_pair(self, tmp_path, saved):
+        with pytest.raises(InputDataError, match="twice"):
+            load_sep_matrix(self.write(tmp_path, [*saved, saved[1]]))
+
+    def test_mutated_files_load_or_raise_input_error(self, tmp_path, saved, mutate):
+        rng = np.random.default_rng(163)
+        outcomes = Counter()
+        for _ in range(300):
+            path = self.write(tmp_path, mutate(saved, rng))
+            try:
+                m = load_sep_matrix(path)
+            except InputDataError:
+                outcomes["rejected"] += 1
+                continue
+            outcomes["loaded"] += 1
+            assert np.all((m.rows >= 0) & (m.rows < m.n_edges) & (m.cols < m.n_edges))
+            assert np.all(np.isfinite(m.values) & (m.values > 0))
+        assert outcomes["rejected"] > 0 and outcomes["loaded"] > 0
 
 
 class TestEdgeIndex:

@@ -25,7 +25,6 @@ from sepgcn.training import (
     grad_step,
     loss_gradient,
     make_optimizer,
-    sample_triplets,
     train,
     write_training_log,
 )
@@ -122,7 +121,7 @@ class TestTrainConfig:
 class TestSampler:
     def test_forced_negative(self):
         ds = make_dataset(1, 2, [(0, 0)])
-        batch = sample_triplets(ds, 50, np.random.default_rng(0))
+        batch = TripletSampler(ds).sample(50, np.random.default_rng(0))
         assert np.all(batch.users == 0)
         assert np.all(batch.positives == 0)
         assert np.all(batch.negatives == 1)
@@ -148,7 +147,7 @@ class TestSampler:
 
     def test_negatives_uniform_over_complement(self):
         ds = make_dataset(1, 41, [(0, 0)])
-        batch = sample_triplets(ds, 40_000, np.random.default_rng(11))
+        batch = TripletSampler(ds).sample(40_000, np.random.default_rng(11))
         counts = np.bincount(batch.negatives, minlength=41)
         assert counts[0] == 0
         expected = 40_000 / 40
