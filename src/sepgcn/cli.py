@@ -515,14 +515,21 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     index = EdgeIndex.from_dataset(ds)
     cfg = build_run_config({}, {"seed": str(seed), "pruning.max_neighbors": "16"})
 
+    def same_entries(a: SepMatrix, b: SepMatrix) -> bool:
+        return all(np.array_equal(getattr(a, f), getattr(b, f)) for f in ("rows", "cols", "values"))
+
     fast = _build_sep(cfg, ds, index, brute=False)
     slow = _build_sep(cfg, ds, index, brute=True)
-    same_entries = (
-        np.array_equal(fast.rows, slow.rows)
-        and np.array_equal(fast.cols, slow.cols)
-        and np.array_equal(fast.values, slow.values)
+    verdict("pair builder agreement (optimized vs brute force)", same_entries(fast, slow))
+
+    # every weight is 1 here, so the neighbour cap keeps links by id alone
+    tied = build_run_config(
+        {}, {"seed": str(seed), "pruning.max_neighbors": "16", "variant": "sep_temporal_only"}
     )
-    verdict("pair builder agreement (optimized vs brute force)", same_entries)
+    verdict(
+        "pair builder agreement on tied weights (temporal only)",
+        same_entries(_build_sep(tied, ds, index, brute=False), _build_sep(tied, ds, index, brute=True)),
+    )
 
     workdir = args.workdir or tempfile.mkdtemp(prefix="sepgcn-oracle-")
     work = Path(workdir)

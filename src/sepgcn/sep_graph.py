@@ -1,7 +1,9 @@
 """Edge-pair context graph: two train interactions are linked when their
 check-ins share a weekly slot and their venues sit within the similarity
 cutoff. Candidate generation joins a uniform spatial grid with a per-slot
-inverted index so the quadratic pair scan is never materialized; a literal
+inverted index so the quadratic pair scan is never materialized; it makes
+each pair once, in blocks of bounded size, and the neighbour cap ranks each
+edge's links with one weight sort and a radix grouping. A literal
 double-loop builder is kept alongside as the reference implementation.
 """
 from __future__ import annotations
@@ -11,7 +13,7 @@ import logging
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import chain, product
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +29,13 @@ SEPMAT_MAGIC = "SEPMAT1"
 # Cell offsets that visit each unordered cell pair exactly once.
 _FORWARD_OFFSETS = [o for o in product((-1, 0, 1), repeat=3) if o > (0, 0, 0)]
 
+# candidate_pairs makes pairs in blocks of at most this many and counts them
+# against the budget once about this many are held, so its temporaries stay
+# bounded however many edges share a bucket.
+_CHUNK = 1 << 19
+
+_WORD = (1 << 64) - 1
+
 
 @dataclass
 class PruningParams:
@@ -34,8 +43,10 @@ class PruningParams:
 
     sigma_floor induces the distance cutoff (the radius where the
     similarity decays to the floor); max_neighbors caps each edge's
-    retained links at the strongest ones; pair_budget aborts candidate
-    generation before an over-dense instance exhausts memory.
+    retained links at the strongest ones; pair_budget caps the candidate
+    pairs, those that share a slot, counted before the distance test. The
+    count grows as candidate generation produces pairs, so an over-dense
+    instance stops with a ConfigError before it exhausts memory.
     """
 
     sigma_floor: float = 0.01
@@ -135,6 +146,43 @@ class SepMatrix:
         ).tocsr()
 
 
+def _slot_masks(slots, edges: np.ndarray, n_edges: int) -> np.ndarray:
+    """Weekly-slot bit masks of the given edges, one row of uint64 words per edge.
+
+    Rows of edges not listed stay zero; 168 weekly slots take three words.
+    """
+    words = max((max(slots[e]) for e in edges), default=0) // 64 + 1
+    masks = np.zeros((n_edges, words), dtype=np.uint64)
+    for e in edges:
+        bits = sum(1 << int(s) for s in slots[e])
+        masks[e] = [(bits >> (64 * w)) & _WORD for w in range(words)]
+    return masks
+
+
+def _bucket_blocks(members: np.ndarray, other: np.ndarray | None):
+    """The pairs of one bucket as (lower id, higher id) blocks of at most _CHUNK pairs.
+
+    With `other` None the pairs are the upper triangle of `members` (sorted
+    ascending); otherwise they are the product members x other.
+    """
+    k = len(members)
+    if other is None:
+        rows = np.arange(k)
+        first = rows * k - rows * (rows + 1) // 2  # pairs listed before row r
+        total = k * (k - 1) // 2
+    else:
+        total = k * len(other)
+    for start in range(0, total, _CHUNK):
+        t = np.arange(start, min(start + _CHUNK, total))
+        if other is None:
+            r = np.searchsorted(first, t, side="right") - 1
+            yield members[r], members[t - first[r] + r + 1]
+        else:
+            a = members[t // len(other)]
+            b = other[t % len(other)]
+            yield np.minimum(a, b), np.maximum(a, b)
+
+
 def candidate_pairs(index: EdgeIndex, params: SimilarityParams, pruning: PruningParams):
     """All unordered edge pairs with a shared slot and distance <= the cutoff.
 
@@ -143,6 +191,11 @@ def candidate_pairs(index: EdgeIndex, params: SimilarityParams, pruning: Pruning
     lives in 3D chord space with cell size equal to the cutoff's chord
     length, so scanning the 27-cell neighbourhood can never miss a pair
     within the cutoff, at any latitude or across the antimeridian.
+
+    A pair is produced once, in the bucket of the lowest slot its two edges
+    share, and in blocks of at most _CHUNK pairs. Each block counts against
+    pruning.pair_budget before its distances are taken, so an over-dense
+    instance stops with a ConfigError while its working memory stays bounded.
     """
     params.validate()
     pruning.validate(params.alpha_sim)
@@ -168,85 +221,125 @@ def candidate_pairs(index: EdgeIndex, params: SimilarityParams, pruning: Pruning
     chord = max(chord, 1e-9)  # degenerate cutoffs still group co-located edges
     cells = np.floor(xyz / chord).astype(np.int64)
 
-    buckets: dict[tuple[tuple[int, int, int], int], list[int]] = defaultdict(list)
-    for e in range(n):
-        cell = (int(cells[e, 0]), int(cells[e, 1]), int(cells[e, 2]))
-        for s in index.slots[e]:
-            buckets[(cell, s)].append(e)
-    arrays = {key: np.asarray(members, dtype=np.int64) for key, members in buckets.items()}
+    # bucket (cell, slot) -> its edges, ascending
+    cell_keys, cell_of = np.unique(cells, axis=0, return_inverse=True)
+    n_slots = np.fromiter((len(s) for s in index.slots), dtype=np.int64, count=n)
+    edge_of = np.repeat(np.arange(n), n_slots)
+    slot_of = np.fromiter(chain.from_iterable(index.slots), dtype=np.int64, count=len(edge_of))
+    width = int(slot_of.max(initial=0)) + 1
+    bucket_of = cell_of.reshape(-1)[edge_of] * width + slot_of
+    order = np.argsort(bucket_of, kind="stable")
+    bucket_of, edge_of = bucket_of[order], edge_of[order]
+    starts = np.flatnonzero(np.diff(bucket_of, prepend=-1))
+    ends = np.append(starts[1:], len(bucket_of))
+    cell_tuples = [tuple(c) for c in cell_keys.tolist()]
+    arrays = {
+        (cell_tuples[b // width], b % width): edge_of[lo:hi]
+        for b, lo, hi in zip(bucket_of[starts].tolist(), starts.tolist(), ends.tolist())
+    }
 
-    merged = np.zeros(0, dtype=np.int64)
-    parts: list[np.ndarray] = []
-    pending = 0
+    # Only two edges that both hold several slots can share one below the
+    # bucket's slot; their masks decide whether a lower bucket owns the pair.
+    multi = n_slots > 1
+    masks = _slot_masks(index.slots, np.flatnonzero(multi), n)
 
-    def flush() -> np.ndarray:
-        nonlocal merged, pending
-        if parts:
-            merged = np.unique(np.concatenate([merged, *parts]))
-            parts.clear()
-            pending = 0
-        if len(merged) > pruning.pair_budget:
+    held: list[tuple[np.ndarray, np.ndarray]] = []
+    n_held = 0
+    n_candidates = 0
+    found: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = [empty]
+
+    def drain() -> None:
+        """Count the held pairs against the budget and keep those within the cutoff."""
+        nonlocal n_held, n_candidates
+        if not held:
+            return
+        ii = np.concatenate([a for a, _ in held])
+        jj = np.concatenate([b for _, b in held])
+        held.clear()
+        n_held = 0
+        n_candidates += len(ii)
+        if n_candidates > pruning.pair_budget:
             raise ConfigError(
                 f"candidate pair count exceeds pair_budget={pruning.pair_budget}; "
                 "raise pruning.sigma_floor to shorten the distance cutoff, "
                 "or raise pruning.pair_budget"
             )
-        return merged
+        dd = haversine_km((index.lat[ii], index.lon[ii]), (index.lat[jj], index.lon[jj]), radius)
+        near = dd <= d_max
+        found.append((ii[near], jj[near], dd[near]))
 
-    for (cell, slot), members in sorted(arrays.items()):
-        if len(members) > 1:
-            ii, jj = np.triu_indices(len(members), k=1)
-            parts.append(members[ii] * n + members[jj])
-            pending += len(ii)
+    for (cell, slot), members in arrays.items():
+        below = np.array(
+            [(((1 << int(slot)) - 1) >> (64 * w)) & _WORD for w in range(masks.shape[1])],
+            dtype=np.uint64,
+        )
+        others = [None] if len(members) > 1 else []  # None pairs the bucket with itself
         for off in _FORWARD_OFFSETS:
-            neighbour = (cell[0] + off[0], cell[1] + off[1], cell[2] + off[2])
-            other = arrays.get((neighbour, slot))
-            if other is None:
-                continue
-            a = np.repeat(members, len(other))
-            b = np.tile(other, len(members))
-            parts.append(np.minimum(a, b) * n + np.maximum(a, b))
-            pending += len(a)
-        if pending >= 4_000_000:
-            flush()
-    keys = flush()
-    if len(keys) == 0:
-        return empty
+            other = arrays.get(((cell[0] + off[0], cell[1] + off[1], cell[2] + off[2]), slot))
+            if other is not None:
+                others.append(other)
+        for other in others:
+            for a, b in _bucket_blocks(members, other):
+                both = np.flatnonzero(multi[a] & multi[b])
+                if len(both):
+                    earlier = (masks[a[both]] & masks[b[both]] & below).any(axis=1)
+                    if earlier.any():
+                        first_here = np.ones(len(a), dtype=bool)
+                        first_here[both[earlier]] = False
+                        a, b = a[first_here], b[first_here]
+                held.append((a, b))
+                n_held += len(a)
+                if n_held >= _CHUNK:
+                    drain()
+    drain()
+    ii, jj, dd = (np.concatenate(part) for part in zip(*found))
+    found.clear()
+    order = np.argsort(ii * n + jj)
+    return ii[order], jj[order], dd[order]
 
-    ii = keys // n
-    jj = keys % n
-    dd = haversine_km((index.lat[ii], index.lon[ii]), (index.lat[jj], index.lon[jj]), radius)
-    keep = dd <= d_max
-    return ii[keep], jj[keep], dd[keep]
+
+def _stable_argsort_ids(ids: np.ndarray, n: int) -> np.ndarray:
+    """Stable argsort of ids in [0, n), as least-significant-digit radix passes.
+
+    numpy sorts 16-bit keys stably with a radix sort, so each pass sorts one
+    16-bit digit of the ids, lowest digit first.
+    """
+    order = np.argsort(ids.astype(np.uint16), kind="stable")  # the cast keeps the low 16 bits
+    shift = 16
+    while (n - 1) >> shift:
+        digit = (ids >> shift).astype(np.uint16)
+        order = order[np.argsort(digit[order], kind="stable")]
+        shift += 16
+    return order
 
 
 def _neighbor_cap(ii, jj, vals, n_edges, max_neighbors):
-    """Keep each edge's top links by weight, then drop one-sided leftovers.
+    """Keep the pairs that are among the top max_neighbors links of both ends.
 
-    Ties on the weight break toward the smaller neighbour id so the result
-    never depends on input order.
+    Each edge ranks its links by weight, descending, and ties break toward
+    the smaller neighbour id so the result never depends on input order.
+    The pairs arrive sorted by (i, j), so a stable sort by weight lists every
+    edge's links in exactly that order; grouping the endpoints stably by
+    edge id then gives each link its rank at both of its ends. The kept
+    pairs stay in (i, j) order.
     """
     if len(ii) == 0:
         return ii, jj, vals
-    rows = np.concatenate([ii, jj])
-    cols = np.concatenate([jj, ii])
-    v = np.concatenate([vals, vals])
-    order = np.lexsort((cols, -v, rows))
-    rows, cols, v = rows[order], cols[order], v[order]
-    first = np.searchsorted(rows, rows, side="left")
-    rank = np.arange(len(rows)) - first
-    kept = rank < max_neighbors
-    kept_keys = rows[kept] * n_edges + cols[kept]
-    mirror_keys = cols[kept] * n_edges + rows[kept]
-    mutual = np.intersect1d(kept_keys, mirror_keys, assume_unique=True)
-    upper = mutual[(mutual // n_edges) < (mutual % n_edges)]
-    ui = upper // n_edges
-    uj = upper % n_edges
-    # look the values back up from the (sorted) original upper-triangle keys
-    base = np.sort(ii * n_edges + jj)
-    base_order = np.argsort(ii * n_edges + jj, kind="stable")
-    pos = np.searchsorted(base, upper)
-    return ui, uj, vals[base_order[pos]]
+    by_weight = np.argsort(-vals, kind="stable")
+    ends = np.empty(2 * len(ii), dtype=np.int64)
+    ends[0::2] = ii[by_weight]
+    ends[1::2] = jj[by_weight]
+    grouped = _stable_argsort_ids(ends, n_edges)
+    counts = np.bincount(ends, minlength=n_edges)
+    tails = counts - np.minimum(counts, max_neighbors)  # links each edge ranks too low
+    heads = counts - tails
+    # positions in `grouped` of each edge's first `heads` links
+    firsts = np.arange(heads.sum()) + np.repeat(np.cumsum(tails) - tails, heads)
+    top = np.zeros(len(ends), dtype=bool)
+    top[grouped[firsts]] = True
+    keep = np.zeros(len(ii), dtype=bool)
+    keep[by_weight[top[0::2] & top[1::2]]] = True
+    return ii[keep], jj[keep], vals[keep]
 
 
 def build_sep_matrix(

@@ -297,7 +297,7 @@ class TestOracleCheck:
         code, out = run(["oracle-check", "--seed", "7", "--workdir", tmp_path / "oc"], capsys)
         assert code == 0
         verdicts = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
-        assert len(verdicts) == 6
+        assert len(verdicts) == 7
         assert all(v.startswith("PASS") for v in verdicts)
 
 

@@ -1,15 +1,18 @@
 """Edge-pair graph construction checked against literal double-loop oracles."""
 from __future__ import annotations
 
+import dataclasses
 import logging
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from sepgcn.data import Dataset, Interaction, SplitConfig
+from sepgcn import sep_graph
 from sepgcn.errors import ConfigError, InputDataError
-from sepgcn.geo import SimilarityParams, haversine_km, sigma
+from sepgcn.geo import SimilarityParams, haversine_km, sigma, sigma_cutoff_km
 from sepgcn.sep_graph import (
     EdgeIndex,
     PruningParams,
@@ -117,6 +120,32 @@ class TestCandidatePairs:
         assert "pruning.pair_budget" in str(err.value)
         assert "max_neighbors" not in str(err.value)
 
+    def test_budget_counts_each_candidate_once_before_the_distance_test(self):
+        """Four candidates: (0,1) shares three slots, (0,2) and (1,2) share two
+        in different mask words, and (2,3) shares one but lies past the cutoff."""
+        step = np.degrees(1.05 * sigma_cutoff_km(PARAMS, 0.01) / 6371.0) / np.sqrt(2.0)
+        index = make_index(
+            [0.0, 0.0, 0.0, step, 0.0],
+            [0.0, 0.0, 0.0, step, 0.0],
+            [(5, 70, 130), (5, 70, 130), (7, 70, 130), (7,), (100,)],
+        )
+        ii, jj, _ = candidate_pairs(index, PARAMS, PruningParams(pair_budget=4))
+        assert list(zip(ii.tolist(), jj.tolist())) == [(0, 1), (0, 2), (1, 2)]
+        with pytest.raises(ConfigError, match="exceeds pair_budget=3"):
+            candidate_pairs(index, PARAMS, PruningParams(pair_budget=3))
+
+    def test_over_budget_bucket_stops_in_bounded_memory(self):
+        """12.5 M co-located pairs in one bucket: the budget stops them block by block."""
+        index = make_index([40.0] * 5000, [-74.0] * 5000, [(0,)] * 5000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match="exceeds pair_budget"):
+                candidate_pairs(index, PARAMS, PruningParams(pair_budget=1000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
     def test_pruning_validation(self):
         index = make_index([40.0, 40.0], [-74.0, -74.0], [(0,), (0,)])
         with pytest.raises(ConfigError, match="sigma_floor"):
@@ -149,6 +178,45 @@ class TestBuildSepMatrix:
             matrices_equal(
                 build_sep_matrix(index, PARAMS, pruning),
                 build_sep_matrix_bruteforce(index, PARAMS, pruning),
+                tol=1e-12,
+            )
+
+    @pytest.mark.parametrize("chunk", [None, 5], ids=["chunk_default", "chunk_5"])
+    @pytest.mark.parametrize(
+        "unit_values, one_slot",
+        [(False, False), (True, False), (False, True), (True, True)],
+        ids=["weighted", "tied", "spatial_only", "tied_spatial_only"],
+    )
+    def test_random_instances_match_bruteforce(self, monkeypatch, chunk, unit_values, one_slot):
+        """Ties (unit weights, shared venues) and single-slot indexes, max_neighbors from 1 up.
+
+        A chunk of 5 pairs splits blocks inside buckets and across cell pairs.
+        """
+        if chunk is not None:
+            monkeypatch.setattr(sep_graph, "_CHUNK", chunk)
+        rng = np.random.default_rng(167)
+        for case in range(6):
+            index = random_index(
+                rng,
+                int(rng.integers(20, 120)),
+                box_deg=float(rng.uniform(0.02, 0.3)),
+                max_slots=6,
+                slot_pool=int(rng.integers(3, 12)),
+            )
+            if case % 2:  # edges share venues, so distinct weights tie too
+                venue = rng.integers(0, index.n_edges // 4, size=index.n_edges)
+                index = dataclasses.replace(index, lat=index.lat[venue], lon=index.lon[venue])
+            if one_slot:
+                index = dataclasses.replace(index, slots=((0,),) * index.n_edges)
+            ii, jj, dd = candidate_pairs(index, PARAMS, PruningParams())
+            expect = pair_oracle(index, PARAMS, 0.01)
+            assert list(zip(ii.tolist(), jj.tolist())) == sorted(expect), f"case {case}"
+            # the oracle's scalar haversine may differ from numpy's array kernel in the last bit
+            np.testing.assert_allclose(dd, [expect[key] for key in sorted(expect)], rtol=0, atol=1e-12)
+            pruning = PruningParams(max_neighbors=case + 1)
+            matrices_equal(
+                build_sep_matrix(index, PARAMS, pruning, unit_values=unit_values),
+                build_sep_matrix_bruteforce(index, PARAMS, pruning, unit_values=unit_values),
                 tol=1e-12,
             )
 
