@@ -410,13 +410,15 @@ def build_sep_matrix_bruteforce(
         for j in range(i + 1, n):
             if not slot_sets[i] & slot_sets[j]:
                 continue
+            # one-element slices, so the distance and the weight come from the
+            # same array kernels as the fast builder's, to the last bit
             d = haversine_km(
-                (index.lat[i], index.lon[i]),
-                (index.lat[j], index.lon[j]),
+                (index.lat[i : i + 1], index.lon[i : i + 1]),
+                (index.lat[j : j + 1], index.lon[j : j + 1]),
                 params.earth_radius_km,
             )
-            if d <= d_max:
-                weights[(i, j)] = 1.0 if unit_values else float(sigma(d, params))
+            if d[0] <= d_max:
+                weights[(i, j)] = 1.0 if unit_values else float(sigma(d, params)[0])
 
     by_edge: dict[int, list[tuple[float, int]]] = defaultdict(list)
     for (i, j), w in weights.items():

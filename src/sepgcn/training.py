@@ -1,8 +1,10 @@
 """Pairwise-ranking training of the initial embedding table.
 
 The forward pass is a fixed linear map of E0, so gradients are exact
-reverse-mode adjoints: transpose propagation, transpose edge-context
-update, fan-out of the final mean — no autodiff framework involved.
+reverse-mode adjoints: each layer's matrices are applied transposed in
+reverse order (Wᵀ for the edge-context step, the symmetric A for the
+propagation), plus the fan-out of the final mean. No autodiff framework
+is involved.
 """
 from __future__ import annotations
 
@@ -187,14 +189,14 @@ def backward(
     """Pull a gradient at the averaged table back to the initial table.
 
     Walks the layers in reverse: each layer contributes its share of the
-    mean directly, then passes through the transposed edge update and the
-    (symmetric) transposed propagation.
+    mean directly, then passes through the edge-context step's transpose
+    (Wᵀ @ grad, where the update applies) and the symmetric propagation.
     """
     share = grad_estar / (model_cfg.layers + 1)
     grad = share.copy()
     for k in range(model_cfg.layers, 0, -1):
         if operator is not None and (model_cfg.sep_update == "every_layer" or k == 1):
-            grad = operator.update_adjoint(grad, model_cfg.dim)
+            grad = operator.update_adjoint(grad)
             _check_finite(grad, f"the edge-update adjoint of layer {k}")
         grad = spmv(graph, grad)
         _check_finite(grad, f"the propagation adjoint of layer {k}")

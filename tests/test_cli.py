@@ -300,6 +300,12 @@ class TestOracleCheck:
         assert len(verdicts) == 7
         assert all(v.startswith("PASS") for v in verdicts)
 
+    def test_seed_with_last_bit_distances_passes(self, tmp_path, capsys):
+        """At seed 6 a per-pair distance taken on numpy scalars differs in its last bit
+        from the array kernel; both builders must still agree entry for entry."""
+        code, out = run(["oracle-check", "--seed", "6", "--workdir", tmp_path / "oc"], capsys)
+        assert code == 0, out
+
 
 class TestConfigPrecedence:
     def test_flags_beat_set_beat_file(self, chain, tmp_path):

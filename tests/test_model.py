@@ -6,11 +6,12 @@ from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from sepgcn.data import Dataset, Interaction, SplitConfig
 from sepgcn.errors import ConfigError, InputDataError, NumericalError
 from sepgcn.geo import SimilarityParams
-from sepgcn.graph import build_adjacency, interaction_matrix
+from sepgcn.graph import build_adjacency, interaction_matrix, spmv
 from sepgcn.model import (
     EmbeddingState,
     ModelConfig,
@@ -169,45 +170,109 @@ class TestEdgeEmbed:
             np.testing.assert_array_equal(got[k, 5:], table[graph.n_users + index.items[k]])
 
 
-class TestSepPropagate:
-    """Propagation over the edge-pair graph: the operator's matrix times edge rows."""
+def edge_space_step(op, table):
+    """Reference: the edge-context step written in edge space.
 
-    def operator(self, sep, n_edges):
-        index = EdgeIndex(
-            users=np.arange(n_edges), items=np.arange(n_edges),
-            lat=np.zeros(n_edges), lon=np.zeros(n_edges), slots=((0,),) * n_edges,
-            edge_id={(k, k): k for k in range(n_edges)},
-        )
-        return SepOperator(sep, index, n_edges, n_edges, 0.5, 0.5)
+    Gathers user‖item rows onto every edge, propagates them over the
+    edge-pair matrix, mean-aggregates each half back into its nodes over the
+    active edges and blends the mean into the node's row.
+    """
+    d, n = table.shape[1], op.n_users
+    rows = np.concatenate([table[op.index.users], table[n + op.index.items]], axis=1)
+    propagated = op.x @ rows
+    out = op.node_weight[:, None] * table
+    out[:n] += (1.0 - op.alpha_user) * (op.pu @ propagated[:, :d])
+    out[n:] += (1.0 - op.beta_item) * (op.pi @ propagated[:, d:])
+    return out
+
+
+def edge_space_adjoint(op, grad_out):
+    """Reference: the hand-written transpose of edge_space_step."""
+    d, n = grad_out.shape[1], op.n_users
+    grad_edges = np.zeros((op.x.shape[0], 2 * d))
+    grad_edges[:, :d] = op.put @ ((1.0 - op.alpha_user) * grad_out[:n])
+    grad_edges[:, d:] = op.pit @ ((1.0 - op.beta_item) * grad_out[n:])
+    grad_s = op.xt @ grad_edges
+    grad = op.node_weight[:, None] * grad_out
+    grad[:n] += op.gu @ grad_s[:, :d]
+    grad[n:] += op.gi @ grad_s[:, d:]
+    return grad
+
+
+def edge_space_forward(cfg, graph, op, e0):
+    """Reference forward pass that applies the step through edge_space_step."""
+    tables, cur = [e0], e0
+    for k in range(1, cfg.layers + 1):
+        cur = spmv(graph, cur)
+        if cfg.sep_update == "every_layer" or k == 1:
+            cur = edge_space_step(op, cur)
+        tables.append(cur)
+    return sum(tables[1:], tables[0].copy()) / (cfg.layers + 1)
+
+
+def one_edge_per_node(sep, n_edges, alpha=0.5, beta=0.5):
+    """Operator over an index where edge k joins user k and item k."""
+    index = EdgeIndex(
+        users=np.arange(n_edges), items=np.arange(n_edges),
+        lat=np.zeros(n_edges), lon=np.zeros(n_edges), slots=((0,),) * n_edges,
+        edge_id={(k, k): k for k in range(n_edges)},
+    )
+    return SepOperator(sep, index, n_edges, n_edges, alpha, beta)
+
+
+def empty_sep(n_edges):
+    return SepMatrix(
+        n_edges, np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0), "sym_degree"
+    )
+
+
+class TestSepPropagate:
+    """Propagation over the edge-pair graph, seen through the node-space step.
+
+    With one edge per node and alpha = beta = 0, a node with an active edge
+    takes exactly its edge's propagated row: W restricted to those nodes is X.
+    """
 
     def test_empty_matrix_gives_zeros(self):
-        sep = SepMatrix(3, np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0), "sym_degree")
-        np.testing.assert_array_equal(self.operator(sep, 3).x @ np.ones((3, 4)), np.zeros((3, 4)))
+        op = one_edge_per_node(empty_sep(3), 3)
+        propagated = op.w - sp.diags(op.node_weight)
+        assert propagated.count_nonzero() == 0
+        np.testing.assert_array_equal(op.node_weight, np.ones(6))
 
     def test_unit_pair_swaps_rows(self):
         sep = SepMatrix(
             2, np.array([0, 1]), np.array([1, 0]), np.array([1.0, 1.0]), "sym_degree"
         )
-        table = np.array([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_array_equal(self.operator(sep, 2).x @ table, table[::-1])
+        table = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]])
+        out = one_edge_per_node(sep, 2, 0.0, 0.0).update(table)
+        np.testing.assert_array_equal(out, [[3.0, 4.0], [1.0, 2.0], [7.0, 8.0], [5.0, 6.0]])
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(163)
-        _, graph, index, sep = make_instance(rng, n_edges=50)
-        op = SepOperator(sep, index, graph.n_users, graph.n_items, 0.5, 0.5)
-        table = rng.normal(size=(index.n_edges, 8))
-        np.testing.assert_allclose(op.x @ table, sep.to_csr().toarray() @ table, atol=1e-12)
+        _, _, index, sep = make_instance(rng, n_edges=50)
+        n = index.n_edges
+        op = one_edge_per_node(sep, n, 0.0, 0.0)
+        table = rng.normal(size=(2 * n, 8))
+        active = sep.active_edges()
+        x = sep.to_csr().toarray()
+        out = op.update(table)
+        for half in (slice(0, n), slice(n, 2 * n)):
+            expect = np.where(active[:, None], x @ table[half], table[half])
+            np.testing.assert_allclose(out[half], expect, atol=1e-12)
 
     def test_dimension_mismatch(self):
-        sep = SepMatrix(3, np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0), "sym_degree")
         with pytest.raises(ConfigError, match="edges"):
-            self.operator(sep, 4)
+            one_edge_per_node(empty_sep(3), 4)
 
 
-def sep_update(graph, index, sep, table, propagated, alpha, beta):
-    return SepOperator(sep, index, graph.n_users, graph.n_items, alpha, beta).update(
-        table, propagated
-    )
+def sep_update(graph, index, sep, table, alpha, beta):
+    return SepOperator(sep, index, graph.n_users, graph.n_items, alpha, beta).update(table)
+
+
+def propagated_rows(index, sep, table, n_users):
+    """Edge rows user‖item, propagated over the dense edge-pair matrix."""
+    rows = np.concatenate([table[index.users], table[n_users + index.items]], axis=1)
+    return sep.to_csr().toarray() @ rows
 
 
 class TestUpdateFromSep:
@@ -217,8 +282,7 @@ class TestUpdateFromSep:
         rng = np.random.default_rng(167)
         ds, graph, index, sep = make_instance(rng)
         table = rng.normal(size=(graph.n_nodes, 4))
-        propagated = rng.normal(size=(index.n_edges, 8))
-        out = sep_update(graph, index, sep, table, propagated, 1.0, 1.0)
+        out = sep_update(graph, index, sep, table, 1.0, 1.0)
         np.testing.assert_array_equal(out, table)
 
     def test_alpha_zero_single_edge_copies_segment(self):
@@ -232,8 +296,9 @@ class TestUpdateFromSep:
             2, np.array([0, 1]), np.array([1, 0]), np.array([1.0, 1.0]), "sym_degree"
         )
         op = SepOperator(sep, index, 2, 2, 0.0, 0.0)
-        propagated = np.array([[5.0, 6.0, 7.0, 8.0], [1.0, 2.0, 3.0, 4.0]])
-        out = op.update(np.zeros((4, 2)), propagated)
+        # edge 0 = (user 0, item 0) and edge 1 = (user 1, item 1) swap rows
+        table = np.array([[1.0, 2.0], [5.0, 6.0], [3.0, 4.0], [7.0, 8.0]])
+        out = op.update(table)
         np.testing.assert_array_equal(out, [[5.0, 6.0], [1.0, 2.0], [7.0, 8.0], [3.0, 4.0]])
 
     def test_matches_loop_oracle(self):
@@ -241,11 +306,10 @@ class TestUpdateFromSep:
         for _ in range(5):
             ds, graph, index, sep = make_instance(rng)
             table = rng.normal(size=(graph.n_nodes, 4))
-            propagated = rng.normal(size=(index.n_edges, 8))
-            got = sep_update(graph, index, sep, table, propagated, 0.3, 0.6)
+            got = sep_update(graph, index, sep, table, 0.3, 0.6)
             expect = update_oracle(
-                table, propagated, index.users, index.items, graph.n_users, 0.3, 0.6,
-                sep.active_edges(),
+                table, propagated_rows(index, sep, table, graph.n_users),
+                index.users, index.items, graph.n_users, 0.3, 0.6, sep.active_edges(),
             )
             np.testing.assert_allclose(got, expect, atol=1e-12)
 
@@ -254,8 +318,7 @@ class TestUpdateFromSep:
         ds, graph, index, sep = make_instance(rng)
         active = sep.active_edges()
         table = rng.normal(size=(graph.n_nodes, 4))
-        propagated = rng.normal(size=(index.n_edges, 8))
-        out = sep_update(graph, index, sep, table, propagated, 0.2, 0.2)
+        out = sep_update(graph, index, sep, table, 0.2, 0.2)
         live_users = set(index.users[active])
         live_items = set(index.items[active])
         for u in range(graph.n_users):
@@ -264,6 +327,85 @@ class TestUpdateFromSep:
         for i in range(graph.n_items):
             if i not in live_items:
                 np.testing.assert_array_equal(out[graph.n_users + i], table[graph.n_users + i])
+
+
+class TestNodeSpaceOperator:
+    """W and its transpose against the edge-space reference above."""
+
+    def instances(self, seed, count=6):
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            ds, graph, index, sep = make_instance(
+                rng, n_users=int(rng.integers(5, 20)), n_items=int(rng.integers(5, 25)),
+                n_edges=int(rng.integers(20, 80)),
+            )
+            alpha, beta = rng.uniform(0.0, 1.0, size=2)
+            op = SepOperator(sep, index, graph.n_users, graph.n_items, alpha, beta)
+            yield rng, graph, index, sep, op
+
+    def test_update_matches_edge_space_reference(self):
+        for rng, graph, _, _, op in self.instances(401):
+            table = rng.normal(size=(graph.n_nodes, 6))
+            np.testing.assert_allclose(op.update(table), edge_space_step(op, table), rtol=0, atol=1e-12)
+
+    def test_adjoint_matches_edge_space_reference(self):
+        for rng, graph, _, _, op in self.instances(409):
+            grad = rng.normal(size=(graph.n_nodes, 6))
+            np.testing.assert_allclose(
+                op.update_adjoint(grad), edge_space_adjoint(op, grad), rtol=0, atol=1e-12
+            )
+
+    def test_adjoint_identity(self):
+        for rng, graph, _, _, op in self.instances(419):
+            a = rng.normal(size=(graph.n_nodes, 5))
+            b = rng.normal(size=(graph.n_nodes, 5))
+            lhs = np.sum(op.update(a) * b)
+            rhs = np.sum(a * op.update_adjoint(b))
+            assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+
+    @pytest.mark.parametrize("mode", ["every_layer", "once"])
+    def test_forward_matches_edge_space_reference(self, mode):
+        for rng, graph, index, sep, op in self.instances(421, count=4):
+            cfg = ModelConfig(
+                dim=5, layers=3, alpha_user=op.alpha_user, beta_item=op.beta_item,
+                sep_update=mode, seed=int(rng.integers(1000)),
+            )
+            e0 = init_embeddings(cfg, graph.n_nodes)
+            state = forward(cfg, graph, sep, index, e0, operator=op)
+            np.testing.assert_allclose(
+                state.e_star, edge_space_forward(cfg, graph, op, e0), rtol=0, atol=1e-12
+            )
+
+    def test_retain_all_is_the_identity(self):
+        for rng, graph, index, sep, _ in self.instances(431, count=3):
+            op = SepOperator(sep, index, graph.n_users, graph.n_items, 1.0, 1.0)
+            table = rng.normal(size=(graph.n_nodes, 4))
+            np.testing.assert_array_equal(op.update(table), table)
+            np.testing.assert_array_equal(op.update_adjoint(table), table)
+
+    def test_empty_matrix_is_the_identity(self):
+        for rng, graph, index, _, _ in self.instances(433, count=3):
+            op = SepOperator(empty_sep(index.n_edges), index, graph.n_users, graph.n_items, 0.3, 0.6)
+            table = rng.normal(size=(graph.n_nodes, 4))
+            np.testing.assert_array_equal(op.update(table), table)
+            np.testing.assert_array_equal(op.update_adjoint(table), table)
+
+    def test_isolated_edges_leave_their_nodes_exact(self):
+        """Only edges 0 and 1 link; every node off those two keeps its row exactly."""
+        rng = np.random.default_rng(439)
+        _, graph, index, _ = make_instance(rng)
+        sep = SepMatrix(
+            index.n_edges, np.array([0, 1]), np.array([1, 0]), np.array([1.0, 1.0]), "sym_degree"
+        )
+        op = SepOperator(sep, index, graph.n_users, graph.n_items, 0.3, 0.6)
+        live = np.zeros(graph.n_nodes, dtype=bool)
+        live[index.users[:2]] = True
+        live[graph.n_users + index.items[:2]] = True
+        table = rng.normal(size=(graph.n_nodes, 4))
+        for out in (op.update(table), op.update_adjoint(table)):
+            np.testing.assert_array_equal(out[~live], table[~live])
+            assert not np.array_equal(out[live], table[live])
+        np.testing.assert_allclose(op.update(table), edge_space_step(op, table), rtol=0, atol=1e-12)
 
 
 class TestForward:
