@@ -45,7 +45,7 @@ from .evaluate import (
     write_report_tsv,
 )
 from .geo import SimilarityParams, median_distance, sigma_cutoff_km
-from .graph import build_adjacency
+from .graph import build_adjacency, interaction_matrix
 from .model import forward, load_checkpoint, save_checkpoint
 from .sep_graph import (
     EdgeIndex,
@@ -282,7 +282,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def _evaluate_checkpoint(cfg: RunConfig, ds, e0: np.ndarray, meta: dict):
-    """Shared eval core: compatibility checks, forward pass, report."""
+    """Compatibility checks of a checkpoint against the run, then its report."""
     n_nodes = ds.n_users + ds.n_items
     if meta["dim"] != cfg.model.dim:
         raise ConfigError(
@@ -317,14 +317,16 @@ def _evaluate_checkpoint(cfg: RunConfig, ds, e0: np.ndarray, meta: dict):
     sep = index = None
     if cfg.model.sep_enabled:
         sep, index = _load_sep_for_run(cfg, ds)
+    return _report(cfg, ds, graph, sep, index, e0)
+
+
+def _report(cfg: RunConfig, ds, graph, sep, index, e0: np.ndarray):
+    """The evaluation core of eval and sweep: forward pass, then the ranking report."""
     state = forward(cfg.model, graph, sep, index, e0)
-    train_sets = {u: set(v) for u, v in ds.items_by_user("train").items()}
-    test_sets = {u: set(v) for u, v in ds.items_by_user("test").items()}
     return evaluate_model(
         state.e_star,
-        ds.n_users,
-        train_sets,
-        test_sets,
+        interaction_matrix(ds, "train"),
+        interaction_matrix(ds, "test"),
         ks=cfg.ks,
         seed=cfg.seed,
         config_hash=cfg.fingerprint(),
@@ -433,18 +435,7 @@ def _run_pipeline(cfg: RunConfig, ds, graph, sep, index):
     """In-memory train-to-eval chain used by the sweep."""
     hook = make_ranking_hook(ds, k=20)
     result = train(ds, graph, sep, index, cfg.model, cfg.train, hook)
-    state = forward(cfg.model, graph, sep, index, result.e0)
-    train_sets = {u: set(v) for u, v in ds.items_by_user("train").items()}
-    test_sets = {u: set(v) for u, v in ds.items_by_user("test").items()}
-    return evaluate_model(
-        state.e_star,
-        ds.n_users,
-        train_sets,
-        test_sets,
-        ks=cfg.ks,
-        seed=cfg.seed,
-        config_hash=cfg.fingerprint(),
-    )
+    return _report(cfg, ds, graph, sep, index, result.e0)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

@@ -130,8 +130,6 @@ KEYMAP = {
     "train.seed": ("train", "seed", int),
 }
 
-GAMMA_KEY = "model.gamma"  # alias: sets alpha and beta to 1 - gamma
-
 
 def load_config_file(path: str | Path) -> dict[str, str]:
     """Parse `key = value` lines; '#' starts a comment, blanks are skipped."""
@@ -179,7 +177,6 @@ def build_run_config(
     """
     pairs = {**(file_pairs or {}), **(override_pairs or {})}
     cfg = RunConfig()
-    gamma_raw = pairs.pop(GAMMA_KEY, None)
     for key, raw in pairs.items():
         if key not in KEYMAP:
             raise ConfigError(f"unknown config key {key!r}")
@@ -190,18 +187,6 @@ def build_run_config(
             raise ConfigError(f"bad value for {key!r}: {exc}") from None
         target = cfg if section is None else getattr(cfg, section)
         setattr(target, attr, value)
-    if gamma_raw is not None:
-        if "model.alpha" in pairs or "model.beta" in pairs:
-            raise ConfigError(
-                "model.gamma is an alias for setting model.alpha and model.beta "
-                "to 1 - gamma; do not combine it with either"
-            )
-        try:
-            gamma = float(gamma_raw)
-        except ValueError:
-            raise ConfigError(f"bad value for {GAMMA_KEY!r}: {gamma_raw!r}") from None
-        cfg.model.alpha_user = 1.0 - gamma
-        cfg.model.beta_item = 1.0 - gamma
     if "split.seed" not in pairs:
         cfg.split.seed = cfg.seed
     if "model.seed" not in pairs:

@@ -9,9 +9,8 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from datetime import datetime
 from pathlib import Path
-from zoneinfo import ZoneInfo
 
 import numpy as np
 
@@ -28,25 +27,6 @@ class CheckinRecord:
     timestamp: datetime  # naive local civil time
     latitude: float
     longitude: float
-
-
-@dataclass
-class FieldMap:
-    """Column layout of a raw check-in feed.
-
-    Indices are zero-based positions in the delimited line. When tz is set,
-    the timestamp column must hold epoch seconds and tz the IANA zone name
-    column used to localize them; otherwise the timestamp column must be
-    ISO-8601 civil time without a zone suffix.
-    """
-
-    user: int = 0
-    item: int = 1
-    timestamp: int = 2
-    lat: int = 3
-    lon: int = 4
-    tz: int | None = None
-    delimiter: str | None = None  # None = per-line autodetect (tab first, then comma)
 
 
 @dataclass(frozen=True)
@@ -93,22 +73,17 @@ class Dataset:
     def train_interactions(self) -> list[Interaction]:
         return [it for it in self.interactions if it.split == "train"]
 
-    def items_by_user(self, split: str) -> dict[int, list[int]]:
-        out: dict[int, list[int]] = {}
-        for it in self.interactions:
-            if it.split == split:
-                out.setdefault(it.user, []).append(it.item)
-        return out
 
-
-def parse_checkins(lines, fmap: FieldMap | None = None):
+def parse_checkins(lines):
     """Parse a line stream into check-in records.
 
-    Returns (records, rejects) where rejects is a list of (line_number,
-    reason). Raises when more than 10% of non-empty lines are rejected,
-    which almost always means the field mapping is wrong.
+    Each line holds user, item, ISO-8601 civil time without a zone suffix,
+    latitude and longitude, split on tabs when the line has one and on
+    commas otherwise; further columns are ignored. Returns (records,
+    rejects) where rejects is a list of (line_number, reason). Raises when
+    more than 10% of non-empty lines are rejected, which almost always
+    means the file has another layout.
     """
-    fmap = fmap or FieldMap()
     records: list[CheckinRecord] = []
     rejects: list[tuple[int, str]] = []
     n_seen = 0
@@ -117,61 +92,38 @@ def parse_checkins(lines, fmap: FieldMap | None = None):
         if not line.strip():
             continue
         n_seen += 1
-        reason = _parse_line(line, fmap, records)
+        reason = _parse_line(line, records)
         if reason is not None:
             rejects.append((lineno, reason))
     if n_seen and len(rejects) > 0.10 * n_seen:
         raise InputDataError(
-            f"{len(rejects)}/{n_seen} lines rejected (>10%); check the field mapping "
+            f"{len(rejects)}/{n_seen} lines rejected (>10%); check the column layout "
             f"(first reject: line {rejects[0][0]}: {rejects[0][1]})"
         )
     return records, rejects
 
 
-def _parse_line(line: str, fmap: FieldMap, out: list[CheckinRecord]) -> str | None:
-    if fmap.delimiter is not None:
-        parts = line.split(fmap.delimiter)
-    elif "\t" in line:
-        parts = line.split("\t")
-    else:
-        parts = line.split(",")
-    needed = max(
-        fmap.user, fmap.item, fmap.timestamp, fmap.lat, fmap.lon, fmap.tz if fmap.tz is not None else 0
-    )
-    if len(parts) <= needed:
-        return f"expected at least {needed + 1} columns, got {len(parts)}"
-    user = parts[fmap.user].strip()
-    item = parts[fmap.item].strip()
+def _parse_line(line: str, out: list[CheckinRecord]) -> str | None:
+    parts = line.split("\t") if "\t" in line else line.split(",")
+    if len(parts) < 5:
+        return f"expected at least 5 columns, got {len(parts)}"
+    user, item = parts[0].strip(), parts[1].strip()
     if not user or not item:
         return "empty user or item id"
     try:
-        lat = float(parts[fmap.lat])
-        lon = float(parts[fmap.lon])
+        lat, lon = float(parts[3]), float(parts[4])
     except ValueError:
         return "unparseable coordinate"
     if not (math.isfinite(lat) and -90.0 <= lat <= 90.0):
         return "latitude out of range"
     if not (math.isfinite(lon) and -180.0 <= lon <= 180.0):
         return "longitude out of range"
-    ts_field = parts[fmap.timestamp].strip()
-    if fmap.tz is not None:
-        zone_name = parts[fmap.tz].strip()
-        try:
-            zone = ZoneInfo(zone_name)
-        except Exception:
-            return f"unknown timezone {zone_name!r}"
-        try:
-            epoch = float(ts_field)
-        except ValueError:
-            return "epoch timestamp expected with a timezone column"
-        ts = datetime.fromtimestamp(epoch, tz=timezone.utc).astimezone(zone).replace(tzinfo=None)
-    else:
-        try:
-            ts = datetime.fromisoformat(ts_field)
-        except ValueError:
-            return "unparseable timestamp"
-        if ts.tzinfo is not None:
-            return "timestamp carries a zone suffix; use epoch seconds plus a zone column"
+    try:
+        ts = datetime.fromisoformat(parts[2].strip())
+    except ValueError:
+        return "unparseable timestamp"
+    if ts.tzinfo is not None:
+        return "timestamp carries a zone suffix; give local civil time without one"
     out.append(CheckinRecord(user, item, ts, lat, lon))
     return None
 

@@ -12,8 +12,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import ConfigError
+from .graph import entry_keys, has_entry, interaction_matrix
 
 METRIC_NAMES = ("precision", "recall", "ndcg", "accuracy")
 DEFAULT_KS = (5, 20)
@@ -29,9 +31,6 @@ class MetricsAtK:
     n_evaluated_users: int
     n_excluded_users: int
 
-    def as_dict(self) -> dict[str, float]:
-        return {name: getattr(self, name) for name in METRIC_NAMES}
-
 
 @dataclass
 class MetricsReport:
@@ -43,96 +42,78 @@ class MetricsReport:
     config_hash: str | None = None
 
 
-def rank_all(
-    e_star: np.ndarray,
-    n_users: int,
-    train_sets: dict[int, set[int]],
-    users,
-    k: int,
-    chunk: int = 256,
-) -> dict[int, np.ndarray]:
-    """Vectorized top-k lists for many users at once (chunked over users)."""
+def rank_all(e_star: np.ndarray, train: sp.csr_matrix, k: int, chunk: int = 256) -> np.ndarray:
+    """Top-k item ids of every user, one row each: row u ranks user u.
+
+    `train` is the binary user-by-item train matrix; a user's train items
+    are never ranked. A user with fewer than k candidates gets a row that
+    ends in -1. Scores are computed `chunk` users at a time.
+    """
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
-    n_items = e_star.shape[0] - n_users
-    users = np.asarray(sorted(users), dtype=np.int64)
+    n_users, n_items = train.shape
     item_table = e_star[n_users:]
-    out: dict[int, np.ndarray] = {}
-    for start in range(0, len(users), chunk):
-        block = users[start : start + chunk]
-        scores = e_star[block] @ item_table.T
-        for row, u in enumerate(block):
-            banned = train_sets.get(int(u), ())
-            if banned:
-                scores[row, np.fromiter(banned, dtype=np.int64)] = -np.inf
-        order = np.argsort(-scores, axis=1, kind="stable")
-        for row, u in enumerate(block):
-            n_candidates = n_items - len(train_sets.get(int(u), ()))
-            out[int(u)] = order[row, : min(k, n_candidates)]
+    width = min(k, n_items)
+    out = np.empty((n_users, width), dtype=np.int64)
+    for start in range(0, n_users, chunk):
+        block = train[start : start + chunk]
+        n_seen = np.diff(block.indptr)
+        scores = e_star[start : start + len(n_seen)] @ item_table.T
+        scores[np.repeat(np.arange(len(n_seen)), n_seen), block.indices] = -np.inf
+        top = np.argsort(-scores, axis=1, kind="stable")[:, :width]
+        top[np.arange(width) >= (n_items - n_seen)[:, None]] = -1
+        out[start : start + len(n_seen)] = top
     return out
 
 
-def _ideal_dcg(n_hits: int) -> float:
-    return sum(1.0 / math.log2(p + 1) for p in range(1, n_hits + 1))
-
-
-def metrics_at_k(
-    topk: dict[int, np.ndarray],
-    test_sets: dict[int, set[int]],
-    k: int,
-) -> MetricsAtK:
+def metrics_at_k(topk: np.ndarray, test: sp.csr_matrix, k: int) -> MetricsAtK:
     """Mean precision/recall/NDCG/accuracy at one cutoff.
 
-    Users with an empty test set are excluded from every average but
-    counted. Accuracy is the hit-rate: 1 when at least one test item made
-    the top-k, else 0.
+    Row u of `topk` ranks user u (as `rank_all` returns it) and `test` is
+    the binary user-by-item test matrix. Users with an empty test row are
+    excluded from every average but counted. Accuracy is the hit-rate: 1
+    when at least one test item made the top-k, else 0. Each user's DCG
+    adds its hits' discounts one rank at a time, so it is the exact sum a
+    loop over the ranks gives.
     """
-    excluded = 0
-    precision, recall, ndcg, accuracy = [], [], [], []
-    for user in sorted(test_sets):
-        truth = test_sets[user]
-        if not truth:
-            excluded += 1
-            continue
-        ranked = np.asarray(topk[user])[:k]
-        hit_flags = [int(item) in truth for item in ranked]
-        hits = sum(hit_flags)
-        dcg = sum(1.0 / math.log2(p + 1) for p, h in enumerate(hit_flags, start=1) if h)
-        idcg = _ideal_dcg(min(k, len(truth)))
-        precision.append(hits / k)
-        recall.append(hits / len(truth))
-        ndcg.append(dcg / idcg)
-        accuracy.append(1.0 if hits else 0.0)
-
-    def mean(xs):
-        return float(np.mean(xs)) if xs else 0.0
-
+    n_truth = np.diff(test.indptr)
+    users = np.flatnonzero(n_truth)
+    if not len(users):
+        return MetricsAtK(k, 0.0, 0.0, 0.0, 0.0, 0, test.shape[0])
+    ranked = topk[users, :k]
+    hit = (ranked >= 0) & has_entry(entry_keys(test), test.shape[1], users[:, None], ranked)
+    discount = np.array([1.0 / math.log2(p + 1) for p in range(1, k + 1)])
+    hits = np.count_nonzero(hit, axis=1)
+    dcg = np.cumsum(np.where(hit, discount[: ranked.shape[1]], 0.0), axis=1)[:, -1]
+    idcg = np.cumsum(discount)[np.minimum(k, n_truth[users]) - 1]
     return MetricsAtK(
         k=k,
-        precision=mean(precision),
-        recall=mean(recall),
-        ndcg=mean(ndcg),
-        accuracy=mean(accuracy),
-        n_evaluated_users=len(precision),
-        n_excluded_users=excluded,
+        precision=float(np.mean(hits / k)),
+        recall=float(np.mean(hits / n_truth[users])),
+        ndcg=float(np.mean(dcg / idcg)),
+        accuracy=float(np.mean((hits > 0).astype(np.float64))),
+        n_evaluated_users=len(users),
+        n_excluded_users=test.shape[0] - len(users),
     )
 
 
 def evaluate_model(
     e_star: np.ndarray,
-    n_users: int,
-    train_sets: dict[int, set[int]],
-    test_sets: dict[int, set[int]],
+    train: sp.csr_matrix,
+    test: sp.csr_matrix,
     ks: tuple[int, ...] = DEFAULT_KS,
     seed: int | None = None,
     config_hash: str | None = None,
 ) -> MetricsReport:
-    """Rank once at the largest cutoff, then score every requested k."""
+    """Rank once at the largest cutoff, then score every requested k.
+
+    `train` and `test` are the binary user-by-item matrices of the split
+    (`graph.interaction_matrix`).
+    """
     if not ks:
         raise ConfigError("at least one cutoff k is required")
-    users = [u for u, truth in test_sets.items() if truth]
-    topk = rank_all(e_star, n_users, train_sets, users, max(ks))
-    blocks = {k: metrics_at_k(topk, test_sets, k) for k in sorted(ks)}
+    topk = rank_all(e_star, train, max(ks))
+    blocks = {k: metrics_at_k(topk, test, k) for k in sorted(ks)}
     any_block = next(iter(blocks.values()))
     return MetricsReport(
         ks=tuple(sorted(ks)),
@@ -146,13 +127,11 @@ def evaluate_model(
 
 def make_ranking_hook(dataset, k: int = 20):
     """Adapter for the trainer: averaged table -> {"recall@k", "ndcg@k"}."""
-    n = dataset.n_users
-    train_sets = {u: set(v) for u, v in dataset.items_by_user("train").items()}
-    test_sets = {u: set(v) for u, v in dataset.items_by_user("test").items()}
+    train = interaction_matrix(dataset, "train")
+    test = interaction_matrix(dataset, "test")
 
     def hook(e_star: np.ndarray) -> dict[str, float]:
-        report = evaluate_model(e_star, n, train_sets, test_sets, ks=(k,))
-        block = report.blocks[k]
+        block = evaluate_model(e_star, train, test, ks=(k,)).blocks[k]
         return {f"recall@{k}": block.recall, f"ndcg@{k}": block.ndcg}
 
     return hook

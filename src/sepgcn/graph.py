@@ -28,18 +28,35 @@ class BipartiteGraph:
         return self.n_users + self.n_items
 
 
-def interaction_matrix(dataset) -> sp.csr_matrix:
-    """Binary user-by-item matrix over the train split."""
-    train = dataset.train_interactions()
-    if not train:
+def interaction_matrix(dataset, split: str) -> sp.csr_matrix:
+    """Binary user-by-item matrix of one split ("train" or "test").
+
+    The one place a user's train or test items are worked out: the
+    adjacency, the sampler, ranking and the metrics all read them from here.
+    Entries are sorted within each row, so `entry_keys` of the result come
+    out sorted.
+    """
+    rows = np.fromiter((it.user for it in dataset.interactions if it.split == split), np.int64)
+    cols = np.fromiter((it.item for it in dataset.interactions if it.split == split), np.int64)
+    if split == "train" and not len(rows):
         raise InputDataError("dataset has no train interactions")
-    rows = np.fromiter((it.user for it in train), dtype=np.int64, count=len(train))
-    cols = np.fromiter((it.item for it in train), dtype=np.int64, count=len(train))
-    mat = sp.coo_matrix(
-        (np.ones(len(train)), (rows, cols)), shape=(dataset.n_users, dataset.n_items)
-    ).tocsr()
+    mat = sp.csr_matrix(
+        (np.ones(len(rows)), (rows, cols)), shape=(dataset.n_users, dataset.n_items)
+    )
     mat.data[:] = 1.0  # collapse any duplicate edges to binary
     return mat
+
+
+def entry_keys(mat: sp.csr_matrix) -> np.ndarray:
+    """Sorted keys row * n_cols + col of the entries of a canonical CSR matrix."""
+    rows = np.repeat(np.arange(mat.shape[0], dtype=np.int64), np.diff(mat.indptr))
+    return rows * mat.shape[1] + mat.indices
+
+
+def has_entry(keys: np.ndarray, n_cols: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """For each (row, col) pair, whether its key is among the sorted, non-empty `keys`."""
+    query = rows * n_cols + cols
+    return keys[np.minimum(np.searchsorted(keys, query), len(keys) - 1)] == query
 
 
 def sym_normalize(a: sp.spmatrix) -> tuple[sp.csr_matrix, np.ndarray]:
@@ -55,7 +72,7 @@ def sym_normalize(a: sp.spmatrix) -> tuple[sp.csr_matrix, np.ndarray]:
 
 def build_adjacency(dataset) -> BipartiteGraph:
     """Assemble and normalize the (n+m)-node adjacency from train edges."""
-    r = interaction_matrix(dataset)
+    r = interaction_matrix(dataset, "train")
     n, m = r.shape
     a = sp.bmat([[None, r], [r.T, None]], format="csr")
     a_norm, deg = sym_normalize(a)

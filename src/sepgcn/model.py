@@ -1,8 +1,8 @@
 """Forward computation: layer propagation over the bipartite graph,
-interleaved with the edge-context step, final averaging, and dot-product
-scoring. Deliberately linear end to end: each layer is the adjacency A
-followed (where the edge update applies) by one precomputed node-space
-matrix W, so the forward pass is a product of sparse matrices.
+interleaved with the edge-context step, and final averaging. Deliberately
+linear end to end: each layer is the adjacency A followed (where the edge
+update applies) by one precomputed node-space matrix W, so the forward pass
+is a product of sparse matrices.
 """
 from __future__ import annotations
 
@@ -180,6 +180,15 @@ def build_operator(
     )
 
 
+def edge_step_at(cfg: ModelConfig, operator: SepOperator | None, k: int) -> bool:
+    """Whether layer k (1-based) ends with the edge-context step.
+
+    The forward pass and its adjoint both ask this, so they cannot disagree
+    on the layer schedule.
+    """
+    return operator is not None and (cfg.sep_update == "every_layer" or k == 1)
+
+
 def forward(
     cfg: ModelConfig,
     graph: BipartiteGraph,
@@ -208,24 +217,13 @@ def forward(
     for k in range(1, cfg.layers + 1):
         current = spmv(graph, current)
         _check_finite(current, f"propagation at layer {k}")
-        if operator is not None and (cfg.sep_update == "every_layer" or k == 1):
+        if edge_step_at(cfg, operator, k):
             current = operator.update(current)
             _check_finite(current, f"edge update at layer {k}")
         tables.append(current)
 
     e_star = sum(tables[1:], tables[0].copy()) / (cfg.layers + 1)
     return EmbeddingState(e0=e0, layers=tables[1:], e_star=e_star)
-
-
-def score(e_star: np.ndarray, n_users: int, user: int, item: int) -> float:
-    """Preference score: dot product of the user's and item's final rows."""
-    n_nodes = e_star.shape[0]
-    if not (0 <= user < n_users and 0 <= item < n_nodes - n_users):
-        raise ConfigError(
-            f"user {user} / item {item} out of range for {n_users} users, "
-            f"{n_nodes - n_users} items"
-        )
-    return float(e_star[user] @ e_star[n_users + item])
 
 
 def save_checkpoint(e0: np.ndarray, config_echo: dict, path: str | Path) -> None:

@@ -68,9 +68,9 @@ class PruningParams:
 class EdgeIndex:
     """Train interactions in a fixed canonical order, ready for pairing.
 
-    Edge k is the k-th train interaction of the dataset; `edge_id` maps
-    (user, item) back to k. Locations are the item's coordinates and
-    `slots` holds each edge's distinct weekly slots, sorted.
+    Edge k is the k-th train interaction of the dataset. Locations are the
+    item's coordinates and `slots` holds each edge's distinct weekly slots,
+    sorted.
     """
 
     users: np.ndarray
@@ -78,7 +78,6 @@ class EdgeIndex:
     lat: np.ndarray
     lon: np.ndarray
     slots: tuple[tuple[int, ...], ...]
-    edge_id: dict[tuple[int, int], int]
 
     @property
     def n_edges(self) -> int:
@@ -89,12 +88,10 @@ class EdgeIndex:
         train = dataset.train_interactions()
         users = np.fromiter((it.user for it in train), dtype=np.int64, count=len(train))
         items = np.fromiter((it.item for it in train), dtype=np.int64, count=len(train))
-        edge_id: dict[tuple[int, int], int] = {}
-        for k, it in enumerate(train):
-            key = (it.user, it.item)
-            if key in edge_id:
-                raise InputDataError(f"duplicate train interaction {key}")
-            edge_id[key] = k
+        _, first = np.unique(users * dataset.n_items + items, return_index=True)
+        if len(first) < len(train):
+            k = np.setdiff1d(np.arange(len(train)), first)[0]  # the first repeat
+            raise InputDataError(f"duplicate train interaction {(int(users[k]), int(items[k]))}")
         slots = tuple(tuple(sorted(set(it.slots))) for it in train)
         return cls(
             users=users,
@@ -102,7 +99,6 @@ class EdgeIndex:
             lat=dataset.item_lat[items] if len(items) else np.zeros(0),
             lon=dataset.item_lon[items] if len(items) else np.zeros(0),
             slots=slots,
-            edge_id=edge_id,
         )
 
 

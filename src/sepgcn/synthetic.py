@@ -95,9 +95,6 @@ class SyntheticCity:
     scene_slots: list[np.ndarray]  # characteristic weekly hours per scene
     config: SyntheticConfig
 
-    def scene_district(self, scene: int) -> int:
-        return scene // self.config.themes_per_district
-
 
 def generate_city(cfg: SyntheticConfig) -> SyntheticCity:
     """Draw a full check-in log from the scene model, reproducibly."""

@@ -18,8 +18,8 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import ConfigError, InputDataError, NumericalError
-from .graph import BipartiteGraph, spmv
-from .model import ModelConfig, SepOperator, build_operator, forward, init_embeddings
+from .graph import BipartiteGraph, entry_keys, has_entry, interaction_matrix, spmv
+from .model import ModelConfig, SepOperator, build_operator, edge_step_at, forward, init_embeddings
 
 logger = logging.getLogger(__name__)
 
@@ -66,40 +66,40 @@ class TripletBatch:
 
 
 class TripletSampler:
-    """Uniform sampling over train interactions with rejection-sampled negatives."""
+    """Uniform sampling over train interactions with rejection-sampled negatives.
+
+    A negative is redrawn while it lies in its user's row of the train
+    matrix, found among the row's sorted `user*n_items+item` keys.
+    """
 
     def __init__(self, dataset):
-        train = dataset.train_interactions()
-        if not train:
-            raise InputDataError("no train interactions to sample from")
+        seen = interaction_matrix(dataset, "train")
         self.n_items = dataset.n_items
-        self.item_sets: dict[int, set[int]] = {}
-        for it in train:
-            self.item_sets.setdefault(it.user, set()).add(it.item)
-        saturated = {u for u, items in self.item_sets.items() if len(items) == self.n_items}
-        if saturated:
+        self.train_keys = entry_keys(seen)
+        saturated = np.diff(seen.indptr) == self.n_items
+        if saturated.any():
             logger.warning(
                 "skipping %d user(s) who interacted with every item; no negatives exist",
-                len(saturated),
+                np.count_nonzero(saturated),
             )
-        kept = [it for it in train if it.user not in saturated]
-        if not kept:
+        train = dataset.train_interactions()
+        users = np.fromiter((it.user for it in train), np.int64, len(train))
+        positives = np.fromiter((it.item for it in train), np.int64, len(train))
+        kept = ~saturated[users]
+        if not kept.any():
             raise InputDataError("every user has interacted with every item")
-        self.users = np.fromiter((it.user for it in kept), np.int64, len(kept))
-        self.positives = np.fromiter((it.item for it in kept), np.int64, len(kept))
+        self.users, self.positives = users[kept], positives[kept]
 
     def sample(self, batch_size: int, rng: np.random.Generator, neg_per_pos: int = 1) -> TripletBatch:
         idx = rng.integers(0, len(self.users), size=batch_size)
         users = np.repeat(self.users[idx], neg_per_pos)
         positives = np.repeat(self.positives[idx], neg_per_pos)
         negatives = rng.integers(0, self.n_items, size=len(users))
-        pending = np.flatnonzero(
-            [int(n) in self.item_sets[int(u)] for u, n in zip(users, negatives)]
-        )
+        pending = np.flatnonzero(has_entry(self.train_keys, self.n_items, users, negatives))
         while len(pending):
             negatives[pending] = rng.integers(0, self.n_items, size=len(pending))
             pending = pending[
-                [int(negatives[k]) in self.item_sets[int(users[k])] for k in pending]
+                has_entry(self.train_keys, self.n_items, users[pending], negatives[pending])
             ]
         return TripletBatch(users, positives, negatives)
 
@@ -195,7 +195,7 @@ def backward(
     share = grad_estar / (model_cfg.layers + 1)
     grad = share.copy()
     for k in range(model_cfg.layers, 0, -1):
-        if operator is not None and (model_cfg.sep_update == "every_layer" or k == 1):
+        if edge_step_at(model_cfg, operator, k):
             grad = operator.update_adjoint(grad)
             _check_finite(grad, f"the edge-update adjoint of layer {k}")
         grad = spmv(graph, grad)

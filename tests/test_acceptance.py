@@ -14,6 +14,7 @@ from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from sepgcn.cli import main as cli_main
 from sepgcn.data import Dataset, Interaction, SplitConfig, build_dataset
@@ -247,6 +248,12 @@ def loop_metrics(topk, truth, k):
     return precision, recall, ndcg, accuracy
 
 
+def one_user_row(items, n_items):
+    """Binary 1-by-n_items matrix with the given items set."""
+    cols = sorted(items)
+    return sp.csr_matrix((np.ones(len(cols)), ([0] * len(cols), cols)), shape=(1, n_items))
+
+
 def test_criterion_5_ranking_metrics_match_loop_oracle():
     rng = np.random.default_rng(505)
     for case in range(1000):
@@ -260,7 +267,9 @@ def test_criterion_5_ranking_metrics_match_loop_oracle():
 
         # one-dimensional embeddings reproduce the score vector exactly
         e_star = np.concatenate([[1.0], scores])[:, None]
-        report = evaluate_model(e_star, 1, {0: train_set}, {0: test_set}, ks=(5, 20))
+        report = evaluate_model(
+            e_star, one_user_row(train_set, n_items), one_user_row(test_set, n_items), ks=(5, 20)
+        )
 
         order = sorted(
             (i for i in range(n_items) if i not in train_set),

@@ -215,6 +215,31 @@ class TestEval:
         assert code == 2
         assert str(gone) in capsys.readouterr().err
 
+    def test_user_without_test_items_counts_as_excluded(self, tmp_path, capsys):
+        """Users a and b share six venues; x's five venues are x's alone, so the
+        split promotes all of x's test edges to train and x has nothing to rank."""
+        lines = []
+        for user, venues in (("a", range(6)), ("b", range(6)), ("x", range(6, 11))):
+            lines += [f"{user}\tv{v}\t2024-01-01T{v + 8:02d}:00:00\t40.0\t-74.0" for v in venues]
+        (tmp_path / "raw.tsv").write_text("\n".join(lines) + "\n")
+        common = ["--seed", "0", "--variant", "lightgcn", "--set", "model.dim=4",
+                  "--set", "train.epochs_max=2", "--set", "train.eval_every=1"]
+        assert main(["prepare", "--raw", str(tmp_path / "raw.tsv"),
+                     "--out", str(tmp_path / "snap.txt"), *common]) == 0
+        splits = {}
+        for it in load_snapshot(tmp_path / "snap.txt").interactions:
+            splits.setdefault(it.user, set()).add(it.split)
+        assert splits == {0: {"train", "test"}, 1: {"train", "test"}, 2: {"train"}}
+        assert main(["train", "--snapshot", str(tmp_path / "snap.txt"),
+                     "--out", str(tmp_path / "ck.bin"), *common]) == 0
+        capsys.readouterr()
+        code, out = run(["eval", "--snapshot", tmp_path / "snap.txt",
+                         "--checkpoint", tmp_path / "ck.bin", "--out", tmp_path / "rep", *common],
+                        capsys)
+        assert code == 0
+        assert "evaluated 2 users (1 excluded)" in out
+        assert "n_excluded = 1" in (tmp_path / "rep.kv").read_text()
+
 
 class TestSweep:
     def test_layers_axis_row_count(self, chain, tmp_path, capsys):
@@ -325,6 +350,13 @@ class TestConfigPrecedence:
                      "--out", str(tmp_path / "s.txt"), "--set", "bogus.key=1"])
         assert code == 3
         assert "bogus.key" in capsys.readouterr().err
+        # model.gamma was once an alias for model.alpha and model.beta
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("model.gamma = 0.3\n")
+        code = main(["prepare", "--raw", str(chain / "raw.tsv"),
+                     "--out", str(tmp_path / "s.txt"), "--config", str(cfg)])
+        assert code == 3
+        assert "unknown config key 'model.gamma'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key", ["threads=2", "deterministic=true"])
     def test_thread_keys_are_unknown(self, chain, tmp_path, capsys, key):

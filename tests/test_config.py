@@ -102,6 +102,8 @@ class TestBuild:
     def test_unknown_key_named_in_error(self):
         with pytest.raises(ConfigError, match="model.dims"):
             build_run_config({"model.dims": "32"})
+        with pytest.raises(ConfigError, match="unknown config key 'model.gamma'"):
+            build_run_config({"model.gamma": "0.3"})
 
     def test_bad_int(self):
         with pytest.raises(ConfigError, match="model.dim"):
@@ -115,16 +117,9 @@ class TestBuild:
         cfg = build_run_config({"ks": "10"})
         assert cfg.ks == (10,)
 
-    def test_gamma_alias(self):
-        cfg = build_run_config({"model.gamma": "0.3"})
-        assert cfg.model.alpha_user == pytest.approx(0.7)
-        assert cfg.model.beta_item == pytest.approx(0.7)
+    def test_alpha_out_of_range(self):
         with pytest.raises(ConfigError, match="alpha_user"):
-            build_run_config({"model.gamma": "1.2"})
-
-    def test_gamma_conflicts_with_explicit_alpha(self):
-        with pytest.raises(ConfigError, match="alias"):
-            build_run_config({"model.gamma": "0.3", "model.alpha": "0.5"})
+            build_run_config({"model.alpha": "1.2"})
 
     def test_variant_drives_sep_enabled(self):
         assert build_run_config({"variant": "lightgcn"}).model.sep_enabled is False

@@ -11,7 +11,6 @@ import pytest
 
 from sepgcn.data import (
     CheckinRecord,
-    FieldMap,
     SplitConfig,
     build_dataset,
     dataset_stats,
@@ -56,43 +55,29 @@ class TestParse:
         assert len(records) == 1 and rejects == []
         assert records[0].user_id == "bob"
 
-    def test_explicit_delimiter(self):
-        lines = ["u1|p1|2024-01-01T00:00:00|10.0|20.0"]
-        records, _ = parse_checkins(lines, FieldMap(delimiter="|"))
-        assert records[0].item_id == "p1"
-
-    def test_reordered_columns(self):
-        fmap = FieldMap(user=1, item=0, timestamp=4, lat=2, lon=3)
-        lines = ["venue9\tcarol\t-33.86\t151.2\t2024-07-01T08:00:00"]
-        records, _ = parse_checkins(lines, fmap)
-        assert records[0].user_id == "carol"
-        assert records[0].latitude == -33.86
-
-    def test_epoch_with_timezone_column(self):
-        """Epoch seconds localize through the zone column into naive civil time."""
-        fmap = FieldMap(tz=5)
-        lines = ["dave\tplace\t1704103200\t40.7\t-74.0\tAmerica/New_York"]
-        records, rejects = parse_checkins(lines, fmap)
-        assert rejects == []
-        assert records[0].timestamp == datetime(2024, 1, 1, 5, 0)
-
     def test_reject_reasons(self):
-        fmap = FieldMap(tz=5)
-        good = "u\tp\t1704103200\t40.0\t-74.0\tUTC"
+        good = "u\tp\t2024-01-01T00:00:00\t40.0\t-74.0"
         bad = [
-            "u\tp\t1704103200\t95.0\t-74.0\tUTC",
-            "u\tp\t1704103200\t40.0\t181.0\tUTC",
-            "u\tp\t1704103200\tnorth\t-74.0\tUTC",
-            "u\tp\t1704103200\t40.0\t-74.0\tMars/Olympus",
-            "u\tp\t2024-01-01T00:00:00\t40.0\t-74.0\tUTC",
-            "u\tp\t1704103200\t40.0",
-            "\tp\t1704103200\t40.0\t-74.0\tUTC",
+            "u\tp\t2024-01-01T00:00:00\t95.0\t-74.0",
+            "u\tp\t2024-01-01T00:00:00\t40.0\t181.0",
+            "u\tp\t2024-01-01T00:00:00\tnorth\t-74.0",
+            "u\tp\tyesterday\t40.0\t-74.0",
+            "u\tp\t2024-01-01T00:00:00+02:00\t40.0\t-74.0",
+            "u\tp\t2024-01-01T00:00:00\t40.0",
+            "\tp\t2024-01-01T00:00:00\t40.0\t-74.0",
         ]
-        records, rejects = parse_checkins([good] * 70 + bad, fmap)
+        records, rejects = parse_checkins([good] * 70 + bad)
         assert len(records) == 70
         assert [ln for ln, _ in rejects] == list(range(71, 78))
-        reasons = " | ".join(why for _, why in rejects)
-        assert "latitude" in reasons and "longitude" in reasons and "timezone" in reasons
+        assert [why.split(";")[0] for _, why in rejects] == [
+            "latitude out of range",
+            "longitude out of range",
+            "unparseable coordinate",
+            "unparseable timestamp",
+            "timestamp carries a zone suffix",
+            "expected at least 5 columns, got 4",
+            "empty user or item id",
+        ]
 
     def test_zone_suffixed_iso_is_rejected(self):
         lines = ["u\tp\t2024-01-01T10:00:00+02:00\t40.0\t-74.0"] + [

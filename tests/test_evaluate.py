@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from sepgcn.errors import ConfigError
 from sepgcn.evaluate import (
@@ -54,9 +55,18 @@ def embed_for_scores(scores_by_user):
     return e_star
 
 
+def as_matrix(sets, n_users, n_items):
+    """Binary user-by-item matrix holding item i in row u for each i in sets[u]."""
+    pairs = [(u, i) for u, items in sets.items() for i in items]
+    rows = [u for u, _ in pairs]
+    cols = [i for _, i in pairs]
+    return sp.csr_matrix((np.ones(len(pairs)), (rows, cols)), shape=(n_users, n_items))
+
+
 def rank_one(e_star, exclude, k):
     """rank_all's list for the single user of an embed_for_scores table."""
-    return rank_all(e_star, 1, {0: exclude}, [0], k)[0].tolist()
+    train = as_matrix({0: exclude}, 1, e_star.shape[0] - 1)
+    return [int(i) for i in rank_all(e_star, train, k)[0] if i >= 0]
 
 
 class TestRankTopk:
@@ -85,8 +95,9 @@ class TestRankTopk:
         assert not exclude.intersection(rank_one(e_star, exclude, 25))
 
     def test_too_few_candidates_flagged(self):
-        """With fewer than k candidates the short list is the flag: it holds them all."""
+        """With fewer than k candidates the row holds them all, then -1 to its end."""
         e_star = embed_for_scores([[1.0, 2.0, 3.0]])
+        assert rank_all(e_star, as_matrix({0: {0, 2}}, 1, 3), 5).tolist() == [[1, -1, -1]]
         assert rank_one(e_star, {0, 2}, 5) == [1]
 
     def test_validation(self):
@@ -95,26 +106,29 @@ class TestRankTopk:
             rank_one(e_star, set(), 0)
 
     def test_rank_all_matches_single_user_path(self):
-        """Chunked many-user ranking equals ranking each user alone."""
+        """Chunked many-user ranking equals ranking each user alone (chunks of one)."""
         rng = np.random.default_rng(2)
         scores = rng.normal(size=(6, 40))
         e_star = embed_for_scores(scores)
         train_sets = {u: set(map(int, rng.choice(40, size=5, replace=False))) for u in range(6)}
-        joint = rank_all(e_star, 6, train_sets, range(6), 10, chunk=4)
+        train = as_matrix(train_sets, 6, 40)
+        joint = rank_all(e_star, train, 10, chunk=4)
+        single = rank_all(e_star, train, 10, chunk=1)
+        assert len(joint) == 6
+        assert joint.base is None  # owns its data: no row is a view into a chunk's argsort
+        assert joint.tolist() == single.tolist()
         for u in range(6):
-            single = rank_all(e_star, 6, train_sets, [u], 10)[u]
-            assert joint[u].tolist() == single.tolist()
-            assert single.tolist() == sort_oracle(scores[u], train_sets[u], 10)
+            assert single[u].tolist() == sort_oracle(scores[u], train_sets[u], 10)
 
 
 class TestMetricsAtK:
     def test_single_perfect_user(self):
-        block = metrics_at_k({0: np.array([7])}, {0: {7}}, k=1)
+        block = metrics_at_k(np.array([[7]]), as_matrix({0: {7}}, 1, 8), k=1)
         assert (block.precision, block.recall, block.ndcg, block.accuracy) == (1, 1, 1, 1)
 
     def test_zero_hits_everywhere(self):
-        topk = {u: np.arange(5) for u in range(4)}
-        tests = {u: {99} for u in range(4)}
+        topk = np.tile(np.arange(5), (4, 1))
+        tests = as_matrix({u: {99} for u in range(4)}, 4, 100)
         block = metrics_at_k(topk, tests, k=5)
         assert block.precision == block.recall == block.ndcg == block.accuracy == 0.0
 
@@ -125,7 +139,7 @@ class TestMetricsAtK:
         for u in range(100):
             topk[u] = rng.permutation(50)[:k]
             tests[u] = set(map(int, rng.choice(50, size=rng.integers(1, 8), replace=False)))
-        block = metrics_at_k(topk, tests, k=k)
+        block = metrics_at_k(np.array([topk[u] for u in range(100)]), as_matrix(tests, 100, 50), k=k)
         expect = np.array([loop_metrics(topk[u], tests[u], k) for u in range(100)])
         means = expect.mean(axis=0)
         assert block.precision == pytest.approx(means[0], abs=1e-12)
@@ -133,9 +147,38 @@ class TestMetricsAtK:
         assert block.ndcg == pytest.approx(means[2], abs=1e-12)
         assert block.accuracy == pytest.approx(means[3], abs=1e-12)
 
+    @pytest.mark.parametrize("k", [5, 20])
+    def test_per_user_values_match_the_loop_exactly(self, k):
+        """Each user's four values equal the loop oracle's to the last bit.
+
+        Scored one user at a time (a mean over one user is that user's
+        value), then all at once, where each mean must be np.mean over the
+        loop's per-user values. Rows that end in -1, users without test
+        items and test sets larger than k are all present.
+        """
+        rng = np.random.default_rng(31)
+        n_users, n_items = 300, 40
+        topk = np.array([rng.permutation(n_items)[:k] for _ in range(n_users)])
+        for u in range(0, n_users, 3):
+            topk[u, rng.integers(0, k) :] = -1
+        tests = {
+            u: set(map(int, rng.choice(n_items, size=rng.integers(0 if u % 7 else 1, 36), replace=False)))
+            for u in range(n_users)
+        }
+        users = [u for u in range(n_users) if tests[u]]
+        per_user = {u: loop_metrics([i for i in topk[u] if i >= 0], tests[u], k) for u in users}
+        for u in users:
+            block = metrics_at_k(topk[u : u + 1], as_matrix({0: tests[u]}, 1, n_items), k=k)
+            assert (block.precision, block.recall, block.ndcg, block.accuracy) == per_user[u], u
+        block = metrics_at_k(topk, as_matrix(tests, n_users, n_items), k=k)
+        for j, name in enumerate(("precision", "recall", "ndcg", "accuracy")):
+            assert getattr(block, name) == float(np.mean([per_user[u][j] for u in users])), name
+        assert block.n_evaluated_users == len(users)
+        assert block.n_excluded_users == n_users - len(users)
+
     def test_empty_test_sets_excluded_but_counted(self):
-        topk = {0: np.array([1]), 1: np.array([1])}
-        block = metrics_at_k(topk, {0: {1}, 1: set()}, k=1)
+        topk = np.array([[1], [1]])
+        block = metrics_at_k(topk, as_matrix({0: {1}}, 2, 2), k=1)
         assert block.n_evaluated_users == 1
         assert block.n_excluded_users == 1
         assert block.precision == 1.0
@@ -150,12 +193,12 @@ class TestMetricsAtK:
 
     def test_ndcg_one_iff_ideal_prefix(self):
         test_set = {3, 6, 9}
-        perfect = metrics_at_k({0: np.array([3, 6, 9, 0, 1])}, {0: test_set}, k=5)
+        perfect = metrics_at_k(np.array([[3, 6, 9, 0, 1]]), as_matrix({0: test_set}, 1, 10), k=5)
         assert perfect.ndcg == pytest.approx(1.0, abs=1e-12)
-        shifted = metrics_at_k({0: np.array([3, 0, 6, 9, 1])}, {0: test_set}, k=5)
+        shifted = metrics_at_k(np.array([[3, 0, 6, 9, 1]]), as_matrix({0: test_set}, 1, 10), k=5)
         assert shifted.ndcg < 1.0
         # more test items than k: the ideal prefix is capped at k
-        capped = metrics_at_k({0: np.array([0, 1])}, {0: {0, 1, 2, 3}}, k=2)
+        capped = metrics_at_k(np.array([[0, 1]]), as_matrix({0: {0, 1, 2, 3}}, 1, 10), k=2)
         assert capped.ndcg == pytest.approx(1.0, abs=1e-12)
 
 
@@ -170,41 +213,45 @@ class TestEvaluateModel:
         for u in range(n_users):
             pool = [i for i in range(n_items) if i not in train_sets[u]]
             test_sets[u] = set(map(int, rng.choice(pool, size=4, replace=False)))
-        return e_star, train_sets, test_sets
+        return e_star, as_matrix(train_sets, n_users, n_items), as_matrix(test_sets, n_users, n_items)
 
     def test_composition_matches_manual_steps(self):
         rng = np.random.default_rng(5)
-        e_star, train_sets, test_sets = self.build(rng)
-        report = evaluate_model(e_star, 8, train_sets, test_sets, ks=(5, 20), seed=7)
-        topk = rank_all(e_star, 8, train_sets, range(8), 20)
+        e_star, train, test = self.build(rng)
+        report = evaluate_model(e_star, train, test, ks=(5, 20), seed=7)
+        topk = rank_all(e_star, train, 20)
         for k in (5, 20):
-            manual = metrics_at_k(topk, test_sets, k)
-            assert report.blocks[k].as_dict() == manual.as_dict()
+            assert report.blocks[k] == metrics_at_k(topk, test, k)
         assert report.ks == (5, 20)
         assert report.seed == 7
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(6)
         scores = rng.normal(size=(4, 30))
-        train_sets = {u: {0, 1} for u in range(4)}
-        test_sets = {u: {5, 9} for u in range(4)}
-        base = evaluate_model(embed_for_scores(scores), 4, train_sets, test_sets)
-        warped = evaluate_model(
-            embed_for_scores(3.0 * scores + 7.0), 4, train_sets, test_sets
-        )
+        train = as_matrix({u: {0, 1} for u in range(4)}, 4, 30)
+        test = as_matrix({u: {5, 9} for u in range(4)}, 4, 30)
+        base = evaluate_model(embed_for_scores(scores), train, test)
+        warped = evaluate_model(embed_for_scores(3.0 * scores + 7.0), train, test)
         for k in base.ks:
-            assert base.blocks[k].as_dict() == warped.blocks[k].as_dict()
+            assert base.blocks[k] == warped.blocks[k]
 
     def test_train_items_never_ranked(self):
         rng = np.random.default_rng(7)
-        e_star, train_sets, test_sets = self.build(rng)
-        topk = rank_all(e_star, 8, train_sets, range(8), 20)
-        for u, ranked in topk.items():
-            assert not train_sets[u].intersection(ranked.tolist())
+        e_star, train, _ = self.build(rng)
+        topk = rank_all(e_star, train, 20)
+        for u, ranked in enumerate(topk):
+            assert not set(train[u].indices.tolist()).intersection(ranked.tolist())
 
     def test_requires_some_cutoff(self):
         with pytest.raises(ConfigError):
-            evaluate_model(np.zeros((3, 2)), 1, {}, {0: {1}}, ks=())
+            evaluate_model(np.zeros((3, 2)), as_matrix({}, 1, 2), as_matrix({0: {1}}, 1, 2), ks=())
+
+    def test_user_without_test_items_is_excluded(self):
+        rng = np.random.default_rng(10)
+        e_star = embed_for_scores(rng.normal(size=(3, 12)))
+        train = as_matrix({0: {0}, 1: {1}, 2: {2}}, 3, 12)
+        report = evaluate_model(e_star, train, as_matrix({0: {5}, 2: {7, 8}}, 3, 12))
+        assert (report.n_evaluated_users, report.n_excluded_users) == (2, 1)
 
     def test_ranking_hook_matches_report(self):
         from sepgcn.data import Dataset, Interaction, SplitConfig
@@ -229,9 +276,8 @@ class TestEvaluateModel:
         got = hook(e_star)
         report = evaluate_model(
             e_star,
-            2,
-            {0: {0}, 1: {1}},
-            {0: {1}, 1: {2}},
+            as_matrix({0: {0}, 1: {1}}, 2, 3),
+            as_matrix({0: {1}, 1: {2}}, 2, 3),
             ks=(20,),
         )
         assert got == {"recall@20": report.blocks[20].recall, "ndcg@20": report.blocks[20].ndcg}
@@ -240,9 +286,9 @@ class TestEvaluateModel:
 class TestWriters:
     def make_report(self):
         rng = np.random.default_rng(9)
-        topk = {u: rng.permutation(30)[:20] for u in range(10)}
+        topk = np.array([rng.permutation(30)[:20] for _ in range(10)])
         tests = {u: set(map(int, rng.choice(30, 3, replace=False))) for u in range(10)}
-        blocks = {k: metrics_at_k(topk, tests, k) for k in (5, 20)}
+        blocks = {k: metrics_at_k(topk, as_matrix(tests, 10, 30), k) for k in (5, 20)}
         return MetricsReport(
             ks=(5, 20),
             blocks=blocks,

@@ -7,7 +7,14 @@ import scipy.sparse as sp
 
 from sepgcn.data import Dataset, Interaction, SplitConfig
 from sepgcn.errors import ConfigError, InputDataError
-from sepgcn.graph import build_adjacency, interaction_matrix, spmv, sym_normalize
+from sepgcn.graph import (
+    build_adjacency,
+    entry_keys,
+    has_entry,
+    interaction_matrix,
+    spmv,
+    sym_normalize,
+)
 
 
 def make_dataset(n_users, n_items, edges):
@@ -37,13 +44,32 @@ def dense_norm_oracle(a: np.ndarray) -> np.ndarray:
 class TestInteractionMatrix:
     def test_only_train_edges_enter(self):
         ds = make_dataset(2, 3, [(0, 0, "train"), (0, 1, "test"), (1, 2, "train")])
-        r = interaction_matrix(ds).toarray()
+        r = interaction_matrix(ds, "train").toarray()
         np.testing.assert_array_equal(r, [[1, 0, 0], [0, 0, 1]])
+
+    def test_test_split_holds_only_test_edges(self):
+        ds = make_dataset(2, 3, [(0, 0, "train"), (0, 1, "test"), (1, 2, "train")])
+        r = interaction_matrix(ds, "test").toarray()
+        np.testing.assert_array_equal(r, [[0, 1, 0], [0, 0, 0]])
 
     def test_empty_train_split_raises(self):
         ds = make_dataset(1, 1, [(0, 0, "test")])
         with pytest.raises(InputDataError):
-            interaction_matrix(ds)
+            interaction_matrix(ds, "train")
+        assert interaction_matrix(ds, "test").toarray().tolist() == [[1.0]]
+
+    def test_entry_keys_sorted_and_found(self):
+        """Keys of an unordered edge list come out sorted, and has_entry finds exactly them."""
+        rng = np.random.default_rng(61)
+        for _ in range(10):
+            picks = {(int(rng.integers(7)), int(rng.integers(9))) for _ in range(30)}
+            edges = [(u, i, "train") for u, i in picks]  # set order, not sorted
+            edges += [(u, i, "train") for u, i in list(picks)[:5]]  # repeated edges
+            keys = entry_keys(interaction_matrix(make_dataset(7, 9, edges), "train"))
+            assert keys.tolist() == sorted(u * 9 + i for u, i in picks)
+            users, items = np.divmod(np.arange(7 * 9), 9)
+            found = has_entry(keys, 9, users, items)
+            assert [(int(u), int(i)) for u, i in zip(users[found], items[found])] == sorted(picks)
 
 
 class TestBuildAdjacency:
@@ -63,7 +89,7 @@ class TestBuildAdjacency:
         for _ in range(10):
             ds = random_dataset(rng)
             g = build_adjacency(ds)
-            r = interaction_matrix(ds).toarray()
+            r = interaction_matrix(ds, "train").toarray()
             a = np.block(
                 [[np.zeros((ds.n_users, ds.n_users)), r],
                  [r.T, np.zeros((ds.n_items, ds.n_items))]]

@@ -21,7 +21,6 @@ from sepgcn.model import (
     init_embeddings,
     load_checkpoint,
     save_checkpoint,
-    score,
 )
 from sepgcn.sep_graph import (
     EdgeIndex,
@@ -87,7 +86,7 @@ def update_oracle(table, propagated, users, items, n_users, alpha, beta, active)
 
 def dense_forward_oracle(ds, cfg, e0, sep):
     """Straight-line dense re-implementation of the whole forward pass."""
-    r = interaction_matrix(ds).toarray()
+    r = interaction_matrix(ds, "train").toarray()
     n, m = r.shape
     a = np.block([[np.zeros((n, n)), r], [r.T, np.zeros((m, m))]])
     deg = a.sum(axis=1)
@@ -148,7 +147,7 @@ class TestEdgeEmbed:
         table = np.array([[1.0, 2.0], [9.0, 9.0], [3.0, 4.0]])  # user 0, user 1, item 0
         index = EdgeIndex(
             users=np.array([0]), items=np.array([0]),
-            lat=np.zeros(1), lon=np.zeros(1), slots=((0,),), edge_id={(0, 0): 0},
+            lat=np.zeros(1), lon=np.zeros(1), slots=((0,),),
         )
         np.testing.assert_array_equal(edge_embed(table, index, 2), [[1.0, 2.0, 3.0, 4.0]])
 
@@ -156,7 +155,6 @@ class TestEdgeEmbed:
         index = EdgeIndex(
             users=np.array([0, 1]), items=np.array([1, 0]),
             lat=np.zeros(2), lon=np.zeros(2), slots=((0,), (0,)),
-            edge_id={(0, 1): 0, (1, 0): 1},
         )
         np.testing.assert_array_equal(edge_embed(np.zeros((4, 3)), index, 2), np.zeros((2, 6)))
 
@@ -215,7 +213,6 @@ def one_edge_per_node(sep, n_edges, alpha=0.5, beta=0.5):
     index = EdgeIndex(
         users=np.arange(n_edges), items=np.arange(n_edges),
         lat=np.zeros(n_edges), lon=np.zeros(n_edges), slots=((0,),) * n_edges,
-        edge_id={(k, k): k for k in range(n_edges)},
     )
     return SepOperator(sep, index, n_edges, n_edges, alpha, beta)
 
@@ -290,7 +287,6 @@ class TestUpdateFromSep:
         index = EdgeIndex(
             users=np.array([0, 1]), items=np.array([0, 1]),
             lat=np.zeros(2), lon=np.zeros(2), slots=((0,), (0,)),
-            edge_id={(0, 0): 0, (1, 1): 1},
         )
         sep = SepMatrix(
             2, np.array([0, 1]), np.array([1, 0]), np.array([1.0, 1.0]), "sym_degree"
@@ -415,7 +411,7 @@ class TestForward:
         cfg = ModelConfig(dim=6, layers=3, sep_enabled=False, seed=3)
         e0 = init_embeddings(cfg, graph.n_nodes)
         state = forward(cfg, graph, None, None, e0)
-        expect = dense_lightgcn_oracle(interaction_matrix(ds).toarray(), e0, 3)
+        expect = dense_lightgcn_oracle(interaction_matrix(ds, "train").toarray(), e0, 3)
         np.testing.assert_allclose(state.e_star, expect, atol=1e-10)
 
     def test_unit_weights_equal_dense_lightgcn(self):
@@ -424,7 +420,7 @@ class TestForward:
         cfg = ModelConfig(dim=4, layers=2, alpha_user=1.0, beta_item=1.0, seed=5)
         e0 = init_embeddings(cfg, graph.n_nodes)
         state = forward(cfg, graph, sep, index, e0)
-        expect = dense_lightgcn_oracle(interaction_matrix(ds).toarray(), e0, 2)
+        expect = dense_lightgcn_oracle(interaction_matrix(ds, "train").toarray(), e0, 2)
         np.testing.assert_allclose(state.e_star, expect, atol=1e-10)
 
     def test_empty_sep_matrix_equals_dense_lightgcn(self):
@@ -436,7 +432,7 @@ class TestForward:
         cfg = ModelConfig(dim=4, layers=3, alpha_user=0.3, beta_item=0.3, seed=7)
         e0 = init_embeddings(cfg, graph.n_nodes)
         state = forward(cfg, graph, empty, index, e0)
-        expect = dense_lightgcn_oracle(interaction_matrix(ds).toarray(), e0, 3)
+        expect = dense_lightgcn_oracle(interaction_matrix(ds, "train").toarray(), e0, 3)
         np.testing.assert_allclose(state.e_star, expect, atol=1e-10)
 
     def test_matches_dense_end_to_end_oracle(self):
@@ -502,32 +498,6 @@ class TestForward:
         cfg = ModelConfig(dim=4, layers=2)
         with pytest.raises(ConfigError, match="normalize"):
             forward(cfg, graph, raw, index, np.zeros((graph.n_nodes, 4)))
-
-
-class TestScore:
-    def test_orthogonal_rows_score_zero(self):
-        e = np.array([[1.0, 0.0], [0.0, 1.0]])
-        assert score(e, 1, 0, 0) == 0.0
-
-    def test_unit_alignment_scores_one(self):
-        e = np.array([[0.6, 0.8], [0.6, 0.8]])
-        np.testing.assert_allclose(score(e, 1, 0, 0), 1.0, rtol=1e-12)
-
-    def test_matches_compensated_sum_oracle(self):
-        rng = np.random.default_rng(239)
-        e = rng.normal(size=(30, 16))
-        for _ in range(20):
-            u = int(rng.integers(10))
-            i = int(rng.integers(20))
-            expect = math.fsum(e[u, d] * e[10 + i, d] for d in range(16))
-            np.testing.assert_allclose(score(e, 10, u, i), expect, rtol=1e-12)
-
-    def test_out_of_range(self):
-        e = np.zeros((4, 2))
-        with pytest.raises(ConfigError):
-            score(e, 2, 2, 0)
-        with pytest.raises(ConfigError):
-            score(e, 2, 0, 5)
 
 
 class TestCheckpoint:

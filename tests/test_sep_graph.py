@@ -35,7 +35,6 @@ def make_index(lat, lon, slots):
         lat=np.asarray(lat, dtype=np.float64),
         lon=np.asarray(lon, dtype=np.float64),
         slots=tuple(tuple(sorted(set(s))) for s in slots),
-        edge_id={(k, k): k for k in range(n)},
     )
 
 
@@ -463,10 +462,13 @@ class TestEdgeIndex:
         np.testing.assert_array_equal(index.items, [0, 1])
         assert index.slots == ((3, 7), (2, 9))  # distinct, sorted
         np.testing.assert_array_equal(index.lat, [40.0, 41.0])
-        assert index.edge_id == {(0, 0): 0, (1, 1): 1}
 
     def test_duplicate_train_edge_rejected(self):
         ds = self.build_dataset()
         ds.interactions.append(Interaction(0, 0, (1,), "train"))
-        with pytest.raises(InputDataError, match="duplicate"):
+        with pytest.raises(InputDataError, match=r"^duplicate train interaction \(0, 0\)$"):
+            EdgeIndex.from_dataset(ds)
+        # the first edge that repeats an earlier one is named, not the smallest key
+        ds.interactions.insert(3, Interaction(1, 1, (4,), "train"))
+        with pytest.raises(InputDataError, match=r"^duplicate train interaction \(1, 1\)$"):
             EdgeIndex.from_dataset(ds)

@@ -13,7 +13,7 @@ from sepgcn.data import Dataset, Interaction, SplitConfig
 from sepgcn.errors import ConfigError, InputDataError
 from sepgcn.geo import SimilarityParams
 from sepgcn.graph import build_adjacency
-from sepgcn.model import ModelConfig, build_operator, forward, init_embeddings, score
+from sepgcn.model import ModelConfig, build_operator, forward, init_embeddings
 from sepgcn.sep_graph import EdgeIndex, PruningParams, build_sep_matrix, normalize_sep
 from sepgcn.training import (
     AdamOptimizer,
@@ -118,7 +118,50 @@ class TestTrainConfig:
             TrainConfig(**kwargs).validate()
 
 
+def set_sample(dataset, batch_size, rng, neg_per_pos=1):
+    """Reference sampler: a set of train items per user and per-triple set lookups."""
+    item_sets = {}
+    for it in dataset.train_interactions():
+        item_sets.setdefault(it.user, set()).add(it.item)
+    kept = [
+        it for it in dataset.train_interactions() if len(item_sets[it.user]) < dataset.n_items
+    ]
+    idx = rng.integers(0, len(kept), size=batch_size)
+    users = np.repeat([kept[j].user for j in idx], neg_per_pos)
+    positives = np.repeat([kept[j].item for j in idx], neg_per_pos)
+    negatives = rng.integers(0, dataset.n_items, size=len(users))
+    pending = [k for k in range(len(users)) if int(negatives[k]) in item_sets[int(users[k])]]
+    while pending:
+        negatives[pending] = rng.integers(0, dataset.n_items, size=len(pending))
+        pending = [k for k in pending if int(negatives[k]) in item_sets[int(users[k])]]
+    return users, positives, negatives
+
+
 class TestSampler:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_set_based_reference(self, seed):
+        """Same triples as the set-based sampler, draw for draw, over consecutive batches.
+
+        User 0 holds every item (saturated, never sampled) and the others
+        hold most of them, so many negatives are redrawn several times.
+        """
+        rng = np.random.default_rng(seed)
+        n_items = 7
+        pairs = [(0, i) for i in range(n_items)]
+        for u in range(1, 6):
+            pairs += [(u, int(i)) for i in rng.choice(n_items, size=rng.integers(1, n_items), replace=False)]
+        rng.shuffle(pairs)
+        ds = make_dataset(6, n_items, [tuple(p) for p in pairs])
+        sampler = TripletSampler(ds)
+        ours, ref = np.random.default_rng(seed + 100), np.random.default_rng(seed + 100)
+        for neg_per_pos in (1, 3, 1):
+            batch = sampler.sample(200, ours, neg_per_pos)
+            users, positives, negatives = set_sample(ds, 200, ref, neg_per_pos)
+            assert np.array_equal(batch.users, users)
+            assert np.array_equal(batch.positives, positives)
+            assert np.array_equal(batch.negatives, negatives)
+        assert not np.any(batch.users == 0)
+
     def test_forced_negative(self):
         ds = make_dataset(1, 2, [(0, 0)])
         batch = TripletSampler(ds).sample(50, np.random.default_rng(0))
@@ -337,8 +380,9 @@ class TestTrainLoop:
         result = train(ds, graph, None, None, cfg, tc, constant_hook)
         assert not result.diverged
         e_star = forward(cfg, graph, None, None, result.e0).e_star
-        assert score(e_star, 2, 0, 0) > score(e_star, 2, 0, 1)
-        assert score(e_star, 2, 1, 1) > score(e_star, 2, 1, 0)
+        users, items = e_star[:2], e_star[2:]
+        assert users[0] @ items[0] > users[0] @ items[1]
+        assert users[1] @ items[1] > users[1] @ items[0]
 
     def test_best_checkpoint_and_early_stop(self):
         ds, graph, index, sep = make_instance(np.random.default_rng(2), n_edges=40)
