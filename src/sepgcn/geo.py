@@ -5,6 +5,7 @@ makes sense, so the graph builder can score candidate pairs in batches.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from datetime import datetime
 
@@ -36,8 +37,10 @@ class SimilarityParams:
             raise ConfigError(f"alpha_sim must lie in (0,1), got {self.alpha_sim}")
         if self.median_mode not in ("global", "per_user"):
             raise ConfigError(f"unknown median_mode {self.median_mode!r}")
-        if self.median_km is not None and not self.median_km > 0:
-            raise NumericalError("degenerate median")
+        if self.sample_budget < 1:
+            raise ConfigError(f"sample_budget must be >= 1, got {self.sample_budget}")
+        if self.median_km is not None and not (math.isfinite(self.median_km) and self.median_km > 0):
+            raise ConfigError(f"median_km must be finite and > 0, got {self.median_km}")
 
 
 def to_slot(ts: datetime) -> int:

@@ -1,10 +1,11 @@
 """Edge-pair context graph: two train interactions are linked when their
 check-ins share a weekly slot and their venues sit within the similarity
-cutoff. Candidate generation joins a uniform spatial grid with a per-slot
-inverted index so the quadratic pair scan is never materialized; it makes
-each pair once, in blocks of bounded size, and the neighbour cap ranks each
-edge's links with one weight sort and a radix grouping. A literal
-double-loop builder is kept alongside as the reference implementation.
+cutoff, and each edge keeps its max_neighbors strongest links. Candidate
+generation queries a k-d tree per weekly slot for each edge's nearest
+slot-sharing edges, so it lists a small superset of the kept links rather
+than every linked pair; the neighbour cap then ranks each edge's links with
+one weight sort and one stable grouping by edge. A literal double-loop
+builder is kept alongside as the reference implementation.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ import logging
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import chain, product
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -26,27 +27,18 @@ logger = logging.getLogger(__name__)
 
 SEPMAT_MAGIC = "SEPMAT1"
 
-# Cell offsets that visit each unordered cell pair exactly once.
-_FORWARD_OFFSETS = [o for o in product((-1, 0, 1), repeat=3) if o > (0, 0, 0)]
-
-# candidate_pairs makes pairs in blocks of at most this many and counts them
-# against the budget once about this many are held, so its temporaries stay
-# bounded however many edges share a bucket.
-_CHUNK = 1 << 19
-
-_WORD = (1 << 64) - 1
-
-
 @dataclass
 class PruningParams:
     """Knobs that keep the edge-pair graph sparse.
 
     sigma_floor induces the distance cutoff (the radius where the
     similarity decays to the floor); max_neighbors caps each edge's
-    retained links at the strongest ones; pair_budget caps the candidate
-    pairs, those that share a slot, counted before the distance test. The
-    count grows as candidate generation produces pairs, so an over-dense
-    instance stops with a ConfigError before it exhausts memory.
+    retained links at the strongest ones, and a value of at least the edge
+    count keeps every link; pair_budget caps the superset entries, the
+    (edge, neighbour) entries that candidate generation's per-slot queries
+    return, counted before any pair is listed, so an over-dense instance
+    (many edges at one venue in one slot) stops with a ConfigError before
+    it exhausts memory.
     """
 
     sigma_floor: float = 0.01
@@ -142,65 +134,38 @@ class SepMatrix:
         ).tocsr()
 
 
-def _slot_masks(slots, edges: np.ndarray, n_edges: int) -> np.ndarray:
-    """Weekly-slot bit masks of the given edges, one row of uint64 words per edge.
-
-    Rows of edges not listed stay zero; 168 weekly slots take three words.
-    """
-    words = max((max(slots[e]) for e in edges), default=0) // 64 + 1
-    masks = np.zeros((n_edges, words), dtype=np.uint64)
-    for e in edges:
-        bits = sum(1 << int(s) for s in slots[e])
-        masks[e] = [(bits >> (64 * w)) & _WORD for w in range(words)]
-    return masks
-
-
-def _bucket_blocks(members: np.ndarray, other: np.ndarray | None):
-    """The pairs of one bucket as (lower id, higher id) blocks of at most _CHUNK pairs.
-
-    With `other` None the pairs are the upper triangle of `members` (sorted
-    ascending); otherwise they are the product members x other.
-    """
-    k = len(members)
-    if other is None:
-        rows = np.arange(k)
-        first = rows * k - rows * (rows + 1) // 2  # pairs listed before row r
-        total = k * (k - 1) // 2
-    else:
-        total = k * len(other)
-    for start in range(0, total, _CHUNK):
-        t = np.arange(start, min(start + _CHUNK, total))
-        if other is None:
-            r = np.searchsorted(first, t, side="right") - 1
-            yield members[r], members[t - first[r] + r + 1]
-        else:
-            a = members[t // len(other)]
-            b = other[t % len(other)]
-            yield np.minimum(a, b), np.maximum(a, b)
-
-
-def candidate_pairs(index: EdgeIndex, params: SimilarityParams, pruning: PruningParams):
-    """All unordered edge pairs with a shared slot and distance <= the cutoff.
+def candidate_pairs(
+    index: EdgeIndex,
+    params: SimilarityParams,
+    pruning: PruningParams,
+    unit_values: bool = False,
+):
+    """Slot-sharing edge pairs that include every edge's top max_neighbors links.
 
     Returns (edge_i, edge_j, d_km) arrays sorted by (edge_i, edge_j) with
-    edge_i < edge_j. Edges are bucketed by (grid cell, slot) where the grid
-    lives in 3D chord space with cell size equal to the cutoff's chord
-    length, so scanning the 27-cell neighbourhood can never miss a pair
-    within the cutoff, at any latitude or across the antimeridian.
+    edge_i < edge_j, each pair within the distance cutoff (unit_values skips
+    that test). sigma strictly decreases with distance, so an edge's top
+    links are its nearest slot-sharing edges, ties going to the smaller id.
+    In each weekly slot a k-d tree over the 3-D chord coordinates gives
+    every member the distance r to its max_neighbors-th nearest other
+    member, and the member pairs with all members within min(r, cutoff),
+    padded. Under unit_values links rank by id alone, so each member pairs
+    with the slot's max_neighbors + 1 smallest ids. _neighbor_cap keeps the
+    same pairs from any set that holds every edge's top links: a top link
+    ranks the same at both ends, and any other one ranks too low at one end.
 
-    A pair is produced once, in the bucket of the lowest slot its two edges
-    share, and in blocks of at most _CHUNK pairs. Each block counts against
-    pruning.pair_budget before its distances are taken, so an over-dense
-    instance stops with a ConfigError while its working memory stays bounded.
+    Each slot's (edge, neighbour) entries are counted against
+    pruning.pair_budget before they are listed, so an over-dense instance
+    stops with a ConfigError while its working memory stays bounded.
     """
+    # imported here: scipy.spatial adds about 10 MB to the peak memory of
+    # every stage that imports this module, and only the builder needs it
+    from scipy.spatial import cKDTree
+
     params.validate()
     pruning.validate(params.alpha_sim)
     d_max = sigma_cutoff_km(params, pruning.sigma_floor)
     n = index.n_edges
-    empty = (np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))
-    if n < 2:
-        return empty
-
     radius = params.earth_radius_km
     lat = np.radians(index.lat)
     lon = np.radians(index.lon)
@@ -212,101 +177,48 @@ def candidate_pairs(index: EdgeIndex, params: SimilarityParams, pruning: Pruning
         ],
         axis=1,
     )
+    # The pad covers chord-vs-haversine round-off and the distances whose
+    # weights round equal to the k-th's: sigma = exp(-d / L) with decay
+    # length L, so those lie within about 1e-16 * L of each other.
+    slack = 1e-9 * (1.0 + params.median_km / abs(math.log(params.alpha_sim)))
     arc = min(d_max, np.pi * radius)
-    chord = 2.0 * radius * np.sin(arc / (2.0 * radius))
-    chord = max(chord, 1e-9)  # degenerate cutoffs still group co-located edges
-    cells = np.floor(xyz / chord).astype(np.int64)
+    chord_cutoff = 2.0 * radius * np.sin(arc / (2.0 * radius)) * (1.0 + 1e-9) + slack
 
-    # bucket (cell, slot) -> its edges, ascending
-    cell_keys, cell_of = np.unique(cells, axis=0, return_inverse=True)
     n_slots = np.fromiter((len(s) for s in index.slots), dtype=np.int64, count=n)
-    edge_of = np.repeat(np.arange(n), n_slots)
-    slot_of = np.fromiter(chain.from_iterable(index.slots), dtype=np.int64, count=len(edge_of))
-    width = int(slot_of.max(initial=0)) + 1
-    bucket_of = cell_of.reshape(-1)[edge_of] * width + slot_of
-    order = np.argsort(bucket_of, kind="stable")
-    bucket_of, edge_of = bucket_of[order], edge_of[order]
-    starts = np.flatnonzero(np.diff(bucket_of, prepend=-1))
-    ends = np.append(starts[1:], len(bucket_of))
-    cell_tuples = [tuple(c) for c in cell_keys.tolist()]
-    arrays = {
-        (cell_tuples[b // width], b % width): edge_of[lo:hi]
-        for b, lo, hi in zip(bucket_of[starts].tolist(), starts.tolist(), ends.tolist())
-    }
-
-    # Only two edges that both hold several slots can share one below the
-    # bucket's slot; their masks decide whether a lower bucket owns the pair.
-    multi = n_slots > 1
-    masks = _slot_masks(index.slots, np.flatnonzero(multi), n)
-
-    held: list[tuple[np.ndarray, np.ndarray]] = []
-    n_held = 0
-    n_candidates = 0
-    found: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = [empty]
-
-    def drain() -> None:
-        """Count the held pairs against the budget and keep those within the cutoff."""
-        nonlocal n_held, n_candidates
-        if not held:
-            return
-        ii = np.concatenate([a for a, _ in held])
-        jj = np.concatenate([b for _, b in held])
-        held.clear()
-        n_held = 0
-        n_candidates += len(ii)
-        if n_candidates > pruning.pair_budget:
+    slot_of = np.fromiter(chain.from_iterable(index.slots), dtype=np.int64, count=n_slots.sum())
+    by_slot = np.argsort(slot_of, kind="stable")
+    starts = np.flatnonzero(np.diff(slot_of[by_slot], prepend=-1))
+    n_entries = 0
+    keys = [np.zeros(0, np.int64)]
+    for members in np.split(np.repeat(np.arange(n), n_slots)[by_slot], starts[1:]):
+        m = len(members)  # ascending edge ids
+        if m < 2:
+            continue
+        k = min(pruning.max_neighbors + 1, m)  # a member is its own nearest
+        if unit_values:
+            n_entries += (m - 1) * k
+            a, b = np.repeat(members, k), np.tile(members[:k], m)
+        else:
+            tree = cKDTree(xyz[members])
+            r_k = tree.query(xyz[members], k=[k])[0][:, 0]
+            balls = np.minimum(r_k * (1.0 + 1e-9) + slack, chord_cutoff)
+            n_entries += int(tree.query_ball_point(xyz[members], balls, return_length=True).sum()) - m
+        if n_entries > pruning.pair_budget:
             raise ConfigError(
                 f"candidate pair count exceeds pair_budget={pruning.pair_budget}; "
                 "raise pruning.sigma_floor to shorten the distance cutoff, "
                 "or raise pruning.pair_budget"
             )
-        dd = haversine_km((index.lat[ii], index.lon[ii]), (index.lat[jj], index.lon[jj]), radius)
-        near = dd <= d_max
-        found.append((ii[near], jj[near], dd[near]))
-
-    for (cell, slot), members in arrays.items():
-        below = np.array(
-            [(((1 << int(slot)) - 1) >> (64 * w)) & _WORD for w in range(masks.shape[1])],
-            dtype=np.uint64,
-        )
-        others = [None] if len(members) > 1 else []  # None pairs the bucket with itself
-        for off in _FORWARD_OFFSETS:
-            other = arrays.get(((cell[0] + off[0], cell[1] + off[1], cell[2] + off[2]), slot))
-            if other is not None:
-                others.append(other)
-        for other in others:
-            for a, b in _bucket_blocks(members, other):
-                both = np.flatnonzero(multi[a] & multi[b])
-                if len(both):
-                    earlier = (masks[a[both]] & masks[b[both]] & below).any(axis=1)
-                    if earlier.any():
-                        first_here = np.ones(len(a), dtype=bool)
-                        first_here[both[earlier]] = False
-                        a, b = a[first_here], b[first_here]
-                held.append((a, b))
-                n_held += len(a)
-                if n_held >= _CHUNK:
-                    drain()
-    drain()
-    ii, jj, dd = (np.concatenate(part) for part in zip(*found))
-    found.clear()
-    order = np.argsort(ii * n + jj)
-    return ii[order], jj[order], dd[order]
-
-
-def _stable_argsort_ids(ids: np.ndarray, n: int) -> np.ndarray:
-    """Stable argsort of ids in [0, n), as least-significant-digit radix passes.
-
-    numpy sorts 16-bit keys stably with a radix sort, so each pass sorts one
-    16-bit digit of the ids, lowest digit first.
-    """
-    order = np.argsort(ids.astype(np.uint16), kind="stable")  # the cast keeps the low 16 bits
-    shift = 16
-    while (n - 1) >> shift:
-        digit = (ids >> shift).astype(np.uint16)
-        order = order[np.argsort(digit[order], kind="stable")]
-        shift += 16
-    return order
+        if not unit_values:
+            hits = tree.query_ball_point(xyz[members], balls)
+            a = np.repeat(members, np.fromiter(map(len, hits), dtype=np.int64, count=m))
+            b = members[np.fromiter(chain.from_iterable(hits), dtype=np.int64, count=len(a))]
+        keys.append(np.minimum(a, b) * n + np.maximum(a, b))
+    keys = np.unique(np.concatenate(keys))  # sorted by (i, j)
+    ii, jj = keys // n, keys % n
+    dd = haversine_km((index.lat[ii], index.lon[ii]), (index.lat[jj], index.lon[jj]), radius)
+    keep = (ii != jj) & (unit_values | (dd <= d_max))
+    return ii[keep], jj[keep], dd[keep]
 
 
 def _neighbor_cap(ii, jj, vals, n_edges, max_neighbors):
@@ -325,7 +237,7 @@ def _neighbor_cap(ii, jj, vals, n_edges, max_neighbors):
     ends = np.empty(2 * len(ii), dtype=np.int64)
     ends[0::2] = ii[by_weight]
     ends[1::2] = jj[by_weight]
-    grouped = _stable_argsort_ids(ends, n_edges)
+    grouped = np.argsort(ends, kind="stable")
     counts = np.bincount(ends, minlength=n_edges)
     tails = counts - np.minimum(counts, max_neighbors)  # links each edge ranks too low
     heads = counts - tails
@@ -348,15 +260,17 @@ def build_sep_matrix(
 
     Stores both orientations of every surviving pair. An empty result is
     legal (the model then degrades to plain propagation) and only warns.
-    With unit_values every surviving pair weighs 1.0 (time-only ablation);
-    the neighbour cap then falls back to its neighbour-id tie-break.
+    With unit_values every pair that shares a slot weighs 1.0, whatever its
+    distance (time-only ablation); the neighbour cap then falls back to its
+    neighbour-id tie-break.
     """
     pruning = pruning or PruningParams()
-    ii, jj, dd = candidate_pairs(index, params, pruning)
+    ii, jj, dd = candidate_pairs(index, params, pruning, unit_values)
     vals = sigma(dd, params) if len(dd) else np.zeros(0)
     if unit_values:
         vals = np.ones_like(vals)
-    ii, jj, vals = _neighbor_cap(ii, jj, vals, index.n_edges, pruning.max_neighbors)
+    cap = min(pruning.max_neighbors, index.n_edges)  # a larger cap keeps every link
+    ii, jj, vals = _neighbor_cap(ii, jj, vals, index.n_edges, cap)
     if len(ii) == 0:
         logger.warning(
             "edge-pair graph is empty; propagation will behave like the plain baseline"
@@ -392,7 +306,8 @@ def build_sep_matrix_bruteforce(
     Quadratic and slow by design; exists so the optimized builder has an
     independent implementation to be checked against entrywise. The
     neighbour cap is re-derived here with plain sorting rather than shared
-    with the fast path.
+    with the fast path. With unit_values the distance test is skipped, as
+    in build_sep_matrix.
     """
     pruning = pruning or PruningParams()
     params.validate()
@@ -413,7 +328,7 @@ def build_sep_matrix_bruteforce(
                 (index.lat[j : j + 1], index.lon[j : j + 1]),
                 params.earth_radius_km,
             )
-            if d[0] <= d_max:
+            if unit_values or d[0] <= d_max:
                 weights[(i, j)] = 1.0 if unit_values else float(sigma(d, params)[0])
 
     by_edge: dict[int, list[tuple[float, int]]] = defaultdict(list)

@@ -120,6 +120,50 @@ class TestBuildSep:
         standard = load_sep_matrix(chain / "pairs.sep")
         assert len(spatial.values) >= len(standard.values)
 
+    def test_spatial_only_builds_within_a_small_pair_budget(self, tmp_path):
+        """Every edge shares slot 0 here, and the cutoff covers the city: 5.8 M
+        linked pairs, of which the builder lists only each edge's nearest."""
+        assert main(["synth", "--out", str(tmp_path / "raw.tsv"), "--users", "200",
+                     "--items", "400", "--checkins", "6000", "--seed", "0"]) == 0
+        assert main(["prepare", "--raw", str(tmp_path / "raw.tsv"),
+                     "--out", str(tmp_path / "snap.txt"), "--seed", "0"]) == 0
+        assert main(["build-sep", "--snapshot", str(tmp_path / "snap.txt"),
+                     "--out", str(tmp_path / "s.sep"), "--variant", "sep_spatial_only",
+                     "--seed", "0", "--set", "pruning.max_neighbors=16",
+                     "--set", "pruning.pair_budget=100000"]) == 0
+
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            "similarity.sample_budget=-1",
+            "similarity.sample_budget=0",
+            "similarity.median_km=0",
+            "similarity.median_km=-1",
+            "similarity.median_km=nan",
+            "similarity.median_km=inf",
+        ],
+    )
+    def test_bad_similarity_setting_exits_3(self, chain, tmp_path, capsys, setting):
+        code = main(["build-sep", "--snapshot", str(chain / "snap.txt"),
+                     "--out", str(tmp_path / "p.sep"), *[str(a) for a in SETTINGS],
+                     "--set", setting])
+        assert code == 3
+        assert setting.split(".")[1].split("=")[0] in capsys.readouterr().err
+        assert not (tmp_path / "p.sep").exists()
+
+    def test_max_neighbors_beyond_the_edge_count_means_no_cap(self, chain, tmp_path):
+        capped = load_sep_matrix(chain / "pairs.sep")
+        built = {}
+        for cap in ("99999999999999999999", str(capped.n_edges)):
+            assert main(["build-sep", "--snapshot", str(chain / "snap.txt"),
+                         "--out", str(tmp_path / f"{cap}.sep"), *[str(a) for a in SETTINGS],
+                         "--set", f"pruning.max_neighbors={cap}"]) == 0
+            built[cap] = load_sep_matrix(tmp_path / f"{cap}.sep")
+        huge, every = built.values()
+        for f in ("rows", "cols", "values"):
+            np.testing.assert_array_equal(getattr(huge, f), getattr(every, f))
+        assert huge.nnz > capped.nnz  # the cap of 16 binds on this city
+
     def test_missing_snapshot_exits_2(self, tmp_path, capsys):
         code = main(["build-sep", "--snapshot", str(tmp_path / "gone.txt"),
                      "--out", str(tmp_path / "p.sep")])

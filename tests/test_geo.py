@@ -153,9 +153,13 @@ class TestSigma:
             SimilarityParams(alpha_sim=0.0).validate()
         with pytest.raises(ConfigError):
             SimilarityParams(median_mode="weekly").validate()
-        with pytest.raises(NumericalError):
-            SimilarityParams(median_km=0.0).validate()
-        SimilarityParams(median_km=3.0).validate()
+        for median_km in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="median_km"):
+                SimilarityParams(median_km=median_km).validate()
+        for budget in (0, -1):
+            with pytest.raises(ConfigError, match="sample_budget"):
+                SimilarityParams(sample_budget=budget).validate()
+        SimilarityParams(median_km=3.0, sample_budget=1).validate()
 
 
 class TestSigmaCutoff:

@@ -4,13 +4,12 @@ from __future__ import annotations
 import dataclasses
 import logging
 import tracemalloc
-from collections import Counter
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
 
 from sepgcn.data import Dataset, Interaction, SplitConfig
-from sepgcn import sep_graph
 from sepgcn.errors import ConfigError, InputDataError
 from sepgcn.geo import SimilarityParams, haversine_km, sigma, sigma_cutoff_km
 from sepgcn.sep_graph import (
@@ -49,8 +48,9 @@ def random_index(rng, n_edges, lat0=40.0, lon0=-74.0, box_deg=0.3, max_slots=4, 
     return make_index(lat, lon, slots)
 
 
-def pair_oracle(index, params, floor):
-    """Test-local double loop: shared slot AND distance within the cutoff."""
+def pair_oracle(index, params, floor, unit_values=False):
+    """Test-local double loop: shared slot AND distance within the cutoff
+    (any distance under unit_values)."""
     cutoff = params.median_km * np.log(floor) / np.log(params.alpha_sim)
     found = {}
     for i in range(index.n_edges):
@@ -58,25 +58,97 @@ def pair_oracle(index, params, floor):
             if not set(index.slots[i]) & set(index.slots[j]):
                 continue
             d = haversine_km((index.lat[i], index.lon[i]), (index.lat[j], index.lon[j]))
-            if d <= cutoff:
+            if unit_values or d <= cutoff:
                 found[(i, j)] = d
     return found
 
 
+def top_links_oracle(links, params, k, unit_values=False):
+    """Each edge's k strongest oracle links, ranked by (-sigma, neighbour id)."""
+    ranked = defaultdict(list)
+    for (i, j), d in links.items():
+        w = 1.0 if unit_values else float(sigma(d, params))
+        ranked[i].append((-w, j))
+        ranked[j].append((-w, i))
+    return {(min(e, o), max(e, o)) for e, ls in ranked.items() for _, o in sorted(ls)[:k]}
+
+
+def check_candidates(index, params, pruning, unit_values=False):
+    """candidate_pairs lists, once each and in (i, j) order, oracle pairs with
+    their oracle distances, including every edge's top max_neighbors links."""
+    ii, jj, dd = candidate_pairs(index, params, pruning, unit_values)
+    assert np.all(ii < jj)
+    assert np.all(np.diff(ii * index.n_edges + jj) > 0)
+    got = {(int(a), int(b)): float(d) for a, b, d in zip(ii, jj, dd)}
+    links = pair_oracle(index, params, pruning.sigma_floor, unit_values)
+    assert got.keys() <= links.keys()
+    # the oracle's scalar haversine may differ from numpy's array kernel in the last bit
+    np.testing.assert_allclose(list(got.values()), [links[key] for key in got], rtol=0, atol=1e-12)
+    assert top_links_oracle(links, params, pruning.max_neighbors, unit_values) <= got.keys()
+    return got, links
+
+
 PARAMS = SimilarityParams(alpha_sim=0.5, median_km=2.0)
+
+
+def km_north(km):
+    """Latitude offset, in degrees, of a point km due north."""
+    return np.degrees(km / 6371.0)
 
 
 class TestCandidatePairs:
     def test_matches_double_loop_on_random_instances(self):
         rng = np.random.default_rng(83)
         for trial in range(8):
-            index = random_index(rng, int(rng.integers(30, 120)))
-            ii, jj, dd = candidate_pairs(index, PARAMS, PruningParams())
-            got = {(int(a), int(b)): float(d) for a, b, d in zip(ii, jj, dd)}
-            expect = pair_oracle(index, PARAMS, 0.01)
-            assert got.keys() == expect.keys(), f"trial {trial}"
-            for key in expect:
-                assert got[key] == expect[key], f"trial {trial}, pair {key}"
+            index = random_index(rng, int(rng.integers(30, 120)), slot_pool=int(rng.integers(2, 12)))
+            for unit_values in (False, True):
+                pruning = PruningParams(max_neighbors=int(rng.integers(1, 7)))
+                check_candidates(index, PARAMS, pruning, unit_values)
+
+    def test_max_neighbors_at_least_the_slot_size_lists_every_link(self):
+        rng = np.random.default_rng(79)
+        for trial in range(4):
+            index = random_index(rng, int(rng.integers(30, 80)), slot_pool=3)
+            for unit_values in (False, True):
+                got, links = check_candidates(index, PARAMS, PruningParams(max_neighbors=80), unit_values)
+                assert got.keys() == links.keys(), f"trial {trial}"
+
+    def test_tie_group_at_distance_zero_straddles_the_k_boundary(self):
+        """Six edges at one venue and eight at another 0.3 km north, all in
+        slot 0: for every cap below 13 the k-th link falls inside a tie group."""
+        venue_a = [2, 5, 6, 9, 12, 13]
+        lat = [40.0 + (0.0 if e in venue_a else km_north(0.3)) for e in range(14)]
+        index = make_index(lat, [-74.0] * 14, [(0,)] * 14)
+        for cap in range(1, 14):
+            pruning = PruningParams(max_neighbors=cap)
+            check_candidates(index, PARAMS, pruning)
+            matrices_equal(
+                build_sep_matrix(index, PARAMS, pruning),
+                build_sep_matrix_bruteforce(index, PARAMS, pruning),
+            )
+
+    def test_multi_slot_edges_take_their_top_links_from_every_slot(self):
+        """Edge 0 holds slots 0 and 1: its two nearest links are edge 1 in
+        slot 0 and edge 4 in slot 1; edge 6 shares both slots at its venue."""
+        km = [0.0, 1.0, 2.0, 3.0, 1.5, 2.5, 0.0]
+        slots = [(0, 1), (0,), (0,), (0,), (1,), (1,), (0, 1)]
+        index = make_index([40.0 + km_north(d) for d in km], [-74.0] * 7, slots)
+        for cap in (1, 2, 3):
+            pruning = PruningParams(max_neighbors=cap)
+            got, _ = check_candidates(index, PARAMS, pruning)
+            assert {(0, 6), (0, 1)} <= got.keys()
+            matrices_equal(
+                build_sep_matrix(index, PARAMS, pruning),
+                build_sep_matrix_bruteforce(index, PARAMS, pruning),
+            )
+
+    def test_cutoff_inside_the_top_k(self):
+        """Only three of edge 0's eight slot mates lie within the 13.3 km cutoff."""
+        km = [0.0, 1.0, 5.0, 10.0, 14.0, 20.0, 30.0, 40.0, 60.0]
+        index = make_index([40.0 + km_north(d) for d in km], [-74.0] * 9, [(0,)] * 9)
+        got, links = check_candidates(index, PARAMS, PruningParams(max_neighbors=6))
+        assert [j for i, j in got if i == 0] == [1, 2, 3]
+        assert got.keys() == links.keys()
 
     def test_grid_never_misses_at_poles_or_antimeridian(self):
         """Pure spatial sweep (every edge shares slot 0) over awkward geometry."""
@@ -87,9 +159,10 @@ class TestCandidatePairs:
         lon = np.concatenate([rng.uniform(-180, 180, 60), rng.uniform(178, 180, 20), rng.uniform(-180, -178, 20)])
         index = make_index(lat, lon, [(0,)] * 100)
         params = SimilarityParams(alpha_sim=0.5, median_km=30.0)
-        ii, jj, _ = candidate_pairs(index, params, PruningParams())
-        got = {(int(a), int(b)) for a, b in zip(ii, jj)}
-        assert got == set(pair_oracle(index, params, 0.01))
+        got, links = check_candidates(index, params, PruningParams())
+        assert got.keys() == links.keys()
+        for cap in (1, 4):
+            check_candidates(index, params, PruningParams(max_neighbors=cap))
 
     def test_disjoint_slots_never_pair(self):
         index = make_index([40.0, 40.0], [-74.0, -74.0], [(3, 5), (7,)])
@@ -120,18 +193,31 @@ class TestCandidatePairs:
         assert "max_neighbors" not in str(err.value)
 
     def test_budget_counts_each_candidate_once_before_the_distance_test(self):
-        """Four candidates: (0,1) shares three slots, (0,2) and (1,2) share two
-        in different mask words, and (2,3) shares one but lies past the cutoff."""
+        """The budget counts each slot's (edge, neighbour) entries before any
+        pair is listed. Edges 0, 1 and 2 share a venue: 0 and 1 in slot 5
+        (2 entries), all three in slot 70 (6 entries, though the cap of one
+        keeps one link each), and 2 shares slot 7 with edge 3, which lies past
+        the cutoff (no entry)."""
         step = np.degrees(1.05 * sigma_cutoff_km(PARAMS, 0.01) / 6371.0) / np.sqrt(2.0)
         index = make_index(
             [0.0, 0.0, 0.0, step, 0.0],
             [0.0, 0.0, 0.0, step, 0.0],
-            [(5, 70, 130), (5, 70, 130), (7, 70, 130), (7,), (100,)],
+            [(5, 70), (5, 70), (7, 70), (7,), (100,)],
         )
-        ii, jj, _ = candidate_pairs(index, PARAMS, PruningParams(pair_budget=4))
+        ii, jj, _ = candidate_pairs(index, PARAMS, PruningParams(max_neighbors=1, pair_budget=8))
         assert list(zip(ii.tolist(), jj.tolist())) == [(0, 1), (0, 2), (1, 2)]
-        with pytest.raises(ConfigError, match="exceeds pair_budget=3"):
-            candidate_pairs(index, PARAMS, PruningParams(pair_budget=3))
+        with pytest.raises(ConfigError, match="exceeds pair_budget=7"):
+            candidate_pairs(index, PARAMS, PruningParams(max_neighbors=1, pair_budget=7))
+        # under unit_values a member pairs with the slot's two smallest ids
+        # whatever the distance: 2 entries in slot 5, 2 in slot 7, 4 in slot 70
+        ii, jj, _ = candidate_pairs(
+            index, PARAMS, PruningParams(max_neighbors=1, pair_budget=8), unit_values=True
+        )
+        assert list(zip(ii.tolist(), jj.tolist())) == [(0, 1), (0, 2), (1, 2), (2, 3)]
+        with pytest.raises(ConfigError, match="exceeds pair_budget=7"):
+            candidate_pairs(
+                index, PARAMS, PruningParams(max_neighbors=1, pair_budget=7), unit_values=True
+            )
 
     def test_over_budget_bucket_stops_in_bounded_memory(self):
         """12.5 M co-located pairs in one bucket: the budget stops them block by block."""
@@ -180,19 +266,14 @@ class TestBuildSepMatrix:
                 tol=1e-12,
             )
 
-    @pytest.mark.parametrize("chunk", [None, 5], ids=["chunk_default", "chunk_5"])
     @pytest.mark.parametrize(
         "unit_values, one_slot",
         [(False, False), (True, False), (False, True), (True, True)],
         ids=["weighted", "tied", "spatial_only", "tied_spatial_only"],
     )
-    def test_random_instances_match_bruteforce(self, monkeypatch, chunk, unit_values, one_slot):
-        """Ties (unit weights, shared venues) and single-slot indexes, max_neighbors from 1 up.
-
-        A chunk of 5 pairs splits blocks inside buckets and across cell pairs.
-        """
-        if chunk is not None:
-            monkeypatch.setattr(sep_graph, "_CHUNK", chunk)
+    def test_random_instances_match_bruteforce(self, unit_values, one_slot):
+        """Ties (unit weights, shared venues) and single-slot indexes,
+        max_neighbors from 1 up to beyond the slot size."""
         rng = np.random.default_rng(167)
         for case in range(6):
             index = random_index(
@@ -207,12 +288,8 @@ class TestBuildSepMatrix:
                 index = dataclasses.replace(index, lat=index.lat[venue], lon=index.lon[venue])
             if one_slot:
                 index = dataclasses.replace(index, slots=((0,),) * index.n_edges)
-            ii, jj, dd = candidate_pairs(index, PARAMS, PruningParams())
-            expect = pair_oracle(index, PARAMS, 0.01)
-            assert list(zip(ii.tolist(), jj.tolist())) == sorted(expect), f"case {case}"
-            # the oracle's scalar haversine may differ from numpy's array kernel in the last bit
-            np.testing.assert_allclose(dd, [expect[key] for key in sorted(expect)], rtol=0, atol=1e-12)
-            pruning = PruningParams(max_neighbors=case + 1)
+            pruning = PruningParams(max_neighbors=[1, 2, 3, 5, 8, 200][case])
+            check_candidates(index, PARAMS, pruning, unit_values)
             matrices_equal(
                 build_sep_matrix(index, PARAMS, pruning, unit_values=unit_values),
                 build_sep_matrix_bruteforce(index, PARAMS, pruning, unit_values=unit_values),
