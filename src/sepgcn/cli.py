@@ -140,7 +140,8 @@ def _sep_params(cfg: RunConfig, ds) -> tuple[SimilarityParams, bool]:
 def _variant_index(cfg: RunConfig, index: EdgeIndex) -> EdgeIndex:
     """Spatial-only runs treat every edge as sharing one time slot."""
     if cfg.variant == "sep_spatial_only":
-        return dataclasses.replace(index, slots=((0,),) * index.n_edges)
+        n = index.n_edges
+        return dataclasses.replace(index, slot_ptr=np.arange(n + 1), slot_vals=np.zeros(n, np.int64))
     return index
 
 
@@ -375,19 +376,13 @@ def _records_from_dataset(ds) -> list[CheckinRecord]:
     from datetime import datetime, timedelta
 
     base = datetime(2024, 1, 1)  # a Monday, so slot k maps to weekday k//24
-    records = []
-    for it in ds.interactions:
-        for slot in it.slots:
-            records.append(
-                CheckinRecord(
-                    user_id=str(ds.user_ids[it.user]),
-                    item_id=str(ds.item_ids[it.item]),
-                    timestamp=base + timedelta(days=slot // 24, hours=slot % 24),
-                    latitude=float(ds.item_lat[it.item]),
-                    longitude=float(ds.item_lon[it.item]),
-                )
-            )
-    return records
+    edges = ds.interactions
+    users, items = (np.repeat(c, np.diff(edges.slot_ptr)).tolist() for c in (edges.users, edges.items))
+    lat, lon = ds.item_lat.tolist(), ds.item_lon.tolist()
+    return [
+        CheckinRecord(ds.user_ids[u], ds.item_ids[i], base + timedelta(hours=s), lat[i], lon[i])
+        for u, i, s in zip(users, items, edges.slot_vals.tolist())
+    ]
 
 
 def _apply_axis(cfg: RunConfig, axis: str, value: str) -> RunConfig:

@@ -7,9 +7,9 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -29,12 +29,38 @@ class CheckinRecord:
     longitude: float
 
 
-@dataclass(frozen=True)
-class Interaction:
-    user: int
-    item: int
-    slots: tuple[int, ...]  # one entry per raw check-in on this edge
-    split: str  # "train" | "test"
+@dataclass(frozen=True, eq=False)
+class Interactions:
+    """A dataset's user-item edges as columns, one row per distinct pair.
+
+    Edge k joins user users[k] and item items[k] and belongs to the test
+    split when is_test[k]. Its check-in slots, one per raw check-in in feed
+    order, are slot_vals[slot_ptr[k]:slot_ptr[k + 1]].
+    """
+
+    users: np.ndarray  # int64
+    items: np.ndarray  # int64
+    is_test: np.ndarray  # bool
+    slot_ptr: np.ndarray  # int64, one more entry than there are edges
+    slot_vals: np.ndarray  # int64
+
+    def __len__(self) -> int:
+        return len(self.users)
+
+    def __eq__(self, other) -> bool:
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+
+    @classmethod
+    def from_rows(cls, rows) -> "Interactions":
+        """Columns from (user, item, slots, split) rows, split being "train" or "test"."""
+        users, items, slots, splits = list(zip(*rows)) or [()] * 4
+        return cls(
+            users=np.array(users, dtype=np.int64),
+            items=np.array(items, dtype=np.int64),
+            is_test=np.array([split == "test" for split in splits], dtype=bool),
+            slot_ptr=np.cumsum([0, *map(len, slots)]),
+            slot_vals=np.fromiter(chain.from_iterable(slots), np.int64),
+        )
 
 
 @dataclass
@@ -51,9 +77,12 @@ class SplitConfig:
 
 @dataclass
 class Dataset:
+    """Users and items by index, each item's coordinates, and the
+    user-item interactions as columns (see Interactions)."""
+
     user_ids: list[str]
     item_ids: list[str]
-    interactions: list[Interaction]
+    interactions: Interactions
     item_lat: np.ndarray
     item_lon: np.ndarray
     split: SplitConfig
@@ -68,10 +97,7 @@ class Dataset:
 
     @property
     def n_checkins(self) -> int:
-        return sum(len(it.slots) for it in self.interactions)
-
-    def train_interactions(self) -> list[Interaction]:
-        return [it for it in self.interactions if it.split == "train"]
+        return len(self.interactions.slot_vals)
 
 
 def parse_checkins(lines):
@@ -128,40 +154,49 @@ def _parse_line(line: str, out: list[CheckinRecord]) -> str | None:
     return None
 
 
-def kcore_filter(records: list[CheckinRecord], k: int) -> list[CheckinRecord]:
-    """Iteratively drop users and items with fewer than k distinct interactions.
+def _pairs(users: np.ndarray, items: np.ndarray):
+    """(user, item) of each distinct pair of codes, and each record's pair."""
+    n_items = np.max(items, initial=0) + 1
+    pairs, pair_of = np.unique(users * n_items + items, return_inverse=True)
+    return pairs // n_items, pairs % n_items, pair_of
 
-    Degrees count distinct (user, item) pairs; the loop runs to the fixpoint,
-    which is the unique maximal subgraph satisfying the constraint.
+
+def kcore_filter(users: np.ndarray, items: np.ndarray, k: int) -> np.ndarray:
+    """Mask of the records left once users and items with fewer than k
+    distinct interactions have been dropped, again until none remains.
+
+    users and items are integer codes of the records' ids. Degrees count
+    distinct (user, item) pairs; the loop runs to the fixpoint, which is the
+    unique maximal subgraph satisfying the constraint.
     """
     if k <= 0:
-        return list(records)
-    pairs = {(r.user_id, r.item_id) for r in records}
-    user_items: dict[str, set[str]] = {}
-    item_users: dict[str, set[str]] = {}
-    for u, i in pairs:
-        user_items.setdefault(u, set()).add(i)
-        item_users.setdefault(i, set()).add(u)
-    changed = True
-    while changed:
-        changed = False
-        for u in [u for u, its in user_items.items() if len(its) < k]:
-            for i in user_items.pop(u):
-                item_users[i].discard(u)
-            changed = True
-        for i in [i for i, us in item_users.items() if len(us) < k]:
-            for u in item_users.pop(i):
-                user_items[u].discard(i)
-            changed = True
-    if not user_items:
+        return np.ones(len(users), dtype=bool)
+    pair_users, pair_items, pair_of = _pairs(users, items)
+    alive, kept = None, np.ones(len(pair_users), dtype=bool)
+    while not np.array_equal(kept, alive):
+        alive = kept
+        user_deg = np.bincount(pair_users, weights=alive)
+        item_deg = np.bincount(pair_items, weights=alive)
+        kept = alive & (user_deg[pair_users] >= k) & (item_deg[pair_items] >= k)
+    if not alive.any():
         raise InputDataError(f"k-core eliminated all data at k={k}")
-    keep = {(u, i) for u, its in user_items.items() for i in its}
-    return [r for r in records if (r.user_id, r.item_id) in keep]
+    return alive[pair_of]
+
+
+def _index(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(codes, first): codes[r] numbers values[r] among the distinct values in
+    order of first appearance, and first[c] is where value c first appears."""
+    _, first, inverse = np.unique(values, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return rank[inverse], first[order]
 
 
 def build_dataset(records: list[CheckinRecord], cfg: SplitConfig) -> Dataset:
     """Index entities, collapse repeat check-ins, and split per user.
 
+    Users, items and edges are numbered in order of first appearance.
     Duplicate (user, item) check-ins collapse into a single interaction
     carrying one slot per raw check-in. Each user's distinct items are
     split train/test by cfg.train_ratio with cfg.seed; a user whose split
@@ -170,96 +205,58 @@ def build_dataset(records: list[CheckinRecord], cfg: SplitConfig) -> Dataset:
     test item is unseen at training time.
     """
     cfg.validate()
-    if cfg.min_interactions > 0:
-        records = _drop_sparse_users(records, cfg.min_interactions)
-    if cfg.kcore > 0:
-        records = kcore_filter(records, cfg.kcore)
+    # object arrays: fixed-width numpy strings drop trailing NULs, merging ids
+    users = _index(np.array([r.user_id for r in records], dtype=object))[0]
+    items = _index(np.array([r.item_id for r in records], dtype=object))[0]
+    # users with enough distinct items, then the k-core of what they leave
+    keep = np.bincount(_pairs(users, items)[0])[users] >= cfg.min_interactions
+    keep[keep] = kcore_filter(users[keep], items[keep], cfg.kcore)
+    records = [records[r] for r in np.flatnonzero(keep)]
     if not records:
         raise InputDataError("no records left after filtering")
 
-    edge_slots: dict[tuple[str, str], list[int]] = {}
-    edge_order: list[tuple[str, str]] = []
-    user_order: list[str] = []
-    user_edges: dict[str, list[str]] = {}
-    for r in records:
-        key = (r.user_id, r.item_id)
-        if key not in edge_slots:
-            edge_slots[key] = []
-            edge_order.append(key)
-            if r.user_id not in user_edges:
-                user_order.append(r.user_id)
-                user_edges[r.user_id] = []
-            user_edges[r.user_id].append(r.item_id)
-        edge_slots[key].append(to_slot(r.timestamp))
+    users, user_first = _index(users[keep])
+    items, item_first = _index(items[keep])
+    edges, edge_first = _index(users * len(item_first) + items)
+    edge_users, edge_items = users[edge_first], items[edge_first]
 
+    # one permutation per user, users in index order, over its edges in edge order
     rng = np.random.default_rng(cfg.seed)
-    test_pairs: set[tuple[str, str]] = set()
-    for u in user_order:
-        items = user_edges[u]
-        n_train = max(1, int(math.floor(cfg.train_ratio * len(items))))
-        perm = rng.permutation(len(items))
-        for pos in perm[n_train:]:
-            test_pairs.add((u, items[pos]))
+    is_test = np.zeros(len(edge_first), dtype=bool)
+    by_user = np.argsort(edge_users, kind="stable")
+    for own in np.split(by_user, np.cumsum(np.bincount(edge_users))[:-1]):
+        n_train = max(1, math.floor(cfg.train_ratio * len(own)))
+        is_test[own[rng.permutation(len(own))[n_train:]]] = True
+    # Promote the first edge of each train-absent item so every item the
+    # evaluator can score has been seen during training.
+    untrained = np.bincount(edge_items[~is_test], minlength=len(item_first)) == 0
+    is_test[edges[item_first[untrained]]] = False
 
-    # Promote one test edge per train-absent item (first by edge order) so
-    # every item the evaluator can score has been seen during training.
-    train_items = {i for (u, i) in edge_order if (u, i) not in test_pairs}
-    for u, i in edge_order:
-        if i not in train_items:
-            test_pairs.discard((u, i))
-            train_items.add(i)
-
-    user_index: dict[str, int] = {}
-    item_index: dict[str, int] = {}
-    user_ids: list[str] = []
-    item_ids: list[str] = []
-    interactions: list[Interaction] = []
-    for u, i in edge_order:
-        if u not in user_index:
-            user_index[u] = len(user_ids)
-            user_ids.append(u)
-        if i not in item_index:
-            item_index[i] = len(item_ids)
-            item_ids.append(i)
-        interactions.append(
-            Interaction(
-                user=user_index[u],
-                item=item_index[i],
-                slots=tuple(edge_slots[(u, i)]),
-                split="test" if (u, i) in test_pairs else "train",
-            )
-        )
-
-    item_lat, item_lon = _canonical_coords(records, item_index)
+    slots = np.fromiter((to_slot(r.timestamp) for r in records), np.int64, len(records))
+    slot_ptr = np.cumsum([0, *np.bincount(edges)])
+    interactions = Interactions(
+        edge_users, edge_items, is_test, slot_ptr, slots[np.argsort(edges, kind="stable")]
+    )
+    item_lat, item_lon = _canonical_coords(
+        items, np.array([r.latitude for r in records]), np.array([r.longitude for r in records])
+    )
+    user_ids = [records[r].user_id for r in user_first]
+    item_ids = [records[r].item_id for r in item_first]
     return Dataset(user_ids, item_ids, interactions, item_lat, item_lon, cfg)
 
 
-def _drop_sparse_users(records: list[CheckinRecord], min_interactions: int) -> list[CheckinRecord]:
-    seen: dict[str, set[str]] = {}
-    for r in records:
-        seen.setdefault(r.user_id, set()).add(r.item_id)
-    keep = {u for u, items in seen.items() if len(items) >= min_interactions}
-    return [r for r in records if r.user_id in keep]
+def _canonical_coords(items: np.ndarray, lat: np.ndarray, lon: np.ndarray):
+    """Most frequent observed (lat, lon) per item; the first record seen wins ties.
 
-
-def _canonical_coords(records, item_index: dict[str, int]):
-    """Most frequent observed (lat, lon) per item; first observed wins ties."""
-    counts: dict[str, Counter] = {}
-    first_seen: dict[tuple[str, float, float], int] = {}
-    for pos, r in enumerate(records):
-        if r.item_id not in item_index:
-            continue
-        counts.setdefault(r.item_id, Counter())[(r.latitude, r.longitude)] += 1
-        first_seen.setdefault((r.item_id, r.latitude, r.longitude), pos)
-    lat = np.zeros(len(item_index))
-    lon = np.zeros(len(item_index))
-    for item, idx in item_index.items():
-        best = max(
-            counts[item].items(),
-            key=lambda kv: (kv[1], -first_seen[(item, kv[0][0], kv[0][1])]),
-        )[0]
-        lat[idx], lon[idx] = best
-    return lat, lon
+    items numbers the records' items 0..n-1. Equal coordinates count as one
+    location (so -0.0 joins 0.0), spelled as first seen.
+    """
+    # complex numbers sort and compare as (lat, lon) pairs
+    loc = np.unique(lat + 1j * lon, return_inverse=True)[1]
+    _, first, count = np.unique(items * len(loc) + loc, return_index=True, return_counts=True)
+    ranked = first[np.lexsort((first, -count, items[first]))]
+    best = ranked[np.flatnonzero(np.diff(items[ranked], prepend=-1))]
+    return lat[best], lon[best]
 
 
 def dataset_stats(ds: Dataset) -> dict:
@@ -298,9 +295,11 @@ def save_snapshot(ds: Dataset, path: str | Path) -> None:
             f.write(f"U\t{uid}\n")
         for idx, iid in enumerate(ds.item_ids):
             f.write(f"I\t{iid}\t{float(ds.item_lat[idx])!r}\t{float(ds.item_lon[idx])!r}\n")
-        for it in ds.interactions:
-            slots = ",".join(str(s) for s in it.slots)
-            f.write(f"E\t{it.user}\t{it.item}\t{it.split}\t{slots}\n")
+        edges = ds.interactions
+        ptr, slots = edges.slot_ptr.tolist(), edges.slot_vals.astype(str).tolist()
+        splits = np.where(edges.is_test, "test", "train").tolist()
+        for k, row in enumerate(zip(edges.users.tolist(), edges.items.tolist(), splits)):
+            f.write("E\t%d\t%d\t%s\t" % row + ",".join(slots[ptr[k] : ptr[k + 1]]) + "\n")
 
 
 _SNAPSHOT_COUNTS = ("n_users", "n_items", "n_interactions", "n_checkins")
@@ -337,12 +336,12 @@ def _snapshot_row(parts: list[str]):
             raise ValueError("coordinates out of range")
         return "I", (parts[1], lat, lon)
     if parts[0] == "E" and len(parts) == 5:
-        slots = tuple(int(s) for s in parts[4].split(",")) if parts[4] else ()
+        slots = [int(s) for s in parts[4].split(",")] if parts[4] else []
         if not all(0 <= s < SLOTS_PER_WEEK for s in slots):
             raise ValueError(f"weekly slot outside [0, {SLOTS_PER_WEEK})")
         if parts[3] not in ("train", "test"):
             raise ValueError(f"split {parts[3]!r} is neither train nor test")
-        return "E", Interaction(int(parts[1]), int(parts[2]), slots, parts[3])
+        return "E", (int(parts[1]), int(parts[2]), slots, parts[3])
     raise ValueError(f"unknown row type {parts[0]!r} with {len(parts)} fields")
 
 
@@ -371,22 +370,18 @@ def load_snapshot(path: str | Path) -> Dataset:
         min_interactions=meta["min_interactions"],
         kcore=meta["kcore"],
     )
-    items = rows["I"]
-    ds = Dataset(
-        user_ids=rows["U"],
-        item_ids=[item_id for item_id, _, _ in items],
-        interactions=rows["E"],
-        item_lat=np.array([lat for _, lat, _ in items]),
-        item_lon=np.array([lon for _, _, lon in items]),
-        split=cfg,
-    )
-    counts = (ds.n_users, ds.n_items, len(ds.interactions), ds.n_checkins)
+    users, items, edges = rows["U"], rows["I"], rows["E"]
+    counts = (len(users), len(items), len(edges), sum(len(slots) for _, _, slots, _ in edges))
     if counts != tuple(meta[k] for k in _SNAPSHOT_COUNTS):
         raise InputDataError(f"{path}: snapshot body does not match its header counts")
-    for it in ds.interactions:
-        if not (0 <= it.user < ds.n_users and 0 <= it.item < ds.n_items):
+    # checked before the int64 columns are made, where a huge index would overflow
+    for user, item, _, _ in edges:
+        if not (0 <= user < len(users) and 0 <= item < len(items)):
             raise InputDataError(
-                f"{path}: interaction ({it.user}, {it.item}) indexes past "
-                f"{ds.n_users} users or {ds.n_items} items"
+                f"{path}: interaction ({user}, {item}) indexes past "
+                f"{len(users)} users or {len(items)} items"
             )
-    return ds
+    item_ids, lat, lon = list(zip(*items)) or [(), (), ()]
+    return Dataset(
+        users, list(item_ids), Interactions.from_rows(edges), np.array(lat), np.array(lon), cfg
+    )

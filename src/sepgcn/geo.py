@@ -105,11 +105,11 @@ def median_distance(dataset, mode: str = "global", sample_budget: int = 1_000_00
     that user's distinct visited locations. Users with a single location
     fall back to the global (sampled) median. Returns (global_median, {user: median}).
     """
-    edges = [it for it in dataset.interactions if it.split == "train"]
-    if not edges:
+    edges = dataset.interactions
+    users, items = edges.users[~edges.is_test], edges.items[~edges.is_test]
+    if not len(items):
         raise InputDataError("no train interactions to compute a median over")
-    lat = dataset.item_lat[[it.item for it in edges]]
-    lon = dataset.item_lon[[it.item for it in edges]]
+    lat, lon = dataset.item_lat[items], dataset.item_lon[items]
     global_median = _global_median(lat, lon, sample_budget, seed)
     if mode == "global":
         return global_median
@@ -117,10 +117,8 @@ def median_distance(dataset, mode: str = "global", sample_budget: int = 1_000_00
         raise ConfigError(f"unknown median_mode {mode!r}")
 
     by_user: dict[int, set[tuple[float, float]]] = {}
-    for it in edges:
-        by_user.setdefault(it.user, set()).add(
-            (float(dataset.item_lat[it.item]), float(dataset.item_lon[it.item]))
-        )
+    for user, loc in zip(users.tolist(), zip(lat.tolist(), lon.tolist())):
+        by_user.setdefault(user, set()).add(loc)
     medians: dict[int, float] = {}
     for user, locs in by_user.items():
         if len(locs) < 2:

@@ -36,8 +36,9 @@ def interaction_matrix(dataset, split: str) -> sp.csr_matrix:
     Entries are sorted within each row, so `entry_keys` of the result come
     out sorted.
     """
-    rows = np.fromiter((it.user for it in dataset.interactions if it.split == split), np.int64)
-    cols = np.fromiter((it.item for it in dataset.interactions if it.split == split), np.int64)
+    edges = dataset.interactions
+    chosen = edges.is_test == (split == "test")
+    rows, cols = edges.users[chosen], edges.items[chosen]
     if split == "train" and not len(rows):
         raise InputDataError("dataset has no train interactions")
     mat = sp.csr_matrix(

@@ -46,8 +46,8 @@ class ModelConfig:
         for name, w in (("alpha_user", self.alpha_user), ("beta_item", self.beta_item)):
             if not (0.0 <= w <= 1.0):
                 raise ConfigError(f"{name} must lie in [0,1], got {w}")
-        if self.init_std < 0:
-            raise ConfigError(f"init_std must be >= 0, got {self.init_std}")
+        if not (np.isfinite(self.init_std) and self.init_std >= 0):
+            raise ConfigError(f"init_std must be finite and >= 0, got {self.init_std}")
         if self.sep_update not in ("every_layer", "once"):
             raise ConfigError(f"unknown sep_update mode {self.sep_update!r}")
 
@@ -223,6 +223,7 @@ def forward(
         tables.append(current)
 
     e_star = sum(tables[1:], tables[0].copy()) / (cfg.layers + 1)
+    _check_finite(e_star, "the layer mean")
     return EmbeddingState(e0=e0, layers=tables[1:], e_star=e_star)
 
 

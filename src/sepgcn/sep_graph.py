@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigError, InputDataError
-from .geo import SimilarityParams, haversine_km, sigma, sigma_cutoff_km
+from .geo import SLOTS_PER_WEEK, SimilarityParams, haversine_km, sigma, sigma_cutoff_km
 
 logger = logging.getLogger(__name__)
 
@@ -61,15 +61,16 @@ class EdgeIndex:
     """Train interactions in a fixed canonical order, ready for pairing.
 
     Edge k is the k-th train interaction of the dataset. Locations are the
-    item's coordinates and `slots` holds each edge's distinct weekly slots,
-    sorted.
+    item's coordinates, and edge k's distinct weekly slots, sorted, are
+    slot_vals[slot_ptr[k]:slot_ptr[k + 1]].
     """
 
     users: np.ndarray
     items: np.ndarray
     lat: np.ndarray
     lon: np.ndarray
-    slots: tuple[tuple[int, ...], ...]
+    slot_ptr: np.ndarray
+    slot_vals: np.ndarray
 
     @property
     def n_edges(self) -> int:
@@ -77,20 +78,26 @@ class EdgeIndex:
 
     @classmethod
     def from_dataset(cls, dataset) -> "EdgeIndex":
-        train = dataset.train_interactions()
-        users = np.fromiter((it.user for it in train), dtype=np.int64, count=len(train))
-        items = np.fromiter((it.item for it in train), dtype=np.int64, count=len(train))
+        edges = dataset.interactions
+        train = ~edges.is_test
+        users, items = edges.users[train], edges.items[train]
         _, first = np.unique(users * dataset.n_items + items, return_index=True)
-        if len(first) < len(train):
-            k = np.setdiff1d(np.arange(len(train)), first)[0]  # the first repeat
+        if len(first) < len(users):
+            k = np.setdiff1d(np.arange(len(users)), first)[0]  # the first repeat
             raise InputDataError(f"duplicate train interaction {(int(users[k]), int(items[k]))}")
-        slots = tuple(tuple(sorted(set(it.slots))) for it in train)
+        # a key train_edge * SLOTS_PER_WEEK + slot per train check-in, sorted and distinct
+        n_slots = np.diff(edges.slot_ptr)
+        in_train = np.repeat(train, n_slots)
+        edge_of = np.repeat(np.cumsum(train) - 1, n_slots)[in_train]
+        keys = np.unique(edge_of * SLOTS_PER_WEEK + edges.slot_vals[in_train])
+        per_edge = np.bincount(keys // SLOTS_PER_WEEK, minlength=len(users))
         return cls(
             users=users,
             items=items,
-            lat=dataset.item_lat[items] if len(items) else np.zeros(0),
-            lon=dataset.item_lon[items] if len(items) else np.zeros(0),
-            slots=slots,
+            lat=dataset.item_lat[items],
+            lon=dataset.item_lon[items],
+            slot_ptr=np.concatenate([[0], np.cumsum(per_edge)]),
+            slot_vals=keys % SLOTS_PER_WEEK,
         )
 
 
@@ -184,13 +191,11 @@ def candidate_pairs(
     arc = min(d_max, np.pi * radius)
     chord_cutoff = 2.0 * radius * np.sin(arc / (2.0 * radius)) * (1.0 + 1e-9) + slack
 
-    n_slots = np.fromiter((len(s) for s in index.slots), dtype=np.int64, count=n)
-    slot_of = np.fromiter(chain.from_iterable(index.slots), dtype=np.int64, count=n_slots.sum())
-    by_slot = np.argsort(slot_of, kind="stable")
-    starts = np.flatnonzero(np.diff(slot_of[by_slot], prepend=-1))
+    by_slot = np.argsort(index.slot_vals, kind="stable")
+    starts = np.flatnonzero(np.diff(index.slot_vals[by_slot], prepend=-1))
     n_entries = 0
     keys = [np.zeros(0, np.int64)]
-    for members in np.split(np.repeat(np.arange(n), n_slots)[by_slot], starts[1:]):
+    for members in np.split(np.repeat(np.arange(n), np.diff(index.slot_ptr))[by_slot], starts[1:]):
         m = len(members)  # ascending edge ids
         if m < 2:
             continue
@@ -205,9 +210,9 @@ def candidate_pairs(
             n_entries += int(tree.query_ball_point(xyz[members], balls, return_length=True).sum()) - m
         if n_entries > pruning.pair_budget:
             raise ConfigError(
-                f"candidate pair count exceeds pair_budget={pruning.pair_budget}; "
-                "raise pruning.sigma_floor to shorten the distance cutoff, "
-                "or raise pruning.pair_budget"
+                f"candidate pair count exceeds pair_budget={pruning.pair_budget}; each edge "
+                "lists about max_neighbors + 1 slot mates per slot, more where many share "
+                "one venue: lower pruning.max_neighbors or raise pruning.pair_budget"
             )
         if not unit_values:
             hits = tree.query_ball_point(xyz[members], balls)
@@ -314,7 +319,7 @@ def build_sep_matrix_bruteforce(
     pruning.validate(params.alpha_sim)
     d_max = sigma_cutoff_km(params, pruning.sigma_floor)
     n = index.n_edges
-    slot_sets = [set(s) for s in index.slots]
+    slot_sets = [set(s.tolist()) for s in np.split(index.slot_vals, index.slot_ptr[1:-1])]
 
     weights: dict[tuple[int, int], float] = {}
     for i in range(n):

@@ -37,10 +37,10 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if not self.lr > 0:
-            raise ConfigError(f"lr must be > 0, got {self.lr}")
-        if self.l2_lambda < 0:
-            raise ConfigError(f"l2_lambda must be >= 0, got {self.l2_lambda}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
+        if not (math.isfinite(self.l2_lambda) and self.l2_lambda >= 0):
+            raise ConfigError(f"l2_lambda must be finite and >= 0, got {self.l2_lambda}")
         if self.epochs_max < 0:
             raise ConfigError(f"epochs_max must be >= 0, got {self.epochs_max}")
         if self.batch_size < 1:
@@ -82,9 +82,8 @@ class TripletSampler:
                 "skipping %d user(s) who interacted with every item; no negatives exist",
                 np.count_nonzero(saturated),
             )
-        train = dataset.train_interactions()
-        users = np.fromiter((it.user for it in train), np.int64, len(train))
-        positives = np.fromiter((it.item for it in train), np.int64, len(train))
+        edges = dataset.interactions
+        users, positives = edges.users[~edges.is_test], edges.items[~edges.is_test]
         kept = ~saturated[users]
         if not kept.any():
             raise InputDataError("every user has interacted with every item")
@@ -268,7 +267,9 @@ def train(
 
     eval_hook receives the averaged table and must return a mapping with at
     least "recall@20" (used for model selection) and "ndcg@20" (logged).
-    Divergence aborts the loop and retains the best table seen so far.
+    Divergence (a non-finite value in a step or in an evaluation's forward
+    pass) aborts the loop and keeps the best table seen so far, or else the
+    input of the last step whose forward pass, gradient and loss were finite.
     """
     model_cfg.validate()
     train_cfg.validate()
@@ -289,22 +290,25 @@ def train(
     epoch = 0
     t0 = time.perf_counter()
 
+    good = e0
     for epoch in range(1, train_cfg.epochs_max + 1):
         epoch_loss = 0.0
+        evaluating = train_cfg.eval_every and epoch % train_cfg.eval_every == 0
         try:
             for _ in range(batches_per_epoch):
                 batch = sampler.sample(train_cfg.batch_size, rng, train_cfg.neg_per_pos)
-                e0, loss = grad_step(e0, batch, model_cfg, graph, operator, train_cfg, optimizer)
+                stepped, loss = grad_step(e0, batch, model_cfg, graph, operator, train_cfg, optimizer)
+                if not math.isfinite(loss):
+                    raise NumericalError("non-finite loss")
+                good, e0 = e0, stepped
                 epoch_loss += loss
+            if evaluating:
+                e_star = forward(model_cfg, graph, None, None, e0, operator=operator).e_star
         except NumericalError as exc:
-            diverged, reason = True, str(exc)
+            diverged, reason, e0 = True, str(exc), good
             break
-        if not math.isfinite(epoch_loss):
-            diverged, reason = True, "non-finite loss"
-            break
-        if train_cfg.eval_every and epoch % train_cfg.eval_every == 0:
-            state = forward(model_cfg, graph, None, None, e0, operator=operator)
-            metrics = eval_hook(state.e_star)
+        if evaluating:
+            metrics = eval_hook(e_star)
             recall = float(metrics["recall@20"])
             ndcg = float(metrics.get("ndcg@20", math.nan))
             rows.append((epoch, epoch_loss, recall, ndcg, time.perf_counter() - t0))

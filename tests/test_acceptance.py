@@ -17,7 +17,7 @@ import pytest
 import scipy.sparse as sp
 
 from sepgcn.cli import main as cli_main
-from sepgcn.data import Dataset, Interaction, SplitConfig, build_dataset
+from sepgcn.data import Dataset, Interactions, SplitConfig, build_dataset
 from sepgcn.evaluate import evaluate_model
 from sepgcn.geo import (
     EARTH_RADIUS_KM,
@@ -47,9 +47,9 @@ def make_dataset(n_users, n_items, pairs, slots, coord_seed=0):
     return Dataset(
         user_ids=[f"u{k}" for k in range(n_users)],
         item_ids=[f"p{k}" for k in range(n_items)],
-        interactions=[
-            Interaction(u, i, slots[k], "train") for k, (u, i) in enumerate(pairs)
-        ],
+        interactions=Interactions.from_rows(
+            (u, i, slots[k], "train") for k, (u, i) in enumerate(pairs)
+        ),
         item_lat=rng.uniform(40.0, 40.1, n_items),
         item_lon=rng.uniform(-74.0, -73.9, n_items),
         split=SplitConfig(),
@@ -75,9 +75,9 @@ def dense_backbone(ds, e0, layers):
     """Independent dense reference: sym-normalized averaging, layer mean."""
     n, m = ds.n_users, ds.n_items
     adj = np.zeros((n + m, n + m))
-    for it in ds.interactions:
-        adj[it.user, n + it.item] = 1.0
-        adj[n + it.item, it.user] = 1.0
+    for u, i in zip(ds.interactions.users.tolist(), ds.interactions.items.tolist()):
+        adj[u, n + i] = 1.0
+        adj[n + i, u] = 1.0
     deg = adj.sum(axis=1)
     with np.errstate(divide="ignore"):
         dinv = 1.0 / np.sqrt(deg)
@@ -287,6 +287,7 @@ def test_criterion_5_ranking_metrics_match_loop_oracle():
 # criterion 6 — the edge-pair update beats the plain backbone at desk scale
 
 
+@pytest.mark.slow
 def test_criterion_6_edge_pair_updates_beat_plain_backbone():
     t0 = time.perf_counter()
     gains = []
@@ -395,8 +396,7 @@ def test_criterion_8_sparsity_and_kcore_properties():
             SplitConfig(train_ratio=0.7, seed=13, min_interactions=1, kcore=threshold),
         )
         user_deg, item_deg = Counter(), Counter()
-        for it in filtered.interactions:
-            user_deg[it.user] += 1
-            item_deg[it.item] += 1
+        user_deg.update(filtered.interactions.users.tolist())
+        item_deg.update(filtered.interactions.items.tolist())
         degrees = list(user_deg.values()) + list(item_deg.values())
         assert min(degrees) == threshold

@@ -11,7 +11,8 @@ import pytest
 from sepgcn.cli import main
 from sepgcn.data import load_snapshot
 from sepgcn.geo import EARTH_RADIUS_KM
-from sepgcn.model import load_checkpoint
+from sepgcn.graph import interaction_matrix
+from sepgcn.model import load_checkpoint, save_checkpoint
 from sepgcn.sep_graph import build_sep_matrix, load_sep_matrix
 
 SETTINGS = [
@@ -214,6 +215,34 @@ class TestTrain:
         e0, _ = load_checkpoint(tmp_path / "div.bin")
         assert np.all(np.isfinite(e0))
 
+    def test_divergence_in_the_evaluation_keeps_checkpoint_and_log(self, chain, tmp_path, capsys):
+        """One Adam step at lr=1e308 leaves a finite table too large for the
+        evaluation's forward pass; the table before that step is kept."""
+        ck, log = tmp_path / "ck.bin", tmp_path / "train.log"
+        code = main(["train", "--snapshot", str(chain / "snap.txt"), "--sep", str(chain / "pairs.sep"),
+                     "--out", str(ck), "--log", str(log), *[str(a) for a in SETTINGS],
+                     "--set", "train.lr=1e308", "--set", "train.eval_every=1",
+                     "--set", "train.batch_size=1000000"])
+        assert code == 4
+        assert "diverged" in capsys.readouterr().err
+        assert np.all(np.isfinite(load_checkpoint(ck)[0]))
+        assert log.read_text() == "epoch\tloss\trecall@20\tndcg@20\twallclock_s\n"
+        assert main(["eval", "--snapshot", str(chain / "snap.txt"), "--sep", str(chain / "pairs.sep"),
+                     "--checkpoint", str(ck), "--out", str(tmp_path / "rep"),
+                     *[str(a) for a in SETTINGS]]) == 0
+
+    @pytest.mark.parametrize(
+        "setting",
+        ["train.lr=inf", "train.l2=nan", "train.l2=inf", "model.init_std=nan", "model.init_std=inf"],
+    )
+    def test_non_finite_setting_exits_3(self, chain, tmp_path, capsys, setting):
+        code = main(["train", "--snapshot", str(chain / "snap.txt"), "--sep", str(chain / "pairs.sep"),
+                     "--out", str(tmp_path / "ck.bin"), *[str(a) for a in SETTINGS],
+                     "--set", setting])
+        assert code == 3
+        assert "must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "ck.bin").exists()
+
 
 class TestEval:
     def test_reeval_is_byte_identical(self, chain, tmp_path):
@@ -251,6 +280,20 @@ class TestEval:
         assert code == 3
         assert "nodes" in capsys.readouterr().err
 
+    def test_overflowing_layer_mean_exits_4(self, chain, tmp_path, capsys):
+        """Rows along A's eigenvector sqrt(degree), scaled near the float limit:
+        every layer repeats them, so each stays finite and only their mean overflows."""
+        train = interaction_matrix(load_snapshot(chain / "snap.txt"), "train")
+        deg = np.concatenate([train.sum(axis=1).A1, train.sum(axis=0).A1])
+        e0 = np.repeat((np.sqrt(deg) / np.sqrt(deg).max() * 1e308)[:, None], 16, axis=1)
+        save_checkpoint(e0, {}, tmp_path / "big.bin")
+        code = main(["eval", "--snapshot", str(chain / "snap.txt"), "--variant", "lightgcn",
+                     "--checkpoint", str(tmp_path / "big.bin"), "--out", str(tmp_path / "rep"),
+                     *[str(a) for a in SETTINGS]])
+        assert code == 4
+        assert "non-finite values after the layer mean" in capsys.readouterr().err
+        assert not (tmp_path / "rep.tsv").exists()
+
     def test_missing_checkpoint_exits_2(self, chain, tmp_path, capsys):
         gone = tmp_path / "gone.bin"
         code = main(["eval", "--snapshot", str(chain / "snap.txt"),
@@ -271,8 +314,9 @@ class TestEval:
         assert main(["prepare", "--raw", str(tmp_path / "raw.tsv"),
                      "--out", str(tmp_path / "snap.txt"), *common]) == 0
         splits = {}
-        for it in load_snapshot(tmp_path / "snap.txt").interactions:
-            splits.setdefault(it.user, set()).add(it.split)
+        edges = load_snapshot(tmp_path / "snap.txt").interactions
+        for u, test in zip(edges.users.tolist(), edges.is_test.tolist()):
+            splits.setdefault(u, set()).add("test" if test else "train")
         assert splits == {0: {"train", "test"}, 1: {"train", "test"}, 2: {"train"}}
         assert main(["train", "--snapshot", str(tmp_path / "snap.txt"),
                      "--out", str(tmp_path / "ck.bin"), *common]) == 0

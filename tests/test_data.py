@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from collections import Counter
 from datetime import datetime
 
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from sepgcn.data import (
+    SNAPSHOT_MAGIC,
     CheckinRecord,
     SplitConfig,
     build_dataset,
@@ -20,10 +22,18 @@ from sepgcn.data import (
     save_snapshot,
 )
 from sepgcn.errors import ConfigError, InputDataError
+from sepgcn.geo import to_slot
 
 
 def rec(u, i, ts="2024-01-01T10:00:00", lat=40.0, lon=-74.0):
     return CheckinRecord(u, i, datetime.fromisoformat(ts), lat, lon)
+
+
+def kcore_records(records, k):
+    """The records kcore_filter keeps, the ids numbered by np.unique."""
+    users = np.unique([r.user_id for r in records], return_inverse=True)[1]
+    items = np.unique([r.item_id for r in records], return_inverse=True)[1]
+    return [r for r, kept in zip(records, kcore_filter(users, items, k)) if kept]
 
 
 def kcore_oracle(pairs, k):
@@ -36,6 +46,87 @@ def kcore_oracle(pairs, k):
         if keep == pairs:
             return pairs
         pairs = keep
+
+
+def reference_snapshot(records, cfg):
+    """Snapshot text from the dict-based build_dataset that the array version replaced."""
+    if cfg.min_interactions > 0:
+        seen = {}
+        for r in records:
+            seen.setdefault(r.user_id, set()).add(r.item_id)
+        records = [r for r in records if len(seen[r.user_id]) >= cfg.min_interactions]
+    if cfg.kcore > 0:
+        keep = kcore_oracle({(r.user_id, r.item_id) for r in records}, cfg.kcore)
+        if not keep:
+            raise InputDataError(f"k-core eliminated all data at k={cfg.kcore}")
+        records = [r for r in records if (r.user_id, r.item_id) in keep]
+    if not records:
+        raise InputDataError("no records left after filtering")
+
+    edge_slots = {}  # (user, item) -> slots, edges and users in order of first appearance
+    user_edges = {}
+    for r in records:
+        key = (r.user_id, r.item_id)
+        if key not in edge_slots:
+            edge_slots[key] = []
+            user_edges.setdefault(r.user_id, []).append(r.item_id)
+        edge_slots[key].append(to_slot(r.timestamp))
+    rng = np.random.default_rng(cfg.seed)
+    test = set()
+    for u, items in user_edges.items():
+        n_train = max(1, int(math.floor(cfg.train_ratio * len(items))))
+        test.update((u, items[pos]) for pos in rng.permutation(len(items))[n_train:])
+    train_items = {i for u, i in edge_slots if (u, i) not in test}
+    for u, i in edge_slots:
+        if i not in train_items:
+            test.discard((u, i))
+            train_items.add(i)
+
+    counts, first_seen = {}, {}
+    for pos, r in enumerate(records):
+        counts.setdefault(r.item_id, Counter())[(r.latitude, r.longitude)] += 1
+        first_seen.setdefault((r.item_id, r.latitude, r.longitude), pos)
+    user_ids = {u: k for k, u in enumerate(user_edges)}
+    item_ids = {i: k for k, i in enumerate(dict.fromkeys(i for _, i in edge_slots))}
+    meta = {
+        "n_users": len(user_ids),
+        "n_items": len(item_ids),
+        "n_interactions": len(edge_slots),
+        "n_checkins": len(records),
+        "train_ratio": cfg.train_ratio,
+        "seed": cfg.seed,
+        "min_interactions": cfg.min_interactions,
+        "kcore": cfg.kcore,
+    }
+    lines = [SNAPSHOT_MAGIC, json.dumps(meta, sort_keys=True)]
+    lines += [f"U\t{u}" for u in user_ids]
+    for i in item_ids:
+        best = max(counts[i].items(), key=lambda kv: (kv[1], -first_seen[(i, *kv[0])]))
+        lines.append(f"I\t{i}\t{best[0][0]!r}\t{best[0][1]!r}")
+    for (u, i), slots in edge_slots.items():
+        split = "test" if (u, i) in test else "train"
+        lines.append(f"E\t{user_ids[u]}\t{item_ids[i]}\t{split}\t{','.join(map(str, slots))}")
+    return "\n".join(lines) + "\n"
+
+
+def random_records(rng):
+    """Records over few users and items, with shared, +-0.0 and scattered coordinates.
+
+    One user id ends in a NUL, which fixed-width numpy strings would drop.
+    """
+    users = [f"u{k}" for k in range(int(rng.integers(1, 15)))] + ["u0\x00"]
+    n_items = int(rng.integers(1, 25))
+    spots = [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (1.5, 2.5), (1.5, -2.5)]
+    records = []
+    for _ in range(int(rng.integers(1, 200))):
+        if rng.random() < 0.6:
+            lat, lon = spots[int(rng.integers(len(spots)))]
+        else:
+            lat, lon = float(rng.uniform(-90, 90)), float(rng.uniform(-180, 180))
+        ts = datetime(2024, 1, 1 + int(rng.integers(7)), int(rng.integers(24)))
+        user = users[int(rng.integers(len(users)))]
+        records.append(CheckinRecord(user, f"p{rng.integers(n_items)}", ts, lat, lon))
+    return records
 
 
 class TestParse:
@@ -109,16 +200,16 @@ class TestKCore:
             expected = kcore_oracle(pairs, k)
             if not expected:
                 with pytest.raises(InputDataError):
-                    kcore_filter(records, k)
+                    kcore_records(records, k)
                 continue
-            survivors = {(r.user_id, r.item_id) for r in kcore_filter(records, k)}
+            survivors = {(r.user_id, r.item_id) for r in kcore_records(records, k)}
             assert survivors == expected, f"trial {trial}, k={k}"
 
     def test_duplicate_checkins_do_not_inflate_degree(self):
         """Five visits to one venue are still a single distinct interaction."""
         records = [rec("u0", "p0")] * 5 + [rec("u1", "p0"), rec("u1", "p1")]
         with pytest.raises(InputDataError):
-            kcore_filter(records, 2)
+            kcore_records(records, 2)
 
     def test_min_degree_equals_threshold(self):
         rng = np.random.default_rng(47)
@@ -126,7 +217,7 @@ class TestKCore:
             (f"u{rng.integers(0, 30)}", f"p{rng.integers(0, 30)}") for _ in range(400)
         }
         for k in (2, 3):
-            kept = kcore_filter([rec(u, i) for u, i in sorted(pairs)], k)
+            kept = kcore_records([rec(u, i) for u, i in sorted(pairs)], k)
             uc = Counter((r.user_id, r.item_id) for r in kept)
             users = Counter(u for u, _ in uc)
             items = Counter(i for _, i in uc)
@@ -135,11 +226,11 @@ class TestKCore:
 
     def test_zero_k_is_identity(self):
         records = [rec("u0", "p0")]
-        assert kcore_filter(records, 0) == records
+        assert kcore_records(records, 0) == records
 
     def test_all_eliminated_raises(self):
         with pytest.raises(InputDataError, match="k-core"):
-            kcore_filter([rec("u0", "p0")], 3)
+            kcore_records([rec("u0", "p0")], 3)
 
 
 class TestBuildDataset:
@@ -157,9 +248,9 @@ class TestBuildDataset:
         ds = build_dataset(records, self.cfg())
         assert len(ds.interactions) == 2
         assert ds.n_checkins == 3
-        by_item = {it.item: it for it in ds.interactions}
-        assert by_item[0].slots == (10, 30)
-        assert by_item[1].slots == (167,)
+        np.testing.assert_array_equal(ds.interactions.items, [0, 1])
+        np.testing.assert_array_equal(ds.interactions.slot_ptr, [0, 2, 3])
+        np.testing.assert_array_equal(ds.interactions.slot_vals, [10, 30, 167])
 
     def test_indices_follow_first_appearance(self):
         records = [rec("b", "y"), rec("a", "x"), rec("b", "x")]
@@ -184,23 +275,22 @@ class TestBuildDataset:
             rec(f"u{rng.integers(0, 12)}", f"p{rng.integers(0, 60)}") for _ in range(400)
         ]
         ds = build_dataset(records, self.cfg())
-        train_users = {it.user for it in ds.train_interactions()}
-        train_items = {it.item for it in ds.train_interactions()}
-        assert train_users == set(range(ds.n_users))
-        assert train_items == set(range(ds.n_items))
+        train = ~ds.interactions.is_test
+        assert set(ds.interactions.users[train].tolist()) == set(range(ds.n_users))
+        assert set(ds.interactions.items[train].tolist()) == set(range(ds.n_items))
 
     def test_single_user_items_all_promote_to_train(self):
         """With one user every held-out venue would be unseen, so nothing splits off."""
         records = [rec("solo", f"p{k}") for k in range(10)]
         ds = build_dataset(records, self.cfg())
-        assert all(it.split == "train" for it in ds.interactions)
+        assert not ds.interactions.is_test.any()
 
     def test_train_counts_respect_the_floor(self):
         records = [rec(f"u{u}", f"p{k}") for u in range(8) for k in range(10)]
         ds = build_dataset(records, self.cfg(train_ratio=0.7))
-        per_user = Counter(it.user for it in ds.train_interactions())
+        per_user = Counter(ds.interactions.users[~ds.interactions.is_test].tolist())
         assert all(count >= math.floor(0.7 * 10) for count in per_user.values())
-        assert any(it.split == "test" for it in ds.interactions)
+        assert ds.interactions.is_test.any()
 
     def test_min_interactions_drops_sparse_users(self):
         records = [rec("busy", f"p{k}") for k in range(5)] + [rec("oneoff", "p0")]
@@ -234,6 +324,33 @@ class TestBuildDataset:
             build_dataset([rec("u", "p")], self.cfg(train_ratio=1.0))
         with pytest.raises(InputDataError):
             build_dataset([], self.cfg())
+
+    def test_matches_dict_reference_on_random_records(self, tmp_path):
+        """Same snapshot bytes (or the same error) as the dict-based build, and
+        save -> load -> save gives the bytes back."""
+        rng = np.random.default_rng(71)
+        outcomes = Counter()
+        for trial in range(300):
+            records = random_records(rng)
+            cfg = self.cfg(
+                train_ratio=float(rng.choice([0.3, 0.5, 0.7, 0.9])),
+                seed=int(rng.integers(1000)),
+                min_interactions=int(rng.integers(0, 4)),
+                kcore=int(rng.choice([0, 2, 3])),
+            )
+            try:
+                expected = reference_snapshot(records, cfg)
+            except InputDataError as exc:
+                with pytest.raises(InputDataError, match=f"^{re.escape(str(exc))}$"):
+                    build_dataset(records, cfg)
+                outcomes["raised"] += 1
+                continue
+            save_snapshot(build_dataset(records, cfg), tmp_path / "a")
+            assert (tmp_path / "a").read_bytes() == expected.encode(), f"trial {trial}"
+            save_snapshot(load_snapshot(tmp_path / "a"), tmp_path / "b")
+            assert (tmp_path / "b").read_bytes() == (tmp_path / "a").read_bytes()
+            outcomes["built"] += 1
+        assert outcomes["built"] > 150 and outcomes["raised"] > 0, outcomes
 
     def test_stats(self):
         records = [rec(f"u{u}", f"p{k}") for u in range(3) for k in range(4)] + [
@@ -357,7 +474,8 @@ class TestSnapshot:
                 outcomes["rejected"] += 1
                 continue
             outcomes["loaded"] += 1
-            for it in ds.interactions:
-                assert 0 <= it.user < ds.n_users and 0 <= it.item < ds.n_items
+            edges = ds.interactions
+            assert np.all((edges.users >= 0) & (edges.users < ds.n_users))
+            assert np.all((edges.items >= 0) & (edges.items < ds.n_items))
             assert np.all(np.isfinite(ds.item_lat)) and np.all(np.isfinite(ds.item_lon))
         assert outcomes["rejected"] > 0 and outcomes["loaded"] > 0

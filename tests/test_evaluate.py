@@ -254,14 +254,16 @@ class TestEvaluateModel:
         assert (report.n_evaluated_users, report.n_excluded_users) == (2, 1)
 
     def test_ranking_hook_matches_report(self):
-        from sepgcn.data import Dataset, Interaction, SplitConfig
+        from sepgcn.data import Dataset, Interactions, SplitConfig
 
-        inter = [
-            Interaction(0, 0, (0,), "train"),
-            Interaction(0, 1, (1,), "test"),
-            Interaction(1, 1, (2,), "train"),
-            Interaction(1, 2, (3,), "test"),
-        ]
+        inter = Interactions.from_rows(
+            [
+                (0, 0, (0,), "train"),
+                (0, 1, (1,), "test"),
+                (1, 1, (2,), "train"),
+                (1, 2, (3,), "test"),
+            ]
+        )
         ds = Dataset(
             user_ids=["a", "b"],
             item_ids=["x", "y", "z"],

@@ -7,7 +7,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from sepgcn.data import Dataset, Interaction, SplitConfig
+from sepgcn.data import Dataset, Interactions, SplitConfig
 from sepgcn.errors import ConfigError, InputDataError, NumericalError
 from sepgcn.geo import (
     EARTH_RADIUS_KM,
@@ -194,7 +194,7 @@ def make_dataset(item_coords, edges):
     lat = np.array([c[0] for c in item_coords], dtype=np.float64)
     lon = np.array([c[1] for c in item_coords], dtype=np.float64)
     n_users = 1 + max(u for u, _, _ in edges)
-    inter = [Interaction(user=u, item=i, slots=(0,), split=s) for u, i, s in edges]
+    inter = Interactions.from_rows((u, i, (0,), s) for u, i, s in edges)
     return Dataset(
         user_ids=[f"u{k}" for k in range(n_users)],
         item_ids=[f"p{k}" for k in range(len(item_coords))],

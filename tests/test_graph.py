@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from sepgcn.data import Dataset, Interaction, SplitConfig
+from sepgcn.data import Dataset, Interactions, SplitConfig
 from sepgcn.errors import ConfigError, InputDataError
 from sepgcn.graph import (
     build_adjacency,
@@ -18,7 +18,7 @@ from sepgcn.graph import (
 
 
 def make_dataset(n_users, n_items, edges):
-    inter = [Interaction(u, i, (0,), s) for u, i, s in edges]
+    inter = Interactions.from_rows((u, i, (0,), s) for u, i, s in edges)
     return Dataset(
         user_ids=[f"u{k}" for k in range(n_users)],
         item_ids=[f"p{k}" for k in range(n_items)],

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from sepgcn.data import Dataset, Interaction, SplitConfig
+from sepgcn.data import Dataset, Interactions, SplitConfig
 from sepgcn.errors import ConfigError, InputDataError, NumericalError
 from sepgcn.geo import SimilarityParams
 from sepgcn.graph import build_adjacency, interaction_matrix, spmv
@@ -36,10 +36,9 @@ PARAMS = SimilarityParams(alpha_sim=0.5, median_km=2.0)
 def make_instance(rng, n_users=10, n_items=10, n_edges=30, slot_pool=6):
     """Dataset + graph + edge index + normalized edge-pair matrix."""
     pairs = sorted({(int(rng.integers(n_users)), int(rng.integers(n_items))) for _ in range(n_edges)})
-    inter = [
-        Interaction(u, i, tuple(rng.choice(slot_pool, size=2, replace=False)), "train")
-        for u, i in pairs
-    ]
+    inter = Interactions.from_rows(
+        (u, i, tuple(rng.choice(slot_pool, size=2, replace=False)), "train") for u, i in pairs
+    )
     ds = Dataset(
         user_ids=[f"u{k}" for k in range(n_users)],
         item_ids=[f"p{k}" for k in range(n_items)],
@@ -147,14 +146,14 @@ class TestEdgeEmbed:
         table = np.array([[1.0, 2.0], [9.0, 9.0], [3.0, 4.0]])  # user 0, user 1, item 0
         index = EdgeIndex(
             users=np.array([0]), items=np.array([0]),
-            lat=np.zeros(1), lon=np.zeros(1), slots=((0,),),
+            lat=np.zeros(1), lon=np.zeros(1), slot_ptr=np.arange(2), slot_vals=np.zeros(1, np.int64),
         )
         np.testing.assert_array_equal(edge_embed(table, index, 2), [[1.0, 2.0, 3.0, 4.0]])
 
     def test_zero_table(self):
         index = EdgeIndex(
             users=np.array([0, 1]), items=np.array([1, 0]),
-            lat=np.zeros(2), lon=np.zeros(2), slots=((0,), (0,)),
+            lat=np.zeros(2), lon=np.zeros(2), slot_ptr=np.arange(3), slot_vals=np.zeros(2, np.int64),
         )
         np.testing.assert_array_equal(edge_embed(np.zeros((4, 3)), index, 2), np.zeros((2, 6)))
 
@@ -212,7 +211,8 @@ def one_edge_per_node(sep, n_edges, alpha=0.5, beta=0.5):
     """Operator over an index where edge k joins user k and item k."""
     index = EdgeIndex(
         users=np.arange(n_edges), items=np.arange(n_edges),
-        lat=np.zeros(n_edges), lon=np.zeros(n_edges), slots=((0,),) * n_edges,
+        lat=np.zeros(n_edges), lon=np.zeros(n_edges),
+        slot_ptr=np.arange(n_edges + 1), slot_vals=np.zeros(n_edges, np.int64),
     )
     return SepOperator(sep, index, n_edges, n_edges, alpha, beta)
 
@@ -286,7 +286,7 @@ class TestUpdateFromSep:
         """Each node has one active edge, so alpha = beta = 0 copies its segments."""
         index = EdgeIndex(
             users=np.array([0, 1]), items=np.array([0, 1]),
-            lat=np.zeros(2), lon=np.zeros(2), slots=((0,), (0,)),
+            lat=np.zeros(2), lon=np.zeros(2), slot_ptr=np.arange(3), slot_vals=np.zeros(2, np.int64),
         )
         sep = SepMatrix(
             2, np.array([0, 1]), np.array([1, 0]), np.array([1.0, 1.0]), "sym_degree"
@@ -483,6 +483,15 @@ class TestForward:
         bad[0, 0] = np.nan
         with pytest.raises(NumericalError, match="initialization"):
             forward(cfg, graph, sep, index, bad)
+
+    def test_overflowing_layer_mean_raises(self):
+        """One edge: propagation swaps the two rows, so every layer stays at
+        1e308 and only the sum of the four tables overflows."""
+        ds = Dataset(["u"], ["p"], Interactions.from_rows([(0, 0, (0,), "train")]),
+                     np.zeros(1), np.zeros(1), SplitConfig())
+        cfg = ModelConfig(dim=2, layers=3, sep_enabled=False)
+        with pytest.raises(NumericalError, match="after the layer mean"):
+            forward(cfg, build_adjacency(ds), None, None, np.full((2, 2), 1e308))
 
     def test_sep_requires_components(self):
         rng = np.random.default_rng(229)

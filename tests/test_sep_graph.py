@@ -9,7 +9,7 @@ from collections import Counter, defaultdict
 import numpy as np
 import pytest
 
-from sepgcn.data import Dataset, Interaction, SplitConfig
+from sepgcn.data import Dataset, Interactions, SplitConfig
 from sepgcn.errors import ConfigError, InputDataError
 from sepgcn.geo import SimilarityParams, haversine_km, sigma, sigma_cutoff_km
 from sepgcn.sep_graph import (
@@ -28,13 +28,20 @@ from sepgcn.sep_graph import (
 def make_index(lat, lon, slots):
     """EdgeIndex straight from arrays; edge k belongs to user k, item k."""
     n = len(lat)
+    distinct = [sorted(set(int(v) for v in s)) for s in slots]
     return EdgeIndex(
         users=np.arange(n, dtype=np.int64),
         items=np.arange(n, dtype=np.int64),
         lat=np.asarray(lat, dtype=np.float64),
         lon=np.asarray(lon, dtype=np.float64),
-        slots=tuple(tuple(sorted(set(s))) for s in slots),
+        slot_ptr=np.cumsum([0] + [len(s) for s in distinct]),
+        slot_vals=np.array([v for s in distinct for v in s], dtype=np.int64),
     )
+
+
+def slot_set(index, k):
+    """The weekly slots of edge k."""
+    return set(index.slot_vals[index.slot_ptr[k] : index.slot_ptr[k + 1]].tolist())
 
 
 def random_index(rng, n_edges, lat0=40.0, lon0=-74.0, box_deg=0.3, max_slots=4, slot_pool=24):
@@ -55,7 +62,7 @@ def pair_oracle(index, params, floor, unit_values=False):
     found = {}
     for i in range(index.n_edges):
         for j in range(i + 1, index.n_edges):
-            if not set(index.slots[i]) & set(index.slots[j]):
+            if not slot_set(index, i) & slot_set(index, j):
                 continue
             d = haversine_km((index.lat[i], index.lon[i]), (index.lat[j], index.lon[j]))
             if unit_values or d <= cutoff:
@@ -187,10 +194,11 @@ class TestCandidatePairs:
         index = make_index([40.0] * 4, [-74.0] * 4, [(0,)] * 4)
         with pytest.raises(ConfigError, match="pair_budget") as err:
             candidate_pairs(index, PARAMS, PruningParams(pair_budget=2))
-        # the budget is checked before the neighbour cap, so the cap cannot help
-        assert "pruning.sigma_floor" in str(err.value)
-        assert "pruning.pair_budget" in str(err.value)
-        assert "max_neighbors" not in str(err.value)
+        # the superset holds about max_neighbors + 1 entries per edge and slot,
+        # which a shorter cutoff seldom changes
+        assert "lower pruning.max_neighbors" in str(err.value)
+        assert "raise pruning.pair_budget" in str(err.value)
+        assert "sigma_floor" not in str(err.value)
 
     def test_budget_counts_each_candidate_once_before_the_distance_test(self):
         """The budget counts each slot's (edge, neighbour) entries before any
@@ -287,7 +295,7 @@ class TestBuildSepMatrix:
                 venue = rng.integers(0, index.n_edges // 4, size=index.n_edges)
                 index = dataclasses.replace(index, lat=index.lat[venue], lon=index.lon[venue])
             if one_slot:
-                index = dataclasses.replace(index, slots=((0,),) * index.n_edges)
+                index = make_index(index.lat, index.lon, [(0,)] * index.n_edges)
             pruning = PruningParams(max_neighbors=[1, 2, 3, 5, 8, 200][case])
             check_candidates(index, PARAMS, pruning, unit_values)
             matrices_equal(
@@ -517,16 +525,13 @@ class TestLoadContract:
 
 
 class TestEdgeIndex:
-    def build_dataset(self):
-        inter = [
-            Interaction(0, 0, (3, 3, 7), "train"),
-            Interaction(0, 1, (5,), "test"),
-            Interaction(1, 1, (9, 2), "train"),
-        ]
+    ROWS = [(0, 0, (3, 3, 7), "train"), (0, 1, (5,), "test"), (1, 1, (9, 2), "train")]
+
+    def build_dataset(self, rows=ROWS):
         return Dataset(
             user_ids=["a", "b"],
             item_ids=["x", "y"],
-            interactions=inter,
+            interactions=Interactions.from_rows(rows),
             item_lat=np.array([40.0, 41.0]),
             item_lon=np.array([-74.0, -75.0]),
             split=SplitConfig(),
@@ -537,15 +542,29 @@ class TestEdgeIndex:
         assert index.n_edges == 2
         np.testing.assert_array_equal(index.users, [0, 1])
         np.testing.assert_array_equal(index.items, [0, 1])
-        assert index.slots == ((3, 7), (2, 9))  # distinct, sorted
+        np.testing.assert_array_equal(index.slot_ptr, [0, 2, 4])
+        np.testing.assert_array_equal(index.slot_vals, [3, 7, 2, 9])  # distinct, sorted
         np.testing.assert_array_equal(index.lat, [40.0, 41.0])
 
+    def test_slots_are_each_train_edges_sorted_distinct_slots(self):
+        rng = np.random.default_rng(73)
+        for _ in range(50):
+            pairs = sorted({(int(rng.integers(2)), int(rng.integers(2))) for _ in range(4)})
+            rows = [
+                (u, i, tuple(rng.choice([0, 1, 5, 100, 167], size=int(rng.integers(1, 6)))),
+                 "test" if rng.random() < 0.3 else "train")
+                for u, i in pairs
+            ]
+            index = EdgeIndex.from_dataset(self.build_dataset(rows))
+            expected = [sorted(set(slots)) for _, _, slots, split in rows if split == "train"]
+            assert index.slot_ptr.tolist() == np.cumsum([0] + [len(s) for s in expected]).tolist()
+            assert index.slot_vals.tolist() == [v for s in expected for v in s]
+
     def test_duplicate_train_edge_rejected(self):
-        ds = self.build_dataset()
-        ds.interactions.append(Interaction(0, 0, (1,), "train"))
+        rows = [*self.ROWS, (0, 0, (1,), "train")]
         with pytest.raises(InputDataError, match=r"^duplicate train interaction \(0, 0\)$"):
-            EdgeIndex.from_dataset(ds)
+            EdgeIndex.from_dataset(self.build_dataset(rows))
         # the first edge that repeats an earlier one is named, not the smallest key
-        ds.interactions.insert(3, Interaction(1, 1, (4,), "train"))
+        rows.insert(3, (1, 1, (4,), "train"))
         with pytest.raises(InputDataError, match=r"^duplicate train interaction \(1, 1\)$"):
-            EdgeIndex.from_dataset(ds)
+            EdgeIndex.from_dataset(self.build_dataset(rows))

@@ -153,5 +153,5 @@ class TestRoundTrip:
             parsed, _ = parse_checkins(f)
         ds = build_dataset(parsed, SplitConfig(train_ratio=0.7, seed=1))
         assert ds.n_users > 0 and ds.n_items > 0
-        assert any(it.split == "test" for it in ds.interactions)
-        assert all(len(it.slots) >= 1 for it in ds.interactions)
+        assert ds.interactions.is_test.any()
+        assert np.all(np.diff(ds.interactions.slot_ptr) >= 1)

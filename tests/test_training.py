@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from sepgcn.data import Dataset, Interaction, SplitConfig
+from sepgcn.data import Dataset, Interactions, SplitConfig
 from sepgcn.errors import ConfigError, InputDataError
 from sepgcn.geo import SimilarityParams
 from sepgcn.graph import build_adjacency
@@ -33,10 +33,9 @@ PARAMS = SimilarityParams(alpha_sim=0.5, median_km=2.0)
 
 
 def make_dataset(n_users, n_items, pairs, slots=None):
-    inter = [
-        Interaction(u, i, slots[k] if slots else (k % 168,), "train")
-        for k, (u, i) in enumerate(pairs)
-    ]
+    inter = Interactions.from_rows(
+        (u, i, slots[k] if slots else (k % 168,), "train") for k, (u, i) in enumerate(pairs)
+    )
     rng = np.random.default_rng(99)
     return Dataset(
         user_ids=[f"u{k}" for k in range(n_users)],
@@ -118,17 +117,21 @@ class TestTrainConfig:
             TrainConfig(**kwargs).validate()
 
 
+def train_pairs(dataset):
+    """(user, item) of each train interaction, in edge order."""
+    edges = dataset.interactions
+    return list(zip(edges.users[~edges.is_test].tolist(), edges.items[~edges.is_test].tolist()))
+
+
 def set_sample(dataset, batch_size, rng, neg_per_pos=1):
     """Reference sampler: a set of train items per user and per-triple set lookups."""
     item_sets = {}
-    for it in dataset.train_interactions():
-        item_sets.setdefault(it.user, set()).add(it.item)
-    kept = [
-        it for it in dataset.train_interactions() if len(item_sets[it.user]) < dataset.n_items
-    ]
+    for u, i in train_pairs(dataset):
+        item_sets.setdefault(u, set()).add(i)
+    kept = [(u, i) for u, i in train_pairs(dataset) if len(item_sets[u]) < dataset.n_items]
     idx = rng.integers(0, len(kept), size=batch_size)
-    users = np.repeat([kept[j].user for j in idx], neg_per_pos)
-    positives = np.repeat([kept[j].item for j in idx], neg_per_pos)
+    users = np.repeat([kept[j][0] for j in idx], neg_per_pos)
+    positives = np.repeat([kept[j][1] for j in idx], neg_per_pos)
     negatives = rng.integers(0, dataset.n_items, size=len(users))
     pending = [k for k in range(len(users)) if int(negatives[k]) in item_sets[int(users[k])]]
     while pending:
@@ -173,8 +176,8 @@ class TestSampler:
         ds, _, _, _ = make_instance(np.random.default_rng(3), n_edges=40)
         sampler = TripletSampler(ds)
         seen = {}
-        for it in ds.train_interactions():
-            seen.setdefault(it.user, set()).add(it.item)
+        for u, i in train_pairs(ds):
+            seen.setdefault(u, set()).add(i)
         batch = sampler.sample(500, np.random.default_rng(1))
         for u, p, n in zip(batch.users, batch.positives, batch.negatives):
             assert int(p) in seen[int(u)]
@@ -220,7 +223,7 @@ class TestSampler:
 
     def test_no_train_edges_raises(self):
         ds = make_dataset(1, 2, [(0, 0)])
-        ds.interactions[0] = Interaction(0, 0, (0,), "test")
+        ds.interactions = Interactions.from_rows([(0, 0, (0,), "test")])
         with pytest.raises(InputDataError):
             TripletSampler(ds)
 
