@@ -157,6 +157,7 @@ def _build_sep(cfg: RunConfig, ds, index: EdgeIndex, brute: bool = False) -> Sep
 
 
 def _load_sep_for_run(cfg: RunConfig, ds) -> tuple[SepMatrix, EdgeIndex]:
+    """The build-sep file of this run, checked against the snapshot and the settings."""
     path = _require_path(cfg.paths.sep_matrix, "paths.sep", "--sep")
     sep = load_sep_matrix(_existing(path, "edge-pair matrix"))
     index = _variant_index(cfg, EdgeIndex.from_dataset(ds))
@@ -165,9 +166,17 @@ def _load_sep_for_run(cfg: RunConfig, ds) -> tuple[SepMatrix, EdgeIndex]:
             f"edge-pair matrix covers {sep.n_edges} edges but the snapshot "
             f"yields {index.n_edges}; rebuild it from this snapshot"
         )
-    if sep.normalization == "raw":
-        logger.info("normalizing raw edge-pair matrix on the fly")
-        sep = normalize_sep(sep)
+    for key, configured in (
+        ("variant", cfg.variant),
+        ("max_neighbors", cfg.pruning.max_neighbors),
+        ("sigma_floor", cfg.pruning.sigma_floor),
+        ("alpha_sim", cfg.similarity.alpha_sim),
+    ):
+        if key in sep.meta and sep.meta[key] != configured:
+            raise ConfigError(
+                f"edge-pair matrix was built with {key}={sep.meta[key]!r} but the run "
+                f"is configured for {key}={configured!r}; rebuild it with build-sep"
+            )
     return sep, index
 
 
@@ -213,11 +222,10 @@ def cmd_build_sep(args: argparse.Namespace) -> int:
     out = _require_path(getattr(args, "out", None) or cfg.paths.sep_matrix, "paths.sep", "--out")
     save_sep_matrix(sep, out)
 
-    linked = int(np.count_nonzero(sep.raw_degrees)) if sep.raw_degrees is not None else 0
     median_km = sep.meta.get("median_km")
     print(f"edges\t{sep.n_edges}")
-    print(f"entries\t{len(sep.values)}")
-    print(f"linked_edges\t{linked}")
+    print(f"entries\t{sep.nnz}")
+    print(f"linked_edges\t{np.count_nonzero(sep.active_edges())}")
     if median_km is not None:
         cutoff = sigma_cutoff_km(
             SimilarityParams(alpha_sim=sep.meta["alpha_sim"], median_km=float(median_km)),

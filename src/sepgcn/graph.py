@@ -21,7 +21,6 @@ class BipartiteGraph:
     n_users: int
     n_items: int
     a_norm: sp.csr_matrix
-    degrees: np.ndarray
 
     @property
     def n_nodes(self) -> int:
@@ -60,7 +59,7 @@ def has_entry(keys: np.ndarray, n_cols: int, rows: np.ndarray, cols: np.ndarray)
     return keys[np.minimum(np.searchsorted(keys, query), len(keys) - 1)] == query
 
 
-def sym_normalize(a: sp.spmatrix) -> tuple[sp.csr_matrix, np.ndarray]:
+def sym_normalize(a: sp.spmatrix) -> sp.csr_matrix:
     """D^{-1/2} A D^{-1/2} with zero-degree rows left untouched (all zero)."""
     a = a.tocsr()
     deg = np.asarray(a.sum(axis=1)).ravel()
@@ -68,7 +67,7 @@ def sym_normalize(a: sp.spmatrix) -> tuple[sp.csr_matrix, np.ndarray]:
         inv_sqrt = 1.0 / np.sqrt(deg)
     inv_sqrt[~np.isfinite(inv_sqrt)] = 0.0
     d = sp.diags(inv_sqrt)
-    return (d @ a @ d).tocsr(), deg
+    return (d @ a @ d).tocsr()
 
 
 def build_adjacency(dataset) -> BipartiteGraph:
@@ -76,8 +75,7 @@ def build_adjacency(dataset) -> BipartiteGraph:
     r = interaction_matrix(dataset, "train")
     n, m = r.shape
     a = sp.bmat([[None, r], [r.T, None]], format="csr")
-    a_norm, deg = sym_normalize(a)
-    return BipartiteGraph(n_users=n, n_items=m, a_norm=a_norm, degrees=deg)
+    return BipartiteGraph(n_users=n, n_items=m, a_norm=sym_normalize(a))
 
 
 def spmv(graph: BipartiteGraph, embeddings: np.ndarray) -> np.ndarray:

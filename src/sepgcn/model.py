@@ -94,7 +94,8 @@ class SepOperator:
     edges are all isolated keep their rows exactly, so an empty matrix
     degrades to the plain baseline. Only W and its transpose are applied;
     the edge-space pieces (x, xt, pu, pi, put, pit, gu, gi) stay because the
-    benchmark's tracer counts their entries by name.
+    benchmark's tracer counts their entries by name; xt is x itself and
+    put, pit are transposed views, not copies.
     """
 
     def __init__(
@@ -119,7 +120,7 @@ class SepOperator:
         self.beta_item = beta_item
         self.index = index
         self.x = sep.to_csr()
-        self.xt = self.x.T.tocsr()
+        self.xt = self.x  # X is symmetric
         act = np.flatnonzero(sep.active_edges())
         au, ai = index.users[act], index.items[act]
         count_u = np.bincount(au, minlength=n_users).astype(np.float64)
@@ -135,8 +136,8 @@ class SepOperator:
         self.pi = sp.csr_matrix(
             (inv_i[ai], (ai, act)), shape=(n_items, n_edges)
         )
-        self.put = self.pu.T.tocsr()
-        self.pit = self.pi.T.tocsr()
+        self.put = self.pu.T
+        self.pit = self.pi.T
         # gather maps (node x edge, ones everywhere)
         ones = np.ones(n_edges)
         self.gu = sp.csr_matrix((ones, (index.users, np.arange(n_edges))), shape=(n_users, n_edges))
@@ -189,6 +190,7 @@ def edge_step_at(cfg: ModelConfig, operator: SepOperator | None, k: int) -> bool
     return operator is not None and (cfg.sep_update == "every_layer" or k == 1)
 
 
+@np.errstate(all="ignore")  # every non-finite table is reported by _check_finite
 def forward(
     cfg: ModelConfig,
     graph: BipartiteGraph,

@@ -103,12 +103,12 @@ class EdgeIndex:
 
 @dataclass
 class SepMatrix:
-    """Sparse symmetric matrix of edge-pair similarities.
+    """Sparse symmetric matrix of edge-pair similarities, each pair stored once.
 
-    rows/cols/values store every entry, both (i,j) and (j,i), sorted by
-    (row, col). `raw_degrees` is the row sum of the raw builder output and
-    survives normalization so the propagation step can tell live edges from
-    isolated ones.
+    rows/cols/values hold the linked pairs i < j, sorted by (i, j); the
+    symmetric matrix, with both (i,j) and (j,i), exists only in to_csr().
+    normalization is "raw" for builder output and "sym_degree" once
+    normalize_sep has scaled it.
     """
 
     n_edges: int
@@ -116,29 +116,29 @@ class SepMatrix:
     cols: np.ndarray
     values: np.ndarray
     normalization: str = "raw"
-    raw_degrees: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.raw_degrees is None and self.normalization == "raw":
-            self.raw_degrees = np.bincount(
-                self.rows.astype(np.int64), weights=self.values, minlength=self.n_edges
-            )
 
     @property
     def nnz(self) -> int:
-        return len(self.values)
+        """Entries of the symmetric matrix: two per pair."""
+        return 2 * len(self.values)
 
     def active_edges(self) -> np.ndarray:
         """Boolean mask of edges that carry at least one link."""
         mask = np.zeros(self.n_edges, dtype=bool)
         mask[self.rows] = True
+        mask[self.cols] = True
         return mask
 
     def to_csr(self) -> sp.csr_matrix:
-        return sp.coo_matrix(
-            (self.values, (self.rows, self.cols)), shape=(self.n_edges, self.n_edges)
-        ).tocsr()
+        """The symmetric matrix, with its column indices sorted within each row."""
+        return sp.csr_matrix(
+            (
+                np.concatenate([self.values, self.values]),
+                (np.concatenate([self.rows, self.cols]), np.concatenate([self.cols, self.rows])),
+            ),
+            shape=(self.n_edges, self.n_edges),
+        )
 
 
 def candidate_pairs(
@@ -255,6 +255,24 @@ def _neighbor_cap(ii, jj, vals, n_edges, max_neighbors):
     return ii[keep], jj[keep], vals[keep]
 
 
+def _sep_matrix(n_edges, ii, jj, vals, params, pruning, unit_values) -> SepMatrix:
+    """The raw matrix of a builder's pairs, sorted by (i, j), with its build settings."""
+    return SepMatrix(
+        n_edges=n_edges,
+        rows=ii,
+        cols=jj,
+        values=vals,
+        normalization="raw",
+        meta={
+            "alpha_sim": params.alpha_sim,
+            "median_km": params.median_km,
+            "sigma_floor": pruning.sigma_floor,
+            "max_neighbors": pruning.max_neighbors,
+            "unit_values": bool(unit_values),
+        },
+    )
+
+
 def build_sep_matrix(
     index: EdgeIndex,
     params: SimilarityParams,
@@ -263,11 +281,10 @@ def build_sep_matrix(
 ) -> SepMatrix:
     """Raw edge-pair similarity matrix over the candidate pairs.
 
-    Stores both orientations of every surviving pair. An empty result is
-    legal (the model then degrades to plain propagation) and only warns.
-    With unit_values every pair that shares a slot weighs 1.0, whatever its
-    distance (time-only ablation); the neighbour cap then falls back to its
-    neighbour-id tie-break.
+    An empty result is legal (the model then degrades to plain propagation)
+    and only warns. With unit_values every pair that shares a slot weighs
+    1.0, whatever its distance (time-only ablation); the neighbour cap then
+    falls back to its neighbour-id tie-break.
     """
     pruning = pruning or PruningParams()
     ii, jj, dd = candidate_pairs(index, params, pruning, unit_values)
@@ -280,24 +297,7 @@ def build_sep_matrix(
         logger.warning(
             "edge-pair graph is empty; propagation will behave like the plain baseline"
         )
-    rows = np.concatenate([ii, jj])
-    cols = np.concatenate([jj, ii])
-    values = np.concatenate([vals, vals])
-    order = np.lexsort((cols, rows))
-    return SepMatrix(
-        n_edges=index.n_edges,
-        rows=rows[order],
-        cols=cols[order],
-        values=values[order],
-        normalization="raw",
-        meta={
-            "alpha_sim": params.alpha_sim,
-            "median_km": params.median_km,
-            "sigma_floor": pruning.sigma_floor,
-            "max_neighbors": pruning.max_neighbors,
-            "unit_values": bool(unit_values),
-        },
-    )
+    return _sep_matrix(index.n_edges, ii, jj, vals, params, pruning, unit_values)
 
 
 def build_sep_matrix_bruteforce(
@@ -349,53 +349,39 @@ def build_sep_matrix_bruteforce(
     survivors = [
         (i, j, w) for (i, j), w in sorted(weights.items()) if (i, j) in kept and (j, i) in kept
     ]
-    rows = np.array([p for i, j, _ in survivors for p in (i, j)], dtype=np.int64)
-    cols = np.array([p for i, j, _ in survivors for p in (j, i)], dtype=np.int64)
-    values = np.array([w for _, _, w in survivors for _ in (0, 1)])
-    order = np.lexsort((cols, rows))
-    return SepMatrix(
-        n_edges=n,
-        rows=rows[order],
-        cols=cols[order],
-        values=values[order],
-        normalization="raw",
-        meta={
-            "alpha_sim": params.alpha_sim,
-            "median_km": params.median_km,
-            "sigma_floor": pruning.sigma_floor,
-            "max_neighbors": pruning.max_neighbors,
-            "unit_values": bool(unit_values),
-        },
-    )
+    ii = np.array([i for i, _, _ in survivors], dtype=np.int64)
+    jj = np.array([j for _, j, _ in survivors], dtype=np.int64)
+    vals = np.array([w for _, _, w in survivors], dtype=np.float64)
+    return _sep_matrix(n, ii, jj, vals, params, pruning, unit_values)
 
 
 def normalize_sep(matrix: SepMatrix) -> SepMatrix:
     """Scale the raw weights for propagation.
 
-    Divides each entry by sqrt(deg_i * deg_j) with degrees taken from the
-    raw row sums. Isolated edges have no entries, so they are untouched.
+    Divides each entry by sqrt(deg_i * deg_j), with deg the row sums of the
+    symmetric matrix. Isolated edges have no entries, so they are untouched.
     """
     if matrix.normalization != "raw":
         raise ConfigError(f"cannot normalize a {matrix.normalization!r} matrix; need raw")
-    deg = matrix.raw_degrees
+    # each row summed in column order, which fixes the rounding of the saved weights
+    deg = matrix.to_csr() @ np.ones(matrix.n_edges)
     with np.errstate(divide="ignore"):
         inv = 1.0 / np.sqrt(deg)
     inv[~np.isfinite(inv)] = 0.0
-    # group the scale factors so (i,j) and (j,i) round identically
-    values = matrix.values * (inv[matrix.rows] * inv[matrix.cols])
     return SepMatrix(
         n_edges=matrix.n_edges,
         rows=matrix.rows.copy(),
         cols=matrix.cols.copy(),
-        values=values,
+        values=matrix.values * (inv[matrix.rows] * inv[matrix.cols]),
         normalization="sym_degree",
-        raw_degrees=deg.copy(),
         meta=dict(matrix.meta),
     )
 
 
 def save_sep_matrix(matrix: SepMatrix, path: str | Path) -> None:
-    """Line-based export of the upper triangle, byte-stable for identical inputs."""
+    """Line-based export of the normalized pairs, byte-stable for identical inputs."""
+    if matrix.normalization != "sym_degree":
+        raise ConfigError(f"only a normalized matrix is saved; this one is {matrix.normalization!r}")
     path = Path(path)
     meta = {
         "n_edges": matrix.n_edges,
@@ -403,10 +389,9 @@ def save_sep_matrix(matrix: SepMatrix, path: str | Path) -> None:
         "storage": "upper",
         **matrix.meta,
     }
-    keep = matrix.rows < matrix.cols
     with path.open("w", encoding="utf-8", newline="\n") as f:
         f.write(f"{SEPMAT_MAGIC} {json.dumps(meta, sort_keys=True)}\n")
-        for i, j, v in zip(matrix.rows[keep], matrix.cols[keep], matrix.values[keep]):
+        for i, j, v in zip(matrix.rows, matrix.cols, matrix.values):
             f.write(f"{i}\t{j}\t{float(v)!r}\n")
 
 
@@ -421,11 +406,11 @@ def _sep_header(path: Path, header: str) -> dict:
     if not isinstance(meta, dict):
         raise InputDataError(f"{path}: matrix header must be a JSON object")
     n_edges = meta.get("n_edges")
-    if type(n_edges) is not int or n_edges < 0:
-        raise InputDataError(f"{path}: n_edges must be a non-negative integer, got {n_edges!r}")
-    if meta.get("normalization") not in ("raw", "sym_degree"):
+    if type(n_edges) is not int or not 0 <= n_edges <= np.iinfo(np.int64).max:
+        raise InputDataError(f"{path}: n_edges must be an integer in [0, 2**63), got {n_edges!r}")
+    if meta.get("normalization") != "sym_degree":
         raise InputDataError(
-            f"{path}: normalization must be raw or sym_degree, got {meta.get('normalization')!r}"
+            f"{path}: normalization must be sym_degree, got {meta.get('normalization')!r}"
         )
     if meta.get("storage") != "upper":
         raise InputDataError(f"{path}: storage must be upper, got {meta.get('storage')!r}")
@@ -435,8 +420,8 @@ def _sep_header(path: Path, header: str) -> dict:
 def load_sep_matrix(path: str | Path) -> SepMatrix:
     """Read a matrix file; every malformed line or value is an InputDataError.
 
-    Each stored entry must be an upper-triangle pair i < j < n_edges, listed
-    once, with a finite positive weight.
+    Each stored entry must be a pair i < j < n_edges, listed once, with a
+    finite positive weight. The pairs come back sorted by (i, j).
     """
     path = Path(path)
     if not path.exists():
@@ -468,20 +453,18 @@ def load_sep_matrix(path: str | Path) -> SepMatrix:
                 vv.append(v)
     except UnicodeDecodeError as exc:
         raise InputDataError(f"{path}: matrix file is not UTF-8 text ({exc.reason})") from None
-    upper_rows = np.array(ii, dtype=np.int64)
-    upper_cols = np.array(jj, dtype=np.int64)
-    if len(np.unique(upper_rows * n_edges + upper_cols)) != len(upper_rows):
-        raise InputDataError(f"{path}: an edge pair is listed twice")
-    rows = np.concatenate([upper_rows, upper_cols])
-    cols = np.concatenate([upper_cols, upper_rows])
-    values = np.concatenate([vv, vv])
+    rows = np.array(ii, dtype=np.int64)
+    cols = np.array(jj, dtype=np.int64)
     order = np.lexsort((cols, rows))
+    rows, cols = rows[order], cols[order]
+    if np.any((np.diff(rows) == 0) & (np.diff(cols) == 0)):
+        raise InputDataError(f"{path}: an edge pair is listed twice")
     extra = {k: v for k, v in meta.items() if k not in ("n_edges", "normalization", "storage")}
     return SepMatrix(
         n_edges=n_edges,
-        rows=rows[order],
-        cols=cols[order],
-        values=values[order],
-        normalization=meta["normalization"],
+        rows=rows,
+        cols=cols,
+        values=np.array(vv, dtype=np.float64)[order],
+        normalization="sym_degree",
         meta=extra,
     )

@@ -253,6 +253,7 @@ def write_training_log(rows, path: str | Path) -> None:
             f.write(f"{epoch}\t{loss!r}\t{recall!r}\t{ndcg!r}\t{wallclock:.3f}\n")
 
 
+@np.errstate(all="ignore")  # every non-finite value ends the loop through a check
 def train(
     dataset,
     graph: BipartiteGraph,
@@ -300,6 +301,8 @@ def train(
                 stepped, loss = grad_step(e0, batch, model_cfg, graph, operator, train_cfg, optimizer)
                 if not math.isfinite(loss):
                     raise NumericalError("non-finite loss")
+                if not np.isfinite(stepped).all():
+                    raise NumericalError("non-finite values after the optimizer step")
                 good, e0 = e0, stepped
                 epoch_loss += loss
             if evaluating:

@@ -121,7 +121,6 @@ def test_criterion_1_lightgcn_reduction():
         cols=np.zeros(0, dtype=np.int64),
         values=np.zeros(0),
         normalization="sym_degree",
-        raw_degrees=np.zeros(index.n_edges),
     )
     cfg_sep = ModelConfig(dim=16, layers=3, sep_enabled=True, seed=7)
     got = forward(cfg_sep, graph, empty, index, e0).e_star

@@ -231,6 +231,22 @@ class TestTrain:
                      "--checkpoint", str(ck), "--out", str(tmp_path / "rep"),
                      *[str(a) for a in SETTINGS]]) == 0
 
+    def test_overflowing_optimizer_step_is_named(self, chain, tmp_path, capsys, recwarn):
+        """At lr=1e308 the weight-decay term alone carries the first SGD step
+        past the float limit; the table before that step is kept."""
+        ck = tmp_path / "ck.bin"
+        code = main(["train", "--snapshot", str(chain / "snap.txt"), "--sep", str(chain / "pairs.sep"),
+                     "--out", str(ck), *[str(a) for a in SETTINGS],
+                     "--set", "train.optimizer=sgd", "--set", "train.lr=1e308",
+                     "--set", "train.l2=1e10", "--set", "train.eval_every=1"])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith(
+            "error: training diverged (non-finite values after the optimizer step)"
+        )
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+        assert np.all(np.isfinite(load_checkpoint(ck)[0]))
+
     @pytest.mark.parametrize(
         "setting",
         ["train.lr=inf", "train.l2=nan", "train.l2=inf", "model.init_std=nan", "model.init_std=inf"],
@@ -242,6 +258,33 @@ class TestTrain:
         assert code == 3
         assert "must be finite" in capsys.readouterr().err
         assert not (tmp_path / "ck.bin").exists()
+
+
+class TestMatrixOfAnotherRun:
+    """A matrix file built with other pair settings than the run's ends train and eval."""
+
+    @pytest.mark.parametrize(
+        "built_with, key",
+        [
+            (["--variant", "sep_temporal_only", "--set", "pruning.max_neighbors=8"], "variant"),
+            (["--set", "pruning.max_neighbors=8"], "max_neighbors"),
+            (["--set", "pruning.sigma_floor=0.05"], "sigma_floor"),
+            (["--set", "similarity.alpha=0.6"], "alpha_sim"),
+        ],
+    )
+    def test_exits_3_with_one_error_line(self, chain, tmp_path, capsys, built_with, key):
+        other = tmp_path / "other.sep"
+        assert main([str(a) for a in ["build-sep", "--snapshot", chain / "snap.txt",
+                                      "--out", other, *SETTINGS, *built_with]]) == 0
+        common = ["--snapshot", chain / "snap.txt", "--sep", other, *SETTINGS]
+        for argv in (
+            ["train", *common, "--out", tmp_path / "new.bin"],
+            ["eval", *common, "--checkpoint", chain / "ck.bin", "--out", tmp_path / "r"],
+        ):
+            error = TestBadInputFiles.assert_exits(argv, 3, capsys)
+            assert f"edge-pair matrix was built with {key}=" in error
+        assert not (tmp_path / "new.bin").exists()
+        assert not (tmp_path / "r.tsv").exists()
 
 
 class TestEval:
@@ -280,7 +323,7 @@ class TestEval:
         assert code == 3
         assert "nodes" in capsys.readouterr().err
 
-    def test_overflowing_layer_mean_exits_4(self, chain, tmp_path, capsys):
+    def test_overflowing_layer_mean_exits_4(self, chain, tmp_path, capsys, recwarn):
         """Rows along A's eigenvector sqrt(degree), scaled near the float limit:
         every layer repeats them, so each stays finite and only their mean overflows."""
         train = interaction_matrix(load_snapshot(chain / "snap.txt"), "train")
@@ -291,7 +334,10 @@ class TestEval:
                      "--checkpoint", str(tmp_path / "big.bin"), "--out", str(tmp_path / "rep"),
                      *[str(a) for a in SETTINGS]])
         assert code == 4
-        assert "non-finite values after the layer mean" in capsys.readouterr().err
+        assert capsys.readouterr().err.splitlines() == [
+            "error: non-finite values after the layer mean"
+        ]
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
         assert not (tmp_path / "rep.tsv").exists()
 
     def test_missing_checkpoint_exits_2(self, chain, tmp_path, capsys):
@@ -523,6 +569,7 @@ BAD_INPUTS = {
     "sep-nan-value": ("pairs.sep", _nan_first_entry),
     "sep-storage-full": ("pairs.sep", _edit_sep_header("storage", "full")),
     "sep-normalization-row_unit": ("pairs.sep", _edit_sep_header("normalization", "row_unit")),
+    "sep-normalization-raw": ("pairs.sep", _edit_sep_header("normalization", "raw")),
     "snapshot-empty-header": ("snap.txt", _snapshot_header),
     "checkpoint-header-not-json": ("ck.bin", _checkpoint_header(b"not json")),
     "checkpoint-empty-header": ("ck.bin", _checkpoint_header(b"{}")),

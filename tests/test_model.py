@@ -238,7 +238,7 @@ class TestSepPropagate:
 
     def test_unit_pair_swaps_rows(self):
         sep = SepMatrix(
-            2, np.array([0, 1]), np.array([1, 0]), np.array([1.0, 1.0]), "sym_degree"
+            2, np.array([0]), np.array([1]), np.array([1.0]), "sym_degree"
         )
         table = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]])
         out = one_edge_per_node(sep, 2, 0.0, 0.0).update(table)
@@ -289,7 +289,7 @@ class TestUpdateFromSep:
             lat=np.zeros(2), lon=np.zeros(2), slot_ptr=np.arange(3), slot_vals=np.zeros(2, np.int64),
         )
         sep = SepMatrix(
-            2, np.array([0, 1]), np.array([1, 0]), np.array([1.0, 1.0]), "sym_degree"
+            2, np.array([0]), np.array([1]), np.array([1.0]), "sym_degree"
         )
         op = SepOperator(sep, index, 2, 2, 0.0, 0.0)
         # edge 0 = (user 0, item 0) and edge 1 = (user 1, item 1) swap rows
@@ -391,7 +391,7 @@ class TestNodeSpaceOperator:
         rng = np.random.default_rng(439)
         _, graph, index, _ = make_instance(rng)
         sep = SepMatrix(
-            index.n_edges, np.array([0, 1]), np.array([1, 0]), np.array([1.0, 1.0]), "sym_degree"
+            index.n_edges, np.array([0]), np.array([1]), np.array([1.0]), "sym_degree"
         )
         op = SepOperator(sep, index, graph.n_users, graph.n_items, 0.3, 0.6)
         live = np.zeros(graph.n_nodes, dtype=bool)

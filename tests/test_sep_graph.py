@@ -310,7 +310,7 @@ class TestBuildSepMatrix:
         pruning = PruningParams(max_neighbors=2)
         m = build_sep_matrix(index, PARAMS, pruning)
         # edge 0 keeps neighbours 1,2; edge 4 keeps 0,1 -> (0,4) one-sided, dropped
-        pairs = {(int(i), int(j)) for i, j in zip(m.rows, m.cols) if i < j}
+        pairs = set(zip(m.rows.tolist(), m.cols.tolist()))
         assert pairs == {(0, 1), (0, 2), (1, 2)}
         matrices_equal(m, build_sep_matrix_bruteforce(index, PARAMS, pruning), tol=0.0)
 
@@ -334,15 +334,30 @@ class TestBuildSepMatrix:
         rng = np.random.default_rng(109)
         index = random_index(rng, 120, max_slots=5)
         m = build_sep_matrix(index, PARAMS)
-        assert np.all(m.rows != m.cols)
+        assert np.all(m.rows < m.cols)  # each pair once, sorted by (i, j)
+        assert np.all(np.diff(m.rows * m.n_edges + m.cols) > 0)
         x = m.to_csr()
+        assert x.nnz == m.nnz and x.has_sorted_indices
         assert (x != x.T).nnz == 0
+
+    def test_to_csr_is_the_bruteforce_symmetric_matrix(self):
+        rng = np.random.default_rng(117)
+        for case in range(8):
+            index = random_index(rng, int(rng.integers(20, 120)), box_deg=0.1, max_slots=6)
+            pruning = PruningParams(max_neighbors=[2, 5, 64][case % 3])
+            slow = build_sep_matrix_bruteforce(index, PARAMS, pruning)
+            dense = np.zeros((index.n_edges, index.n_edges))
+            for i, j, w in zip(slow.rows.tolist(), slow.cols.tolist(), slow.values.tolist()):
+                dense[i, j] = dense[j, i] = w
+            assert dense.any(), f"case {case}"
+            x = build_sep_matrix(index, PARAMS, pruning).to_csr()
+            np.testing.assert_array_equal(x.toarray(), dense, err_msg=f"case {case}")
 
     def test_max_neighbors_bounds_every_row(self):
         rng = np.random.default_rng(113)
         index = random_index(rng, 150, box_deg=0.02, max_slots=8, slot_pool=4)
         m = build_sep_matrix(index, PARAMS, PruningParams(max_neighbors=5))
-        counts = np.bincount(m.rows, minlength=m.n_edges)
+        counts = np.bincount(np.concatenate([m.rows, m.cols]), minlength=m.n_edges)
         assert counts.max() <= 5
 
     def test_empty_result_warns(self, caplog):
@@ -372,7 +387,7 @@ class TestNormalize:
         """deg_i = deg_j = sigma, so the entry becomes sigma/sigma = 1."""
         index = make_index([40.0, 40.01], [-74.0, -74.0], [(0,), (0,)])
         m = normalize_sep(build_sep_matrix(index, PARAMS))
-        np.testing.assert_allclose(m.values, [1.0, 1.0], rtol=1e-12)
+        np.testing.assert_allclose(m.values, [1.0], rtol=1e-12)
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(131)
@@ -391,33 +406,39 @@ class TestNormalize:
         with pytest.raises(ConfigError):
             normalize_sep(m)
 
-    def test_raw_degrees_survive(self):
-        index = make_index([40.0, 40.0], [-74.0, -74.0], [(0,), (0,)])
+    def test_pairs_and_active_edges_survive(self):
+        index = make_index([40.0, 40.0, 40.0], [-74.0, -74.0, -74.0], [(0,), (0,), (9,)])
         raw = build_sep_matrix(index, PARAMS)
-        np.testing.assert_array_equal(normalize_sep(raw).raw_degrees, raw.raw_degrees)
+        m = normalize_sep(raw)
+        np.testing.assert_array_equal(m.rows, raw.rows)
+        np.testing.assert_array_equal(m.cols, raw.cols)
+        np.testing.assert_array_equal(m.active_edges(), [True, True, False])
 
 
 class TestExport:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(139)
         index = random_index(rng, 80, max_slots=5)
-        for normalized in (False, True):
-            m = build_sep_matrix(index, PARAMS)
-            if normalized:
-                m = normalize_sep(m)
-            path = tmp_path / f"{m.normalization}.sepmat"
-            save_sep_matrix(m, path)
-            back = load_sep_matrix(path)
-            matrices_equal(m, back)
-            assert back.normalization == m.normalization
-            assert back.meta == m.meta
+        m = normalize_sep(build_sep_matrix(index, PARAMS))
+        path = tmp_path / "m.sepmat"
+        save_sep_matrix(m, path)
+        back = load_sep_matrix(path)
+        matrices_equal(m, back)
+        assert back.normalization == m.normalization
+        assert back.meta == m.meta
+
+    def test_raw_matrix_is_not_saved(self, tmp_path):
+        index = make_index([40.0, 40.0], [-74.0, -74.0], [(0,), (0,)])
+        with pytest.raises(ConfigError, match="normalized"):
+            save_sep_matrix(build_sep_matrix(index, PARAMS), tmp_path / "raw.sepmat")
+        assert not (tmp_path / "raw.sepmat").exists()
 
     def test_bruteforce_and_optimized_exports_are_byte_identical(self, tmp_path):
         rng = np.random.default_rng(149)
         index = random_index(rng, 90, max_slots=5)
         a, b = tmp_path / "fast.sepmat", tmp_path / "slow.sepmat"
-        save_sep_matrix(build_sep_matrix(index, PARAMS), a)
-        save_sep_matrix(build_sep_matrix_bruteforce(index, PARAMS), b)
+        save_sep_matrix(normalize_sep(build_sep_matrix(index, PARAMS)), a)
+        save_sep_matrix(normalize_sep(build_sep_matrix_bruteforce(index, PARAMS)), b)
         assert a.read_bytes() == b.read_bytes()
 
     def test_bruteforce_exports_match_on_random_instances(self, tmp_path):
@@ -430,16 +451,16 @@ class TestExport:
         a, b = tmp_path / "fast.sepmat", tmp_path / "slow.sepmat"
         for trial in range(60):
             index = random_index(rng, int(rng.integers(60, 160)), max_slots=5)
-            save_sep_matrix(build_sep_matrix(index, PARAMS), a)
-            save_sep_matrix(build_sep_matrix_bruteforce(index, PARAMS), b)
+            save_sep_matrix(normalize_sep(build_sep_matrix(index, PARAMS)), a)
+            save_sep_matrix(normalize_sep(build_sep_matrix_bruteforce(index, PARAMS)), b)
             assert a.read_bytes() == b.read_bytes(), f"trial {trial}"
 
     def test_rebuild_is_byte_stable(self, tmp_path):
         rng = np.random.default_rng(151)
         index = random_index(rng, 70)
         a, b = tmp_path / "one.sepmat", tmp_path / "two.sepmat"
-        save_sep_matrix(build_sep_matrix(index, PARAMS), a)
-        save_sep_matrix(build_sep_matrix(index, PARAMS), b)
+        save_sep_matrix(normalize_sep(build_sep_matrix(index, PARAMS)), a)
+        save_sep_matrix(normalize_sep(build_sep_matrix(index, PARAMS)), b)
         assert a.read_bytes() == b.read_bytes()
 
     def test_bad_header(self, tmp_path):
@@ -471,8 +492,10 @@ class TestLoadContract:
         [
             ('"storage": "upper"', '"storage": "full"', "storage"),
             ('"normalization": "sym_degree"', '"normalization": "row_unit"', "normalization"),
+            ('"normalization": "sym_degree"', '"normalization": "raw"', "normalization"),
             ('"n_edges": 40', '"n_edges": -1', "n_edges"),
             ('"n_edges": 40', '"n_edges": "40"', "n_edges"),
+            ('"n_edges": 40', '"n_edges": 9223372036854775808', "n_edges"),
             ("{", "{{", "not JSON"),
         ],
     )
@@ -503,6 +526,10 @@ class TestLoadContract:
     def test_bad_entry_lines(self, tmp_path, saved, entry, match):
         with pytest.raises(InputDataError, match=match):
             load_sep_matrix(self.write(tmp_path, [*saved, entry]))
+
+    def test_entries_load_sorted_by_pair(self, tmp_path, saved):
+        expected = load_sep_matrix(self.write(tmp_path, saved))
+        matrices_equal(load_sep_matrix(self.write(tmp_path, [saved[0], *saved[:0:-1]])), expected)
 
     def test_repeated_pair(self, tmp_path, saved):
         with pytest.raises(InputDataError, match="twice"):
