@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 from .graph import entry_keys, has_entry, interaction_matrix
 
 METRIC_NAMES = ("precision", "recall", "ndcg", "accuracy")
@@ -47,22 +47,33 @@ def rank_all(e_star: np.ndarray, train: sp.csr_matrix, k: int, chunk: int = 256)
 
     `train` is the binary user-by-item train matrix; a user's train items
     are never ranked. A user with fewer than k candidates gets a row that
-    ends in -1. Scores are computed `chunk` users at a time.
+    ends in -1. Scores are computed `chunk` users at a time. A partition
+    finds each row's k-th largest score; every item scoring at least that
+    much (ties at the boundary included) is then sorted by (-score, id), so
+    no row is sorted in full. Non-finite scores raise `NumericalError`.
     """
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
     n_users, n_items = train.shape
     item_table = e_star[n_users:]
     width = min(k, n_items)
-    out = np.empty((n_users, width), dtype=np.int64)
+    out = np.full((n_users, width), -1, dtype=np.int64)
     for start in range(0, n_users, chunk):
         block = train[start : start + chunk]
         n_seen = np.diff(block.indptr)
-        scores = e_star[start : start + len(n_seen)] @ item_table.T
+        with np.errstate(over="ignore", invalid="ignore"):
+            scores = e_star[start : start + len(n_seen)] @ item_table.T
+        if not np.isfinite(scores).all():
+            raise NumericalError("non-finite values in the ranking scores")
         scores[np.repeat(np.arange(len(n_seen)), n_seen), block.indices] = -np.inf
-        top = np.argsort(-scores, axis=1, kind="stable")[:, :width]
-        top[np.arange(width) >= (n_items - n_seen)[:, None]] = -1
-        out[start : start + len(n_seen)] = top
+        kth = np.partition(scores, n_items - width, axis=1)[:, n_items - width]
+        rows, items = np.nonzero(scores >= kth[:, None])
+        order = np.lexsort((items, -scores[rows, items], rows))
+        rows, items = rows[order], items[order]
+        rank = np.arange(len(rows)) - np.searchsorted(rows, rows)
+        # a row with fewer than `width` candidates has kth = -inf; its train items sort last
+        kept = rank < np.minimum(width, n_items - n_seen)[rows]
+        out[start + rows[kept], rank[kept]] = items[kept]
     return out
 
 

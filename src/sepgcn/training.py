@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.special import expit
 
 from .errors import ConfigError, InputDataError, NumericalError
@@ -133,12 +134,15 @@ class AdamOptimizer:
         self.t = 0
 
     def step(self, table: np.ndarray, grad: np.ndarray) -> np.ndarray:
+        """The updated table, a new array; the moment buffers change in place."""
         if self.m is None:
             self.m = np.zeros_like(table)
             self.v = np.zeros_like(table)
         self.t += 1
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grad * grad
+        self.m *= self.beta1
+        self.m += (1.0 - self.beta1) * grad
+        self.v *= self.beta2
+        self.v += (1.0 - self.beta2) * grad * grad
         m_hat = self.m / (1.0 - self.beta1**self.t)
         v_hat = self.v / (1.0 - self.beta2**self.t)
         return table - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
@@ -160,21 +164,23 @@ def _check_finite(arr: np.ndarray, stage: str) -> None:
 def ranking_grad_estar(e_star: np.ndarray, n_users: int, batch: TripletBatch) -> tuple[np.ndarray, float]:
     """Gradient of the summed ranking loss with respect to the final table.
 
-    Returns (gradient, loss_rank_term). Accumulation uses sequential
-    scatter-adds, so repeated indices inside a batch combine deterministically.
+    Returns (gradient, loss_rank_term). One sparse product scatters the
+    per-triple terms onto their rows; each row sums its terms in batch order
+    (users, then positives, then negatives), so repeated indices inside a
+    batch combine deterministically.
     """
-    su = e_star[batch.users]
-    sp = e_star[n_users + batch.positives]
-    sq = e_star[n_users + batch.negatives]
-    diff = sp - sq
+    n = len(batch)
+    targets = np.concatenate([batch.users, n_users + batch.positives, n_users + batch.negatives])
+    signs = np.repeat([1.0, 1.0, -1.0], n)
+    scatter = sp.csr_matrix((signs, (targets, np.arange(3 * n))), shape=(len(e_star), 3 * n))
+    e_user, e_pos, e_neg = np.split(e_star[targets], 3)
+    diff = e_pos - e_neg
     with np.errstate(over="ignore", invalid="ignore"):
-        s = np.einsum("ij,ij->i", su, diff)
+        s = np.einsum("ij,ij->i", e_user, diff)
         loss = float(np.logaddexp(0.0, -s).sum())
-        g_s = expit(s) - 1.0
-        grad = np.zeros_like(e_star)
-        np.add.at(grad, batch.users, g_s[:, None] * diff)
-        np.add.at(grad, n_users + batch.positives, g_s[:, None] * su)
-        np.add.at(grad, n_users + batch.negatives, -(g_s[:, None] * su))
+        g_s = (expit(s) - 1.0)[:, None]
+        g_user = g_s * e_user
+        grad = scatter @ np.concatenate([g_s * diff, g_user, g_user])
     _check_finite(grad, "the ranking-loss layer")
     return grad, loss
 
@@ -268,9 +274,10 @@ def train(
 
     eval_hook receives the averaged table and must return a mapping with at
     least "recall@20" (used for model selection) and "ndcg@20" (logged).
-    Divergence (a non-finite value in a step or in an evaluation's forward
-    pass) aborts the loop and keeps the best table seen so far, or else the
-    input of the last step whose forward pass, gradient and loss were finite.
+    Divergence (a non-finite value in a step, in an evaluation's forward
+    pass or in eval_hook's scores) aborts the loop and keeps the best table
+    seen so far, or else the input of the last step whose forward pass,
+    gradient and loss were finite.
     """
     model_cfg.validate()
     train_cfg.validate()
@@ -307,11 +314,11 @@ def train(
                 epoch_loss += loss
             if evaluating:
                 e_star = forward(model_cfg, graph, None, None, e0, operator=operator).e_star
+                metrics = eval_hook(e_star)
         except NumericalError as exc:
             diverged, reason, e0 = True, str(exc), good
             break
         if evaluating:
-            metrics = eval_hook(e_star)
             recall = float(metrics["recall@20"])
             ndcg = float(metrics.get("ndcg@20", math.nan))
             rows.append((epoch, epoch_loss, recall, ndcg, time.perf_counter() - t0))

@@ -340,6 +340,22 @@ class TestEval:
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
         assert not (tmp_path / "rep.tsv").exists()
 
+    def test_overflowing_ranking_scores_exit_4(self, chain, tmp_path, capsys, recwarn):
+        """Rows of normal(0, 1) times 1e200 pass the forward pass, but their dot
+        products overflow; ranking them would order infinities by item id."""
+        n_nodes = load_checkpoint(chain / "ck.bin")[0].shape[0]
+        e0 = np.random.default_rng(0).normal(size=(n_nodes, 16)) * 1e200
+        save_checkpoint(e0, {}, tmp_path / "big.bin")
+        code = main(["eval", "--snapshot", str(chain / "snap.txt"), "--variant", "lightgcn",
+                     "--checkpoint", str(tmp_path / "big.bin"), "--out", str(tmp_path / "rep"),
+                     *[str(a) for a in SETTINGS]])
+        assert code == 4
+        assert capsys.readouterr().err.splitlines() == [
+            "error: non-finite values in the ranking scores"
+        ]
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+        assert not (tmp_path / "rep.tsv").exists()
+
     def test_missing_checkpoint_exits_2(self, chain, tmp_path, capsys):
         gone = tmp_path / "gone.bin"
         code = main(["eval", "--snapshot", str(chain / "snap.txt"),

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from sepgcn.errors import ConfigError
+from sepgcn.errors import ConfigError, NumericalError
 from sepgcn.evaluate import (
     MetricsReport,
     evaluate_model,
@@ -120,6 +120,45 @@ class TestRankTopk:
         for u in range(6):
             assert single[u].tolist() == sort_oracle(scores[u], train_sets[u], 10)
 
+
+    @pytest.mark.parametrize("chunk", [1, 3, 256])
+    def test_boundary_ties_match_sort_oracle_on_every_row(self, chunk):
+        """Scores rounded to one decimal tie across the k-th score on many rows.
+        Row 0 is all-equal, row 1 has fewer than k candidates, row 2 exactly k
+        and row 3 none; k = 40 exceeds the catalogue."""
+        rng = np.random.default_rng(11)
+        n_users, n_items = 14, 30
+        scores = np.round(rng.normal(size=(n_users, n_items)), 1)
+        scores[0] = 0.5
+        train_sets = {
+            u: set(map(int, rng.choice(n_items, size=rng.integers(0, 12), replace=False)))
+            for u in range(n_users)
+        }
+        train_sets[1] = set(range(n_items - 4))
+        train_sets[2] = set(range(n_items - 10))
+        train_sets[3] = set(range(n_items))
+        e_star = embed_for_scores(scores)
+        train = as_matrix(train_sets, n_users, n_items)
+        straddling = 0
+        for k in (10, 40):
+            joint = rank_all(e_star, train, k, chunk=chunk)
+            assert joint.base is None
+            width = min(k, n_items)
+            for u in range(n_users):
+                ranked = sort_oracle(scores[u], train_sets[u], n_items)
+                assert joint[u].tolist() == (ranked + [-1] * width)[:width]
+                if k < len(ranked):
+                    straddling += scores[u, ranked[k - 1]] == scores[u, ranked[k]]
+        assert straddling >= 5  # the data really ties across the k-th score
+
+    @pytest.mark.parametrize("user_scale, score", [(1e308, 2.0), (1.0, np.nan)])
+    def test_non_finite_scores_raise(self, user_scale, score, recwarn):
+        """Scores that overflow from a finite table, and a NaN score: one error, no warning."""
+        e_star = embed_for_scores([[1.0, score, 3.0]])
+        e_star[0, 0] = user_scale
+        with pytest.raises(NumericalError, match="ranking scores"):
+            rank_all(e_star, as_matrix({}, 1, 3), 2)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 class TestMetricsAtK:
     def test_single_perfect_user(self):

@@ -10,7 +10,7 @@ import pytest
 from scipy.special import expit
 
 from sepgcn.data import Dataset, Interactions, SplitConfig
-from sepgcn.errors import ConfigError, InputDataError
+from sepgcn.errors import ConfigError, InputDataError, NumericalError
 from sepgcn.geo import SimilarityParams
 from sepgcn.graph import build_adjacency
 from sepgcn.model import ModelConfig, build_operator, forward, init_embeddings
@@ -25,6 +25,7 @@ from sepgcn.training import (
     grad_step,
     loss_gradient,
     make_optimizer,
+    ranking_grad_estar,
     train,
     write_training_log,
 )
@@ -362,6 +363,47 @@ class TestGradient:
         assert all(b < a for a, b in zip(norms, norms[1:]))
 
 
+def add_at_gradient(e_star, n_users, batch):
+    """The ranking-loss gradient scattered with sequential np.add.at calls."""
+    su = e_star[batch.users]
+    diff = e_star[n_users + batch.positives] - e_star[n_users + batch.negatives]
+    g = expit(np.einsum("ij,ij->i", su, diff)) - 1.0
+    grad = np.zeros_like(e_star)
+    np.add.at(grad, batch.users, g[:, None] * diff)
+    np.add.at(grad, n_users + batch.positives, g[:, None] * su)
+    np.add.at(grad, n_users + batch.negatives, -(g[:, None] * su))
+    return grad
+
+
+class TestRankingGradScatter:
+    """The one-product scatter sums in np.add.at's order, so it matches bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_duplicate_heavy_batches(self, seed):
+        rng = np.random.default_rng(seed)
+        n_users, n_items = 3, 4
+        e_star = rng.normal(size=(n_users + n_items, 5)) * 10.0 ** rng.uniform(-3, 3, (7, 1))
+        batch = random_batch(rng, n_users, n_items, 300)
+        grad, _ = ranking_grad_estar(e_star, n_users, batch)
+        assert np.array_equal(grad, add_at_gradient(e_star, n_users, batch))
+
+    def test_user_id_that_is_also_an_item_id(self):
+        """User 1 and item 1 are rows 1 and n_users + 1, never the same row."""
+        rng = np.random.default_rng(9)
+        e_star = rng.normal(size=(2 + 3, 4))
+        batch = TripletBatch(np.array([1, 1, 0, 1]), np.array([1, 0, 1, 1]), np.array([2, 1, 2, 0]))
+        grad, _ = ranking_grad_estar(e_star, 2, batch)
+        assert np.array_equal(grad, add_at_gradient(e_star, 2, batch))
+        assert grad[1].any() and grad[2 + 1].any()
+
+    def test_empty_batch(self):
+        e_star = np.random.default_rng(10).normal(size=(6, 3))
+        empty = TripletBatch(np.zeros(0, int), np.zeros(0, int), np.zeros(0, int))
+        grad, loss = ranking_grad_estar(e_star, 2, empty)
+        assert np.array_equal(grad, np.zeros_like(e_star))
+        assert loss == 0.0
+
+
 def constant_hook(e_star):
     return {"recall@20": 0.0, "ndcg@20": 0.0}
 
@@ -416,6 +458,37 @@ class TestTrainLoop:
         assert result.diverged
         assert result.divergence_reason
         assert np.isfinite(result.e0).all()
+
+    @pytest.mark.parametrize("failing_call", [1, 3])
+    def test_failing_hook_ends_like_a_divergence(self, tmp_path, failing_call):
+        """A NumericalError from the ranking hook aborts the run: the log is
+        written and the best table, or else the last good one, is kept."""
+        ds, graph, index, sep = make_instance(np.random.default_rng(7), n_edges=40)
+        cfg = ModelConfig(dim=4, layers=2, seed=12)
+        snapshots = []
+
+        def hook(e_star):
+            snapshots.append(e_star.copy())
+            if len(snapshots) == failing_call:
+                raise NumericalError("non-finite values in the ranking scores")
+            return {"recall@20": 0.5 - 0.1 * len(snapshots), "ndcg@20": 0.0}
+
+        tc = TrainConfig(lr=0.01, epochs_max=6, batch_size=16, eval_every=1, seed=8)
+        path = tmp_path / "train.log"
+        result = train(ds, graph, sep, index, cfg, tc, hook, log_path=path)
+        assert result.diverged
+        assert result.divergence_reason == "non-finite values in the ranking scores"
+        assert result.epochs_run == failing_call
+        assert [row[0] for row in result.log_rows] == list(range(1, failing_call))
+        assert len(path.read_text().splitlines()) == failing_call
+        operator = build_operator(cfg, graph, sep, index)
+        restored = forward(cfg, graph, None, None, result.e0, operator=operator)
+        if failing_call == 1:
+            assert np.isfinite(result.e0).all()
+            assert not np.array_equal(restored.e_star, snapshots[0])
+        else:
+            assert result.best_epoch == 1
+            assert np.array_equal(restored.e_star, snapshots[0])
 
     def test_log_rows_and_file(self, tmp_path):
         ds, graph, index, sep = make_instance(np.random.default_rng(4), n_edges=40)
