@@ -18,6 +18,7 @@ Exit codes: 0 success, 2 input data problem, 3 configuration problem,
 from __future__ import annotations
 
 import argparse
+import copy
 import dataclasses
 import logging
 import math
@@ -108,23 +109,19 @@ def _existing(path: str, what: str) -> Path:
 # variant plumbing for the edge-pair graph
 
 
-def _sep_params(cfg: RunConfig, ds) -> tuple[SimilarityParams, bool]:
+def _sep_params(cfg: RunConfig, ds) -> SimilarityParams:
     """Similarity parameters for the configured variant.
 
-    Returns (params, unit_values). The temporal-only variant disables the
-    spatial factor by pushing the cutoff out to half the great circle and
-    flattening every retained weight to 1; the unit flag tells the builder
-    to do the flattening before the neighbor cap so ties resolve by id.
+    The temporal-only variant places every edge at one point (see
+    _variant_index), so no median is measured; its stand-in median puts the
+    cutoff at half the great circle, which the header and the printed
+    cutoff_km record.
     """
     params = dataclasses.replace(cfg.similarity)
     if cfg.variant == "sep_temporal_only":
-        params.median_km = (
-            math.pi
-            * params.earth_radius_km
-            * math.log(params.alpha_sim)
-            / math.log(cfg.pruning.sigma_floor)
-        )
-        return params, True
+        pi_r = math.pi * params.earth_radius_km
+        params.median_km = pi_r * math.log(params.alpha_sim) / math.log(cfg.pruning.sigma_floor)
+        return params
     if params.median_km is None:
         med = median_distance(ds, params.median_mode, params.sample_budget, cfg.median_seed)
         if params.median_mode == "per_user":
@@ -134,24 +131,27 @@ def _sep_params(cfg: RunConfig, ds) -> tuple[SimilarityParams, bool]:
             params.median_km = float(np.median(values)) if values else float(global_med)
         else:
             params.median_km = float(med)
-    return params, False
+    return params
 
 
 def _variant_index(cfg: RunConfig, index: EdgeIndex) -> EdgeIndex:
-    """Spatial-only runs treat every edge as sharing one time slot."""
+    """The index the pair builder sees: spatial-only runs put every edge in one
+    time slot; time-only runs put every edge at one point, so each slot-sharing
+    pair weighs sigma(0) = 1.0 and the neighbour cap keeps links by id alone."""
+    n = index.n_edges
     if cfg.variant == "sep_spatial_only":
-        n = index.n_edges
         return dataclasses.replace(index, slot_ptr=np.arange(n + 1), slot_vals=np.zeros(n, np.int64))
+    if cfg.variant == "sep_temporal_only":
+        return dataclasses.replace(index, lat=np.zeros(n), lon=np.zeros(n))
     return index
 
 
 def _build_sep(cfg: RunConfig, ds, index: EdgeIndex, brute: bool = False) -> SepMatrix:
-    params, unit_values = _sep_params(cfg, ds)
-    index = _variant_index(cfg, index)
     builder = build_sep_matrix_bruteforce if brute else build_sep_matrix
-    raw = builder(index, params, cfg.pruning, unit_values=unit_values)
+    raw = builder(_variant_index(cfg, index), _sep_params(cfg, ds), cfg.pruning)
     raw.meta["config_hash"] = cfg.fingerprint()
     raw.meta["seed"] = cfg.seed
+    raw.meta["unit_values"] = cfg.variant == "sep_temporal_only"
     raw.meta["variant"] = cfg.variant
     return normalize_sep(raw)
 
@@ -160,7 +160,7 @@ def _load_sep_for_run(cfg: RunConfig, ds) -> tuple[SepMatrix, EdgeIndex]:
     """The build-sep file of this run, checked against the snapshot and the settings."""
     path = _require_path(cfg.paths.sep_matrix, "paths.sep", "--sep")
     sep = load_sep_matrix(_existing(path, "edge-pair matrix"))
-    index = _variant_index(cfg, EdgeIndex.from_dataset(ds))
+    index = EdgeIndex.from_dataset(ds)
     if sep.n_edges != index.n_edges:
         raise ConfigError(
             f"edge-pair matrix covers {sep.n_edges} edges but the snapshot "
@@ -168,6 +168,7 @@ def _load_sep_for_run(cfg: RunConfig, ds) -> tuple[SepMatrix, EdgeIndex]:
         )
     for key, configured in (
         ("variant", cfg.variant),
+        ("seed", cfg.seed),
         ("max_neighbors", cfg.pruning.max_neighbors),
         ("sigma_floor", cfg.pruning.sigma_floor),
         ("alpha_sim", cfg.similarity.alpha_sim),
@@ -394,15 +395,7 @@ def _records_from_dataset(ds) -> list[CheckinRecord]:
 
 
 def _apply_axis(cfg: RunConfig, axis: str, value: str) -> RunConfig:
-    cfg = dataclasses.replace(
-        cfg,
-        paths=dataclasses.replace(cfg.paths),
-        split=dataclasses.replace(cfg.split),
-        similarity=dataclasses.replace(cfg.similarity),
-        pruning=dataclasses.replace(cfg.pruning),
-        model=dataclasses.replace(cfg.model),
-        train=dataclasses.replace(cfg.train),
-    )
+    cfg = copy.deepcopy(cfg)
     try:
         if axis == "layers":
             cfg.model.layers = int(value)
@@ -429,7 +422,7 @@ def _model_inputs(cfg: RunConfig, ds):
     graph = build_adjacency(ds)
     sep = index = None
     if cfg.model.sep_enabled:
-        index = _variant_index(cfg, EdgeIndex.from_dataset(ds))
+        index = EdgeIndex.from_dataset(ds)
         sep = _build_sep(cfg, ds, index)
     return graph, sep, index
 

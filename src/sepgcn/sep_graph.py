@@ -1,11 +1,11 @@
 """Edge-pair context graph: two train interactions are linked when their
 check-ins share a weekly slot and their venues sit within the similarity
 cutoff, and each edge keeps its max_neighbors strongest links. Candidate
-generation queries a k-d tree per weekly slot for each edge's nearest
-slot-sharing edges, so it lists a small superset of the kept links rather
-than every linked pair; the neighbour cap then ranks each edge's links with
-one weight sort and one stable grouping by edge. A literal double-loop
-builder is kept alongside as the reference implementation.
+generation queries a k-d tree per weekly slot, over one point per venue, for
+each edge's nearest slot-sharing edges, so it lists a small superset of the
+kept links, about max_neighbors + 1 per edge and slot, rather than every linked
+pair; the neighbour cap then ranks each edge's links with one weight sort and
+one stable grouping by edge. A literal double-loop builder is the reference.
 """
 from __future__ import annotations
 
@@ -35,10 +35,10 @@ class PruningParams:
     similarity decays to the floor); max_neighbors caps each edge's
     retained links at the strongest ones, and a value of at least the edge
     count keeps every link; pair_budget caps the superset entries, the
-    (edge, neighbour) entries that candidate generation's per-slot queries
-    return, counted before any pair is listed, so an over-dense instance
-    (many edges at one venue in one slot) stops with a ConfigError before
-    it exhausts memory.
+    (edge, neighbour) entries that candidate generation lists per slot,
+    about max_neighbors + 1 per edge and slot however many edges share a
+    venue, counted before any pair is listed, so an instance too large for
+    the budget stops with a ConfigError before it exhausts memory.
     """
 
     sigma_floor: float = 0.01
@@ -141,25 +141,22 @@ class SepMatrix:
         )
 
 
-def candidate_pairs(
-    index: EdgeIndex,
-    params: SimilarityParams,
-    pruning: PruningParams,
-    unit_values: bool = False,
-):
+def candidate_pairs(index: EdgeIndex, params: SimilarityParams, pruning: PruningParams):
     """Slot-sharing edge pairs that include every edge's top max_neighbors links.
 
     Returns (edge_i, edge_j, d_km) arrays sorted by (edge_i, edge_j) with
-    edge_i < edge_j, each pair within the distance cutoff (unit_values skips
-    that test). sigma strictly decreases with distance, so an edge's top
-    links are its nearest slot-sharing edges, ties going to the smaller id.
-    In each weekly slot a k-d tree over the 3-D chord coordinates gives
-    every member the distance r to its max_neighbors-th nearest other
-    member, and the member pairs with all members within min(r, cutoff),
-    padded. Under unit_values links rank by id alone, so each member pairs
-    with the slot's max_neighbors + 1 smallest ids. _neighbor_cap keeps the
-    same pairs from any set that holds every edge's top links: a top link
-    ranks the same at both ends, and any other one ranks too low at one end.
+    edge_i < edge_j, each pair within the distance cutoff. sigma strictly
+    decreases with distance, so an edge's top links are its nearest
+    slot-sharing edges, ties going to the smaller id. Each weekly slot groups
+    its members by venue (exact coordinates), and a k-d tree over one 3-D
+    chord point per venue gives every venue the distance r at which the
+    members, counted nearest first, reach max_neighbors + 1 (a member is its
+    own nearest). Each member then pairs with the venues within min(r,
+    cutoff), padded; from each such venue it takes only the max_neighbors + 1
+    smallest ids, since members of one venue are equally far from any edge
+    and rank by id alone. _neighbor_cap keeps the same pairs from any set that
+    holds every edge's top links: a top link ranks the same at both ends, and
+    any other one ranks too low at one end.
 
     Each slot's (edge, neighbour) entries are counted against
     pruning.pair_budget before they are listed, so an over-dense instance
@@ -174,14 +171,9 @@ def candidate_pairs(
     d_max = sigma_cutoff_km(params, pruning.sigma_floor)
     n = index.n_edges
     radius = params.earth_radius_km
-    lat = np.radians(index.lat)
-    lon = np.radians(index.lon)
+    lat, lon = np.radians(index.lat), np.radians(index.lon)
     xyz = np.stack(
-        [
-            radius * np.cos(lat) * np.cos(lon),
-            radius * np.cos(lat) * np.sin(lon),
-            radius * np.sin(lat),
-        ],
+        [radius * np.cos(lat) * np.cos(lon), radius * np.cos(lat) * np.sin(lon), radius * np.sin(lat)],
         axis=1,
     )
     # The pad covers chord-vs-haversine round-off and the distances whose
@@ -200,30 +192,45 @@ def candidate_pairs(
         if m < 2:
             continue
         k = min(pruning.max_neighbors + 1, m)  # a member is its own nearest
-        if unit_values:
-            n_entries += (m - 1) * k
-            a, b = np.repeat(members, k), np.tile(members[:k], m)
-        else:
-            tree = cKDTree(xyz[members])
-            r_k = tree.query(xyz[members], k=[k])[0][:, 0]
-            balls = np.minimum(r_k * (1.0 + 1e-9) + slack, chord_cutoff)
-            n_entries += int(tree.query_ball_point(xyz[members], balls, return_length=True).sum()) - m
+        # one tree point per venue; each venue lists its members in ascending id order
+        _, venue, sizes = np.unique(
+            index.lat[members] + 1j * index.lon[members], return_inverse=True, return_counts=True
+        )
+        grouped = members[np.argsort(venue, kind="stable")]
+        first = np.cumsum(sizes) - sizes
+        pts = xyz[grouped[first]]
+        tree = cKDTree(pts)
+        dist, near = tree.query(pts, k=np.arange(1, min(k, len(pts)) + 1))
+        # r_k: the nearest distance at which the venues' members add up to k
+        r_k = np.where(np.cumsum(sizes[near], axis=1) >= k, dist, np.inf).min(axis=1)
+        balls = np.minimum(r_k * (1.0 + 1e-9) + slack, chord_cutoff)
+        hits = tree.query_ball_point(pts, balls)
+        p = np.repeat(np.arange(len(pts)), np.fromiter(map(len, hits), dtype=np.int64, count=len(pts)))
+        q = np.fromiter(chain.from_iterable(hits), dtype=np.int64, count=len(p))
+        taken = np.minimum(sizes, k)  # the smallest ids a member takes from each venue
+        n_entries += int(sizes[p] @ taken[q]) - int(taken.sum())  # less each member's own entry
         if n_entries > pruning.pair_budget:
             raise ConfigError(
                 f"candidate pair count exceeds pair_budget={pruning.pair_budget}; each edge "
-                "lists about max_neighbors + 1 slot mates per slot, more where many share "
-                "one venue: lower pruning.max_neighbors or raise pruning.pair_budget"
+                "lists about max_neighbors + 1 slot mates per slot: lower "
+                "pruning.max_neighbors or raise pruning.pair_budget"
             )
-        if not unit_values:
-            hits = tree.query_ball_point(xyz[members], balls)
-            a = np.repeat(members, np.fromiter(map(len, hits), dtype=np.int64, count=m))
-            b = members[np.fromiter(chain.from_iterable(hits), dtype=np.int64, count=len(a))]
+        # every member of venue p against the smallest ids of venue q
+        a = grouped[_ranges(first[p], sizes[p])]
+        q = np.repeat(q, sizes[p])  # the venue q of each (member, q) entry
+        b = grouped[_ranges(first[q], taken[q])]
+        a = np.repeat(a, taken[q])
         keys.append(np.minimum(a, b) * n + np.maximum(a, b))
     keys = np.unique(np.concatenate(keys))  # sorted by (i, j)
     ii, jj = keys // n, keys % n
     dd = haversine_km((index.lat[ii], index.lon[ii]), (index.lat[jj], index.lon[jj]), radius)
-    keep = (ii != jj) & (unit_values | (dd <= d_max))
+    keep = (ii != jj) & (dd <= d_max)
     return ii[keep], jj[keep], dd[keep]
+
+
+def _ranges(starts, lengths):
+    """The concatenated ranges starts[t] .. starts[t] + lengths[t] - 1."""
+    return np.arange(lengths.sum()) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
 
 
 def _neighbor_cap(ii, jj, vals, n_edges, max_neighbors):
@@ -255,7 +262,7 @@ def _neighbor_cap(ii, jj, vals, n_edges, max_neighbors):
     return ii[keep], jj[keep], vals[keep]
 
 
-def _sep_matrix(n_edges, ii, jj, vals, params, pruning, unit_values) -> SepMatrix:
+def _sep_matrix(n_edges, ii, jj, vals, params, pruning) -> SepMatrix:
     """The raw matrix of a builder's pairs, sorted by (i, j), with its build settings."""
     return SepMatrix(
         n_edges=n_edges,
@@ -268,7 +275,6 @@ def _sep_matrix(n_edges, ii, jj, vals, params, pruning, unit_values) -> SepMatri
             "median_km": params.median_km,
             "sigma_floor": pruning.sigma_floor,
             "max_neighbors": pruning.max_neighbors,
-            "unit_values": bool(unit_values),
         },
     )
 
@@ -277,42 +283,37 @@ def build_sep_matrix(
     index: EdgeIndex,
     params: SimilarityParams,
     pruning: PruningParams | None = None,
-    unit_values: bool = False,
 ) -> SepMatrix:
     """Raw edge-pair similarity matrix over the candidate pairs.
 
     An empty result is legal (the model then degrades to plain propagation)
-    and only warns. With unit_values every pair that shares a slot weighs
-    1.0, whatever its distance (time-only ablation); the neighbour cap then
-    falls back to its neighbour-id tie-break.
+    and only warns. An index whose edges all sit at one point weighs every
+    slot-sharing pair sigma(0) = 1.0 (the time-only ablation); the neighbour
+    cap then keeps links by neighbour id alone.
     """
     pruning = pruning or PruningParams()
-    ii, jj, dd = candidate_pairs(index, params, pruning, unit_values)
+    ii, jj, dd = candidate_pairs(index, params, pruning)
     vals = sigma(dd, params) if len(dd) else np.zeros(0)
-    if unit_values:
-        vals = np.ones_like(vals)
     cap = min(pruning.max_neighbors, index.n_edges)  # a larger cap keeps every link
     ii, jj, vals = _neighbor_cap(ii, jj, vals, index.n_edges, cap)
     if len(ii) == 0:
         logger.warning(
             "edge-pair graph is empty; propagation will behave like the plain baseline"
         )
-    return _sep_matrix(index.n_edges, ii, jj, vals, params, pruning, unit_values)
+    return _sep_matrix(index.n_edges, ii, jj, vals, params, pruning)
 
 
 def build_sep_matrix_bruteforce(
     index: EdgeIndex,
     params: SimilarityParams,
     pruning: PruningParams | None = None,
-    unit_values: bool = False,
 ) -> SepMatrix:
     """Reference builder: the literal double loop over every edge pair.
 
     Quadratic and slow by design; exists so the optimized builder has an
     independent implementation to be checked against entrywise. The
     neighbour cap is re-derived here with plain sorting rather than shared
-    with the fast path. With unit_values the distance test is skipped, as
-    in build_sep_matrix.
+    with the fast path.
     """
     pruning = pruning or PruningParams()
     params.validate()
@@ -333,8 +334,8 @@ def build_sep_matrix_bruteforce(
                 (index.lat[j : j + 1], index.lon[j : j + 1]),
                 params.earth_radius_km,
             )
-            if unit_values or d[0] <= d_max:
-                weights[(i, j)] = 1.0 if unit_values else float(sigma(d, params)[0])
+            if d[0] <= d_max:
+                weights[(i, j)] = float(sigma(d, params)[0])
 
     by_edge: dict[int, list[tuple[float, int]]] = defaultdict(list)
     for (i, j), w in weights.items():
@@ -352,7 +353,7 @@ def build_sep_matrix_bruteforce(
     ii = np.array([i for i, _, _ in survivors], dtype=np.int64)
     jj = np.array([j for _, j, _ in survivors], dtype=np.int64)
     vals = np.array([w for _, _, w in survivors], dtype=np.float64)
-    return _sep_matrix(n, ii, jj, vals, params, pruning, unit_values)
+    return _sep_matrix(n, ii, jj, vals, params, pruning)
 
 
 def normalize_sep(matrix: SepMatrix) -> SepMatrix:

@@ -270,6 +270,7 @@ class TestMatrixOfAnotherRun:
             (["--set", "pruning.max_neighbors=8"], "max_neighbors"),
             (["--set", "pruning.sigma_floor=0.05"], "sigma_floor"),
             (["--set", "similarity.alpha=0.6"], "alpha_sim"),
+            (["--seed", "4"], "seed"),
         ],
     )
     def test_exits_3_with_one_error_line(self, chain, tmp_path, capsys, built_with, key):

@@ -55,9 +55,15 @@ def random_index(rng, n_edges, lat0=40.0, lon0=-74.0, box_deg=0.3, max_slots=4, 
     return make_index(lat, lon, slots)
 
 
-def pair_oracle(index, params, floor, unit_values=False):
-    """Test-local double loop: shared slot AND distance within the cutoff
-    (any distance under unit_values)."""
+def at_one_point(index):
+    """The index with every edge at one venue, as the time-only variant sees
+    it: every weight ties at 1, so links rank by neighbour id alone."""
+    zeros = np.zeros(index.n_edges)
+    return dataclasses.replace(index, lat=zeros, lon=zeros)
+
+
+def pair_oracle(index, params, floor):
+    """Test-local double loop: shared slot AND distance within the cutoff."""
     cutoff = params.median_km * np.log(floor) / np.log(params.alpha_sim)
     found = {}
     for i in range(index.n_edges):
@@ -65,33 +71,33 @@ def pair_oracle(index, params, floor, unit_values=False):
             if not slot_set(index, i) & slot_set(index, j):
                 continue
             d = haversine_km((index.lat[i], index.lon[i]), (index.lat[j], index.lon[j]))
-            if unit_values or d <= cutoff:
+            if d <= cutoff:
                 found[(i, j)] = d
     return found
 
 
-def top_links_oracle(links, params, k, unit_values=False):
+def top_links_oracle(links, params, k):
     """Each edge's k strongest oracle links, ranked by (-sigma, neighbour id)."""
     ranked = defaultdict(list)
     for (i, j), d in links.items():
-        w = 1.0 if unit_values else float(sigma(d, params))
+        w = float(sigma(d, params))
         ranked[i].append((-w, j))
         ranked[j].append((-w, i))
     return {(min(e, o), max(e, o)) for e, ls in ranked.items() for _, o in sorted(ls)[:k]}
 
 
-def check_candidates(index, params, pruning, unit_values=False):
+def check_candidates(index, params, pruning):
     """candidate_pairs lists, once each and in (i, j) order, oracle pairs with
     their oracle distances, including every edge's top max_neighbors links."""
-    ii, jj, dd = candidate_pairs(index, params, pruning, unit_values)
+    ii, jj, dd = candidate_pairs(index, params, pruning)
     assert np.all(ii < jj)
     assert np.all(np.diff(ii * index.n_edges + jj) > 0)
     got = {(int(a), int(b)): float(d) for a, b, d in zip(ii, jj, dd)}
-    links = pair_oracle(index, params, pruning.sigma_floor, unit_values)
+    links = pair_oracle(index, params, pruning.sigma_floor)
     assert got.keys() <= links.keys()
     # the oracle's scalar haversine may differ from numpy's array kernel in the last bit
     np.testing.assert_allclose(list(got.values()), [links[key] for key in got], rtol=0, atol=1e-12)
-    assert top_links_oracle(links, params, pruning.max_neighbors, unit_values) <= got.keys()
+    assert top_links_oracle(links, params, pruning.max_neighbors) <= got.keys()
     return got, links
 
 
@@ -108,16 +114,16 @@ class TestCandidatePairs:
         rng = np.random.default_rng(83)
         for trial in range(8):
             index = random_index(rng, int(rng.integers(30, 120)), slot_pool=int(rng.integers(2, 12)))
-            for unit_values in (False, True):
+            for idx in (index, at_one_point(index)):
                 pruning = PruningParams(max_neighbors=int(rng.integers(1, 7)))
-                check_candidates(index, PARAMS, pruning, unit_values)
+                check_candidates(idx, PARAMS, pruning)
 
     def test_max_neighbors_at_least_the_slot_size_lists_every_link(self):
         rng = np.random.default_rng(79)
         for trial in range(4):
             index = random_index(rng, int(rng.integers(30, 80)), slot_pool=3)
-            for unit_values in (False, True):
-                got, links = check_candidates(index, PARAMS, PruningParams(max_neighbors=80), unit_values)
+            for idx in (index, at_one_point(index)):
+                got, links = check_candidates(idx, PARAMS, PruningParams(max_neighbors=80))
                 assert got.keys() == links.keys(), f"trial {trial}"
 
     def test_tie_group_at_distance_zero_straddles_the_k_boundary(self):
@@ -203,29 +209,26 @@ class TestCandidatePairs:
     def test_budget_counts_each_candidate_once_before_the_distance_test(self):
         """The budget counts each slot's (edge, neighbour) entries before any
         pair is listed. Edges 0, 1 and 2 share a venue: 0 and 1 in slot 5
-        (2 entries), all three in slot 70 (6 entries, though the cap of one
-        keeps one link each), and 2 shares slot 7 with edge 3, which lies past
-        the cutoff (no entry)."""
+        (2 entries), all three in slot 70 (4 entries: with a cap of one each
+        takes the venue's two smallest ids), and 2 shares slot 7 with edge 3,
+        which lies past the cutoff (no entry)."""
         step = np.degrees(1.05 * sigma_cutoff_km(PARAMS, 0.01) / 6371.0) / np.sqrt(2.0)
         index = make_index(
             [0.0, 0.0, 0.0, step, 0.0],
             [0.0, 0.0, 0.0, step, 0.0],
             [(5, 70), (5, 70), (7, 70), (7,), (100,)],
         )
-        ii, jj, _ = candidate_pairs(index, PARAMS, PruningParams(max_neighbors=1, pair_budget=8))
+        ii, jj, _ = candidate_pairs(index, PARAMS, PruningParams(max_neighbors=1, pair_budget=6))
         assert list(zip(ii.tolist(), jj.tolist())) == [(0, 1), (0, 2), (1, 2)]
-        with pytest.raises(ConfigError, match="exceeds pair_budget=7"):
-            candidate_pairs(index, PARAMS, PruningParams(max_neighbors=1, pair_budget=7))
-        # under unit_values a member pairs with the slot's two smallest ids
+        with pytest.raises(ConfigError, match="exceeds pair_budget=5"):
+            candidate_pairs(index, PARAMS, PruningParams(max_neighbors=1, pair_budget=5))
+        # at one point a member pairs with the slot's two smallest ids
         # whatever the distance: 2 entries in slot 5, 2 in slot 7, 4 in slot 70
-        ii, jj, _ = candidate_pairs(
-            index, PARAMS, PruningParams(max_neighbors=1, pair_budget=8), unit_values=True
-        )
+        collapsed = at_one_point(index)
+        ii, jj, _ = candidate_pairs(collapsed, PARAMS, PruningParams(max_neighbors=1, pair_budget=8))
         assert list(zip(ii.tolist(), jj.tolist())) == [(0, 1), (0, 2), (1, 2), (2, 3)]
         with pytest.raises(ConfigError, match="exceeds pair_budget=7"):
-            candidate_pairs(
-                index, PARAMS, PruningParams(max_neighbors=1, pair_budget=7), unit_values=True
-            )
+            candidate_pairs(collapsed, PARAMS, PruningParams(max_neighbors=1, pair_budget=7))
 
     def test_over_budget_bucket_stops_in_bounded_memory(self):
         """12.5 M co-located pairs in one bucket: the budget stops them block by block."""
@@ -238,6 +241,24 @@ class TestCandidatePairs:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
+
+    def test_busy_venue_costs_max_neighbors_plus_one_entries_per_edge(self):
+        """10,000 edges at one venue in one slot, with the default settings:
+        each takes the venue's 65 smallest ids, so 650 k entries fit the 5 M
+        budget, and only the 2,080 pairs among ids 0-64 rank in the top 64
+        at both ends."""
+        index = make_index([40.0] * 10_000, [-74.0] * 10_000, [(0,)] * 10_000)
+        tracemalloc.start()
+        try:
+            m = build_sep_matrix(index, PARAMS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(m.values) == 2080
+        assert set(zip(m.rows.tolist(), m.cols.tolist())) == {
+            (i, j) for i in range(65) for j in range(i + 1, 65)
+        }
+        assert peak < 128 * 2**20
 
     def test_pruning_validation(self):
         index = make_index([40.0, 40.0], [-74.0, -74.0], [(0,), (0,)])
@@ -275,13 +296,13 @@ class TestBuildSepMatrix:
             )
 
     @pytest.mark.parametrize(
-        "unit_values, one_slot",
+        "tied, one_slot",
         [(False, False), (True, False), (False, True), (True, True)],
         ids=["weighted", "tied", "spatial_only", "tied_spatial_only"],
     )
-    def test_random_instances_match_bruteforce(self, unit_values, one_slot):
-        """Ties (unit weights, shared venues) and single-slot indexes,
-        max_neighbors from 1 up to beyond the slot size."""
+    def test_random_instances_match_bruteforce(self, tied, one_slot):
+        """Ties (every edge at one point, shared venues) and single-slot
+        indexes, max_neighbors from 1 up to beyond the slot size."""
         rng = np.random.default_rng(167)
         for case in range(6):
             index = random_index(
@@ -296,11 +317,13 @@ class TestBuildSepMatrix:
                 index = dataclasses.replace(index, lat=index.lat[venue], lon=index.lon[venue])
             if one_slot:
                 index = make_index(index.lat, index.lon, [(0,)] * index.n_edges)
+            if tied:
+                index = at_one_point(index)
             pruning = PruningParams(max_neighbors=[1, 2, 3, 5, 8, 200][case])
-            check_candidates(index, PARAMS, pruning, unit_values)
+            check_candidates(index, PARAMS, pruning)
             matrices_equal(
-                build_sep_matrix(index, PARAMS, pruning, unit_values=unit_values),
-                build_sep_matrix_bruteforce(index, PARAMS, pruning, unit_values=unit_values),
+                build_sep_matrix(index, PARAMS, pruning),
+                build_sep_matrix_bruteforce(index, PARAMS, pruning),
                 tol=1e-12,
             )
 
