@@ -11,6 +11,10 @@ reads/writes only through the paths in the run configuration:
 - ``oracle-check`` end-to-end self test on a small generated city
 - ``synth``        generate a synthetic check-in log
 
+Each subcommand imports the modules it runs, the scipy-backed ones
+(evaluate, graph, model, sep_graph, training) included, when it is called,
+so ``synth`` and ``prepare`` start without scipy.
+
 Exit codes: 0 success, 2 input data problem, 3 configuration problem,
 4 numerical failure.
 """
@@ -25,13 +29,21 @@ import math
 import sys
 import tempfile
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .config import VARIANTS, RunConfig, build_run_config, load_config_file, parse_overrides
+from .config import (
+    VARIANTS,
+    RunConfig,
+    SimilarityParams,
+    SplitConfig,
+    build_run_config,
+    load_config_file,
+    parse_overrides,
+)
 from .data import (
     CheckinRecord,
-    SplitConfig,
     build_dataset,
     dataset_stats,
     load_snapshot,
@@ -39,26 +51,11 @@ from .data import (
     save_snapshot,
 )
 from .errors import ConfigError, InputDataError, NumericalError
-from .evaluate import (
-    evaluate_model,
-    make_ranking_hook,
-    write_report_kv,
-    write_report_tsv,
-)
-from .geo import SimilarityParams, median_distance, sigma_cutoff_km
-from .graph import build_adjacency, interaction_matrix
-from .model import forward, load_checkpoint, save_checkpoint
-from .sep_graph import (
-    EdgeIndex,
-    SepMatrix,
-    build_sep_matrix,
-    build_sep_matrix_bruteforce,
-    load_sep_matrix,
-    normalize_sep,
-    save_sep_matrix,
-)
+from .geo import median_distance, sigma_cutoff_km
 from .synthetic import SyntheticConfig, generate_city, write_raw
-from .training import train
+
+if TYPE_CHECKING:
+    from .sep_graph import EdgeIndex, SepMatrix
 
 logger = logging.getLogger("sepgcn.cli")
 
@@ -105,6 +102,12 @@ def _existing(path: str, what: str) -> Path:
     return p
 
 
+def _load_run_snapshot(cfg: RunConfig):
+    """The snapshot named by the run's paths.snapshot."""
+    path = _require_path(cfg.paths.snapshot, "paths.snapshot", "--snapshot")
+    return load_snapshot(_existing(path, "snapshot"))
+
+
 # ---------------------------------------------------------------------------
 # variant plumbing for the edge-pair graph
 
@@ -147,6 +150,8 @@ def _variant_index(cfg: RunConfig, index: EdgeIndex) -> EdgeIndex:
 
 
 def _build_sep(cfg: RunConfig, ds, index: EdgeIndex, brute: bool = False) -> SepMatrix:
+    from .sep_graph import build_sep_matrix, build_sep_matrix_bruteforce, normalize_sep
+
     builder = build_sep_matrix_bruteforce if brute else build_sep_matrix
     raw = builder(_variant_index(cfg, index), _sep_params(cfg, ds), cfg.pruning)
     raw.meta["config_hash"] = cfg.fingerprint()
@@ -158,6 +163,8 @@ def _build_sep(cfg: RunConfig, ds, index: EdgeIndex, brute: bool = False) -> Sep
 
 def _load_sep_for_run(cfg: RunConfig, ds) -> tuple[SepMatrix, EdgeIndex]:
     """The build-sep file of this run, checked against the snapshot and the settings."""
+    from .sep_graph import EdgeIndex, load_sep_matrix
+
     path = _require_path(cfg.paths.sep_matrix, "paths.sep", "--sep")
     sep = load_sep_matrix(_existing(path, "edge-pair matrix"))
     index = EdgeIndex.from_dataset(ds)
@@ -213,11 +220,10 @@ def cmd_prepare(args: argparse.Namespace) -> int:
 
 
 def cmd_build_sep(args: argparse.Namespace) -> int:
+    from .sep_graph import EdgeIndex, save_sep_matrix
+
     cfg = _resolve_config(args)
-    snap = _existing(
-        _require_path(cfg.paths.snapshot, "paths.snapshot", "--snapshot"), "snapshot"
-    )
-    ds = load_snapshot(snap)
+    ds = _load_run_snapshot(cfg)
     index = EdgeIndex.from_dataset(ds)
     sep = _build_sep(cfg, ds, index, brute=args.brute_force)
     out = _require_path(getattr(args, "out", None) or cfg.paths.sep_matrix, "paths.sep", "--out")
@@ -239,11 +245,13 @@ def cmd_build_sep(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    from .evaluate import make_ranking_hook
+    from .graph import build_adjacency
+    from .model import save_checkpoint
+    from .training import train
+
     cfg = _resolve_config(args)
-    snap = _existing(
-        _require_path(cfg.paths.snapshot, "paths.snapshot", "--snapshot"), "snapshot"
-    )
-    ds = load_snapshot(snap)
+    ds = _load_run_snapshot(cfg)
     graph = build_adjacency(ds)
 
     sep = index = None
@@ -293,6 +301,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def _evaluate_checkpoint(cfg: RunConfig, ds, e0: np.ndarray, meta: dict):
     """Compatibility checks of a checkpoint against the run, then its report."""
+    from .graph import build_adjacency
+
     n_nodes = ds.n_users + ds.n_items
     if meta["dim"] != cfg.model.dim:
         raise ConfigError(
@@ -332,6 +342,10 @@ def _evaluate_checkpoint(cfg: RunConfig, ds, e0: np.ndarray, meta: dict):
 
 def _report(cfg: RunConfig, ds, graph, sep, index, e0: np.ndarray):
     """The evaluation core of eval and sweep: forward pass, then the ranking report."""
+    from .evaluate import evaluate_model
+    from .graph import interaction_matrix
+    from .model import forward
+
     state = forward(cfg.model, graph, sep, index, e0)
     return evaluate_model(
         state.e_star,
@@ -344,11 +358,11 @@ def _report(cfg: RunConfig, ds, graph, sep, index, e0: np.ndarray):
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    from .evaluate import write_report_kv, write_report_tsv
+    from .model import load_checkpoint
+
     cfg = _resolve_config(args)
-    snap = _existing(
-        _require_path(cfg.paths.snapshot, "paths.snapshot", "--snapshot"), "snapshot"
-    )
-    ds = load_snapshot(snap)
+    ds = _load_run_snapshot(cfg)
     cp = _require_path(cfg.paths.checkpoint, "paths.checkpoint", "--checkpoint")
     e0, meta = load_checkpoint(cp)
     report = _evaluate_checkpoint(cfg, ds, e0, meta)
@@ -419,6 +433,9 @@ def _model_inputs(cfg: RunConfig, ds):
     Nothing here reads the model or training settings, so a sweep over those
     reuses one result for every value.
     """
+    from .graph import build_adjacency
+    from .sep_graph import EdgeIndex
+
     graph = build_adjacency(ds)
     sep = index = None
     if cfg.model.sep_enabled:
@@ -429,6 +446,9 @@ def _model_inputs(cfg: RunConfig, ds):
 
 def _run_pipeline(cfg: RunConfig, ds, graph, sep, index):
     """In-memory train-to-eval chain used by the sweep."""
+    from .evaluate import make_ranking_hook
+    from .training import train
+
     hook = make_ranking_hook(ds, k=20)
     result = train(ds, graph, sep, index, cfg.model, cfg.train, hook)
     return _report(cfg, ds, graph, sep, index, result.e0)
@@ -436,10 +456,7 @@ def _run_pipeline(cfg: RunConfig, ds, graph, sep, index):
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    snap = _existing(
-        _require_path(cfg.paths.snapshot, "paths.snapshot", "--snapshot"), "snapshot"
-    )
-    ds = load_snapshot(snap)
+    ds = _load_run_snapshot(cfg)
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
         raise ConfigError("sweep needs at least one value in --values")
@@ -480,6 +497,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_oracle_check(args: argparse.Namespace) -> int:
     """Cross-check the optimized pair builder and every file format."""
+    from .graph import build_adjacency
+    from .model import forward, load_checkpoint, save_checkpoint
+    from .sep_graph import EdgeIndex, load_sep_matrix, save_sep_matrix
+
     seed = args.seed if args.seed is not None else 0
     failures: list[str] = []
 

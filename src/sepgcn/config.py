@@ -1,5 +1,8 @@
-"""Run configuration: flat dotted-key files, overrides, seeds, fingerprints.
+"""Run configuration: every settings section, flat dotted-key files,
+overrides, seeds, fingerprints.
 
+Each stage's settings class lives here, so reading a configuration needs
+neither numpy nor scipy, and a stage imports only the modules it runs.
 One master seed fans out to the stages (split, model init, training,
 median sampling) so a single integer reproduces a whole run, while any
 stage seed can still be pinned individually. The fingerprint covers only
@@ -11,17 +14,144 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from .data import SplitConfig
 from .errors import ConfigError
-from .geo import SimilarityParams
-from .model import ModelConfig
-from .sep_graph import PruningParams
-from .training import TrainConfig
 
+EARTH_RADIUS_KM = 6371.0
 VARIANTS = ("sepgcn", "lightgcn", "sep_temporal_only", "sep_spatial_only")
+
+
+@dataclass
+class SplitConfig:
+    train_ratio: float = 0.70
+    seed: int = 0
+    min_interactions: int = 5
+    kcore: int = 0
+
+    def validate(self) -> None:
+        if not (0.0 < self.train_ratio < 1.0):
+            raise ConfigError(f"train_ratio must lie in (0,1), got {self.train_ratio}")
+
+
+@dataclass
+class SimilarityParams:
+    """Parameters of the distance-decay similarity.
+
+    alpha_sim is the similarity assigned to a pair at exactly the median
+    distance; median_km is a derived statistic filled in by
+    median_distance(). median_mode selects how that statistic is computed.
+    """
+
+    alpha_sim: float = 0.5
+    median_mode: str = "global"  # "global" | "per_user"
+    median_km: float | None = None
+    sample_budget: int = 1_000_000
+    earth_radius_km: float = EARTH_RADIUS_KM
+
+    def validate(self) -> None:
+        if not (0.0 < self.alpha_sim < 1.0):
+            raise ConfigError(f"alpha_sim must lie in (0,1), got {self.alpha_sim}")
+        if self.median_mode not in ("global", "per_user"):
+            raise ConfigError(f"unknown median_mode {self.median_mode!r}")
+        if self.sample_budget < 1:
+            raise ConfigError(f"sample_budget must be >= 1, got {self.sample_budget}")
+        if self.median_km is not None and not (math.isfinite(self.median_km) and self.median_km > 0):
+            raise ConfigError(f"median_km must be finite and > 0, got {self.median_km}")
+
+
+@dataclass
+class PruningParams:
+    """Knobs that keep the edge-pair graph sparse.
+
+    sigma_floor induces the distance cutoff (the radius where the
+    similarity decays to the floor); max_neighbors caps each edge's
+    retained links at the strongest ones, and a value of at least the edge
+    count keeps every link; pair_budget caps the superset entries, the
+    (edge, neighbour) entries that candidate generation lists per slot,
+    about max_neighbors + 1 per edge and slot however many edges share a
+    venue, counted before any pair is listed, so an instance too large for
+    the budget stops with a ConfigError before it exhausts memory.
+    """
+
+    sigma_floor: float = 0.01
+    max_neighbors: int = 64
+    pair_budget: int = 5_000_000
+
+    def validate(self, alpha_sim: float) -> None:
+        if not (0.0 < self.sigma_floor < alpha_sim):
+            raise ConfigError(
+                f"sigma_floor must lie in (0, alpha_sim={alpha_sim}), got {self.sigma_floor}"
+            )
+        if self.max_neighbors < 1:
+            raise ConfigError(f"max_neighbors must be >= 1, got {self.max_neighbors}")
+        if self.pair_budget < 1:
+            raise ConfigError(f"pair_budget must be >= 1, got {self.pair_budget}")
+
+
+@dataclass
+class ModelConfig:
+    """Architecture and initialization knobs.
+
+    alpha_user/beta_item weigh how much of a node's embedding survives the
+    edge-context update (1.0 = update disabled). sep_update chooses whether
+    that update runs after every propagation layer or only after the first.
+    """
+
+    dim: int = 64
+    layers: int = 3
+    alpha_user: float = 0.5
+    beta_item: float = 0.5
+    sep_enabled: bool = True
+    sep_update: str = "every_layer"
+    init_std: float = 0.1
+    seed: int = 0
+
+    def validate(self) -> None:
+        if self.dim < 1:
+            raise ConfigError(f"dim must be >= 1, got {self.dim}")
+        if self.layers < 1:
+            raise ConfigError(f"layers must be >= 1, got {self.layers}")
+        for name, w in (("alpha_user", self.alpha_user), ("beta_item", self.beta_item)):
+            if not (0.0 <= w <= 1.0):
+                raise ConfigError(f"{name} must lie in [0,1], got {w}")
+        if not (math.isfinite(self.init_std) and self.init_std >= 0):
+            raise ConfigError(f"init_std must be finite and >= 0, got {self.init_std}")
+        if self.sep_update not in ("every_layer", "once"):
+            raise ConfigError(f"unknown sep_update mode {self.sep_update!r}")
+
+
+@dataclass
+class TrainConfig:
+    lr: float = 0.001
+    l2_lambda: float = 1e-5
+    epochs_max: int = 100
+    batch_size: int = 2048
+    neg_per_pos: int = 1
+    eval_every: int = 5  # epochs between evaluations; 0 disables them
+    early_stop_patience: int = 10  # evaluations without Recall@20 improvement
+    optimizer: str = "adam"
+    seed: int = 0
+
+    def validate(self) -> None:
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
+        if not (math.isfinite(self.l2_lambda) and self.l2_lambda >= 0):
+            raise ConfigError(f"l2_lambda must be finite and >= 0, got {self.l2_lambda}")
+        if self.epochs_max < 0:
+            raise ConfigError(f"epochs_max must be >= 0, got {self.epochs_max}")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.neg_per_pos < 1:
+            raise ConfigError(f"neg_per_pos must be >= 1, got {self.neg_per_pos}")
+        if self.eval_every < 0:
+            raise ConfigError(f"eval_every must be >= 0, got {self.eval_every}")
+        if self.early_stop_patience < 1:
+            raise ConfigError(f"early_stop_patience must be >= 1, got {self.early_stop_patience}")
+        if self.optimizer not in ("adam", "sgd"):
+            raise ConfigError(f"unknown optimizer {self.optimizer!r}")
 
 
 @dataclass
@@ -58,6 +188,15 @@ class RunConfig:
             raise ConfigError("ranking cutoffs must be >= 1")
         if len(set(self.ks)) != len(self.ks):
             raise ConfigError("ranking cutoffs must be distinct")
+        for key, seed in (
+            ("seed", self.seed),
+            ("split.seed", self.split.seed),
+            ("model.seed", self.model.seed),
+            ("train.seed", self.train.seed),
+            ("similarity.seed", self.median_seed),
+        ):
+            if seed < 0:
+                raise ConfigError(f"{key} must be >= 0, got {seed}")
         self.split.validate()
         self.similarity.validate()
         self.pruning.validate(self.similarity.alpha_sim)

@@ -14,7 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, InputDataError
+from .config import SplitConfig
+from .errors import InputDataError
 from .geo import SLOTS_PER_WEEK, to_slot
 
 SNAPSHOT_MAGIC = "SEPDATA1"
@@ -61,18 +62,6 @@ class Interactions:
             slot_ptr=np.cumsum([0, *map(len, slots)]),
             slot_vals=np.fromiter(chain.from_iterable(slots), np.int64),
         )
-
-
-@dataclass
-class SplitConfig:
-    train_ratio: float = 0.70
-    seed: int = 0
-    min_interactions: int = 5
-    kcore: int = 0
-
-    def validate(self) -> None:
-        if not (0.0 < self.train_ratio < 1.0):
-            raise ConfigError(f"train_ratio must lie in (0,1), got {self.train_ratio}")
 
 
 @dataclass

@@ -5,42 +5,14 @@ makes sense, so the graph builder can score candidate pairs in batches.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from datetime import datetime
 
 import numpy as np
 
+from .config import EARTH_RADIUS_KM, SimilarityParams
 from .errors import ConfigError, InputDataError, NumericalError
 
-EARTH_RADIUS_KM = 6371.0
 SLOTS_PER_WEEK = 168
-
-
-@dataclass
-class SimilarityParams:
-    """Parameters of the distance-decay similarity.
-
-    alpha_sim is the similarity assigned to a pair at exactly the median
-    distance; median_km is a derived statistic filled in by
-    median_distance(). median_mode selects how that statistic is computed.
-    """
-
-    alpha_sim: float = 0.5
-    median_mode: str = "global"  # "global" | "per_user"
-    median_km: float | None = None
-    sample_budget: int = 1_000_000
-    earth_radius_km: float = EARTH_RADIUS_KM
-
-    def validate(self) -> None:
-        if not (0.0 < self.alpha_sim < 1.0):
-            raise ConfigError(f"alpha_sim must lie in (0,1), got {self.alpha_sim}")
-        if self.median_mode not in ("global", "per_user"):
-            raise ConfigError(f"unknown median_mode {self.median_mode!r}")
-        if self.sample_budget < 1:
-            raise ConfigError(f"sample_budget must be >= 1, got {self.sample_budget}")
-        if self.median_km is not None and not (math.isfinite(self.median_km) and self.median_km > 0):
-            raise ConfigError(f"median_km must be finite and > 0, got {self.median_km}")
 
 
 def to_slot(ts: datetime) -> int:

@@ -13,43 +13,13 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
+from .config import ModelConfig
 from .errors import ConfigError, InputDataError, NumericalError
 from .graph import BipartiteGraph, spmv
 from .sep_graph import EdgeIndex, SepMatrix
 
 CHECKPOINT_MAGIC = b"SEPCKPT1"
 
-
-@dataclass
-class ModelConfig:
-    """Architecture and initialization knobs.
-
-    alpha_user/beta_item weigh how much of a node's embedding survives the
-    edge-context update (1.0 = update disabled). sep_update chooses whether
-    that update runs after every propagation layer or only after the first.
-    """
-
-    dim: int = 64
-    layers: int = 3
-    alpha_user: float = 0.5
-    beta_item: float = 0.5
-    sep_enabled: bool = True
-    sep_update: str = "every_layer"
-    init_std: float = 0.1
-    seed: int = 0
-
-    def validate(self) -> None:
-        if self.dim < 1:
-            raise ConfigError(f"dim must be >= 1, got {self.dim}")
-        if self.layers < 1:
-            raise ConfigError(f"layers must be >= 1, got {self.layers}")
-        for name, w in (("alpha_user", self.alpha_user), ("beta_item", self.beta_item)):
-            if not (0.0 <= w <= 1.0):
-                raise ConfigError(f"{name} must lie in [0,1], got {w}")
-        if not (np.isfinite(self.init_std) and self.init_std >= 0):
-            raise ConfigError(f"init_std must be finite and >= 0, got {self.init_std}")
-        if self.sep_update not in ("every_layer", "once"):
-            raise ConfigError(f"unknown sep_update mode {self.sep_update!r}")
 
 @dataclass
 class EmbeddingState:

@@ -20,40 +20,13 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
+from .config import PruningParams, SimilarityParams
 from .errors import ConfigError, InputDataError
-from .geo import SLOTS_PER_WEEK, SimilarityParams, haversine_km, sigma, sigma_cutoff_km
+from .geo import SLOTS_PER_WEEK, haversine_km, sigma, sigma_cutoff_km
 
 logger = logging.getLogger(__name__)
 
 SEPMAT_MAGIC = "SEPMAT1"
-
-@dataclass
-class PruningParams:
-    """Knobs that keep the edge-pair graph sparse.
-
-    sigma_floor induces the distance cutoff (the radius where the
-    similarity decays to the floor); max_neighbors caps each edge's
-    retained links at the strongest ones, and a value of at least the edge
-    count keeps every link; pair_budget caps the superset entries, the
-    (edge, neighbour) entries that candidate generation lists per slot,
-    about max_neighbors + 1 per edge and slot however many edges share a
-    venue, counted before any pair is listed, so an instance too large for
-    the budget stops with a ConfigError before it exhausts memory.
-    """
-
-    sigma_floor: float = 0.01
-    max_neighbors: int = 64
-    pair_budget: int = 5_000_000
-
-    def validate(self, alpha_sim: float) -> None:
-        if not (0.0 < self.sigma_floor < alpha_sim):
-            raise ConfigError(
-                f"sigma_floor must lie in (0, alpha_sim={alpha_sim}), got {self.sigma_floor}"
-            )
-        if self.max_neighbors < 1:
-            raise ConfigError(f"max_neighbors must be >= 1, got {self.max_neighbors}")
-        if self.pair_budget < 1:
-            raise ConfigError(f"pair_budget must be >= 1, got {self.pair_budget}")
 
 
 @dataclass

@@ -23,11 +23,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .config import EARTH_RADIUS_KM
 from .data import CheckinRecord
+from .errors import ConfigError
 from .geo import SLOTS_PER_WEEK
 
-KM_PER_DEG_LAT = math.pi * 6371.0 / 180.0
+KM_PER_DEG_LAT = math.pi * EARTH_RADIUS_KM / 180.0
 LANDMARK = -1  # scene label for district-wide items
 
 
@@ -84,6 +85,8 @@ class SyntheticConfig:
             raise ConfigError("weeks must be >= 1")
         if self.start.weekday() != 0:
             raise ConfigError("start must fall on a Monday so slot 0 is hour 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

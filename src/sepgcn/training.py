@@ -18,42 +18,12 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit
 
+from .config import ModelConfig, TrainConfig
 from .errors import ConfigError, InputDataError, NumericalError
 from .graph import BipartiteGraph, entry_keys, has_entry, interaction_matrix, spmv
-from .model import ModelConfig, SepOperator, build_operator, edge_step_at, forward, init_embeddings
+from .model import SepOperator, build_operator, edge_step_at, forward, init_embeddings
 
 logger = logging.getLogger(__name__)
-
-
-@dataclass
-class TrainConfig:
-    lr: float = 0.001
-    l2_lambda: float = 1e-5
-    epochs_max: int = 100
-    batch_size: int = 2048
-    neg_per_pos: int = 1
-    eval_every: int = 5  # epochs between evaluations; 0 disables them
-    early_stop_patience: int = 10  # evaluations without Recall@20 improvement
-    optimizer: str = "adam"
-    seed: int = 0
-
-    def validate(self) -> None:
-        if not (math.isfinite(self.lr) and self.lr > 0):
-            raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
-        if not (math.isfinite(self.l2_lambda) and self.l2_lambda >= 0):
-            raise ConfigError(f"l2_lambda must be finite and >= 0, got {self.l2_lambda}")
-        if self.epochs_max < 0:
-            raise ConfigError(f"epochs_max must be >= 0, got {self.epochs_max}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.neg_per_pos < 1:
-            raise ConfigError(f"neg_per_pos must be >= 1, got {self.neg_per_pos}")
-        if self.eval_every < 0:
-            raise ConfigError(f"eval_every must be >= 0, got {self.eval_every}")
-        if self.early_stop_patience < 1:
-            raise ConfigError(f"early_stop_patience must be >= 1, got {self.early_stop_patience}")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ConfigError(f"unknown optimizer {self.optimizer!r}")
 
 
 @dataclass

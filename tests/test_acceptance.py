@@ -17,28 +17,27 @@ import pytest
 import scipy.sparse as sp
 
 from sepgcn.cli import main as cli_main
-from sepgcn.data import Dataset, Interactions, SplitConfig, build_dataset
+from sepgcn.config import ModelConfig, PruningParams, SimilarityParams, SplitConfig, TrainConfig
+from sepgcn.data import Dataset, Interactions, build_dataset
 from sepgcn.evaluate import evaluate_model
 from sepgcn.geo import (
     EARTH_RADIUS_KM,
-    SimilarityParams,
     haversine_km,
     median_distance,
     sigma,
     to_slot,
 )
 from sepgcn.graph import build_adjacency
-from sepgcn.model import ModelConfig, build_operator, forward, init_embeddings
+from sepgcn.model import build_operator, forward, init_embeddings
 from sepgcn.sep_graph import (
     EdgeIndex,
-    PruningParams,
     SepMatrix,
     build_sep_matrix,
     build_sep_matrix_bruteforce,
     normalize_sep,
 )
 from sepgcn.synthetic import SyntheticConfig, generate_city
-from sepgcn.training import TrainConfig, TripletBatch, bpr_loss, loss_gradient, train
+from sepgcn.training import TripletBatch, bpr_loss, loss_gradient, train
 from sepgcn.evaluate import make_ranking_hook
 
 

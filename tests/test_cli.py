@@ -2,7 +2,10 @@
 
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -444,7 +447,7 @@ class TestSweep:
     def test_pair_graph_built_once_per_dataset(
         self, chain, monkeypatch, capsys, axis, values, variant, builds
     ):
-        from sepgcn import cli
+        from sepgcn import sep_graph
 
         calls = []
 
@@ -452,7 +455,7 @@ class TestSweep:
             calls.append(args)
             return build_sep_matrix(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "build_sep_matrix", counting)
+        monkeypatch.setattr(sep_graph, "build_sep_matrix", counting)
         code, _ = run(
             ["sweep", "--snapshot", chain / "snap.txt", "--axis", axis, "--values", values,
              "--variant", variant, *SETTINGS,
@@ -531,6 +534,79 @@ class TestConfigPrecedence:
     def test_bad_variant_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit):
             main(["train", "--variant", "nonsense"])
+
+
+class TestNegativeSeed:
+    """A negative seed is a configuration error, caught before any stage reads data."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["prepare", "--raw", "raw.tsv", "--out", "snap.txt", "--seed", "-1"],
+            ["build-sep", "--snapshot", "snap.txt", "--out", "pairs.sep", "--seed", "-1"],
+            ["train", "--snapshot", "snap.txt", "--sep", "pairs.sep", "--out", "ck.bin",
+             "--set", "model.seed=-3"],
+            ["eval", "--snapshot", "snap.txt", "--sep", "pairs.sep", "--checkpoint", "ck.bin",
+             "--out", "rep", "--seed", "-1"],
+            ["synth", "--out", "new.tsv", "--seed", "-1"],
+            ["oracle-check", "--workdir", "oc", "--seed", "-1"],
+        ],
+    )
+    def test_exits_3_with_one_error_line(self, chain, tmp_path, capsys, argv):
+        inputs = ("raw.tsv", "snap.txt", "pairs.sep", "ck.bin")
+        for f in inputs:
+            shutil.copy(chain / f, tmp_path / f)
+        argv = [str(tmp_path / a) if a in (*inputs, "rep", "new.tsv", "oc") else a for a in argv]
+        error = TestBadInputFiles.assert_exits(argv, 3, capsys)
+        assert "seed must be >= 0" in error
+        assert not (tmp_path / "new.tsv").exists() and not (tmp_path / "rep.tsv").exists()
+
+
+def _modules_after(code: str) -> set[str]:
+    """The modules a fresh interpreter holds after running `code`."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", f"{code}\nimport sys\nprint(*sorted(sys.modules))"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+class TestStageImports:
+    """Each stage loads only what it runs; each check starts a fresh interpreter."""
+
+    def test_config_is_a_leaf(self):
+        loaded = _modules_after("import sepgcn.config")
+        assert {m for m in loaded if m.startswith("sepgcn")} == {
+            "sepgcn", "sepgcn.config", "sepgcn.errors"
+        }
+        assert "numpy" not in loaded
+
+    def test_synth_and_prepare_load_no_scipy(self, tmp_path):
+        raw, snap = tmp_path / "raw.tsv", tmp_path / "snap.txt"
+        loaded = _modules_after(
+            "from sepgcn.cli import main\n"
+            f"assert main(['synth', '--out', {str(raw)!r}, '--users', '30', '--items', '60',"
+            " '--checkins', '600', '--seed', '2']) == 0\n"
+            f"assert main(['prepare', '--raw', {str(raw)!r}, '--out', {str(snap)!r},"
+            " '--set', 'split.min_interactions=2']) == 0"
+        )
+        assert snap.exists()
+        assert "sepgcn.cli" in loaded
+        assert not [m for m in loaded if m == "scipy" or m.startswith("scipy.")]
+
+    def test_eval_loads_no_scipy_special(self, chain, tmp_path):
+        argv = ["eval", "--snapshot", chain / "snap.txt", "--sep", chain / "pairs.sep",
+                "--checkpoint", chain / "ck.bin", "--out", tmp_path / "rep", *SETTINGS]
+        loaded = _modules_after(
+            f"from sepgcn.cli import main\nassert main({[str(a) for a in argv]!r}) == 0"
+        )
+        assert (tmp_path / "rep.tsv").read_bytes() == (chain / "rep.tsv").read_bytes()
+        assert "scipy.sparse" in loaded
+        assert "scipy.special" not in loaded
 
 
 class TestSynth:

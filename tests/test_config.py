@@ -170,6 +170,13 @@ class TestFingerprint:
         b = build_run_config({"seed": "3", "paths.snapshot": "/tmp/x", "paths.raw": "r.tsv"})
         assert a.fingerprint() == b.fingerprint()
 
+    def test_default_hashes_are_pinned(self):
+        """Every artifact header carries this digest, so moving or renaming a
+        settings field must leave it as it is."""
+        assert build_run_config().fingerprint() == "42f7542f23a7ab07"
+        lightgcn = build_run_config({"seed": "1", "variant": "lightgcn"})
+        assert lightgcn.fingerprint() == "b1c35aae026fa5a5"
+
     def test_variant_and_ks_affect_hash(self):
         a = build_run_config({})
         b = build_run_config({"variant": "lightgcn"})
@@ -178,6 +185,13 @@ class TestFingerprint:
 
 
 class TestRunConfigValidate:
+    @pytest.mark.parametrize(
+        "key", ["seed", "split.seed", "model.seed", "train.seed", "similarity.seed"]
+    )
+    def test_negative_seed(self, key):
+        with pytest.raises(ConfigError, match=f"^{key} must be >= 0, got -1$"):
+            build_run_config({key: "-1"})
+
     def test_empty_ks(self):
         cfg = RunConfig()
         cfg.ks = ()

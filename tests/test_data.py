@@ -10,10 +10,10 @@ from datetime import datetime
 import numpy as np
 import pytest
 
+from sepgcn.config import SplitConfig
 from sepgcn.data import (
     SNAPSHOT_MAGIC,
     CheckinRecord,
-    SplitConfig,
     build_dataset,
     dataset_stats,
     kcore_filter,

@@ -293,7 +293,8 @@ class TestEvaluateModel:
         assert (report.n_evaluated_users, report.n_excluded_users) == (2, 1)
 
     def test_ranking_hook_matches_report(self):
-        from sepgcn.data import Dataset, Interactions, SplitConfig
+        from sepgcn.config import SplitConfig
+        from sepgcn.data import Dataset, Interactions
 
         inter = Interactions.from_rows(
             [

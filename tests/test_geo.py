@@ -7,12 +7,12 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from sepgcn.data import Dataset, Interactions, SplitConfig
+from sepgcn.config import SimilarityParams, SplitConfig
+from sepgcn.data import Dataset, Interactions
 from sepgcn.errors import ConfigError, InputDataError, NumericalError
 from sepgcn.geo import (
     EARTH_RADIUS_KM,
     SLOTS_PER_WEEK,
-    SimilarityParams,
     haversine_km,
     median_distance,
     sigma,

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from sepgcn.data import Dataset, Interactions, SplitConfig
+from sepgcn.config import SplitConfig
+from sepgcn.data import Dataset, Interactions
 from sepgcn.errors import ConfigError, InputDataError
 from sepgcn.graph import (
     build_adjacency,

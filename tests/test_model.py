@@ -8,13 +8,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from sepgcn.data import Dataset, Interactions, SplitConfig
+from sepgcn.config import ModelConfig, PruningParams, SimilarityParams, SplitConfig
+from sepgcn.data import Dataset, Interactions
 from sepgcn.errors import ConfigError, InputDataError, NumericalError
-from sepgcn.geo import SimilarityParams
 from sepgcn.graph import build_adjacency, interaction_matrix, spmv
 from sepgcn.model import (
     EmbeddingState,
-    ModelConfig,
     SepOperator,
     edge_embed,
     forward,
@@ -24,7 +23,6 @@ from sepgcn.model import (
 )
 from sepgcn.sep_graph import (
     EdgeIndex,
-    PruningParams,
     SepMatrix,
     build_sep_matrix,
     normalize_sep,

@@ -9,12 +9,12 @@ from collections import Counter, defaultdict
 import numpy as np
 import pytest
 
-from sepgcn.data import Dataset, Interactions, SplitConfig
+from sepgcn.config import PruningParams, SimilarityParams, SplitConfig
+from sepgcn.data import Dataset, Interactions
 from sepgcn.errors import ConfigError, InputDataError
-from sepgcn.geo import SimilarityParams, haversine_km, sigma, sigma_cutoff_km
+from sepgcn.geo import haversine_km, sigma, sigma_cutoff_km
 from sepgcn.sep_graph import (
     EdgeIndex,
-    PruningParams,
     SepMatrix,
     build_sep_matrix,
     build_sep_matrix_bruteforce,

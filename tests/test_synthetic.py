@@ -6,7 +6,8 @@ from datetime import datetime
 import numpy as np
 import pytest
 
-from sepgcn.data import SplitConfig, build_dataset, parse_checkins
+from sepgcn.config import SplitConfig
+from sepgcn.data import build_dataset, parse_checkins
 from sepgcn.errors import ConfigError
 from sepgcn.geo import to_slot
 from sepgcn.synthetic import (

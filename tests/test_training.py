@@ -9,16 +9,15 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from sepgcn.data import Dataset, Interactions, SplitConfig
+from sepgcn.config import ModelConfig, PruningParams, SimilarityParams, SplitConfig, TrainConfig
+from sepgcn.data import Dataset, Interactions
 from sepgcn.errors import ConfigError, InputDataError, NumericalError
-from sepgcn.geo import SimilarityParams
 from sepgcn.graph import build_adjacency
-from sepgcn.model import ModelConfig, build_operator, forward, init_embeddings
-from sepgcn.sep_graph import EdgeIndex, PruningParams, build_sep_matrix, normalize_sep
+from sepgcn.model import build_operator, forward, init_embeddings
+from sepgcn.sep_graph import EdgeIndex, build_sep_matrix, normalize_sep
 from sepgcn.training import (
     AdamOptimizer,
     SgdOptimizer,
-    TrainConfig,
     TripletBatch,
     TripletSampler,
     bpr_loss,
