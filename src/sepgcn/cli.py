@@ -553,8 +553,7 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     save_snapshot(ds, work / "snap.txt")
     ds2 = load_snapshot(work / "snap.txt")
     snap_ok = (
-        ds2.n_users == ds.n_users
-        and ds2.n_items == ds.n_items
+        (ds2.user_ids, ds2.item_ids, ds2.split) == (ds.user_ids, ds.item_ids, ds.split)
         and ds2.interactions == ds.interactions
         and np.array_equal(ds2.item_lat, ds.item_lat)
         and np.array_equal(ds2.item_lon, ds.item_lon)
@@ -564,9 +563,9 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     loaded = load_sep_matrix(work / "fast.sep")
     verdict(
         "matrix round trip",
-        loaded.n_edges == fast.n_edges
-        and np.array_equal(loaded.rows, fast.rows)
-        and np.array_equal(loaded.values, fast.values),
+        (loaded.n_edges, loaded.normalization, loaded.meta)
+        == (fast.n_edges, fast.normalization, fast.meta)
+        and same_entries(loaded, fast),
     )
 
     rng = np.random.default_rng(seed)

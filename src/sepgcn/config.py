@@ -34,6 +34,9 @@ class SplitConfig:
     def validate(self) -> None:
         if not (0.0 < self.train_ratio < 1.0):
             raise ConfigError(f"train_ratio must lie in (0,1), got {self.train_ratio}")
+        for key in ("min_interactions", "kcore"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"split.{key} must be >= 0, got {getattr(self, key)}")
 
 
 @dataclass

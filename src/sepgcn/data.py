@@ -267,7 +267,7 @@ def dataset_stats(ds: Dataset) -> dict:
 def save_snapshot(ds: Dataset, path: str | Path) -> None:
     """Write the dataset as a line-based snapshot (header SEPDATA1)."""
     path = Path(path)
-    with path.open("w", encoding="utf-8") as f:
+    with path.open("w", encoding="utf-8", newline="\n") as f:
         f.write(SNAPSHOT_MAGIC + "\n")
         meta = {
             "n_users": ds.n_users,
@@ -335,9 +335,36 @@ def _snapshot_row(parts: list[str]):
 
 
 def load_snapshot(path: str | Path) -> Dataset:
+    """Read a snapshot; every malformed row or value is an InputDataError.
+
+    save_snapshot's own layout is parsed as whole columns. Any other form,
+    or a failed check, goes to the line-by-line reader, whose result or
+    error (naming path:lineno) stands.
+    """
     path = Path(path)
     if not path.exists():
         raise InputDataError(f"snapshot not found: {path}")
+    # imported here: the stages that only write snapshots never compile it
+    from .snapshot_columns import read_columns
+
+    try:
+        return read_columns(path)
+    except (ValueError, InputDataError):
+        return _snapshot_lines(path)
+
+
+def _split_config(meta: dict) -> SplitConfig:
+    return SplitConfig(
+        train_ratio=meta["train_ratio"],
+        seed=meta["seed"],
+        min_interactions=meta["min_interactions"],
+        kcore=meta["kcore"],
+    )
+
+
+def _snapshot_lines(path: Path) -> Dataset:
+    """The reference reader: one row at a time, accepting every form
+    load_snapshot documents, with each error naming path:lineno."""
     rows: dict[str, list] = {"U": [], "I": [], "E": []}
     try:
         with path.open("r", encoding="utf-8") as f:
@@ -353,12 +380,7 @@ def load_snapshot(path: str | Path) -> Dataset:
                 rows[kind].append(value)
     except UnicodeDecodeError as exc:
         raise InputDataError(f"{path}: snapshot is not UTF-8 text ({exc.reason})") from None
-    cfg = SplitConfig(
-        train_ratio=meta["train_ratio"],
-        seed=meta["seed"],
-        min_interactions=meta["min_interactions"],
-        kcore=meta["kcore"],
-    )
+    cfg = _split_config(meta)
     users, items, edges = rows["U"], rows["I"], rows["E"]
     counts = (len(users), len(items), len(edges), sum(len(slots) for _, _, slots, _ in edges))
     if counts != tuple(meta[k] for k in _SNAPSHOT_COUNTS):

@@ -9,6 +9,7 @@ one stable grouping by edge. A literal double-loop builder is the reference.
 """
 from __future__ import annotations
 
+import io
 import json
 import logging
 import math
@@ -352,8 +353,15 @@ def normalize_sep(matrix: SepMatrix) -> SepMatrix:
     )
 
 
+_SAVE_BLOCK = 4096  # rows formatted per write
+
+
 def save_sep_matrix(matrix: SepMatrix, path: str | Path) -> None:
-    """Line-based export of the normalized pairs, byte-stable for identical inputs."""
+    """Line-based export of the normalized pairs, byte-stable for identical inputs.
+
+    Each pair is one i<TAB>j<TAB>repr(value) line, formatted a block of rows
+    at a time.
+    """
     if matrix.normalization != "sym_degree":
         raise ConfigError(f"only a normalized matrix is saved; this one is {matrix.normalization!r}")
     path = Path(path)
@@ -365,8 +373,10 @@ def save_sep_matrix(matrix: SepMatrix, path: str | Path) -> None:
     }
     with path.open("w", encoding="utf-8", newline="\n") as f:
         f.write(f"{SEPMAT_MAGIC} {json.dumps(meta, sort_keys=True)}\n")
-        for i, j, v in zip(matrix.rows, matrix.cols, matrix.values):
-            f.write(f"{i}\t{j}\t{float(v)!r}\n")
+        for at in range(0, len(matrix.values), _SAVE_BLOCK):
+            block = slice(at, at + _SAVE_BLOCK)
+            rows = zip(*(a[block].tolist() for a in (matrix.rows, matrix.cols, matrix.values)))
+            f.write("".join(map("%d\t%d\t%r\n".__mod__, rows)))
 
 
 def _sep_header(path: Path, header: str) -> dict:
@@ -396,10 +406,65 @@ def load_sep_matrix(path: str | Path) -> SepMatrix:
 
     Each stored entry must be a pair i < j < n_edges, listed once, with a
     finite positive weight. The pairs come back sorted by (i, j).
+    save_sep_matrix's own layout is parsed as whole columns. Any other form,
+    or a failed check, goes to the line-by-line reader, whose result or
+    error (naming path:lineno) stands.
     """
     path = Path(path)
     if not path.exists():
         raise InputDataError(f"matrix file not found: {path}")
+    try:
+        meta, rows, cols, values = _sep_columns(path)
+    except (ValueError, InputDataError):
+        meta, rows, cols, values = _sep_lines(path)
+    step_rows, step_cols = np.diff(rows), np.diff(cols)
+    if np.any((step_rows < 0) | ((step_rows == 0) & (step_cols < 0))):
+        order = np.lexsort((cols, rows))
+        rows, cols, values = rows[order], cols[order], values[order]
+        step_rows, step_cols = np.diff(rows), np.diff(cols)
+    if np.any((step_rows == 0) & (step_cols == 0)):
+        raise InputDataError(f"{path}: an edge pair is listed twice")
+    extra = {k: v for k, v in meta.items() if k not in ("n_edges", "normalization", "storage")}
+    return SepMatrix(
+        n_edges=meta["n_edges"],
+        rows=rows,
+        cols=cols,
+        values=values,
+        normalization="sym_degree",
+        meta=extra,
+    )
+
+
+_SEP_ROW = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
+# every byte save_sep_matrix writes in a body of weights in (0, 1]; on a token
+# spelled with these alone np.loadtxt and the line reader agree, or loadtxt
+# rejects it
+_SEP_BODY_BYTES = b"0123456789\t\n.e-"
+
+
+def _sep_columns(path: Path):
+    """(meta, rows, cols, values) of a body in the writer's layout, each line
+    i<TAB>j<TAB>v, parsed in one call; ValueError on any other form,
+    including ones the line reader accepts."""
+    with path.open("rb") as f:
+        header, body = f.readline(), f.read()
+    if b"\r" in header or body.translate(None, _SEP_BODY_BYTES):
+        raise ValueError("not the writer's bytes")
+    if body.startswith(b"\n") or b"\n\n" in body or body[-1:] not in (b"", b"\n"):
+        raise ValueError("a blank or unterminated line")  # loadtxt would skip a blank one
+    meta = _sep_header(path, header.rstrip(b"\n").decode("utf-8"))
+    table = np.empty(0, _SEP_ROW)
+    if body:
+        table = np.loadtxt(io.BytesIO(body), dtype=_SEP_ROW, delimiter="\t", comments=None, ndmin=1)
+    i, j, v = (table[name].copy() for name in _SEP_ROW.names)
+    if not (np.all((0 <= i) & (i < j) & (j < meta["n_edges"])) and np.all(np.isfinite(v) & (v > 0))):
+        raise ValueError("an entry fails its checks")
+    return meta, i, j, v
+
+
+def _sep_lines(path: Path):
+    """The reference reader: (meta, rows, cols, values) one line at a time,
+    each error naming path:lineno."""
     try:
         with path.open("r", encoding="utf-8") as f:
             meta = _sep_header(path, f.readline().rstrip("\n"))
@@ -427,18 +492,9 @@ def load_sep_matrix(path: str | Path) -> SepMatrix:
                 vv.append(v)
     except UnicodeDecodeError as exc:
         raise InputDataError(f"{path}: matrix file is not UTF-8 text ({exc.reason})") from None
-    rows = np.array(ii, dtype=np.int64)
-    cols = np.array(jj, dtype=np.int64)
-    order = np.lexsort((cols, rows))
-    rows, cols = rows[order], cols[order]
-    if np.any((np.diff(rows) == 0) & (np.diff(cols) == 0)):
-        raise InputDataError(f"{path}: an edge pair is listed twice")
-    extra = {k: v for k, v in meta.items() if k not in ("n_edges", "normalization", "storage")}
-    return SepMatrix(
-        n_edges=n_edges,
-        rows=rows,
-        cols=cols,
-        values=np.array(vv, dtype=np.float64)[order],
-        normalization="sym_degree",
-        meta=extra,
+    return (
+        meta,
+        np.array(ii, dtype=np.int64),
+        np.array(jj, dtype=np.int64),
+        np.array(vv, dtype=np.float64),
     )

@@ -142,7 +142,9 @@ def ranking_grad_estar(e_star: np.ndarray, n_users: int, batch: TripletBatch) ->
     n = len(batch)
     targets = np.concatenate([batch.users, n_users + batch.positives, n_users + batch.negatives])
     signs = np.repeat([1.0, 1.0, -1.0], n)
-    scatter = sp.csr_matrix((signs, (targets, np.arange(3 * n))), shape=(len(e_star), 3 * n))
+    # one entry per column: column j adds term j to row targets[j], so each row
+    # sums its terms in batch order
+    scatter = sp.csc_matrix((signs, targets, np.arange(3 * n + 1)), shape=(len(e_star), 3 * n))
     e_user, e_pos, e_neg = np.split(e_star[targets], 3)
     diff = e_pos - e_neg
     with np.errstate(over="ignore", invalid="ignore"):

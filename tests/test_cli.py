@@ -562,6 +562,17 @@ class TestNegativeSeed:
         assert not (tmp_path / "new.tsv").exists() and not (tmp_path / "rep.tsv").exists()
 
 
+class TestNegativeSplitThreshold:
+    """A negative k-core or minimum-interaction threshold has no meaning."""
+
+    @pytest.mark.parametrize("setting", ["split.kcore=-1", "split.min_interactions=-3"])
+    def test_prepare_exits_3_with_one_error_line(self, chain, tmp_path, capsys, setting):
+        argv = ["prepare", "--raw", chain / "raw.tsv", "--out", tmp_path / "snap.txt", "--set", setting]
+        error = TestBadInputFiles.assert_exits(argv, 3, capsys)
+        assert error == f"error: {setting.replace('=', ' must be >= 0, got ')}"
+        assert not (tmp_path / "snap.txt").exists()
+
+
 def _modules_after(code: str) -> set[str]:
     """The modules a fresh interpreter holds after running `code`."""
     src = Path(__file__).resolve().parents[1] / "src"
@@ -597,6 +608,7 @@ class TestStageImports:
         assert snap.exists()
         assert "sepgcn.cli" in loaded
         assert not [m for m in loaded if m == "scipy" or m.startswith("scipy.")]
+        assert "sepgcn.snapshot_columns" not in loaded  # neither stage reads a snapshot
 
     def test_eval_loads_no_scipy_special(self, chain, tmp_path):
         argv = ["eval", "--snapshot", chain / "snap.txt", "--sep", chain / "pairs.sep",
@@ -607,6 +619,7 @@ class TestStageImports:
         assert (tmp_path / "rep.tsv").read_bytes() == (chain / "rep.tsv").read_bytes()
         assert "scipy.sparse" in loaded
         assert "scipy.special" not in loaded
+        assert "sepgcn.snapshot_columns" in loaded
 
 
 class TestSynth:

@@ -192,6 +192,16 @@ class TestRunConfigValidate:
         with pytest.raises(ConfigError, match=f"^{key} must be >= 0, got -1$"):
             build_run_config({key: "-1"})
 
+    @pytest.mark.parametrize("key, value", [("split.kcore", "-1"), ("split.min_interactions", "-3")])
+    def test_negative_split_threshold(self, key, value):
+        with pytest.raises(ConfigError, match=f"^{key} must be >= 0, got {value}$"):
+            build_run_config({key: value})
+
+    def test_zero_split_thresholds_keep_their_hash(self):
+        cfg = build_run_config({"split.kcore": "0", "split.min_interactions": "0"})
+        assert cfg.fingerprint() == build_run_config({"split.min_interactions": "0"}).fingerprint()
+        assert build_run_config({"split.kcore": "0"}).fingerprint() == "42f7542f23a7ab07"
+
     def test_empty_ks(self):
         cfg = RunConfig()
         cfg.ks = ()

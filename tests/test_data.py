@@ -1,6 +1,7 @@
 """Parsing, filtering, splitting, and snapshot round-trips for check-in data."""
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import re
@@ -10,10 +11,12 @@ from datetime import datetime
 import numpy as np
 import pytest
 
+from sepgcn import snapshot_columns
 from sepgcn.config import SplitConfig
 from sepgcn.data import (
     SNAPSHOT_MAGIC,
     CheckinRecord,
+    Interactions,
     build_dataset,
     dataset_stats,
     kcore_filter,
@@ -365,6 +368,122 @@ class TestBuildDataset:
         np.testing.assert_allclose(stats["density_pct"], 100.0)
 
 
+def snapshot_outcome(path):
+    """What load_snapshot gives: the dataset as plain values, or the error message."""
+    try:
+        ds = load_snapshot(path)
+    except InputDataError as exc:
+        return str(exc)
+    columns = [getattr(ds.interactions, f.name) for f in dataclasses.fields(Interactions)]
+    columns += [ds.item_lat, ds.item_lon]
+    return (ds.user_ids, ds.item_ids, ds.split, *((a.dtype.str, a.tolist()) for a in columns))
+
+
+def refuse(path):
+    raise ValueError("whole-file reader switched off")
+
+
+def line_reader_outcome(path, monkeypatch):
+    """snapshot_outcome with the whole-file reader switched off, so the line reader decides."""
+    with monkeypatch.context() as patch:
+        patch.setattr(snapshot_columns, "read_columns", refuse)
+        return snapshot_outcome(path)
+
+
+def whole_file_reads(path) -> bool:
+    try:
+        snapshot_columns.read_columns(path)
+    except (ValueError, InputDataError):
+        return False
+    return True
+
+
+def respell_item(lines, spell):
+    """The snapshot text with the item index of the first E row naming an item
+    past 9 spelled by spell; the dataset stays the same."""
+    k = next(k for k, line in enumerate(lines) if line.startswith("E\t") and len(line.split("\t")[2]) > 1)
+    parts = lines[k].split("\t")
+    parts[2] = spell(parts[2])
+    return "\n".join([*lines[:k], "\t".join(parts), *lines[k + 1 :]]) + "\n"
+
+
+def interleaved(lines):
+    """The snapshot text with its first E row moved ahead of the I rows."""
+    first_item = next(k for k, line in enumerate(lines) if line.startswith("I\t"))
+    first_edge = next(k for k, line in enumerate(lines) if line.startswith("E\t"))
+    moved = [*lines[:first_item], lines[first_edge], *lines[first_item:first_edge], *lines[first_edge + 1 :]]
+    return "\n".join(moved) + "\n"
+
+
+def empty_slot_list(lines, repeat=False):
+    """The snapshot text with the first E row's check-ins dropped and the
+    header's check-in count kept true; with repeat, that row listed twice."""
+    k = next(k for k, line in enumerate(lines) if line.startswith("E\t"))
+    parts = lines[k].split("\t")
+    meta = json.loads(lines[1])
+    meta["n_checkins"] -= len(parts[4].split(","))
+    lines = [lines[0], json.dumps(meta, sort_keys=True), *lines[2:]]
+    lines[k : k + 1] = ["\t".join([*parts[:4], ""])] * (1 + repeat)
+    return "\n".join(lines) + "\n"
+
+
+def edit_rows(lines, edit):
+    """The snapshot text with edit applied to the list of body lines."""
+    body = list(lines[2:])
+    edit(body)
+    return "\n".join([*lines[:2], *body]) + "\n"
+
+
+def swap_u_and_i(body):
+    k = next(k for k, line in enumerate(body) if line.startswith("I\t"))
+    body[k - 1], body[k] = body[k], body[k - 1]
+
+
+def move_a_field(body):
+    """The first E row gains a sixth field and the second loses its fifth."""
+    k = next(k for k, line in enumerate(body) if line.startswith("E\t"))
+    body[k] += "\t7"
+    body[k + 1] = body[k + 1].rsplit("\t", 1)[0]
+
+
+def e_row_of_another_type(body):
+    k = next(k for k, line in enumerate(body) if line.startswith("E\t"))
+    body[k] = "EX" + body[k][1:]
+
+
+def slot_past_the_week(body):
+    body[-1] = body[-1].rsplit("\t", 1)[0] + "\t168"
+
+
+def item_row_for_a_user_row(body):
+    k = next(k for k, line in enumerate(body) if line.startswith("I\t"))
+    body[k - 1] = body[k]
+
+
+def split_with_a_suffix(body):
+    k = next(k for k, line in enumerate(body) if "\ttrain\t" in line)
+    body[k] = body[k].replace("\ttrain\t", "\ttrains\t")
+
+
+def user_past_2_to_the_64(body):
+    """A user index that int64 arithmetic would wrap back to a valid one."""
+    k = next(k for k, line in enumerate(body) if line.startswith("E\t"))
+    parts = body[k].split("\t")
+    parts[1] = str(2**64 + int(parts[1]))
+    body[k] = "\t".join(parts)
+
+
+def carriage_return_in_an_id(body):
+    body[0] = body[0][:-1] + "\r" + body[0][-1]
+
+
+ONE_ROW = (
+    SNAPSHOT_MAGIC
+    + '\n{"kcore": 0, "min_interactions": 5, "n_checkins": 0, "n_interactions": 0, '
+    + '"n_items": 0, "n_users": 1, "seed": 0, "train_ratio": 0.7}\nU\tu1\n'
+)
+
+
 class TestSnapshot:
     def build(self):
         rng = np.random.default_rng(61)
@@ -479,3 +598,56 @@ class TestSnapshot:
             assert np.all((edges.items >= 0) & (edges.items < ds.n_items))
             assert np.all(np.isfinite(ds.item_lat)) and np.all(np.isfinite(ds.item_lon))
         assert outcomes["rejected"] > 0 and outcomes["loaded"] > 0
+
+    def test_mutations_match_the_line_reader(self, tmp_path, mutate, monkeypatch):
+        """The whole-file reader takes the writer's layout only; on the 300
+        files of the mutation test above it gives what the line reader gives."""
+        rng = np.random.default_rng(67)
+        lines = self.saved_lines(tmp_path)
+        whole = 0
+        for _ in range(300):
+            path = tmp_path / "bad.sepdata"
+            path.write_text("\n".join(mutate(lines, rng)) + "\n")
+            assert snapshot_outcome(path) == line_reader_outcome(path, monkeypatch)
+            whole += whole_file_reads(path)
+        assert 0 < whole < 300
+
+    CASES = {
+        # name: (file text from the saved lines, whole-file read, loads)
+        "as written": (lambda s: "\n".join(s) + "\n", True, True),
+        "blank line": (lambda s: "\n".join([*s[:4], "", *s[4:]]) + "\n", False, False),
+        "comment line": (lambda s: "\n".join([*s[:4], "# note", *s[4:]]) + "\n", False, False),
+        "no final newline": (lambda s: "\n".join(s), False, True),
+        "crlf": (lambda s: "\r\n".join(s) + "\r\n", False, True),
+        "space": (lambda s: respell_item(s, " {}".format), False, True),
+        "plus": (lambda s: respell_item(s, "+{}".format), False, True),
+        "underscore": (lambda s: respell_item(s, lambda t: f"{t[0]}_{t[1:]}"), False, True),
+        "1e400": (
+            lambda s: "\n".join(re.sub(r"^(I\t[^\t]*\t)[^\t]*", r"\g<1>1e400", line) for line in s) + "\n",
+            False,
+            False,
+        ),
+        "one row": (lambda s: ONE_ROW, True, True),
+        "interleaved rows": (interleaved, False, True),
+        "empty slot list": (empty_slot_list, True, True),
+        "repeated row with an empty slot list": (lambda s: empty_slot_list(s, repeat=True), False, False),
+        "U and I rows swapped": (lambda s: edit_rows(s, swap_u_and_i), False, True),
+        "a field moved to the next E row": (lambda s: edit_rows(s, move_a_field), False, False),
+        "E row of another type": (lambda s: edit_rows(s, e_row_of_another_type), False, False),
+        "I row for a U row": (lambda s: edit_rows(s, item_row_for_a_user_row), False, False),
+        "split word with a suffix": (lambda s: edit_rows(s, split_with_a_suffix), False, False),
+        "user index past 2**64": (lambda s: edit_rows(s, user_past_2_to_the_64), False, False),
+        "text after the final newline": (lambda s: "\n".join(s) + "\nU", False, False),
+        "carriage return in an id": (lambda s: edit_rows(s, carriage_return_in_an_id), False, False),
+        "slot past the week": (lambda s: edit_rows(s, slot_past_the_week), False, False),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_hand_cases_match_the_line_reader(self, tmp_path, monkeypatch, case):
+        text, whole, loads = self.CASES[case]
+        path = tmp_path / "case.sepdata"
+        path.write_bytes(text(self.saved_lines(tmp_path)).encode())
+        outcome = snapshot_outcome(path)
+        assert outcome == line_reader_outcome(path, monkeypatch)
+        assert whole_file_reads(path) == whole
+        assert isinstance(outcome, tuple) == loads, outcome

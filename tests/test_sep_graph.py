@@ -9,6 +9,7 @@ from collections import Counter, defaultdict
 import numpy as np
 import pytest
 
+from sepgcn import sep_graph
 from sepgcn.config import PruningParams, SimilarityParams, SplitConfig
 from sepgcn.data import Dataset, Interactions
 from sepgcn.errors import ConfigError, InputDataError
@@ -495,6 +496,42 @@ class TestExport:
             load_sep_matrix(tmp_path / "none.sepmat")
 
 
+def sep_outcome(path):
+    """What load_sep_matrix gives: the matrix as plain values, or the error message."""
+    try:
+        m = load_sep_matrix(path)
+    except InputDataError as exc:
+        return str(exc)
+    columns = ((a.dtype.str, a.tolist()) for a in (m.rows, m.cols, m.values))
+    return (m.n_edges, m.normalization, m.meta, *columns)
+
+
+def refuse(path):
+    raise ValueError("whole-file reader switched off")
+
+
+def line_reader_outcome(path, monkeypatch):
+    """sep_outcome with the whole-file reader switched off, so the line reader decides."""
+    with monkeypatch.context() as patch:
+        patch.setattr(sep_graph, "_sep_columns", refuse)
+        return sep_outcome(path)
+
+
+def with_odd_entry(saved, spell):
+    """The file text with a line added for a pair it lacks, the row index spelled by spell."""
+    present = {tuple(map(int, line.split("\t")[:2])) for line in saved[1:]}
+    i, j = next((i, j) for i in range(10, 40) for j in range(i + 1, 40) if (i, j) not in present)
+    return "\n".join([*saved, f"{spell(str(i))}\t{j}\t0.25"]) + "\n"
+
+
+def whole_file_reads(path) -> bool:
+    try:
+        sep_graph._sep_columns(path)
+    except (ValueError, InputDataError):
+        return False
+    return True
+
+
 class TestLoadContract:
     """Every malformed matrix file is an InputDataError naming the problem."""
 
@@ -572,6 +609,51 @@ class TestLoadContract:
             assert np.all((m.rows >= 0) & (m.rows < m.n_edges) & (m.cols < m.n_edges))
             assert np.all(np.isfinite(m.values) & (m.values > 0))
         assert outcomes["rejected"] > 0 and outcomes["loaded"] > 0
+
+    def test_mutations_match_the_line_reader(self, tmp_path, saved, mutate, monkeypatch):
+        """The whole-file reader takes the writer's layout only; on the 300
+        files of the mutation test above it gives what the line reader gives."""
+        rng = np.random.default_rng(163)
+        whole = 0
+        for _ in range(300):
+            path = self.write(tmp_path, mutate(saved, rng))
+            assert sep_outcome(path) == line_reader_outcome(path, monkeypatch)
+            whole += whole_file_reads(path)
+        assert 0 < whole < 300
+
+    CASES = {
+        # name: (file text from the saved lines, whole-file read, loads)
+        "as written": (lambda s: "\n".join(s) + "\n", True, True),
+        "blank line": (lambda s: "\n".join([*s[:3], "", *s[3:]]) + "\n", False, False),
+        "comment line": (lambda s: "\n".join([*s[:3], "# note", *s[3:]]) + "\n", False, False),
+        "no final newline": (lambda s: "\n".join(s), False, True),
+        "crlf": (lambda s: "\r\n".join(s) + "\r\n", False, True),
+        "space": (lambda s: with_odd_entry(s, " {}".format), False, True),
+        "plus": (lambda s: with_odd_entry(s, "+{}".format), False, True),
+        "underscore": (lambda s: with_odd_entry(s, lambda t: f"{t[0]}_{t[1:]}"), False, True),
+        "1e400": (lambda s: "\n".join([*s, "0\t1\t1e400"]) + "\n", False, False),
+        "carriage return in the header": (
+            lambda s: "\n".join([s[0].replace(", ", ",\r", 1), *s[1:]]) + "\n",
+            False,
+            False,
+        ),
+        "header only": (lambda s: s[0] + "\n", True, True),
+        "header and a blank line": (lambda s: s[0] + "\n\n", False, False),
+        "one row": (lambda s: "\n".join(s[:2]) + "\n", True, True),
+        "unsorted": (lambda s: "\n".join([s[0], *s[:0:-1]]) + "\n", True, True),
+        "repeated pair": (lambda s: "\n".join([*s, s[1]]) + "\n", True, False),
+    }
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("case", CASES)
+    def test_hand_cases_match_the_line_reader(self, tmp_path, saved, monkeypatch, case):
+        text, whole, loads = self.CASES[case]
+        path = tmp_path / "case.sepmat"
+        path.write_bytes(text(saved).encode())
+        outcome = sep_outcome(path)
+        assert outcome == line_reader_outcome(path, monkeypatch)
+        assert whole_file_reads(path) == whole
+        assert isinstance(outcome, tuple) == loads, outcome
 
 
 class TestEdgeIndex:
