@@ -43,7 +43,7 @@ from .config import (
     parse_overrides,
 )
 from .data import (
-    CheckinRecord,
+    Checkins,
     build_dataset,
     dataset_stats,
     load_snapshot,
@@ -197,16 +197,10 @@ def cmd_prepare(args: argparse.Namespace) -> int:
     raw_path = _existing(
         _require_path(cfg.paths.raw, "paths.raw", "--raw"), "raw check-in file"
     )
-    try:
-        with raw_path.open("r", encoding="utf-8") as f:
-            records, rejects = parse_checkins(f)
-    except UnicodeDecodeError as exc:
-        raise InputDataError(
-            f"{raw_path}: raw check-in file is not UTF-8 text ({exc.reason})"
-        ) from None
+    checkins, rejects = parse_checkins(raw_path)
     if rejects:
         logger.warning("rejected %d malformed line(s)", len(rejects))
-    ds = build_dataset(records, cfg.split)
+    ds = build_dataset(checkins, cfg.split)
     out = _require_path(getattr(args, "out", None) or cfg.paths.snapshot, "paths.snapshot", "--out")
     save_snapshot(ds, out)
     stats = dataset_stats(ds)
@@ -389,23 +383,20 @@ def cmd_eval(args: argparse.Namespace) -> int:
 SWEEP_AXES = ("layers", "alpha", "beta", "kcore")
 
 
-def _records_from_dataset(ds) -> list[CheckinRecord]:
-    """Reconstruct a raw-equivalent record list from a snapshot.
-
-    Slots map back to hour-of-week timestamps in the first week of a
-    Monday-started calendar; exact original timestamps are not needed
-    because downstream consumers only ever look at the weekly slot.
-    """
-    from datetime import datetime, timedelta
-
-    base = datetime(2024, 1, 1)  # a Monday, so slot k maps to weekday k//24
+def _checkins_from_dataset(ds) -> Checkins:
+    """The dataset's check-ins as columns, edge by edge, each at its item's coordinates."""
     edges = ds.interactions
-    users, items = (np.repeat(c, np.diff(edges.slot_ptr)).tolist() for c in (edges.users, edges.items))
-    lat, lon = ds.item_lat.tolist(), ds.item_lon.tolist()
-    return [
-        CheckinRecord(ds.user_ids[u], ds.item_ids[i], base + timedelta(hours=s), lat[i], lon[i])
-        for u, i, s in zip(users, items, edges.slot_vals.tolist())
-    ]
+    per_edge = np.diff(edges.slot_ptr)
+    items = np.repeat(edges.items, per_edge)
+    return Checkins(
+        users=np.repeat(edges.users, per_edge),
+        items=items,
+        slots=edges.slot_vals,
+        lat=ds.item_lat[items],
+        lon=ds.item_lon[items],
+        user_ids=ds.user_ids,
+        item_ids=ds.item_ids,
+    )
 
 
 def _apply_axis(cfg: RunConfig, axis: str, value: str) -> RunConfig:
@@ -463,7 +454,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {args.axis!r}; choose one of {SWEEP_AXES}")
 
-    base_records = _records_from_dataset(ds) if args.axis == "kcore" else None
+    base_checkins = _checkins_from_dataset(ds) if args.axis == "kcore" else None
 
     lines = [
         f"# axis={args.axis}\tconfig_hash={cfg.fingerprint()}\tseed={cfg.seed}"
@@ -474,7 +465,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for value in values:
         run_cfg = _apply_axis(cfg, args.axis, value)
         if args.axis == "kcore":
-            ds = build_dataset(base_records, run_cfg.split)
+            ds = build_dataset(base_checkins, run_cfg.split)
         if inputs is None or args.axis == "kcore":
             inputs = _model_inputs(run_cfg, ds)
         report = _run_pipeline(run_cfg, ds, *inputs)
@@ -497,6 +488,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_oracle_check(args: argparse.Namespace) -> int:
     """Cross-check the optimized pair builder and every file format."""
+    from .checkin_columns import read_columns
+    from .data import _checkin_lines
     from .graph import build_adjacency
     from .model import forward, load_checkpoint, save_checkpoint
     from .sep_graph import EdgeIndex, load_sep_matrix, save_sep_matrix
@@ -519,7 +512,8 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
             seed=seed,
         )
     )
-    ds = build_dataset(city.records, SplitConfig(train_ratio=0.7, seed=seed, min_interactions=2))
+    split = SplitConfig(train_ratio=0.7, seed=seed, min_interactions=2)
+    ds = build_dataset(city.checkins(), split)
     index = EdgeIndex.from_dataset(ds)
     cfg = build_run_config({}, {"seed": str(seed), "pruning.max_neighbors": "16"})
 
@@ -559,6 +553,24 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
         and np.array_equal(ds2.item_lon, ds.item_lon)
     )
     verdict("snapshot round trip", snap_ok)
+
+    # the raw log through each reader; both must write the snapshot above
+    write_raw(city.records, work / "raw.tsv")
+    raw = (work / "raw.tsv").read_bytes()
+
+    def raw_snapshot(checkins, name: str) -> bytes:
+        save_snapshot(build_dataset(checkins, split), work / name)
+        return (work / name).read_bytes()
+
+    try:
+        whole = raw_snapshot(read_columns(raw), "snap_whole.txt")
+    except ValueError:  # the whole-file reader refused the log
+        whole = None
+    lines = raw_snapshot(_checkin_lines(work / "raw.tsv", raw)[0], "snap_lines.txt")
+    verdict(
+        "raw log round trip (whole-file reader vs line reader)",
+        whole == lines == (work / "snap.txt").read_bytes(),
+    )
 
     loaded = load_sep_matrix(work / "fast.sep")
     verdict(

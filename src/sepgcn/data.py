@@ -21,13 +21,51 @@ from .geo import SLOTS_PER_WEEK, to_slot
 SNAPSHOT_MAGIC = "SEPDATA1"
 
 
-@dataclass(frozen=True)
-class CheckinRecord:
-    user_id: str
-    item_id: str
-    timestamp: datetime  # naive local civil time
-    latitude: float
-    longitude: float
+@dataclass(frozen=True, eq=False)
+class Checkins:
+    """A raw check-in log as columns, one row per check-in in feed order.
+
+    Check-in r is by user user_ids[users[r]] at item item_ids[items[r]], in
+    weekly slot slots[r], at (lat[r], lon[r]). Ids are numbered in order of
+    first appearance.
+    """
+
+    users: np.ndarray  # int64
+    items: np.ndarray  # int64
+    slots: np.ndarray  # int64
+    lat: np.ndarray  # float64
+    lon: np.ndarray  # float64
+    user_ids: list[str]
+    item_ids: list[str]
+
+    def __len__(self) -> int:
+        return len(self.users)
+
+    def __eq__(self, other) -> bool:
+        columns = ("users", "items", "slots", "lat", "lon")
+        return (self.user_ids, self.item_ids) == (other.user_ids, other.item_ids) and all(
+            np.array_equal(getattr(self, c), getattr(other, c)) for c in columns
+        )
+
+    @classmethod
+    def from_rows(cls, rows) -> "Checkins":
+        """Columns from (user id, item id, slot, lat, lon) rows."""
+        users, items, slots, lat, lon = list(zip(*rows)) or [()] * 5
+        user_ids, item_ids = list(dict.fromkeys(users)), list(dict.fromkeys(items))
+
+        def codes(ids, names):
+            code = {name: k for k, name in enumerate(names)}
+            return np.fromiter(map(code.__getitem__, ids), np.int64, len(ids))
+
+        return cls(
+            users=codes(users, user_ids),
+            items=codes(items, item_ids),
+            slots=np.array(slots, dtype=np.int64),
+            lat=np.array(lat, dtype=np.float64),
+            lon=np.array(lon, dtype=np.float64),
+            user_ids=user_ids,
+            item_ids=item_ids,
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,25 +127,48 @@ class Dataset:
         return len(self.interactions.slot_vals)
 
 
-def parse_checkins(lines):
-    """Parse a line stream into check-in records.
+def parse_checkins(path: str | Path) -> tuple[Checkins, list[tuple[int, str]]]:
+    """Parse a raw check-in log into columns.
 
     Each line holds user, item, ISO-8601 civil time without a zone suffix,
     latitude and longitude, split on tabs when the line has one and on
-    commas otherwise; further columns are ignored. Returns (records,
-    rejects) where rejects is a list of (line_number, reason). Raises when
-    more than 10% of non-empty lines are rejected, which almost always
-    means the file has another layout.
+    commas otherwise; further columns are ignored, and so is one leading
+    byte-order mark. Returns (checkins, rejects) where rejects is a list of
+    (line_number, reason). Raises when more than 10% of non-empty lines are
+    rejected, which almost always means the file has another layout.
+
+    The layout synth writes is parsed as whole columns. Any other form, or a
+    file with a line to reject, goes to the line-by-line reader, whose
+    result, rejects or error stand.
     """
-    records: list[CheckinRecord] = []
+    path = Path(path)
+    data = path.read_bytes()
+    # imported here: synth, which imports this module, never compiles it
+    from .checkin_columns import read_columns
+
+    try:
+        return read_columns(data), []
+    except ValueError:
+        return _checkin_lines(path, data)
+
+
+def _checkin_lines(path: Path, data: bytes) -> tuple[Checkins, list[tuple[int, str]]]:
+    """The reference reader: one line at a time, accepting every form
+    parse_checkins documents."""
+    try:
+        text = data.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        raise InputDataError(f"{path}: raw check-in file is not UTF-8 text ({exc.reason})") from None
+    rows: list[tuple] = []
     rejects: list[tuple[int, str]] = []
     n_seen = 0
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\n").rstrip("\r")
+    # universal newlines, as a file opened in text mode reads them
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         n_seen += 1
-        reason = _parse_line(line, records)
+        reason = _parse_line(line, rows)
         if reason is not None:
             rejects.append((lineno, reason))
     if n_seen and len(rejects) > 0.10 * n_seen:
@@ -115,10 +176,10 @@ def parse_checkins(lines):
             f"{len(rejects)}/{n_seen} lines rejected (>10%); check the column layout "
             f"(first reject: line {rejects[0][0]}: {rejects[0][1]})"
         )
-    return records, rejects
+    return Checkins.from_rows(rows), rejects
 
 
-def _parse_line(line: str, out: list[CheckinRecord]) -> str | None:
+def _parse_line(line: str, out: list[tuple]) -> str | None:
     parts = line.split("\t") if "\t" in line else line.split(",")
     if len(parts) < 5:
         return f"expected at least 5 columns, got {len(parts)}"
@@ -139,7 +200,7 @@ def _parse_line(line: str, out: list[CheckinRecord]) -> str | None:
         return "unparseable timestamp"
     if ts.tzinfo is not None:
         return "timestamp carries a zone suffix; give local civil time without one"
-    out.append(CheckinRecord(user, item, ts, lat, lon))
+    out.append((user, item, to_slot(ts), lat, lon))
     return None
 
 
@@ -182,7 +243,7 @@ def _index(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rank[inverse], first[order]
 
 
-def build_dataset(records: list[CheckinRecord], cfg: SplitConfig) -> Dataset:
+def build_dataset(checkins: Checkins, cfg: SplitConfig) -> Dataset:
     """Index entities, collapse repeat check-ins, and split per user.
 
     Users, items and edges are numbered in order of first appearance.
@@ -194,43 +255,40 @@ def build_dataset(records: list[CheckinRecord], cfg: SplitConfig) -> Dataset:
     test item is unseen at training time.
     """
     cfg.validate()
-    # object arrays: fixed-width numpy strings drop trailing NULs, merging ids
-    users = _index(np.array([r.user_id for r in records], dtype=object))[0]
-    items = _index(np.array([r.item_id for r in records], dtype=object))[0]
+    users, items = checkins.users, checkins.items
     # users with enough distinct items, then the k-core of what they leave
     keep = np.bincount(_pairs(users, items)[0])[users] >= cfg.min_interactions
     keep[keep] = kcore_filter(users[keep], items[keep], cfg.kcore)
-    records = [records[r] for r in np.flatnonzero(keep)]
-    if not records:
+    rows = np.flatnonzero(keep)
+    if not len(rows):
         raise InputDataError("no records left after filtering")
 
-    users, user_first = _index(users[keep])
-    items, item_first = _index(items[keep])
+    users, user_first = _index(users[rows])
+    items, item_first = _index(items[rows])
     edges, edge_first = _index(users * len(item_first) + items)
     edge_users, edge_items = users[edge_first], items[edge_first]
 
     # one permutation per user, users in index order, over its edges in edge order
     rng = np.random.default_rng(cfg.seed)
-    is_test = np.zeros(len(edge_first), dtype=bool)
     by_user = np.argsort(edge_users, kind="stable")
-    for own in np.split(by_user, np.cumsum(np.bincount(edge_users))[:-1]):
-        n_train = max(1, math.floor(cfg.train_ratio * len(own)))
-        is_test[own[rng.permutation(len(own))[n_train:]]] = True
+    counts = np.bincount(edge_users)
+    held_out = [
+        start + rng.permutation(count)[max(1, math.floor(cfg.train_ratio * count)) :]
+        for start, count in zip((np.cumsum(counts) - counts).tolist(), counts.tolist())
+    ]
+    is_test = np.zeros(len(edge_first), dtype=bool)
+    is_test[by_user[np.concatenate(held_out)]] = True
     # Promote the first edge of each train-absent item so every item the
     # evaluator can score has been seen during training.
     untrained = np.bincount(edge_items[~is_test], minlength=len(item_first)) == 0
     is_test[edges[item_first[untrained]]] = False
 
-    slots = np.fromiter((to_slot(r.timestamp) for r in records), np.int64, len(records))
-    slot_ptr = np.cumsum([0, *np.bincount(edges)])
-    interactions = Interactions(
-        edge_users, edge_items, is_test, slot_ptr, slots[np.argsort(edges, kind="stable")]
-    )
-    item_lat, item_lon = _canonical_coords(
-        items, np.array([r.latitude for r in records]), np.array([r.longitude for r in records])
-    )
-    user_ids = [records[r].user_id for r in user_first]
-    item_ids = [records[r].item_id for r in item_first]
+    slot_ptr = np.concatenate([[0], np.cumsum(np.bincount(edges))])
+    slot_vals = checkins.slots[rows][np.argsort(edges, kind="stable")]
+    interactions = Interactions(edge_users, edge_items, is_test, slot_ptr, slot_vals)
+    item_lat, item_lon = _canonical_coords(items, checkins.lat[rows], checkins.lon[rows])
+    user_ids = [checkins.user_ids[u] for u in checkins.users[rows[user_first]].tolist()]
+    item_ids = [checkins.item_ids[i] for i in checkins.items[rows[item_first]].tolist()]
     return Dataset(user_ids, item_ids, interactions, item_lat, item_lon, cfg)
 
 
@@ -264,8 +322,12 @@ def dataset_stats(ds: Dataset) -> dict:
     }
 
 
+_SAVE_BLOCK = 1 << 16  # E rows formatted per write
+
+
 def save_snapshot(ds: Dataset, path: str | Path) -> None:
-    """Write the dataset as a line-based snapshot (header SEPDATA1)."""
+    """Write the dataset as a line-based snapshot (header SEPDATA1), the E
+    rows a block at a time."""
     path = Path(path)
     with path.open("w", encoding="utf-8", newline="\n") as f:
         f.write(SNAPSHOT_MAGIC + "\n")
@@ -280,15 +342,37 @@ def save_snapshot(ds: Dataset, path: str | Path) -> None:
             "kcore": ds.split.kcore,
         }
         f.write(json.dumps(meta, sort_keys=True) + "\n")
-        for uid in ds.user_ids:
-            f.write(f"U\t{uid}\n")
-        for idx, iid in enumerate(ds.item_ids):
-            f.write(f"I\t{iid}\t{float(ds.item_lat[idx])!r}\t{float(ds.item_lon[idx])!r}\n")
+        f.write("".join(f"U\t{uid}\n" for uid in ds.user_ids))
+        items = zip(ds.item_ids, ds.item_lat.tolist(), ds.item_lon.tolist())
+        f.write("".join(map("I\t%s\t%r\t%r\n".__mod__, items)))
         edges = ds.interactions
-        ptr, slots = edges.slot_ptr.tolist(), edges.slot_vals.astype(str).tolist()
-        splits = np.where(edges.is_test, "test", "train").tolist()
-        for k, row in enumerate(zip(edges.users.tolist(), edges.items.tolist(), splits)):
-            f.write("E\t%d\t%d\t%s\t" % row + ",".join(slots[ptr[k] : ptr[k + 1]]) + "\n")
+        for at in range(0, len(edges), _SAVE_BLOCK):
+            f.write(_edge_rows(edges, at, at + _SAVE_BLOCK))
+
+
+def _edge_rows(edges: Interactions, start: int, stop: int) -> str:
+    """Snapshot lines E<TAB>user<TAB>item<TAB>split<TAB>slot,...,slot of edges
+    start to stop, each distinct number formatted once."""
+    ptr = edges.slot_ptr[start : stop + 1]
+    slots, ptr = edges.slot_vals[ptr[0] : ptr[-1]], ptr - ptr[0]
+    n, counts = len(ptr) - 1, np.diff(ptr)
+    # row k is tokens[first[k] : first[k] + counts[k] + 4]: user, item,
+    # split, its slots and a newline
+    first = 4 * np.arange(n) + ptr[:-1]
+    tokens = np.full(4 * n + ptr[-1], "\n", dtype=object)
+    tokens[first] = _texts(edges.users[start:stop], "E\t%d\t")
+    tokens[first + 1] = _texts(edges.items[start:stop], "%d\t")
+    tokens[first + 2] = np.where(edges.is_test[start:stop], "test\t", "train\t")
+    tokens[np.repeat(first + 3 - ptr[:-1], counts) + np.arange(ptr[-1])] = _texts(slots, "%d,")
+    filled = counts > 0  # a row's last slot takes no comma
+    tokens[(first + 2 + counts)[filled]] = _texts(slots[ptr[1:][filled] - 1], "%d")
+    return "".join(tokens.tolist())
+
+
+def _texts(values: np.ndarray, form: str) -> np.ndarray:
+    """form % v for each value v, as an object array; each distinct value is formatted once."""
+    distinct, inverse = np.unique(values, return_inverse=True)
+    return np.array([form % v for v in distinct.tolist()], dtype=object)[inverse]
 
 
 _SNAPSHOT_COUNTS = ("n_users", "n_items", "n_interactions", "n_checkins")

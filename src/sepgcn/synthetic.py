@@ -24,12 +24,21 @@ from pathlib import Path
 import numpy as np
 
 from .config import EARTH_RADIUS_KM
-from .data import CheckinRecord
+from .data import Checkins
 from .errors import ConfigError
-from .geo import SLOTS_PER_WEEK
+from .geo import SLOTS_PER_WEEK, to_slot
 
 KM_PER_DEG_LAT = math.pi * EARTH_RADIUS_KM / 180.0
 LANDMARK = -1  # scene label for district-wide items
+
+
+@dataclass(frozen=True)
+class CheckinRecord:
+    user_id: str
+    item_id: str
+    timestamp: datetime  # naive local civil time
+    latitude: float
+    longitude: float
 
 
 @dataclass
@@ -97,6 +106,13 @@ class SyntheticCity:
     item_district: np.ndarray  # district per item
     scene_slots: list[np.ndarray]  # characteristic weekly hours per scene
     config: SyntheticConfig
+
+    def checkins(self) -> Checkins:
+        """The records as the columns parse_checkins reads from write_raw's log."""
+        return Checkins.from_rows(
+            (r.user_id, r.item_id, to_slot(r.timestamp), r.latitude, r.longitude)
+            for r in self.records
+        )
 
 
 def generate_city(cfg: SyntheticConfig) -> SyntheticCity:

@@ -291,7 +291,7 @@ def test_criterion_6_edge_pair_updates_beat_plain_backbone():
     gains = []
     for seed in range(5):
         city = generate_city(SyntheticConfig(seed=seed))
-        ds = build_dataset(city.records, SplitConfig(train_ratio=0.7, seed=seed))
+        ds = build_dataset(city.checkins(), SplitConfig(train_ratio=0.7, seed=seed))
         graph = build_adjacency(ds)
         index = EdgeIndex.from_dataset(ds)
         med = median_distance(ds, "global", 1_000_000, seed=seed + 100)
@@ -390,7 +390,7 @@ def test_criterion_8_sparsity_and_kcore_properties():
     )
     for threshold in (5, 10):
         filtered = build_dataset(
-            city.records,
+            city.checkins(),
             SplitConfig(train_ratio=0.7, seed=13, min_interactions=1, kcore=threshold),
         )
         user_deg, item_deg = Counter(), Counter()

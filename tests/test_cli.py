@@ -69,6 +69,17 @@ class TestPrepare:
         assert main([str(a) for a in args + ["--out", tmp_path / "b.txt"]]) == 0
         assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])  # whole-file and line reader
+    def test_byte_order_mark_changes_no_byte(self, chain, tmp_path, newline):
+        text = (chain / "raw.tsv").read_text(encoding="utf-8").replace("\n", newline)
+        (tmp_path / "plain.tsv").write_bytes(text.encode())
+        (tmp_path / "marked.tsv").write_bytes(("\ufeff" + text).encode())
+        for name in ("plain", "marked"):
+            assert main(["prepare", "--raw", str(tmp_path / f"{name}.tsv"),
+                         "--out", str(tmp_path / f"{name}.txt"), *SETTINGS]) == 0
+        assert (tmp_path / "marked.txt").read_bytes() == (tmp_path / "plain.txt").read_bytes()
+        assert (tmp_path / "plain.txt").read_bytes() == (chain / "snap.txt").read_bytes()
+
     def test_missing_raw_file_exits_2(self, tmp_path, capsys):
         missing = tmp_path / "nope.tsv"
         code = main(["prepare", "--raw", str(missing), "--out", str(tmp_path / "s.txt")])
@@ -465,6 +476,23 @@ class TestSweep:
         assert code == 0
         assert len(calls) == builds
 
+    def test_kcore_table_is_pinned(self, chain, tmp_path):
+        """The kcore sweep rebuilds each dataset from the snapshot's columns; its
+        table on this city is the one the record-based rebuild wrote."""
+        assert main(["sweep", "--snapshot", str(chain / "snap.txt"), "--axis", "kcore",
+                     "--values", "0,3", "--out", str(tmp_path / "kc"), *SETTINGS]) == 0
+        rows = [
+            "5\t0.09000000000000001\t0.06503306878306878\t0.09700618386995838\t0.35",
+            "20\t0.0875\t0.24064153439153435\t0.17046949631307443\t0.8833333333333333",
+        ]
+        assert (tmp_path / "kc.sweep.tsv").read_text() == "".join(
+            [
+                "# axis=kcore\tconfig_hash=8114be9ba954ca58\tseed=3\tvariant=sepgcn\tn_values=2\n",
+                "value\tk\tprecision\trecall\tndcg\taccuracy\n",
+                *(f"{value}\t{row}\n" for value in ("0", "3") for row in rows),
+            ]
+        )
+
     def test_empty_values_exit_3(self, chain, capsys):
         code = main(["sweep", "--snapshot", str(chain / "snap.txt"), "--axis", "layers",
                      "--values", " , ", *[str(a) for a in SETTINGS]])
@@ -476,7 +504,7 @@ class TestOracleCheck:
         code, out = run(["oracle-check", "--seed", "7", "--workdir", tmp_path / "oc"], capsys)
         assert code == 0
         verdicts = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
-        assert len(verdicts) == 7
+        assert len(verdicts) == 8
         assert all(v.startswith("PASS") for v in verdicts)
 
     def test_seed_with_last_bit_distances_passes(self, tmp_path, capsys):
@@ -609,6 +637,17 @@ class TestStageImports:
         assert "sepgcn.cli" in loaded
         assert not [m for m in loaded if m == "scipy" or m.startswith("scipy.")]
         assert "sepgcn.snapshot_columns" not in loaded  # neither stage reads a snapshot
+        assert "sepgcn.checkin_columns" in loaded
+
+    def test_synth_loads_no_raw_log_reader(self, tmp_path):
+        raw = tmp_path / "raw.tsv"
+        loaded = _modules_after(
+            "from sepgcn.cli import main\n"
+            f"assert main(['synth', '--out', {str(raw)!r}, '--users', '30', '--items', '60',"
+            " '--checkins', '600', '--seed', '2']) == 0"
+        )
+        assert raw.exists()
+        assert "sepgcn.checkin_columns" not in loaded
 
     def test_eval_loads_no_scipy_special(self, chain, tmp_path):
         argv = ["eval", "--snapshot", chain / "snap.txt", "--sep", chain / "pairs.sep",

@@ -11,11 +11,11 @@ from datetime import datetime
 import numpy as np
 import pytest
 
-from sepgcn import snapshot_columns
+from sepgcn import checkin_columns, data, snapshot_columns
 from sepgcn.config import SplitConfig
 from sepgcn.data import (
     SNAPSHOT_MAGIC,
-    CheckinRecord,
+    Checkins,
     Interactions,
     build_dataset,
     dataset_stats,
@@ -26,16 +26,22 @@ from sepgcn.data import (
 )
 from sepgcn.errors import ConfigError, InputDataError
 from sepgcn.geo import to_slot
+from sepgcn.synthetic import SyntheticConfig, generate_city, write_raw
 
 
 def rec(u, i, ts="2024-01-01T10:00:00", lat=40.0, lon=-74.0):
-    return CheckinRecord(u, i, datetime.fromisoformat(ts), lat, lon)
+    """One check-in row: user, item, weekly slot, latitude, longitude."""
+    return (u, i, to_slot(datetime.fromisoformat(ts)), lat, lon)
+
+
+def dataset_of(records, cfg):
+    return build_dataset(Checkins.from_rows(records), cfg)
 
 
 def kcore_records(records, k):
     """The records kcore_filter keeps, the ids numbered by np.unique."""
-    users = np.unique([r.user_id for r in records], return_inverse=True)[1]
-    items = np.unique([r.item_id for r in records], return_inverse=True)[1]
+    users = np.unique([r[0] for r in records], return_inverse=True)[1]
+    items = np.unique([r[1] for r in records], return_inverse=True)[1]
     return [r for r, kept in zip(records, kcore_filter(users, items, k)) if kept]
 
 
@@ -55,25 +61,25 @@ def reference_snapshot(records, cfg):
     """Snapshot text from the dict-based build_dataset that the array version replaced."""
     if cfg.min_interactions > 0:
         seen = {}
-        for r in records:
-            seen.setdefault(r.user_id, set()).add(r.item_id)
-        records = [r for r in records if len(seen[r.user_id]) >= cfg.min_interactions]
+        for user, item, *_ in records:
+            seen.setdefault(user, set()).add(item)
+        records = [r for r in records if len(seen[r[0]]) >= cfg.min_interactions]
     if cfg.kcore > 0:
-        keep = kcore_oracle({(r.user_id, r.item_id) for r in records}, cfg.kcore)
+        keep = kcore_oracle({(r[0], r[1]) for r in records}, cfg.kcore)
         if not keep:
             raise InputDataError(f"k-core eliminated all data at k={cfg.kcore}")
-        records = [r for r in records if (r.user_id, r.item_id) in keep]
+        records = [r for r in records if (r[0], r[1]) in keep]
     if not records:
         raise InputDataError("no records left after filtering")
 
     edge_slots = {}  # (user, item) -> slots, edges and users in order of first appearance
     user_edges = {}
-    for r in records:
-        key = (r.user_id, r.item_id)
+    for user, item, slot, _, _ in records:
+        key = (user, item)
         if key not in edge_slots:
             edge_slots[key] = []
-            user_edges.setdefault(r.user_id, []).append(r.item_id)
-        edge_slots[key].append(to_slot(r.timestamp))
+            user_edges.setdefault(user, []).append(item)
+        edge_slots[key].append(slot)
     rng = np.random.default_rng(cfg.seed)
     test = set()
     for u, items in user_edges.items():
@@ -86,9 +92,9 @@ def reference_snapshot(records, cfg):
             train_items.add(i)
 
     counts, first_seen = {}, {}
-    for pos, r in enumerate(records):
-        counts.setdefault(r.item_id, Counter())[(r.latitude, r.longitude)] += 1
-        first_seen.setdefault((r.item_id, r.latitude, r.longitude), pos)
+    for pos, (_, item, _, lat, lon) in enumerate(records):
+        counts.setdefault(item, Counter())[(lat, lon)] += 1
+        first_seen.setdefault((item, lat, lon), pos)
     user_ids = {u: k for k, u in enumerate(user_edges)}
     item_ids = {i: k for k, i in enumerate(dict.fromkeys(i for _, i in edge_slots))}
     meta = {
@@ -113,7 +119,8 @@ def reference_snapshot(records, cfg):
 
 
 def random_records(rng):
-    """Records over few users and items, with shared, +-0.0 and scattered coordinates.
+    """Check-in rows over few users and items, with shared, +-0.0 and scattered
+    coordinates.
 
     One user id ends in a NUL, which fixed-width numpy strings would drop.
     """
@@ -126,30 +133,35 @@ def random_records(rng):
             lat, lon = spots[int(rng.integers(len(spots)))]
         else:
             lat, lon = float(rng.uniform(-90, 90)), float(rng.uniform(-180, 180))
-        ts = datetime(2024, 1, 1 + int(rng.integers(7)), int(rng.integers(24)))
+        slot = int(rng.integers(7)) * 24 + int(rng.integers(24))
         user = users[int(rng.integers(len(users)))]
-        records.append(CheckinRecord(user, f"p{rng.integers(n_items)}", ts, lat, lon))
+        records.append((user, f"p{rng.integers(n_items)}", slot, lat, lon))
     return records
 
 
+def parse_lines(tmp_path, lines):
+    """parse_checkins on a file of the given lines."""
+    path = tmp_path / "raw.tsv"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return parse_checkins(path)
+
+
 class TestParse:
-    def test_tab_separated_line(self):
+    def test_tab_separated_line(self, tmp_path):
         lines = ["alice\tcafe41\t2024-01-01T10:30:00\t40.7128\t-74.0060"]
-        records, rejects = parse_checkins(lines)
+        checkins, rejects = parse_lines(tmp_path, lines)
         assert rejects == []
-        (r,) = records
-        assert r.user_id == "alice"
-        assert r.item_id == "cafe41"
-        assert r.timestamp == datetime(2024, 1, 1, 10, 30)
-        assert (r.latitude, r.longitude) == (40.7128, -74.0060)
+        assert (checkins.user_ids, checkins.item_ids) == (["alice"], ["cafe41"])
+        assert checkins.slots.tolist() == [10]  # Monday 10:30
+        assert (checkins.lat.tolist(), checkins.lon.tolist()) == ([40.7128], [-74.0060])
 
-    def test_comma_fallback_and_blank_lines(self):
-        lines = ["", "bob,bar7,2024-03-05T23:15:00,51.5,-0.12", "   \n"]
-        records, rejects = parse_checkins(lines)
-        assert len(records) == 1 and rejects == []
-        assert records[0].user_id == "bob"
+    def test_comma_fallback_and_blank_lines(self, tmp_path):
+        lines = ["", "bob,bar7,2024-03-05T23:15:00,51.5,-0.12", "   "]
+        checkins, rejects = parse_lines(tmp_path, lines)
+        assert len(checkins) == 1 and rejects == []
+        assert checkins.user_ids == ["bob"]
 
-    def test_reject_reasons(self):
+    def test_reject_reasons(self, tmp_path):
         good = "u\tp\t2024-01-01T00:00:00\t40.0\t-74.0"
         bad = [
             "u\tp\t2024-01-01T00:00:00\t95.0\t-74.0",
@@ -160,8 +172,8 @@ class TestParse:
             "u\tp\t2024-01-01T00:00:00\t40.0",
             "\tp\t2024-01-01T00:00:00\t40.0\t-74.0",
         ]
-        records, rejects = parse_checkins([good] * 70 + bad)
-        assert len(records) == 70
+        checkins, rejects = parse_lines(tmp_path, [good] * 70 + bad)
+        assert len(checkins) == 70
         assert [ln for ln, _ in rejects] == list(range(71, 78))
         assert [why.split(";")[0] for _, why in rejects] == [
             "latitude out of range",
@@ -173,21 +185,157 @@ class TestParse:
             "empty user or item id",
         ]
 
-    def test_zone_suffixed_iso_is_rejected(self):
+    def test_zone_suffixed_iso_is_rejected(self, tmp_path):
         lines = ["u\tp\t2024-01-01T10:00:00+02:00\t40.0\t-74.0"] + [
             "u\tp\t2024-01-01T10:00:00\t40.0\t-74.0"
         ] * 20
-        records, rejects = parse_checkins(lines)
-        assert len(records) == 20
+        checkins, rejects = parse_lines(tmp_path, lines)
+        assert len(checkins) == 20
         assert "zone suffix" in rejects[0][1]
 
-    def test_reject_rate_above_ten_percent_raises(self):
+    def test_reject_rate_above_ten_percent_raises(self, tmp_path):
         good = "u\tp\t2024-01-01T10:00:00\t40.0\t-74.0"
         with pytest.raises(InputDataError, match="rejected"):
-            parse_checkins([good] * 9 + ["garbage line", "another"])
+            parse_lines(tmp_path, [good] * 9 + ["garbage line", "another"])
         # exactly at the boundary: 1 bad of 11 is under 10% only if 1 <= 1.1
-        records, rejects = parse_checkins([good] * 10 + ["garbage line"])
-        assert len(records) == 10 and len(rejects) == 1
+        checkins, rejects = parse_lines(tmp_path, [good] * 10 + ["garbage line"])
+        assert len(checkins) == 10 and len(rejects) == 1
+
+    def test_non_utf8_file_names_the_path(self, tmp_path):
+        path = tmp_path / "raw.tsv"
+        path.write_bytes(b"u\tp\t2024-01-01T10:00:00\t40.0\t-74.0\n\xff\n")
+        with pytest.raises(InputDataError, match=f"^{re.escape(str(path))}: .*not UTF-8 text"):
+            parse_checkins(path)
+
+
+def synth_lines():
+    """A small synth log, as its lines."""
+    city = generate_city(SyntheticConfig(n_users=30, n_items=60, n_checkins=300, seed=5))
+    return [
+        f"{r.user_id}\t{r.item_id}\t{r.timestamp.isoformat()}\t{r.latitude!r}\t{r.longitude!r}"
+        for r in city.records
+    ]
+
+
+def parse_outcome(path):
+    """What parse_checkins gives: every column's dtype and bytes (lists for the
+    ids) and the rejects, or the error message."""
+    try:
+        checkins, rejects = parse_checkins(path)
+    except InputDataError as exc:
+        return str(exc)
+    columns = [getattr(checkins, f.name) for f in dataclasses.fields(Checkins)]
+    return [(c.dtype.str, c.tobytes()) if isinstance(c, np.ndarray) else c for c in columns], rejects
+
+
+def line_parse_outcome(path, monkeypatch):
+    """parse_outcome with the whole-file reader switched off, so the line reader decides."""
+    with monkeypatch.context() as patch:
+        patch.setattr(checkin_columns, "read_columns", refuse)
+        return parse_outcome(path)
+
+
+def whole_log_reads(path) -> bool:
+    try:
+        checkin_columns.read_columns(path.read_bytes())
+    except ValueError:
+        return False
+    return True
+
+
+def set_field(field, value, k=7):
+    """An edit of the log's lines: field `field` of line k set to value."""
+
+    def edit(lines):
+        parts = lines[k].split("\t")
+        parts[field] = value
+        return [*lines[:k], "\t".join(parts), *lines[k + 1 :]]
+
+    return edit
+
+
+def joined(lines):
+    return "".join(line + "\n" for line in lines)
+
+
+class TestRawLogReader:
+    """The whole-file reader against the line reader it falls back to."""
+
+    def test_reads_the_synth_layout(self, tmp_path):
+        path = tmp_path / "raw.tsv"
+        city = generate_city(SyntheticConfig(n_users=30, n_items=60, n_checkins=300, seed=5))
+        write_raw(city.records, path)
+        assert whole_log_reads(path)
+        checkins, rejects = parse_checkins(path)
+        assert rejects == [] and checkins == city.checkins()
+
+    def test_mutations_match_the_line_reader(self, tmp_path, mutate, monkeypatch):
+        """On 300 mutated copies of a synth log the whole-file reader gives the
+        line reader's columns, rejects and errors, or leaves the file to it."""
+        rng = np.random.default_rng(83)
+        lines = synth_lines()
+        path = tmp_path / "raw.tsv"
+        whole = 0
+        for _ in range(300):
+            path.write_text(joined(mutate(lines, rng)), encoding="utf-8")
+            assert parse_outcome(path) == line_parse_outcome(path, monkeypatch)
+            whole += whole_log_reads(path)
+        assert 0 < whole < 300
+
+    CASES = {
+        # name: (file text from the synth lines, whole-file read, rejected lines)
+        "as written": (joined, True, 0),
+        "byte-order mark": (lambda s: "\ufeff" + joined(s), True, 0),
+        "two byte-order marks": (lambda s: "\ufeff\ufeff" + joined(s), False, 0),
+        "year 0000": (lambda s: joined(set_field(2, "0000-01-01T10:00:00")(s)), False, 1),
+        "30 February": (lambda s: joined(set_field(2, "2024-02-30T10:00:00")(s)), False, 1),
+        "29 February of a leap year": (lambda s: joined(set_field(2, "2024-02-29T10:00:00")(s)), True, 0),
+        "29 February of 1900": (lambda s: joined(set_field(2, "1900-02-29T10:00:00")(s)), False, 1),
+        "second 60": (lambda s: joined(set_field(2, "2024-01-01T10:00:60")(s)), False, 1),
+        "hour 24": (lambda s: joined(set_field(2, "2024-01-01T24:00:00")(s)), False, 1),
+        "space for T": (lambda s: joined(set_field(2, "2024-01-01 10:00:00")(s)), False, 0),
+        "fractional seconds": (lambda s: joined(set_field(2, "2024-01-01T10:00:00.250")(s)), False, 0),
+        "+02:00 suffix": (lambda s: joined(set_field(2, "2024-01-01T10:00:00+02:00")(s)), False, 1),
+        "Z suffix": (lambda s: joined(set_field(2, "2024-01-01T10:00:00Z")(s)), False, 1),
+        "nan latitude": (lambda s: joined(set_field(3, "nan")(s)), False, 1),
+        "inf longitude": (lambda s: joined(set_field(4, "inf")(s)), False, 1),
+        "1_0 latitude": (lambda s: joined(set_field(3, "1_0")(s)), False, 0),
+        "0x1p3 longitude": (lambda s: joined(set_field(4, "0x1p3")(s)), False, 1),
+        "exponent": (lambda s: joined(set_field(3, "4.05e1")(s)), False, 0),
+        "plus sign": (lambda s: joined(set_field(4, "+73.5")(s)), False, 0),
+        "minus inside a coordinate": (lambda s: joined(set_field(3, "4-0")(s)), False, 1),
+        "latitude past 90": (lambda s: joined(set_field(3, "90.5")(s)), False, 1),
+        "ids of other lengths": (lambda s: joined(set_field(1, "v1")(set_field(0, "u0")(s))), True, 0),
+        "an id past 8 bytes": (lambda s: joined(set_field(0, "user-0000000001")(s)), True, 0),
+        "id ending in NUL": (lambda s: joined(set_field(0, "u0001\x00")(s)), False, 0),
+        "non-ASCII id": (lambda s: joined(set_field(1, "v\u00e90001")(s)), False, 0),
+        "id ending in U+00A0": (lambda s: joined(set_field(0, "u0001\u00a0")(s)), False, 0),
+        "crlf": (lambda s: "\r\n".join(s) + "\r\n", False, 0),
+        "blank lines": (lambda s: joined([s[0], "", *s[1:], "  "]), False, 0),
+        "no final newline": (lambda s: "\n".join(s), False, 0),
+        "sixth column": (lambda s: joined(set_field(4, "-73.5\textra")(s)), False, 0),
+        "comma-separated line": (lambda s: joined([*s[:7], s[7].replace("\t", ","), *s[8:]]), False, 0),
+        "empty item id": (lambda s: joined(set_field(1, "")(s)), False, 1),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_hand_cases_match_the_line_reader(self, tmp_path, monkeypatch, case):
+        text, whole, rejected = self.CASES[case]
+        path = tmp_path / "raw.tsv"
+        path.write_bytes(text(synth_lines()).encode("utf-8"))
+        outcome = parse_outcome(path)
+        assert outcome == line_parse_outcome(path, monkeypatch)
+        assert whole_log_reads(path) == whole
+        assert len(outcome[1]) == rejected, outcome[1]
+
+    def test_byte_order_mark_is_not_an_id(self, tmp_path):
+        """One leading mark is dropped; without that, the first user would be new."""
+        lines = synth_lines()
+        for text in (joined(lines), "\r\n".join(lines)):  # whole-file and line reader
+            plain, marked = tmp_path / "plain.tsv", tmp_path / "marked.tsv"
+            plain.write_bytes(text.encode())
+            marked.write_bytes(("\ufeff" + text).encode())
+            assert parse_checkins(marked) == parse_checkins(plain)
 
 
 class TestKCore:
@@ -205,7 +353,7 @@ class TestKCore:
                 with pytest.raises(InputDataError):
                     kcore_records(records, k)
                 continue
-            survivors = {(r.user_id, r.item_id) for r in kcore_records(records, k)}
+            survivors = {(r[0], r[1]) for r in kcore_records(records, k)}
             assert survivors == expected, f"trial {trial}, k={k}"
 
     def test_duplicate_checkins_do_not_inflate_degree(self):
@@ -221,7 +369,7 @@ class TestKCore:
         }
         for k in (2, 3):
             kept = kcore_records([rec(u, i) for u, i in sorted(pairs)], k)
-            uc = Counter((r.user_id, r.item_id) for r in kept)
+            uc = Counter((r[0], r[1]) for r in kept)
             users = Counter(u for u, _ in uc)
             items = Counter(i for _, i in uc)
             assert min(users.values()) >= k
@@ -248,7 +396,7 @@ class TestBuildDataset:
             rec("u0", "p0", "2024-01-02T06:00:00"),  # Tuesday 6h -> slot 30
             rec("u0", "p1", "2024-01-07T23:00:00"),  # Sunday 23h -> slot 167
         ]
-        ds = build_dataset(records, self.cfg())
+        ds = dataset_of(records, self.cfg())
         assert len(ds.interactions) == 2
         assert ds.n_checkins == 3
         np.testing.assert_array_equal(ds.interactions.items, [0, 1])
@@ -257,7 +405,7 @@ class TestBuildDataset:
 
     def test_indices_follow_first_appearance(self):
         records = [rec("b", "y"), rec("a", "x"), rec("b", "x")]
-        ds = build_dataset(records, self.cfg())
+        ds = dataset_of(records, self.cfg())
         assert ds.user_ids == ["b", "a"]
         assert ds.item_ids == ["y", "x"]
 
@@ -266,9 +414,9 @@ class TestBuildDataset:
         records = [
             rec(f"u{rng.integers(0, 8)}", f"p{rng.integers(0, 40)}") for _ in range(300)
         ]
-        a = build_dataset(records, self.cfg(seed=9))
-        b = build_dataset(records, self.cfg(seed=9))
-        c = build_dataset(records, self.cfg(seed=10))
+        a = dataset_of(records, self.cfg(seed=9))
+        b = dataset_of(records, self.cfg(seed=9))
+        c = dataset_of(records, self.cfg(seed=10))
         assert a.interactions == b.interactions
         assert a.interactions != c.interactions
 
@@ -277,7 +425,7 @@ class TestBuildDataset:
         records = [
             rec(f"u{rng.integers(0, 12)}", f"p{rng.integers(0, 60)}") for _ in range(400)
         ]
-        ds = build_dataset(records, self.cfg())
+        ds = dataset_of(records, self.cfg())
         train = ~ds.interactions.is_test
         assert set(ds.interactions.users[train].tolist()) == set(range(ds.n_users))
         assert set(ds.interactions.items[train].tolist()) == set(range(ds.n_items))
@@ -285,19 +433,19 @@ class TestBuildDataset:
     def test_single_user_items_all_promote_to_train(self):
         """With one user every held-out venue would be unseen, so nothing splits off."""
         records = [rec("solo", f"p{k}") for k in range(10)]
-        ds = build_dataset(records, self.cfg())
+        ds = dataset_of(records, self.cfg())
         assert not ds.interactions.is_test.any()
 
     def test_train_counts_respect_the_floor(self):
         records = [rec(f"u{u}", f"p{k}") for u in range(8) for k in range(10)]
-        ds = build_dataset(records, self.cfg(train_ratio=0.7))
+        ds = dataset_of(records, self.cfg(train_ratio=0.7))
         per_user = Counter(ds.interactions.users[~ds.interactions.is_test].tolist())
         assert all(count >= math.floor(0.7 * 10) for count in per_user.values())
         assert ds.interactions.is_test.any()
 
     def test_min_interactions_drops_sparse_users(self):
         records = [rec("busy", f"p{k}") for k in range(5)] + [rec("oneoff", "p0")]
-        ds = build_dataset(records, self.cfg(min_interactions=5))
+        ds = dataset_of(records, self.cfg(min_interactions=5))
         assert ds.user_ids == ["busy"]
 
     def test_kcore_runs_after_the_sparse_user_drop(self):
@@ -305,7 +453,7 @@ class TestBuildDataset:
             [rec(f"u{u}", f"p{k}") for u in range(3) for k in range(5)]
             + [rec("u9", "p9")]
         )
-        ds = build_dataset(records, self.cfg(min_interactions=2, kcore=2))
+        ds = dataset_of(records, self.cfg(min_interactions=2, kcore=2))
         assert "u9" not in ds.user_ids
         assert "p9" not in ds.item_ids
 
@@ -317,16 +465,16 @@ class TestBuildDataset:
             rec("u1", "p1", lat=1.0, lon=1.0),
             rec("u0", "p1", lat=2.0, lon=2.0),
         ]
-        ds = build_dataset(records, self.cfg())
+        ds = dataset_of(records, self.cfg())
         assert (ds.item_lat[0], ds.item_lon[0]) == (40.0, -74.0)
         # tie between (1,1) and (2,2): first observation wins
         assert (ds.item_lat[1], ds.item_lon[1]) == (1.0, 1.0)
 
     def test_bad_ratio_and_empty_input(self):
         with pytest.raises(ConfigError):
-            build_dataset([rec("u", "p")], self.cfg(train_ratio=1.0))
+            dataset_of([rec("u", "p")], self.cfg(train_ratio=1.0))
         with pytest.raises(InputDataError):
-            build_dataset([], self.cfg())
+            dataset_of([], self.cfg())
 
     def test_matches_dict_reference_on_random_records(self, tmp_path):
         """Same snapshot bytes (or the same error) as the dict-based build, and
@@ -345,10 +493,10 @@ class TestBuildDataset:
                 expected = reference_snapshot(records, cfg)
             except InputDataError as exc:
                 with pytest.raises(InputDataError, match=f"^{re.escape(str(exc))}$"):
-                    build_dataset(records, cfg)
+                    dataset_of(records, cfg)
                 outcomes["raised"] += 1
                 continue
-            save_snapshot(build_dataset(records, cfg), tmp_path / "a")
+            save_snapshot(dataset_of(records, cfg), tmp_path / "a")
             assert (tmp_path / "a").read_bytes() == expected.encode(), f"trial {trial}"
             save_snapshot(load_snapshot(tmp_path / "a"), tmp_path / "b")
             assert (tmp_path / "b").read_bytes() == (tmp_path / "a").read_bytes()
@@ -360,7 +508,7 @@ class TestBuildDataset:
             rec("u0", "p0"),
             rec("u0", "p1"),
         ]
-        stats = dataset_stats(build_dataset(records, self.cfg()))
+        stats = dataset_stats(dataset_of(records, self.cfg()))
         assert stats["n_users"] == 3
         assert stats["n_items"] == 4
         assert stats["n_interactions"] == 12
@@ -497,7 +645,7 @@ class TestSnapshot:
             )
             for _ in range(150)
         ]
-        return build_dataset(records, SplitConfig(train_ratio=0.7, seed=3, min_interactions=2))
+        return dataset_of(records, SplitConfig(train_ratio=0.7, seed=3, min_interactions=2))
 
     def test_round_trip_preserves_everything(self, tmp_path):
         ds = self.build()
@@ -510,6 +658,19 @@ class TestSnapshot:
         np.testing.assert_array_equal(back.item_lat, ds.item_lat)
         np.testing.assert_array_equal(back.item_lon, ds.item_lon)
         assert back.split == ds.split
+
+    def test_block_boundaries_change_no_byte(self, tmp_path, monkeypatch):
+        ds = self.build()
+        save_snapshot(ds, tmp_path / "one_block")
+        monkeypatch.setattr(data, "_SAVE_BLOCK", 3)
+        save_snapshot(ds, tmp_path / "blocks")
+        assert (tmp_path / "blocks").read_bytes() == (tmp_path / "one_block").read_bytes()
+
+    def test_empty_slot_lists_are_written_back(self, tmp_path):
+        path = tmp_path / "empty.sepdata"
+        path.write_text(empty_slot_list(self.saved_lines(tmp_path)))
+        save_snapshot(load_snapshot(path), tmp_path / "again.sepdata")
+        assert (tmp_path / "again.sepdata").read_bytes() == path.read_bytes()
 
     def test_coordinates_survive_exactly(self, tmp_path):
         """repr-format floats make the text round trip bit-exact."""

@@ -141,17 +141,18 @@ class TestRoundTrip:
         city = generate_city(SyntheticConfig(**{**SMALL.__dict__, "n_checkins": 500}))
         path = tmp_path / "raw.tsv"
         write_raw(city.records, path)
-        with path.open() as f:
-            parsed, rejects = parse_checkins(f)
+        parsed, rejects = parse_checkins(path)
         assert rejects == []
-        assert parsed == city.records
+        assert parsed == city.checkins()
+        assert parsed.user_ids == list(dict.fromkeys(r.user_id for r in city.records))
+        assert parsed.slots.tolist() == [to_slot(r.timestamp) for r in city.records]
+        assert parsed.lat.tolist() == [r.latitude for r in city.records]
 
     def test_pipeline_smoke(self, tmp_path):
         city = generate_city(SMALL)
         path = tmp_path / "raw.tsv"
         write_raw(city.records, path)
-        with path.open() as f:
-            parsed, _ = parse_checkins(f)
+        parsed, _ = parse_checkins(path)
         ds = build_dataset(parsed, SplitConfig(train_ratio=0.7, seed=1))
         assert ds.n_users > 0 and ds.n_items > 0
         assert ds.interactions.is_test.any()
