@@ -15,8 +15,9 @@ Each subcommand imports the modules it runs, the scipy-backed ones
 (evaluate, graph, model, sep_graph, training) included, when it is called,
 so ``synth`` and ``prepare`` start without scipy.
 
-Exit codes: 0 success, 2 input data problem, 3 configuration problem,
-4 numerical failure.
+Exit codes: 0 success, 2 input data problem (a file that cannot be read or
+written included), 3 configuration problem (a setting too large for memory
+included), 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -713,6 +714,12 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except OSError as exc:  # a path that cannot be read or written
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # a setting too large for this host
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

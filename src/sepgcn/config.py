@@ -280,6 +280,8 @@ def load_config_file(path: str | Path) -> dict[str, str]:
         text = Path(path).read_text(encoding="utf-8")
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    except OSError as exc:
+        raise ConfigError(f"config file {path} cannot be read ({exc.strerror})") from None
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config file {path} is not UTF-8 text ({exc.reason})") from None
     for lineno, line in enumerate(text.splitlines(), start=1):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import SplitConfig
 from .errors import InputDataError
-from .geo import SLOTS_PER_WEEK, to_slot
+from .geo import to_slot
 
 SNAPSHOT_MAGIC = "SEPDATA1"
 
@@ -375,55 +375,12 @@ def _texts(values: np.ndarray, form: str) -> np.ndarray:
     return np.array([form % v for v in distinct.tolist()], dtype=object)[inverse]
 
 
-_SNAPSHOT_COUNTS = ("n_users", "n_items", "n_interactions", "n_checkins")
-_SNAPSHOT_INTS = ("seed", "min_interactions", "kcore")
-
-
-def _snapshot_meta(path: Path, line: str) -> dict:
-    """The JSON header line, with every key load_snapshot reads type-checked."""
-    try:
-        meta = json.loads(line)
-    except ValueError:
-        raise InputDataError(f"{path}: snapshot header is not JSON: {line[:60]!r}") from None
-    if not isinstance(meta, dict):
-        raise InputDataError(f"{path}: snapshot header must be a JSON object")
-    for key in _SNAPSHOT_COUNTS + _SNAPSHOT_INTS + ("train_ratio",):
-        if key not in meta:
-            raise InputDataError(f"{path}: snapshot header lacks {key!r}")
-    bad = [k for k in _SNAPSHOT_COUNTS if type(meta[k]) is not int or meta[k] < 0]
-    bad += [k for k in _SNAPSHOT_INTS if type(meta[k]) is not int]
-    if type(meta["train_ratio"]) not in (int, float):
-        bad.append("train_ratio")
-    if bad:
-        raise InputDataError(f"{path}: snapshot header holds a bad value for {bad[0]!r}")
-    return meta
-
-
-def _snapshot_row(parts: list[str]):
-    """(row type, value) of one body row; ValueError says what is wrong with it."""
-    if parts[0] == "U" and len(parts) == 2:
-        return "U", parts[1]
-    if parts[0] == "I" and len(parts) == 4:
-        lat, lon = float(parts[2]), float(parts[3])
-        if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
-            raise ValueError("coordinates out of range")
-        return "I", (parts[1], lat, lon)
-    if parts[0] == "E" and len(parts) == 5:
-        slots = [int(s) for s in parts[4].split(",")] if parts[4] else []
-        if not all(0 <= s < SLOTS_PER_WEEK for s in slots):
-            raise ValueError(f"weekly slot outside [0, {SLOTS_PER_WEEK})")
-        if parts[3] not in ("train", "test"):
-            raise ValueError(f"split {parts[3]!r} is neither train nor test")
-        return "E", (int(parts[1]), int(parts[2]), slots, parts[3])
-    raise ValueError(f"unknown row type {parts[0]!r} with {len(parts)} fields")
-
-
 def load_snapshot(path: str | Path) -> Dataset:
-    """Read a snapshot; every malformed row or value is an InputDataError.
+    """Read a snapshot that save_snapshot wrote.
 
-    save_snapshot's own layout is parsed as whole columns. Any other form,
-    or a failed check, goes to the line-by-line reader, whose result or
-    error (naming path:lineno) stands.
+    The writer's layout is the only form read (see sepgcn.snapshot_columns).
+    Any other file is an InputDataError that names the path, and for a fault
+    in one row the row's line.
     """
     path = Path(path)
     if not path.exists():
@@ -431,52 +388,4 @@ def load_snapshot(path: str | Path) -> Dataset:
     # imported here: the stages that only write snapshots never compile it
     from .snapshot_columns import read_columns
 
-    try:
-        return read_columns(path)
-    except (ValueError, InputDataError):
-        return _snapshot_lines(path)
-
-
-def _split_config(meta: dict) -> SplitConfig:
-    return SplitConfig(
-        train_ratio=meta["train_ratio"],
-        seed=meta["seed"],
-        min_interactions=meta["min_interactions"],
-        kcore=meta["kcore"],
-    )
-
-
-def _snapshot_lines(path: Path) -> Dataset:
-    """The reference reader: one row at a time, accepting every form
-    load_snapshot documents, with each error naming path:lineno."""
-    rows: dict[str, list] = {"U": [], "I": [], "E": []}
-    try:
-        with path.open("r", encoding="utf-8") as f:
-            magic = f.readline().rstrip("\n")
-            if magic != SNAPSHOT_MAGIC:
-                raise InputDataError(f"{path}: bad snapshot header {magic!r}")
-            meta = _snapshot_meta(path, f.readline())
-            for lineno, line in enumerate(f, start=3):
-                try:
-                    kind, value = _snapshot_row(line.rstrip("\n").split("\t"))
-                except ValueError as exc:
-                    raise InputDataError(f"{path}:{lineno}: bad snapshot row: {exc}") from None
-                rows[kind].append(value)
-    except UnicodeDecodeError as exc:
-        raise InputDataError(f"{path}: snapshot is not UTF-8 text ({exc.reason})") from None
-    cfg = _split_config(meta)
-    users, items, edges = rows["U"], rows["I"], rows["E"]
-    counts = (len(users), len(items), len(edges), sum(len(slots) for _, _, slots, _ in edges))
-    if counts != tuple(meta[k] for k in _SNAPSHOT_COUNTS):
-        raise InputDataError(f"{path}: snapshot body does not match its header counts")
-    # checked before the int64 columns are made, where a huge index would overflow
-    for user, item, _, _ in edges:
-        if not (0 <= user < len(users) and 0 <= item < len(items)):
-            raise InputDataError(
-                f"{path}: interaction ({user}, {item}) indexes past "
-                f"{len(users)} users or {len(items)} items"
-            )
-    item_ids, lat, lon = list(zip(*items)) or [(), (), ()]
-    return Dataset(
-        users, list(item_ids), Interactions.from_rows(edges), np.array(lat), np.array(lon), cfg
-    )
+    return read_columns(path)

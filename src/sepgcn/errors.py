@@ -1,7 +1,8 @@
-"""Exception taxonomy shared across the package.
+"""Exception taxonomy shared across the package, and the text check of the
+readers of the files the pipeline writes.
 
 The CLI maps these onto exit codes: InputDataError -> 2,
-ConfigError -> 3, NumericalError -> 4.
+ConfigError -> 3, NumericalError -> 4; and OSError -> 2, MemoryError -> 3.
 """
 
 
@@ -19,3 +20,20 @@ class ConfigError(SepGcnError):
 
 class NumericalError(SepGcnError):
     """A numerical invariant was violated (NaN/Inf, degenerate statistic)."""
+
+
+def check_text(path, data: bytes, what: str) -> None:
+    """InputDataError unless data, the bytes of the file at path, is UTF-8
+    text whose every line ends in a newline and holds no carriage return.
+    The error names the line of the first bad byte."""
+    if data and not data.endswith(b"\n"):
+        raise InputDataError(f"{path}: {what} does not end with a newline")
+    at, reason = data.find(b"\r"), "holds a carriage return"
+    if at < 0 and not data.isascii():
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            at, reason = exc.start, f"is not UTF-8 text ({exc.reason})"
+    if at >= 0:
+        lineno = data.count(b"\n", 0, at) + 1
+        raise InputDataError(f"{path}:{lineno}: {what} {reason}")

@@ -122,15 +122,14 @@ class SepOperator:
             format="csr",
         )
         self.w.eliminate_zeros()  # a block is all zeros when alpha or beta is 1
-        self.wt = self.w.T.tocsr()
 
     def update(self, node_table: np.ndarray) -> np.ndarray:
         """One edge-context step: W @ node_table."""
         return self.w @ node_table
 
     def update_adjoint(self, grad_out: np.ndarray) -> np.ndarray:
-        """Transpose of the step: Wᵀ @ grad_out."""
-        return self.wt @ grad_out
+        """Transpose of the step: Wᵀ @ grad_out, through W's CSC view."""
+        return self.w.T @ grad_out
 
 
 def _check_finite(table: np.ndarray, step: str) -> None:

@@ -13,6 +13,7 @@ import io
 import json
 import logging
 import math
+import re
 from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import chain
@@ -22,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .config import PruningParams, SimilarityParams
-from .errors import ConfigError, InputDataError
+from .errors import ConfigError, InputDataError, check_text
 from .geo import SLOTS_PER_WEEK, haversine_km, sigma, sigma_cutoff_km
 
 logger = logging.getLogger(__name__)
@@ -402,31 +403,44 @@ def _sep_header(path: Path, header: str) -> dict:
 
 
 def load_sep_matrix(path: str | Path) -> SepMatrix:
-    """Read a matrix file; every malformed line or value is an InputDataError.
+    """Read a matrix file that save_sep_matrix wrote.
 
-    Each stored entry must be a pair i < j < n_edges, listed once, with a
-    finite positive weight. The pairs come back sorted by (i, j).
-    save_sep_matrix's own layout is parsed as whole columns. Any other form,
-    or a failed check, goes to the line-by-line reader, whose result or
-    error (naming path:lineno) stands.
+    The writer's layout is the only form read: the SEPMAT1 header line, then
+    one i<TAB>j<TAB>weight line per entry, in plain decimal, every line
+    ending in a newline. The pairs must be i < j < n_edges, strictly
+    ascending by (i, j), each with a finite positive weight. Any other file
+    is an InputDataError that names the path; a fault in one line names it,
+    the first line off the layout or else the first entry that fails a check.
     """
     path = Path(path)
     if not path.exists():
         raise InputDataError(f"matrix file not found: {path}")
-    try:
-        meta, rows, cols, values = _sep_columns(path)
-    except (ValueError, InputDataError):
-        meta, rows, cols, values = _sep_lines(path)
-    step_rows, step_cols = np.diff(rows), np.diff(cols)
-    if np.any((step_rows < 0) | ((step_rows == 0) & (step_cols < 0))):
-        order = np.lexsort((cols, rows))
-        rows, cols, values = rows[order], cols[order], values[order]
-        step_rows, step_cols = np.diff(rows), np.diff(cols)
-    if np.any((step_rows == 0) & (step_cols == 0)):
-        raise InputDataError(f"{path}: an edge pair is listed twice")
+    data = path.read_bytes()
+    header, _, body = data.partition(b"\n")
+    check_text(path, data[: len(header) + 1], "matrix file")
+    meta = _sep_header(path, header.decode("utf-8"))
+    n_edges = meta["n_edges"]
+    table = _entry_table(body)
+    if table is None:
+        check_text(path, data, "matrix file")  # a carriage return or non-UTF-8 byte first
+        off = re.compile(_OFF_ENTRY_LAYOUT, re.M).search(data, len(header) + 1, len(data) - 1)
+        raise _entry_error(path, data, off.start(), n_edges)
+    rows, cols, values = (table[name].copy() for name in _SEP_ROW.names)
+    bad = ~((0 <= rows) & (rows < cols) & (cols < n_edges) & np.isfinite(values) & (values > 0))
+    if bad.any():
+        at = np.flatnonzero(np.frombuffer(data, np.uint8) == ord("\n"))[np.argmax(bad)] + 1
+        raise _entry_error(path, data, at, n_edges)
+    step_rows = np.diff(rows)
+    unsorted = (step_rows < 0) | ((step_rows == 0) & (np.diff(cols) <= 0))
+    if unsorted.any():
+        k = np.argmax(unsorted) + 1
+        pair = f"{path}:{k + 2}: edge pair ({rows[k]}, {cols[k]})"
+        if np.any((rows[:k] == rows[k]) & (cols[:k] == cols[k])):
+            raise InputDataError(f"{pair} is listed twice")
+        raise InputDataError(f"{pair} follows ({rows[k - 1]}, {cols[k - 1]}); pairs must ascend")
     extra = {k: v for k, v in meta.items() if k not in ("n_edges", "normalization", "storage")}
     return SepMatrix(
-        n_edges=meta["n_edges"],
+        n_edges=n_edges,
         rows=rows,
         cols=cols,
         values=values,
@@ -436,65 +450,42 @@ def load_sep_matrix(path: str | Path) -> SepMatrix:
 
 
 _SEP_ROW = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
-# every byte save_sep_matrix writes in a body of weights in (0, 1]; on a token
-# spelled with these alone np.loadtxt and the line reader agree, or loadtxt
-# rejects it
+# every byte save_sep_matrix writes in a body of weights in (0, 1]
 _SEP_BODY_BYTES = b"0123456789\t\n.e-"
+# matches (with re.M) the start of a line off the entry layout: every line
+# _entry_table refuses, and the lines whose negative or 19-digit numbers it
+# reads but the checks then refuse; compiled only for a file with one
+_OFF_ENTRY_LAYOUT = rb"^(?!\d{1,18}\t\d{1,18}\t(?:\d+\.?\d*|\.\d+)(?:e-?\d+)?$)"
 
 
-def _sep_columns(path: Path):
-    """(meta, rows, cols, values) of a body in the writer's layout, each line
-    i<TAB>j<TAB>v, parsed in one call; ValueError on any other form,
-    including ones the line reader accepts."""
-    with path.open("rb") as f:
-        header, body = f.readline(), f.read()
-    if b"\r" in header or body.translate(None, _SEP_BODY_BYTES):
-        raise ValueError("not the writer's bytes")
-    if body.startswith(b"\n") or b"\n\n" in body or body[-1:] not in (b"", b"\n"):
-        raise ValueError("a blank or unterminated line")  # loadtxt would skip a blank one
-    meta = _sep_header(path, header.rstrip(b"\n").decode("utf-8"))
-    table = np.empty(0, _SEP_ROW)
-    if body:
-        table = np.loadtxt(io.BytesIO(body), dtype=_SEP_ROW, delimiter="\t", comments=None, ndmin=1)
-    i, j, v = (table[name].copy() for name in _SEP_ROW.names)
-    if not (np.all((0 <= i) & (i < j) & (j < meta["n_edges"])) and np.all(np.isfinite(v) & (v > 0))):
-        raise ValueError("an entry fails its checks")
-    return meta, i, j, v
-
-
-def _sep_lines(path: Path):
-    """The reference reader: (meta, rows, cols, values) one line at a time,
-    each error naming path:lineno."""
+def _entry_table(body: bytes):
+    """The i, j and v columns of the entry lines in body, parsed in one call,
+    or None when a line is off the layout."""
+    if not body:
+        return np.empty(0, _SEP_ROW)
+    if body.translate(None, _SEP_BODY_BYTES) or not body.endswith(b"\n") or body.startswith(b"\n"):
+        return None  # loadtxt would take a line the writer never writes
     try:
-        with path.open("r", encoding="utf-8") as f:
-            meta = _sep_header(path, f.readline().rstrip("\n"))
-            n_edges = meta["n_edges"]
-            ii: list[int] = []
-            jj: list[int] = []
-            vv: list[float] = []
-            for lineno, line in enumerate(f, start=2):
-                try:
-                    i, j, v = line.rstrip("\n").split("\t")
-                    i, j, v = int(i), int(j), float(v)
-                except ValueError:
-                    raise InputDataError(
-                        f"{path}:{lineno}: expected 'row<TAB>col<TAB>value', got {line[:60]!r}"
-                    ) from None
-                if not 0 <= i < j < n_edges:
-                    raise InputDataError(
-                        f"{path}:{lineno}: entry ({i}, {j}) is not an upper-triangle "
-                        f"pair of the {n_edges} edges"
-                    )
-                if not (math.isfinite(v) and v > 0.0):
-                    raise InputDataError(f"{path}:{lineno}: weight {v!r} is not positive and finite")
-                ii.append(i)
-                jj.append(j)
-                vv.append(v)
-    except UnicodeDecodeError as exc:
-        raise InputDataError(f"{path}: matrix file is not UTF-8 text ({exc.reason})") from None
-    return (
-        meta,
-        np.array(ii, dtype=np.int64),
-        np.array(jj, dtype=np.int64),
-        np.array(vv, dtype=np.float64),
-    )
+        table = np.loadtxt(io.BytesIO(body), dtype=_SEP_ROW, delimiter="\t", comments=None, ndmin=1)
+    except ValueError:
+        return None
+    return table if len(table) == body.count(b"\n") else None  # loadtxt skips a blank line
+
+
+def _entry_error(path: Path, data: bytes, at: int, n_edges: int) -> InputDataError:
+    """The error for the entry line that starts at byte `at` of data."""
+    lineno, line = data.count(b"\n", 0, at) + 1, data[at : data.index(b"\n", at)].decode("utf-8")
+    fields = line.split("\t")
+    if len(fields) != 3:
+        reason = f"expected 'row<TAB>col<TAB>value', got {line[:60]!r}"
+    elif not (_is_index(fields[1], n_edges) and _is_index(fields[0], int(fields[1]))):
+        reason = (
+            f"entry ({fields[0]}, {fields[1]}) is not an upper-triangle pair of the {n_edges} edges"
+        )
+    else:
+        reason = f"weight {fields[2]!r} is not positive and finite"
+    return InputDataError(f"{path}:{lineno}: {reason}")
+
+
+def _is_index(text: str, n: int) -> bool:
+    return 0 < len(text) <= 18 and text.isascii() and text.isdigit() and int(text) < n

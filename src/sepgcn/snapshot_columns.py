@@ -1,66 +1,143 @@
-"""Whole-file reader of save_snapshot's own layout.
+"""The snapshot reader: save_snapshot's layout, parsed as whole columns.
 
-load_snapshot tries it first and hands every other form to its line-by-line
-reader. It lives apart from sepgcn.data so that the stages that only write a
-snapshot (synth, prepare) do not compile it.
+A snapshot is the SEPDATA1 line, a JSON header, then the U, I and E blocks in
+that order, sized by the header counts, every line ending in a newline:
+
+    U<TAB>user id
+    I<TAB>item id<TAB>lat<TAB>lon                   coordinates as float() reads them
+    E<TAB>user<TAB>item<TAB>train|test<TAB>slot,...,slot   numbers in plain digits
+
+The reader accepts that layout alone. It lives apart from sepgcn.data so
+that the stages that only write a snapshot (synth, prepare) do not compile it.
 """
 from __future__ import annotations
 
+import json
+import re
 from pathlib import Path
 
 import numpy as np
 
-from .data import (
-    SNAPSHOT_MAGIC,
-    Dataset,
-    Interactions,
-    _SNAPSHOT_COUNTS,
-    _snapshot_meta,
-    _snapshot_row,
-    _split_config,
-)
+from .config import SplitConfig
+from .data import SNAPSHOT_MAGIC, Dataset, Interactions
+from .errors import InputDataError, check_text
 from .geo import SLOTS_PER_WEEK
+
+_SNAPSHOT_COUNTS = ("n_users", "n_items", "n_interactions", "n_checkins")
+_SNAPSHOT_INTS = ("seed", "min_interactions", "kcore")
+# matches (with re.M) the start of a line off the E row layout, which are
+# exactly the lines _edge_block refuses; compiled only for a file with one
+_OFF_EDGE_LAYOUT = rb"^(?!E\t\d{1,18}\t\d{1,18}\t(?:train|test)\t(?:\d{1,18}(?:,\d{1,18})*)?$)"
 
 
 def read_columns(path: Path) -> Dataset:
-    """The snapshot at path, when it has the writer's layout: the U, I and E
-    blocks in order, sized by the header counts, every line ending in a
-    newline. ValueError on any other form, including ones the line reader
-    accepts."""
+    """The snapshot at path, in the layout above. Anything else is an
+    InputDataError naming the path; a fault in one row names its line too:
+    the first line off the layout, or else the first row holding a value out
+    of range."""
     data = path.read_bytes()
-    if b"\r" in data:  # the line reader's universal newlines would break lines there
-        raise ValueError("carriage return")
+    check_text(path, data, "snapshot")
     ends = np.flatnonzero(np.frombuffer(data, np.uint8) == ord("\n"))
     if len(ends) < 2 or data[: ends[0]] != SNAPSHOT_MAGIC.encode():
-        raise ValueError("not a snapshot header")
+        magic = data[: ends[0]] if len(ends) else data[:40]
+        raise InputDataError(f"{path}: bad snapshot header {magic!r}")
     meta = _snapshot_meta(path, data[ends[0] + 1 : ends[1]].decode("utf-8"))
     n_users, n_items, n_edges, n_checkins = (meta[k] for k in _SNAPSHOT_COUNTS)
-    if len(ends) != 2 + n_users + n_items + n_edges or ends[-1] != len(data) - 1:
-        raise ValueError("line count")
+    if len(ends) != 2 + n_users + n_items + n_edges:
+        raise InputDataError(f"{path}: snapshot body does not match its header counts")
     starts = np.concatenate([[0], ends[:-1] + 1])
-    user_ids = _text_block(data, starts, ends, 2, n_users, "U")
-    items = _text_block(data, starts, ends, 2 + n_users, n_items, "I")
-    edges = _edge_block(data, starts[2 + n_users + n_items :], ends[2 + n_users + n_items :])
-    if (
-        len(edges.slot_vals) != n_checkins
-        or np.any(edges.users >= n_users)
-        or np.any(edges.items >= n_items)
-    ):
-        raise ValueError("counts or indexes")
+    user_ids = _text_block(path, data, starts, ends, 2, n_users, "U")
+    items = _text_block(path, data, starts, ends, 2 + n_users, n_items, "I")
+    first = 2 + n_users + n_items
+    try:
+        edges = _edge_block(data, starts[first:], ends[first:])
+    except ValueError:
+        off = re.compile(_OFF_EDGE_LAYOUT, re.M).search(data, starts[first], ends[-1])
+        k = np.searchsorted(starts, off.start())
+        raise _edge_error(path, data, starts, ends, k, meta) from None
+    bad = (edges.users >= n_users) | (edges.items >= n_items)
+    bad_slots = np.flatnonzero(edges.slot_vals >= SLOTS_PER_WEEK)
+    if len(bad_slots) or bad.any():
+        bad[np.searchsorted(edges.slot_ptr, bad_slots, "right") - 1] = True
+        raise _edge_error(path, data, starts, ends, first + np.argmax(bad), meta)
+    if len(edges.slot_vals) != n_checkins:
+        raise InputDataError(f"{path}: snapshot body does not match its header counts")
     item_ids, lat, lon = list(zip(*items)) or [(), (), ()]
-    return Dataset(user_ids, list(item_ids), edges, np.array(lat), np.array(lon), _split_config(meta))
+    split = SplitConfig(**{k: meta[k] for k in ("train_ratio", *_SNAPSHOT_INTS)})
+    return Dataset(user_ids, list(item_ids), edges, np.array(lat), np.array(lon), split)
 
 
-def _text_block(data: bytes, starts, ends, first: int, n: int, kind: str) -> list:
-    """Values of the n lines from line `first` on, each a `kind` row, read as
-    the line reader reads them; line k is data[starts[k]:ends[k]]."""
+def _snapshot_meta(path: Path, line: str) -> dict:
+    """The JSON header line, with every key read_columns reads type-checked."""
+    try:
+        meta = json.loads(line)
+    except ValueError:
+        raise InputDataError(f"{path}: snapshot header is not JSON: {line[:60]!r}") from None
+    if not isinstance(meta, dict):
+        raise InputDataError(f"{path}: snapshot header must be a JSON object")
+    for key in _SNAPSHOT_COUNTS + _SNAPSHOT_INTS + ("train_ratio",):
+        if key not in meta:
+            raise InputDataError(f"{path}: snapshot header lacks {key!r}")
+    bad = [k for k in _SNAPSHOT_COUNTS if type(meta[k]) is not int or meta[k] < 0]
+    bad += [k for k in _SNAPSHOT_INTS if type(meta[k]) is not int]
+    if type(meta["train_ratio"]) not in (int, float):
+        bad.append("train_ratio")
+    if bad:
+        raise InputDataError(f"{path}: snapshot header holds a bad value for {bad[0]!r}")
+    return meta
+
+
+def _snapshot_row(parts: list[str]):
+    """The value of one U or I row; ValueError says what is wrong with it."""
+    if parts[0] == "U" and len(parts) == 2:
+        return parts[1]
+    if parts[0] == "I" and len(parts) == 4:
+        lat, lon = float(parts[2]), float(parts[3])
+        if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
+            raise ValueError("coordinates out of range")
+        return parts[1], lat, lon
+    raise ValueError(f"unknown row type {parts[0]!r} with {len(parts)} fields")
+
+
+def _text_block(path: Path, data: bytes, starts, ends, first: int, n: int, kind: str) -> list:
+    """Values of the n lines from line index `first` on, each a `kind` row;
+    line k is data[starts[k]:ends[k]]."""
     if not n:
         return []
     lines = data[starts[first] : ends[first + n - 1]].decode("utf-8").split("\n")
-    rows = [_snapshot_row(line.split("\t")) for line in lines]
-    if any(k != kind for k, _ in rows):
-        raise ValueError(f"a row in the {kind} block is of another type")
-    return [value for _, value in rows]
+    values = []
+    try:
+        for lineno, line in enumerate(lines, start=first + 1):
+            parts = line.split("\t")
+            if parts[0] != kind and parts[0] in ("U", "I", "E"):
+                raise ValueError(f"{parts[0]} row among the {kind} rows")
+            values.append(_snapshot_row(parts))
+    except ValueError as exc:
+        raise InputDataError(f"{path}:{lineno}: bad snapshot row: {exc}") from None
+    return values
+
+
+def _edge_error(path: Path, data: bytes, starts, ends, k: int, meta: dict) -> InputDataError:
+    """The error for line index k, an E row that is off the layout or holds a
+    value out of range."""
+    parts = data[starts[k] : ends[k]].decode("utf-8").split("\t")
+    n_users, n_items = meta["n_users"], meta["n_items"]
+    if parts[0] != "E" or len(parts) != 5:
+        reason = f"expected an E row of 5 fields, got {parts[0]!r} with {len(parts)}"
+    elif not (_is_index(parts[1], n_users) and _is_index(parts[2], n_items)):
+        reason = (
+            f"interaction ({parts[1]!r}, {parts[2]!r}) indexes past {n_users} users "
+            f"or {n_items} items, or is not in plain digits"
+        )
+    elif parts[3] not in ("train", "test"):
+        reason = f"split {parts[3]!r} is neither train nor test"
+    else:
+        reason = f"{parts[4]!r} is not weekly slots in [0, {SLOTS_PER_WEEK}) joined by commas"
+    return InputDataError(f"{path}:{k + 1}: bad snapshot row: {reason}")
+
+
+def _is_index(text: str, n: int) -> bool:
+    return 0 < len(text) <= 18 and text.isascii() and text.isdigit() and int(text) < n
 
 
 _TEST, _TRAIN = np.frombuffer(b"test\t", np.uint8), np.frombuffer(b"train", np.uint8)
@@ -89,13 +166,12 @@ def _edge_block(data: bytes, starts: np.ndarray, ends: np.ndarray) -> Interactio
     commas = np.flatnonzero(a[lo:hi] == ord(",")) + lo
     row = np.searchsorted(ends, commas)
     filled = ends > tabs[:, 3] + 1
+    # each bound list is two sorted runs, which a stable sort merges in one pass
     slot_vals = _digit_runs(
         a,
-        np.sort(np.concatenate([tabs[filled, 3] + 1, commas + 1])),
-        np.sort(np.concatenate([commas, ends[filled]])),
+        np.sort(np.concatenate([tabs[filled, 3] + 1, commas + 1]), kind="stable"),
+        np.sort(np.concatenate([commas, ends[filled]]), kind="stable"),
     )
-    if np.any(slot_vals >= SLOTS_PER_WEEK):
-        raise ValueError("slot")
     return Interactions(
         users=_digit_runs(a, tabs[:, 0] + 1, tabs[:, 1]),
         items=_digit_runs(a, tabs[:, 1] + 1, tabs[:, 2]),
@@ -112,7 +188,7 @@ def _digit_runs(a: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         raise ValueError("not a number of 1 to 18 digits")
     out = np.zeros(len(lo), dtype=np.int64)
     for d in range(width.max(initial=0)):
-        at = np.flatnonzero(width > d)
+        at = np.flatnonzero(width > d) if d else slice(None)  # every run has a first digit
         digit = a[lo[at] + d] - np.uint8(ord("0"))  # other bytes wrap past 9
         if np.any(digit > 9):
             raise ValueError("not a digit")

@@ -198,20 +198,6 @@ def loss_gradient(
     return grad, loss
 
 
-def grad_step(
-    e0: np.ndarray,
-    batch: TripletBatch,
-    model_cfg: ModelConfig,
-    graph: BipartiteGraph,
-    operator: SepOperator | None,
-    train_cfg: TrainConfig,
-    optimizer,
-) -> tuple[np.ndarray, float]:
-    """One optimizer update from one triplet batch; returns (new table, loss)."""
-    grad, loss = loss_gradient(e0, batch, model_cfg, graph, operator, train_cfg.l2_lambda)
-    return optimizer.step(e0, grad), loss
-
-
 @dataclass
 class TrainResult:
     e0: np.ndarray
@@ -277,7 +263,10 @@ def train(
         try:
             for _ in range(batches_per_epoch):
                 batch = sampler.sample(train_cfg.batch_size, rng, train_cfg.neg_per_pos)
-                stepped, loss = grad_step(e0, batch, model_cfg, graph, operator, train_cfg, optimizer)
+                grad, loss = loss_gradient(
+                    e0, batch, model_cfg, graph, operator, train_cfg.l2_lambda
+                )
+                stepped = optimizer.step(e0, grad)
                 if not math.isfinite(loss):
                     raise NumericalError("non-finite loss")
                 if not np.isfinite(stepped).all():

@@ -777,3 +777,52 @@ class TestBadInputFiles:
         assert errors == [err.strip().splitlines()[-1]]
         assert "Traceback" not in err
         return errors[0]
+
+
+def _stage_argv(chain, stage, out):
+    """The arguments of one stage on the shared chain, writing to out."""
+    snap, sep = ["--snapshot", chain / "snap.txt"], ["--sep", chain / "pairs.sep"]
+    return {
+        "synth": ["synth", "--out", out, "--users", "20", "--items", "40", "--checkins", "300"],
+        "prepare": ["prepare", "--raw", chain / "raw.tsv", "--out", out, *SETTINGS],
+        "build-sep": ["build-sep", *snap, "--out", out, *SETTINGS],
+        "train": ["train", *snap, *sep, "--out", out, *SETTINGS],
+        "eval": ["eval", *snap, *sep, "--checkpoint", chain / "ck.bin", "--out", out, *SETTINGS],
+        "sweep": ["sweep", *snap, "--axis", "layers", "--values", "1", "--out", out, *SETTINGS],
+    }[stage]
+
+
+class TestHostLimits:
+    """A path that cannot be read or written exits 2 and a setting too large
+    for memory exits 3, each with one error line and no traceback."""
+
+    @pytest.mark.parametrize("stage", ["synth", "prepare", "build-sep", "train", "eval", "sweep"])
+    def test_out_in_a_missing_directory_exits_2(self, chain, tmp_path, capsys, stage):
+        out = tmp_path / "missing" / "out.tsv"
+        error = TestBadInputFiles.assert_exits(_stage_argv(chain, stage, out), 2, capsys)
+        assert str(out.parent) in error
+
+    def test_log_in_a_missing_directory_exits_2(self, chain, tmp_path, capsys):
+        log = tmp_path / "missing" / "train.log"
+        argv = [*_stage_argv(chain, "train", tmp_path / "ck.bin"), "--log", log]
+        assert str(log) in TestBadInputFiles.assert_exits(argv, 2, capsys)
+
+    @pytest.mark.parametrize(
+        "stage, flag, code",
+        [("prepare", "--raw", 2), ("build-sep", "--snapshot", 2), ("eval", "--checkpoint", 2),
+         ("prepare", "--config", 3)],
+    )
+    def test_directory_as_an_input_file(self, chain, tmp_path, capsys, stage, flag, code):
+        argv = [*_stage_argv(chain, stage, tmp_path / "out"), flag, tmp_path]
+        assert "directory" in TestBadInputFiles.assert_exits(argv, code, capsys)
+
+    # each asks for at least 10**15 elements (neg_per_pos times the 2048 of a
+    # batch), more than any 64-bit host can hold
+    @pytest.mark.parametrize(
+        "key, value",
+        [("train.batch_size", 10**15), ("model.dim", 10**15), ("train.neg_per_pos", 10**12)],
+    )
+    def test_setting_too_large_for_memory_exits_3(self, chain, tmp_path, capsys, key, value):
+        argv = [*_stage_argv(chain, "train", tmp_path / "ck.bin"), "--set", f"{key}={value}"]
+        assert "out of memory" in TestBadInputFiles.assert_exits(argv, 3, capsys)
+        assert not (tmp_path / "ck.bin").exists()

@@ -11,7 +11,7 @@ from datetime import datetime
 import numpy as np
 import pytest
 
-from sepgcn import checkin_columns, data, snapshot_columns
+from sepgcn import checkin_columns, data
 from sepgcn.config import SplitConfig
 from sepgcn.data import (
     SNAPSHOT_MAGIC,
@@ -27,6 +27,8 @@ from sepgcn.data import (
 from sepgcn.errors import ConfigError, InputDataError
 from sepgcn.geo import to_slot
 from sepgcn.synthetic import SyntheticConfig, generate_city, write_raw
+
+import line_readers
 
 
 def rec(u, i, ts="2024-01-01T10:00:00", lat=40.0, lon=-74.0):
@@ -226,6 +228,10 @@ def parse_outcome(path):
         return str(exc)
     columns = [getattr(checkins, f.name) for f in dataclasses.fields(Checkins)]
     return [(c.dtype.str, c.tobytes()) if isinstance(c, np.ndarray) else c for c in columns], rejects
+
+
+def refuse(data):
+    raise ValueError("whole-file reader switched off")
 
 
 def line_parse_outcome(path, monkeypatch):
@@ -516,10 +522,10 @@ class TestBuildDataset:
         np.testing.assert_allclose(stats["density_pct"], 100.0)
 
 
-def snapshot_outcome(path):
-    """What load_snapshot gives: the dataset as plain values, or the error message."""
+def snapshot_outcome(path, load=load_snapshot):
+    """What load gives: the dataset as plain values, or the error message."""
     try:
-        ds = load_snapshot(path)
+        ds = load(path)
     except InputDataError as exc:
         return str(exc)
     columns = [getattr(ds.interactions, f.name) for f in dataclasses.fields(Interactions)]
@@ -527,23 +533,14 @@ def snapshot_outcome(path):
     return (ds.user_ids, ds.item_ids, ds.split, *((a.dtype.str, a.tolist()) for a in columns))
 
 
-def refuse(path):
-    raise ValueError("whole-file reader switched off")
-
-
-def line_reader_outcome(path, monkeypatch):
-    """snapshot_outcome with the whole-file reader switched off, so the line reader decides."""
-    with monkeypatch.context() as patch:
-        patch.setattr(snapshot_columns, "read_columns", refuse)
-        return snapshot_outcome(path)
-
-
-def whole_file_reads(path) -> bool:
-    try:
-        snapshot_columns.read_columns(path)
-    except (ValueError, InputDataError):
-        return False
-    return True
+def matches_the_line_reader(path) -> bool:
+    """Whether load_snapshot loads path as the line-by-line reference reader
+    does, or rejects it with one line that names the path. So it rejects
+    every file the reference rejects."""
+    outcome = snapshot_outcome(path)
+    if isinstance(outcome, str):
+        return outcome.startswith(f"{path}") and "\n" not in outcome
+    return outcome == snapshot_outcome(path, line_readers._snapshot_lines)
 
 
 def respell_item(lines, spell):
@@ -743,6 +740,26 @@ class TestSnapshot:
         with pytest.raises(InputDataError, match=match):
             self.load_lines(tmp_path, lines)
 
+    @pytest.mark.parametrize(
+        "kind, edit",
+        [
+            ("U", lambda p: ["X", p[1]]),
+            ("I", lambda p: [*p[:2], "nan", p[3]]),
+            ("E", lambda p: [*p[:3], "valid", p[4]]),
+            ("E", lambda p: [p[0], p[1], "99999", *p[3:]]),
+            ("E", lambda p: [*p[:4], "3,168"]),
+        ],
+    )
+    def test_a_bad_row_names_its_line(self, tmp_path, kind, edit):
+        lines = self.saved_lines(tmp_path)
+        rows = [n for n, line in enumerate(lines) if line.startswith(kind + "\t")]
+        k = rows[len(rows) // 2]
+        lines[k] = "\t".join(edit(lines[k].split("\t")))
+        with pytest.raises(InputDataError) as error:
+            self.load_lines(tmp_path, lines)
+        path = tmp_path / "bad.sepdata"
+        assert str(error.value).startswith(f"{path}:{k + 1}: bad snapshot row: ")
+
     def test_mutated_files_load_or_raise_input_error(self, tmp_path, mutate):
         rng = np.random.default_rng(67)
         lines = self.saved_lines(tmp_path)
@@ -760,55 +777,51 @@ class TestSnapshot:
             assert np.all(np.isfinite(ds.item_lat)) and np.all(np.isfinite(ds.item_lon))
         assert outcomes["rejected"] > 0 and outcomes["loaded"] > 0
 
-    def test_mutations_match_the_line_reader(self, tmp_path, mutate, monkeypatch):
-        """The whole-file reader takes the writer's layout only; on the 300
-        files of the mutation test above it gives what the line reader gives."""
+    def test_mutations_match_the_line_reader(self, tmp_path, mutate):
+        """On the 300 files of the mutation test above the loader loads what
+        the line reader loads, with the same values, or rejects the file with
+        one line naming it; it rejects every file the line reader rejects."""
         rng = np.random.default_rng(67)
         lines = self.saved_lines(tmp_path)
-        whole = 0
         for _ in range(300):
             path = tmp_path / "bad.sepdata"
             path.write_text("\n".join(mutate(lines, rng)) + "\n")
-            assert snapshot_outcome(path) == line_reader_outcome(path, monkeypatch)
-            whole += whole_file_reads(path)
-        assert 0 < whole < 300
+            assert matches_the_line_reader(path)
 
     CASES = {
-        # name: (file text from the saved lines, whole-file read, loads)
-        "as written": (lambda s: "\n".join(s) + "\n", True, True),
-        "blank line": (lambda s: "\n".join([*s[:4], "", *s[4:]]) + "\n", False, False),
-        "comment line": (lambda s: "\n".join([*s[:4], "# note", *s[4:]]) + "\n", False, False),
-        "no final newline": (lambda s: "\n".join(s), False, True),
-        "crlf": (lambda s: "\r\n".join(s) + "\r\n", False, True),
-        "space": (lambda s: respell_item(s, " {}".format), False, True),
-        "plus": (lambda s: respell_item(s, "+{}".format), False, True),
-        "underscore": (lambda s: respell_item(s, lambda t: f"{t[0]}_{t[1:]}"), False, True),
+        # name: (file text from the saved lines, loads)
+        "as written": (lambda s: "\n".join(s) + "\n", True),
+        "blank line": (lambda s: "\n".join([*s[:4], "", *s[4:]]) + "\n", False),
+        "comment line": (lambda s: "\n".join([*s[:4], "# note", *s[4:]]) + "\n", False),
+        "no final newline": (lambda s: "\n".join(s), False),
+        "crlf": (lambda s: "\r\n".join(s) + "\r\n", False),
+        "space": (lambda s: respell_item(s, " {}".format), False),
+        "plus": (lambda s: respell_item(s, "+{}".format), False),
+        "underscore": (lambda s: respell_item(s, lambda t: f"{t[0]}_{t[1:]}"), False),
         "1e400": (
             lambda s: "\n".join(re.sub(r"^(I\t[^\t]*\t)[^\t]*", r"\g<1>1e400", line) for line in s) + "\n",
             False,
-            False,
         ),
-        "one row": (lambda s: ONE_ROW, True, True),
-        "interleaved rows": (interleaved, False, True),
-        "empty slot list": (empty_slot_list, True, True),
-        "repeated row with an empty slot list": (lambda s: empty_slot_list(s, repeat=True), False, False),
-        "U and I rows swapped": (lambda s: edit_rows(s, swap_u_and_i), False, True),
-        "a field moved to the next E row": (lambda s: edit_rows(s, move_a_field), False, False),
-        "E row of another type": (lambda s: edit_rows(s, e_row_of_another_type), False, False),
-        "I row for a U row": (lambda s: edit_rows(s, item_row_for_a_user_row), False, False),
-        "split word with a suffix": (lambda s: edit_rows(s, split_with_a_suffix), False, False),
-        "user index past 2**64": (lambda s: edit_rows(s, user_past_2_to_the_64), False, False),
-        "text after the final newline": (lambda s: "\n".join(s) + "\nU", False, False),
-        "carriage return in an id": (lambda s: edit_rows(s, carriage_return_in_an_id), False, False),
-        "slot past the week": (lambda s: edit_rows(s, slot_past_the_week), False, False),
+        "one row": (lambda s: ONE_ROW, True),
+        "interleaved rows": (interleaved, False),
+        "empty slot list": (empty_slot_list, True),
+        "repeated row with an empty slot list": (lambda s: empty_slot_list(s, repeat=True), False),
+        "U and I rows swapped": (lambda s: edit_rows(s, swap_u_and_i), False),
+        "a field moved to the next E row": (lambda s: edit_rows(s, move_a_field), False),
+        "E row of another type": (lambda s: edit_rows(s, e_row_of_another_type), False),
+        "I row for a U row": (lambda s: edit_rows(s, item_row_for_a_user_row), False),
+        "split word with a suffix": (lambda s: edit_rows(s, split_with_a_suffix), False),
+        "user index past 2**64": (lambda s: edit_rows(s, user_past_2_to_the_64), False),
+        "text after the final newline": (lambda s: "\n".join(s) + "\nU", False),
+        "carriage return in an id": (lambda s: edit_rows(s, carriage_return_in_an_id), False),
+        "slot past the week": (lambda s: edit_rows(s, slot_past_the_week), False),
     }
 
     @pytest.mark.parametrize("case", CASES)
-    def test_hand_cases_match_the_line_reader(self, tmp_path, monkeypatch, case):
-        text, whole, loads = self.CASES[case]
+    def test_hand_cases_match_the_line_reader(self, tmp_path, case):
+        text, loads = self.CASES[case]
         path = tmp_path / "case.sepdata"
         path.write_bytes(text(self.saved_lines(tmp_path)).encode())
+        assert matches_the_line_reader(path)
         outcome = snapshot_outcome(path)
-        assert outcome == line_reader_outcome(path, monkeypatch)
-        assert whole_file_reads(path) == whole
         assert isinstance(outcome, tuple) == loads, outcome

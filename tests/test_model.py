@@ -349,6 +349,13 @@ class TestNodeSpaceOperator:
                 op.update_adjoint(grad), edge_space_adjoint(op, grad), rtol=0, atol=1e-12
             )
 
+    @pytest.mark.parametrize("dim", [6, 32, 64])
+    def test_adjoint_equals_the_stored_transpose(self, dim):
+        """The CSC view W.T gives the bits a CSR copy of the transpose gives."""
+        for rng, graph, _, _, op in self.instances(443):
+            grad = rng.normal(size=(graph.n_nodes, dim))
+            assert np.array_equal(op.update_adjoint(grad), op.w.T.tocsr() @ grad)
+
     def test_adjoint_identity(self):
         for rng, graph, _, _, op in self.instances(419):
             a = rng.normal(size=(graph.n_nodes, 5))

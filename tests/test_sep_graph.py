@@ -9,7 +9,6 @@ from collections import Counter, defaultdict
 import numpy as np
 import pytest
 
-from sepgcn import sep_graph
 from sepgcn.config import PruningParams, SimilarityParams, SplitConfig
 from sepgcn.data import Dataset, Interactions
 from sepgcn.errors import ConfigError, InputDataError
@@ -24,6 +23,8 @@ from sepgcn.sep_graph import (
     normalize_sep,
     save_sep_matrix,
 )
+
+import line_readers
 
 
 def make_index(lat, lon, slots):
@@ -506,15 +507,25 @@ def sep_outcome(path):
     return (m.n_edges, m.normalization, m.meta, *columns)
 
 
-def refuse(path):
-    raise ValueError("whole-file reader switched off")
+def line_reader_outcome(path):
+    """sep_outcome of the line-by-line reference reader."""
+    try:
+        meta, *entries = line_readers.reference_sep(path)
+    except InputDataError as exc:
+        return str(exc)
+    extra = {k: v for k, v in meta.items() if k not in ("n_edges", "normalization", "storage")}
+    columns = ((a.dtype.str, a.tolist()) for a in entries)
+    return (meta["n_edges"], meta["normalization"], extra, *columns)
 
 
-def line_reader_outcome(path, monkeypatch):
-    """sep_outcome with the whole-file reader switched off, so the line reader decides."""
-    with monkeypatch.context() as patch:
-        patch.setattr(sep_graph, "_sep_columns", refuse)
-        return sep_outcome(path)
+def matches_the_line_reader(path) -> bool:
+    """Whether load_sep_matrix loads path as the line-by-line reference reader
+    does, or rejects it with one line that names the path. So it rejects
+    every file the reference rejects."""
+    outcome = sep_outcome(path)
+    if isinstance(outcome, str):
+        return outcome.startswith(f"{path}") and "\n" not in outcome
+    return outcome == line_reader_outcome(path)
 
 
 def with_odd_entry(saved, spell):
@@ -522,14 +533,6 @@ def with_odd_entry(saved, spell):
     present = {tuple(map(int, line.split("\t")[:2])) for line in saved[1:]}
     i, j = next((i, j) for i in range(10, 40) for j in range(i + 1, 40) if (i, j) not in present)
     return "\n".join([*saved, f"{spell(str(i))}\t{j}\t0.25"]) + "\n"
-
-
-def whole_file_reads(path) -> bool:
-    try:
-        sep_graph._sep_columns(path)
-    except (ValueError, InputDataError):
-        return False
-    return True
 
 
 class TestLoadContract:
@@ -587,9 +590,18 @@ class TestLoadContract:
         with pytest.raises(InputDataError, match=match):
             load_sep_matrix(self.write(tmp_path, [*saved, entry]))
 
-    def test_entries_load_sorted_by_pair(self, tmp_path, saved):
-        expected = load_sep_matrix(self.write(tmp_path, saved))
-        matrices_equal(load_sep_matrix(self.write(tmp_path, [saved[0], *saved[:0:-1]])), expected)
+    @pytest.mark.parametrize("entry", ["garbage line", "0\t40\t0.5", "0\t1\t1e400"])
+    def test_a_bad_entry_names_its_line(self, tmp_path, saved, entry):
+        path = self.write(tmp_path, [*saved[:3], entry, *saved[3:]])
+        with pytest.raises(InputDataError) as error:
+            load_sep_matrix(path)
+        assert str(error.value).startswith(f"{path}:4: ")
+
+    def test_entries_must_ascend_by_pair(self, tmp_path, saved):
+        path = self.write(tmp_path, [saved[0], *saved[:0:-1]])
+        with pytest.raises(InputDataError, match="must ascend") as error:
+            load_sep_matrix(path)
+        assert str(error.value).startswith(f"{path}:3: ")
 
     def test_repeated_pair(self, tmp_path, saved):
         with pytest.raises(InputDataError, match="twice"):
@@ -610,49 +622,45 @@ class TestLoadContract:
             assert np.all(np.isfinite(m.values) & (m.values > 0))
         assert outcomes["rejected"] > 0 and outcomes["loaded"] > 0
 
-    def test_mutations_match_the_line_reader(self, tmp_path, saved, mutate, monkeypatch):
-        """The whole-file reader takes the writer's layout only; on the 300
-        files of the mutation test above it gives what the line reader gives."""
+    def test_mutations_match_the_line_reader(self, tmp_path, saved, mutate):
+        """On the 300 files of the mutation test above the loader loads what
+        the line reader loads, with the same values, or rejects the file with
+        one line naming it; it rejects every file the line reader rejects."""
         rng = np.random.default_rng(163)
-        whole = 0
         for _ in range(300):
             path = self.write(tmp_path, mutate(saved, rng))
-            assert sep_outcome(path) == line_reader_outcome(path, monkeypatch)
-            whole += whole_file_reads(path)
-        assert 0 < whole < 300
+            assert matches_the_line_reader(path)
 
     CASES = {
-        # name: (file text from the saved lines, whole-file read, loads)
-        "as written": (lambda s: "\n".join(s) + "\n", True, True),
-        "blank line": (lambda s: "\n".join([*s[:3], "", *s[3:]]) + "\n", False, False),
-        "comment line": (lambda s: "\n".join([*s[:3], "# note", *s[3:]]) + "\n", False, False),
-        "no final newline": (lambda s: "\n".join(s), False, True),
-        "crlf": (lambda s: "\r\n".join(s) + "\r\n", False, True),
-        "space": (lambda s: with_odd_entry(s, " {}".format), False, True),
-        "plus": (lambda s: with_odd_entry(s, "+{}".format), False, True),
-        "underscore": (lambda s: with_odd_entry(s, lambda t: f"{t[0]}_{t[1:]}"), False, True),
-        "1e400": (lambda s: "\n".join([*s, "0\t1\t1e400"]) + "\n", False, False),
+        # name: (file text from the saved lines, loads)
+        "as written": (lambda s: "\n".join(s) + "\n", True),
+        "blank line": (lambda s: "\n".join([*s[:3], "", *s[3:]]) + "\n", False),
+        "comment line": (lambda s: "\n".join([*s[:3], "# note", *s[3:]]) + "\n", False),
+        "no final newline": (lambda s: "\n".join(s), False),
+        "crlf": (lambda s: "\r\n".join(s) + "\r\n", False),
+        "space": (lambda s: with_odd_entry(s, " {}".format), False),
+        "plus": (lambda s: with_odd_entry(s, "+{}".format), False),
+        "underscore": (lambda s: with_odd_entry(s, lambda t: f"{t[0]}_{t[1:]}"), False),
+        "1e400": (lambda s: "\n".join([*s, "0\t1\t1e400"]) + "\n", False),
         "carriage return in the header": (
             lambda s: "\n".join([s[0].replace(", ", ",\r", 1), *s[1:]]) + "\n",
             False,
-            False,
         ),
-        "header only": (lambda s: s[0] + "\n", True, True),
-        "header and a blank line": (lambda s: s[0] + "\n\n", False, False),
-        "one row": (lambda s: "\n".join(s[:2]) + "\n", True, True),
-        "unsorted": (lambda s: "\n".join([s[0], *s[:0:-1]]) + "\n", True, True),
-        "repeated pair": (lambda s: "\n".join([*s, s[1]]) + "\n", True, False),
+        "header only": (lambda s: s[0] + "\n", True),
+        "header and a blank line": (lambda s: s[0] + "\n\n", False),
+        "one row": (lambda s: "\n".join(s[:2]) + "\n", True),
+        "unsorted": (lambda s: "\n".join([s[0], *s[:0:-1]]) + "\n", False),
+        "repeated pair": (lambda s: "\n".join([*s, s[1]]) + "\n", False),
     }
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("case", CASES)
-    def test_hand_cases_match_the_line_reader(self, tmp_path, saved, monkeypatch, case):
-        text, whole, loads = self.CASES[case]
+    def test_hand_cases_match_the_line_reader(self, tmp_path, saved, case):
+        text, loads = self.CASES[case]
         path = tmp_path / "case.sepmat"
         path.write_bytes(text(saved).encode())
+        assert matches_the_line_reader(path)
         outcome = sep_outcome(path)
-        assert outcome == line_reader_outcome(path, monkeypatch)
-        assert whole_file_reads(path) == whole
         assert isinstance(outcome, tuple) == loads, outcome
 
 

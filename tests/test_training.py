@@ -21,7 +21,6 @@ from sepgcn.training import (
     TripletBatch,
     TripletSampler,
     bpr_loss,
-    grad_step,
     loss_gradient,
     make_optimizer,
     ranking_grad_estar,
@@ -357,7 +356,8 @@ class TestGradient:
         opt = SgdOptimizer(0.5)
         norms = [float(np.linalg.norm(e0))]
         for _ in range(10):
-            e0, _ = grad_step(e0, empty, cfg, graph, None, TrainConfig(l2_lambda=lam), opt)
+            grad, _ = loss_gradient(e0, empty, cfg, graph, None, lam)
+            e0 = opt.step(e0, grad)
             norms.append(float(np.linalg.norm(e0)))
         assert all(b < a for a, b in zip(norms, norms[1:]))
 
