@@ -174,19 +174,23 @@ def _load_sep_for_run(cfg: RunConfig, ds) -> tuple[SepMatrix, EdgeIndex]:
             f"edge-pair matrix covers {sep.n_edges} edges but the snapshot "
             f"yields {index.n_edges}; rebuild it from this snapshot"
         )
-    for key, configured in (
-        ("variant", cfg.variant),
-        ("seed", cfg.seed),
-        ("max_neighbors", cfg.pruning.max_neighbors),
-        ("sigma_floor", cfg.pruning.sigma_floor),
-        ("alpha_sim", cfg.similarity.alpha_sim),
-    ):
-        if key in sep.meta and sep.meta[key] != configured:
-            raise ConfigError(
-                f"edge-pair matrix was built with {key}={sep.meta[key]!r} but the run "
-                f"is configured for {key}={configured!r}; rebuild it with build-sep"
-            )
+    _check_made_with(
+        sep.meta, "edge-pair matrix was built", "; rebuild it with build-sep",
+        variant=cfg.variant, seed=cfg.seed, max_neighbors=cfg.pruning.max_neighbors,
+        sigma_floor=cfg.pruning.sigma_floor, alpha_sim=cfg.similarity.alpha_sim,
+    )
     return sep, index
+
+
+def _check_made_with(meta: dict, made: str, advice: str = "", **settings) -> None:
+    """ConfigError at the first of settings that meta records with another
+    value; made says how the file was made, and advice ends the message."""
+    for key, configured in settings.items():
+        if key in meta and meta[key] != configured:
+            raise ConfigError(
+                f"{made} with {key}={meta[key]!r} but the run "
+                f"is configured for {key}={configured!r}{advice}"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -309,18 +313,11 @@ def _evaluate_checkpoint(cfg: RunConfig, ds, e0: np.ndarray, meta: dict):
             f"checkpoint covers {meta['n_nodes']} nodes but the snapshot "
             f"yields {n_nodes}; it was trained on different data"
         )
-    for key, configured in (
-        ("variant", cfg.variant),
-        ("layers", cfg.model.layers),
-        ("alpha_user", cfg.model.alpha_user),
-        ("beta_item", cfg.model.beta_item),
-        ("sep_update", cfg.model.sep_update),
-    ):
-        if key in meta and meta[key] != configured:
-            raise ConfigError(
-                f"checkpoint was trained with {key}={meta[key]!r} but the run "
-                f"is configured for {key}={configured!r}"
-            )
+    _check_made_with(
+        meta, "checkpoint was trained", variant=cfg.variant, layers=cfg.model.layers,
+        alpha_user=cfg.model.alpha_user, beta_item=cfg.model.beta_item,
+        sep_update=cfg.model.sep_update,
+    )
     if meta.get("config_hash") not in (None, cfg.fingerprint()):
         logger.warning(
             "checkpoint config hash %s differs from the current run (%s)",
@@ -411,8 +408,6 @@ def _apply_axis(cfg: RunConfig, axis: str, value: str) -> RunConfig:
             cfg.model.beta_item = float(value)
         elif axis == "kcore":
             cfg.split.kcore = int(value)
-        else:
-            raise ConfigError(f"unknown sweep axis {axis!r}; choose one of {SWEEP_AXES}")
     except ValueError as exc:
         raise ConfigError(f"bad sweep value {value!r} for axis {axis!r}: {exc}") from exc
     cfg.validate()
@@ -452,8 +447,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
         raise ConfigError("sweep needs at least one value in --values")
-    if args.axis not in SWEEP_AXES:
-        raise ConfigError(f"unknown sweep axis {args.axis!r}; choose one of {SWEEP_AXES}")
 
     base_checkins = _checkins_from_dataset(ds) if args.axis == "kcore" else None
 
@@ -556,7 +549,7 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     verdict("snapshot round trip", snap_ok)
 
     # the raw log through each reader; both must write the snapshot above
-    write_raw(city.records, work / "raw.tsv")
+    write_raw(city, work / "raw.tsv")
     raw = (work / "raw.tsv").read_bytes()
 
     def raw_snapshot(checkins, name: str) -> bytes:
@@ -604,10 +597,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
         n_checkins=args.checkins,
         seed=args.seed if args.seed is not None else 0,
     )
-    city = generate_city(cfg)
-    write_raw(city.records, args.out)
+    write_raw(generate_city(cfg), args.out)
     print(
-        f"wrote {len(city.records)} check-ins "
+        f"wrote {cfg.n_checkins} check-ins "
         f"({cfg.n_users} users, {cfg.n_items} items) to {args.out}"
     )
     return 0

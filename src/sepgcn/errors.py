@@ -1,9 +1,11 @@
-"""Exception taxonomy shared across the package, and the text check of the
-readers of the files the pipeline writes.
+"""Exception taxonomy shared across the package, the checks the readers of
+the files the pipeline writes share, and the array size check.
 
 The CLI maps these onto exit codes: InputDataError -> 2,
 ConfigError -> 3, NumericalError -> 4; and OSError -> 2, MemoryError -> 3.
 """
+import math
+import sys
 
 
 class SepGcnError(Exception):
@@ -37,3 +39,16 @@ def check_text(path, data: bytes, what: str) -> None:
     if at >= 0:
         lineno = data.count(b"\n", 0, at) + 1
         raise InputDataError(f"{path}:{lineno}: {what} {reason}")
+
+
+def is_index(text: str, n: int) -> bool:
+    """Whether text spells an index below n in at most 18 plain ASCII digits."""
+    return 0 < len(text) <= 18 and text.isascii() and text.isdigit() and int(text) < n
+
+
+def check_size(shape: tuple[int, ...], what: str) -> None:
+    """MemoryError when an array of 8-byte values of this shape would exceed
+    the address space. numpy raises ValueError there, not MemoryError."""
+    if 8 * math.prod(shape) > sys.maxsize:
+        values = " x ".join(map(str, shape))
+        raise MemoryError(f"{what} needs {values} values of 8 bytes, more than one array can address")

@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .config import PruningParams, SimilarityParams
-from .errors import ConfigError, InputDataError, check_text
+from .errors import ConfigError, InputDataError, check_text, is_index
 from .geo import SLOTS_PER_WEEK, haversine_km, sigma, sigma_cutoff_km
 
 logger = logging.getLogger(__name__)
@@ -478,14 +478,10 @@ def _entry_error(path: Path, data: bytes, at: int, n_edges: int) -> InputDataErr
     fields = line.split("\t")
     if len(fields) != 3:
         reason = f"expected 'row<TAB>col<TAB>value', got {line[:60]!r}"
-    elif not (_is_index(fields[1], n_edges) and _is_index(fields[0], int(fields[1]))):
+    elif not (is_index(fields[1], n_edges) and is_index(fields[0], int(fields[1]))):
         reason = (
             f"entry ({fields[0]}, {fields[1]}) is not an upper-triangle pair of the {n_edges} edges"
         )
     else:
         reason = f"weight {fields[2]!r} is not positive and finite"
     return InputDataError(f"{path}:{lineno}: {reason}")
-
-
-def _is_index(text: str, n: int) -> bool:
-    return 0 < len(text) <= 18 and text.isascii() and text.isdigit() and int(text) < n

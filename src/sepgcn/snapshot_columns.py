@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import SplitConfig
 from .data import SNAPSHOT_MAGIC, Dataset, Interactions
-from .errors import InputDataError, check_text
+from .errors import InputDataError, check_text, is_index
 from .geo import SLOTS_PER_WEEK
 
 _SNAPSHOT_COUNTS = ("n_users", "n_items", "n_interactions", "n_checkins")
@@ -124,7 +124,7 @@ def _edge_error(path: Path, data: bytes, starts, ends, k: int, meta: dict) -> In
     n_users, n_items = meta["n_users"], meta["n_items"]
     if parts[0] != "E" or len(parts) != 5:
         reason = f"expected an E row of 5 fields, got {parts[0]!r} with {len(parts)}"
-    elif not (_is_index(parts[1], n_users) and _is_index(parts[2], n_items)):
+    elif not (is_index(parts[1], n_users) and is_index(parts[2], n_items)):
         reason = (
             f"interaction ({parts[1]!r}, {parts[2]!r}) indexes past {n_users} users "
             f"or {n_items} items, or is not in plain digits"
@@ -134,10 +134,6 @@ def _edge_error(path: Path, data: bytes, starts, ends, k: int, meta: dict) -> In
     else:
         reason = f"{parts[4]!r} is not weekly slots in [0, {SLOTS_PER_WEEK}) joined by commas"
     return InputDataError(f"{path}:{k + 1}: bad snapshot row: {reason}")
-
-
-def _is_index(text: str, n: int) -> bool:
-    return 0 < len(text) <= 18 and text.isascii() and text.isdigit() and int(text) < n
 
 
 _TEST, _TRAIN = np.frombuffer(b"test\t", np.uint8), np.frombuffer(b"train", np.uint8)

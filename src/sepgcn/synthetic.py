@@ -18,27 +18,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from datetime import datetime, timedelta
+from datetime import datetime
 from pathlib import Path
 
 import numpy as np
 
 from .config import EARTH_RADIUS_KM
-from .data import Checkins
-from .errors import ConfigError
-from .geo import SLOTS_PER_WEEK, to_slot
+from .data import Checkins, _index, _texts
+from .errors import ConfigError, check_size
+from .geo import SLOTS_PER_WEEK
 
 KM_PER_DEG_LAT = math.pi * EARTH_RADIUS_KM / 180.0
 LANDMARK = -1  # scene label for district-wide items
-
-
-@dataclass(frozen=True)
-class CheckinRecord:
-    user_id: str
-    item_id: str
-    timestamp: datetime  # naive local civil time
-    latitude: float
-    longitude: float
 
 
 @dataclass
@@ -92,15 +83,25 @@ class SyntheticConfig:
             raise ConfigError("box_km must be positive and jitter_km non-negative")
         if self.weeks < 1:
             raise ConfigError("weeks must be >= 1")
-        if self.start.weekday() != 0:
-            raise ConfigError("start must fall on a Monday so slot 0 is hour 0")
+        midnight = datetime(self.start.year, self.start.month, self.start.day)
+        if self.start.weekday() != 0 or self.start != midnight:
+            raise ConfigError("start must be a Monday midnight without a zone so slot 0 is hour 0")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
 class SyntheticCity:
-    records: list[CheckinRecord]
+    """A generated log as columns: check-in r is by user user[r] at item item[r],
+    in weekly slot slot[r] of week week[r], at minute minute[r] of the hour."""
+
+    user: np.ndarray  # int64
+    item: np.ndarray  # int64
+    slot: np.ndarray  # int64
+    week: np.ndarray  # int64
+    minute: np.ndarray  # int64
+    item_lat: np.ndarray  # latitude per item
+    item_lon: np.ndarray  # longitude per item
     user_home: np.ndarray  # scene per user
     item_scene: np.ndarray  # scene per item, LANDMARK for district-wide items
     item_district: np.ndarray  # district per item
@@ -108,16 +109,19 @@ class SyntheticCity:
     config: SyntheticConfig
 
     def checkins(self) -> Checkins:
-        """The records as the columns parse_checkins reads from write_raw's log."""
-        return Checkins.from_rows(
-            (r.user_id, r.item_id, to_slot(r.timestamp), r.latitude, r.longitude)
-            for r in self.records
-        )
+        """The log as the columns parse_checkins reads from write_raw's file."""
+        users, first_user = _index(self.user)
+        items, first_item = _index(self.item)
+        user_ids = ["u%04d" % u for u in self.user[first_user].tolist()]
+        item_ids = ["v%04d" % i for i in self.item[first_item].tolist()]
+        lat, lon = self.item_lat[self.item], self.item_lon[self.item]
+        return Checkins(users, items, self.slot, lat, lon, user_ids, item_ids)
 
 
 def generate_city(cfg: SyntheticConfig) -> SyntheticCity:
     """Draw a full check-in log from the scene model, reproducibly."""
     cfg.validate()
+    check_size((cfg.n_users + cfg.n_items + 5 * cfg.n_checkins,), "the city")
     rng = np.random.default_rng(cfg.seed)
     half_lat = cfg.box_km / 2.0 / KM_PER_DEG_LAT
     half_lon = cfg.box_km / 2.0 / (KM_PER_DEG_LAT * math.cos(math.radians(cfg.center_lat)))
@@ -159,48 +163,43 @@ def generate_city(cfg: SyntheticConfig) -> SyntheticCity:
         raise ConfigError("every scene needs at least one item; lower landmark_frac")
     user_home = rng.integers(0, cfg.n_scenes, size=cfg.n_users)
 
-    records: list[CheckinRecord] = []
-    for _ in range(cfg.n_checkins):
-        user = int(rng.integers(cfg.n_users))
-        home = int(user_home[user])
+    user, item, slot, week, minute = np.empty((5, cfg.n_checkins), dtype=np.int64)
+    for r in range(cfg.n_checkins):
+        user[r] = rng.integers(cfg.n_users)
+        home = user_home[user[r]]
         if rng.random() < cfg.home_affinity:
-            district = home // cfg.themes_per_district
-            pool = landmark_items[district]
-            if len(pool) and rng.random() < cfg.landmark_rate:
-                item = int(pool[rng.integers(len(pool))])
-            else:
-                item = int(scene_items[home][rng.integers(len(scene_items[home]))])
+            landmarks = landmark_items[home // cfg.themes_per_district]
+            pool = landmarks if len(landmarks) and rng.random() < cfg.landmark_rate else scene_items[home]
         else:
-            scene = int(rng.integers(cfg.n_scenes))
-            item = int(scene_items[scene][rng.integers(len(scene_items[scene]))])
+            pool = scene_items[rng.integers(cfg.n_scenes)]
+        item[r] = pool[rng.integers(len(pool))]
         # visits happen on the visitor's schedule, whatever the target
         if rng.random() < cfg.slot_affinity:
-            slot = int(scene_slots[home][rng.integers(cfg.slots_per_scene)])
+            slot[r] = scene_slots[home][rng.integers(cfg.slots_per_scene)]
         else:
-            slot = int(rng.integers(SLOTS_PER_WEEK))
-        when = cfg.start + timedelta(
-            weeks=int(rng.integers(cfg.weeks)),
-            days=slot // 24,
-            hours=slot % 24,
-            minutes=int(rng.integers(60)),
-        )
-        records.append(
-            CheckinRecord(
-                user_id=f"u{user:04d}",
-                item_id=f"v{item:04d}",
-                timestamp=when,
-                latitude=float(item_lat[item]),
-                longitude=float(item_lon[item]),
-            )
-        )
-    return SyntheticCity(records, user_home, item_scene, item_district, scene_slots, cfg)
+            slot[r] = rng.integers(SLOTS_PER_WEEK)
+        week[r] = rng.integers(cfg.weeks)
+        minute[r] = rng.integers(60)
+    columns = user, item, slot, week, minute, item_lat, item_lon
+    return SyntheticCity(*columns, user_home, item_scene, item_district, scene_slots, cfg)
 
 
-def write_raw(records: list[CheckinRecord], path: str | Path) -> None:
-    """Tab-separated log in the default ingest layout."""
+_WRITE_BLOCK = 1 << 16  # rows formatted per write
+
+
+def write_raw(city: SyntheticCity, path: str | Path) -> None:
+    """Tab-separated log in the default ingest layout, a block of rows per write."""
+    coords = zip(city.item_lat.tolist(), city.item_lon.tolist())
+    coord_texts = np.array(list(map("\t%r\t%r\n".__mod__, coords)), dtype=object)
+    start = np.datetime64(city.config.start, "m")
+    minutes = (city.week * SLOTS_PER_WEEK + city.slot) * 60 + city.minute
     with Path(path).open("w", encoding="utf-8", newline="\n") as f:
-        for r in records:
-            f.write(
-                f"{r.user_id}\t{r.item_id}\t{r.timestamp.isoformat()}"
-                f"\t{r.latitude!r}\t{r.longitude!r}\n"
+        for at in range(0, len(minutes), _WRITE_BLOCK):
+            rows = slice(at, at + _WRITE_BLOCK)
+            tokens = (
+                _texts(city.user[rows], "u%04d\t"),
+                _texts(city.item[rows], "v%04d\t"),
+                np.datetime_as_string(start + minutes[rows], unit="s").astype(object),
+                coord_texts[city.item[rows]],
             )
+            f.write("".join(np.stack(tokens, axis=1).ravel().tolist()))

@@ -19,7 +19,7 @@ import scipy.sparse as sp
 from scipy.special import expit
 
 from .config import ModelConfig, TrainConfig
-from .errors import ConfigError, InputDataError, NumericalError
+from .errors import ConfigError, InputDataError, NumericalError, check_size
 from .graph import BipartiteGraph, entry_keys, has_entry, interaction_matrix, spmv
 from .model import SepOperator, build_operator, edge_step_at, forward, init_embeddings
 
@@ -239,6 +239,10 @@ def train(
     """
     model_cfg.validate()
     train_cfg.validate()
+    # the largest arrays the settings size: the table, and a batch's gathered rows
+    triples = train_cfg.batch_size * train_cfg.neg_per_pos
+    check_size((graph.n_nodes, model_cfg.dim), "the embedding table")
+    check_size((3 * triples, model_cfg.dim), f"a batch of {triples} triples")
     operator = build_operator(model_cfg, graph, sep, index)
     e0 = init_embeddings(model_cfg, graph.n_nodes)
     optimizer = make_optimizer(train_cfg)

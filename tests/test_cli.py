@@ -817,12 +817,23 @@ class TestHostLimits:
         assert "directory" in TestBadInputFiles.assert_exits(argv, code, capsys)
 
     # each asks for at least 10**15 elements (neg_per_pos times the 2048 of a
-    # batch), more than any 64-bit host can hold
+    # batch), more than any 64-bit host can hold; the larger values ask for
+    # more bytes than numpy can address at all
     @pytest.mark.parametrize(
         "key, value",
-        [("train.batch_size", 10**15), ("model.dim", 10**15), ("train.neg_per_pos", 10**12)],
+        [("train.batch_size", 10**15), ("model.dim", 10**15), ("train.neg_per_pos", 10**12),
+         ("train.neg_per_pos", 10**15), ("model.dim", 10**30), ("train.batch_size", 10**30)],
     )
     def test_setting_too_large_for_memory_exits_3(self, chain, tmp_path, capsys, key, value):
         argv = [*_stage_argv(chain, "train", tmp_path / "ck.bin"), "--set", f"{key}={value}"]
         assert "out of memory" in TestBadInputFiles.assert_exits(argv, 3, capsys)
         assert not (tmp_path / "ck.bin").exists()
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--users", 10**30), ("--items", 10**30), ("--checkins", 10**15), ("--checkins", 10**18)],
+    )
+    def test_synth_count_too_large_for_memory_exits_3(self, chain, tmp_path, capsys, flag, value):
+        argv = [*_stage_argv(chain, "synth", tmp_path / "raw.tsv"), flag, value]
+        assert "out of memory" in TestBadInputFiles.assert_exits(argv, 3, capsys)
+        assert not (tmp_path / "raw.tsv").exists()

@@ -210,13 +210,11 @@ class TestParse:
             parse_checkins(path)
 
 
-def synth_lines():
+def synth_lines(tmp_path):
     """A small synth log, as its lines."""
     city = generate_city(SyntheticConfig(n_users=30, n_items=60, n_checkins=300, seed=5))
-    return [
-        f"{r.user_id}\t{r.item_id}\t{r.timestamp.isoformat()}\t{r.latitude!r}\t{r.longitude!r}"
-        for r in city.records
-    ]
+    write_raw(city, tmp_path / "synth.tsv")
+    return (tmp_path / "synth.tsv").read_text(encoding="utf-8").splitlines()
 
 
 def parse_outcome(path):
@@ -270,7 +268,7 @@ class TestRawLogReader:
     def test_reads_the_synth_layout(self, tmp_path):
         path = tmp_path / "raw.tsv"
         city = generate_city(SyntheticConfig(n_users=30, n_items=60, n_checkins=300, seed=5))
-        write_raw(city.records, path)
+        write_raw(city, path)
         assert whole_log_reads(path)
         checkins, rejects = parse_checkins(path)
         assert rejects == [] and checkins == city.checkins()
@@ -279,7 +277,7 @@ class TestRawLogReader:
         """On 300 mutated copies of a synth log the whole-file reader gives the
         line reader's columns, rejects and errors, or leaves the file to it."""
         rng = np.random.default_rng(83)
-        lines = synth_lines()
+        lines = synth_lines(tmp_path)
         path = tmp_path / "raw.tsv"
         whole = 0
         for _ in range(300):
@@ -328,7 +326,7 @@ class TestRawLogReader:
     def test_hand_cases_match_the_line_reader(self, tmp_path, monkeypatch, case):
         text, whole, rejected = self.CASES[case]
         path = tmp_path / "raw.tsv"
-        path.write_bytes(text(synth_lines()).encode("utf-8"))
+        path.write_bytes(text(synth_lines(tmp_path)).encode("utf-8"))
         outcome = parse_outcome(path)
         assert outcome == line_parse_outcome(path, monkeypatch)
         assert whole_log_reads(path) == whole
@@ -336,7 +334,7 @@ class TestRawLogReader:
 
     def test_byte_order_mark_is_not_an_id(self, tmp_path):
         """One leading mark is dropped; without that, the first user would be new."""
-        lines = synth_lines()
+        lines = synth_lines(tmp_path)
         for text in (joined(lines), "\r\n".join(lines)):  # whole-file and line reader
             plain, marked = tmp_path / "plain.tsv", tmp_path / "marked.tsv"
             plain.write_bytes(text.encode())

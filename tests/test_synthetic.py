@@ -1,7 +1,8 @@
 """City generator tests: determinism, affinity statistics, and ingest round trip."""
 from __future__ import annotations
 
-from datetime import datetime
+import hashlib
+from datetime import datetime, timezone
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ import pytest
 from sepgcn.config import SplitConfig
 from sepgcn.data import build_dataset, parse_checkins
 from sepgcn.errors import ConfigError
-from sepgcn.geo import to_slot
 from sepgcn.synthetic import (
     LANDMARK,
     SyntheticConfig,
@@ -25,6 +25,11 @@ SMALL = SyntheticConfig(
     themes_per_district=2,
     seed=5,
 )
+COLUMNS = ("user", "item", "slot", "week", "minute")
+
+
+def same_log(a, b) -> bool:
+    return all(np.array_equal(getattr(a, c), getattr(b, c)) for c in COLUMNS)
 
 
 class TestConfig:
@@ -56,23 +61,28 @@ class TestConfig:
         with pytest.raises(ConfigError):
             SyntheticConfig(start=datetime(2024, 1, 2)).validate()
 
+    def test_start_must_be_midnight_without_a_zone(self):
+        """Otherwise the log's timestamps would not fall in the drawn slots."""
+        for start in (datetime(2024, 1, 1, 5), datetime(2024, 1, 1, tzinfo=timezone.utc)):
+            with pytest.raises(ConfigError):
+                SyntheticConfig(start=start).validate()
+
 
 class TestGenerate:
     def test_deterministic_per_seed(self):
         a = generate_city(SMALL)
         b = generate_city(SMALL)
-        assert a.records == b.records
+        assert same_log(a, b)
         assert np.array_equal(a.user_home, b.user_home)
         c = generate_city(SyntheticConfig(**{**SMALL.__dict__, "seed": 6}))
-        assert c.records != a.records
+        assert not same_log(a, c)
 
     def test_counts_and_id_ranges(self):
         city = generate_city(SMALL)
-        assert len(city.records) == SMALL.n_checkins
-        users = {r.user_id for r in city.records}
-        items = {r.item_id for r in city.records}
-        assert users <= {f"u{k:04d}" for k in range(SMALL.n_users)}
-        assert items <= {f"v{k:04d}" for k in range(SMALL.n_items)}
+        assert all(len(getattr(city, c)) == SMALL.n_checkins for c in COLUMNS)
+        assert all(getattr(city, c).dtype == np.int64 for c in COLUMNS)
+        assert set(city.user.tolist()) <= set(range(SMALL.n_users))
+        assert set(city.item.tolist()) <= set(range(SMALL.n_items))
         assert len(city.scene_slots) == SMALL.n_scenes
         assert all(len(s) == SMALL.slots_per_scene for s in city.scene_slots)
 
@@ -92,8 +102,7 @@ class TestGenerate:
 
     def test_coordinates_inside_jittered_box(self):
         city = generate_city(SMALL)
-        lat = np.array([r.latitude for r in city.records])
-        lon = np.array([r.longitude for r in city.records])
+        lat, lon = city.item_lat[city.item], city.item_lon[city.item]
         # box half-width plus a generous jitter margin
         assert np.all(np.abs(lat - SMALL.center_lat) < 0.25)
         assert np.all(np.abs(lon - SMALL.center_lon) < 0.35)
@@ -101,57 +110,55 @@ class TestGenerate:
     def test_visits_follow_the_visitors_hours(self):
         city = generate_city(SMALL)
         slot_sets = [set(s.tolist()) for s in city.scene_slots]
-        hits = sum(
-            to_slot(r.timestamp) in slot_sets[int(city.user_home[int(r.user_id[1:])])]
-            for r in city.records
-        )
-        frac = hits / len(city.records)
+        homes = city.user_home[city.user].tolist()
+        hits = sum(slot in slot_sets[home] for slot, home in zip(city.slot.tolist(), homes))
+        frac = hits / SMALL.n_checkins
         assert abs(frac - SMALL.slot_affinity) < 0.03
 
     def test_home_district_fraction(self):
         city = generate_city(SMALL)
         home_district = city.user_home // SMALL.themes_per_district
-        hits = sum(
-            int(city.item_district[int(r.item_id[1:])])
-            == int(home_district[int(r.user_id[1:])])
-            for r in city.records
-        )
-        frac = hits / len(city.records)
+        hits = np.sum(city.item_district[city.item] == home_district[city.user])
+        frac = hits / SMALL.n_checkins
         expected = SMALL.home_affinity + (1 - SMALL.home_affinity) / SMALL.n_districts
         assert abs(frac - expected) < 0.04
 
     def test_landmark_visit_fraction(self):
         city = generate_city(SMALL)
-        hits = sum(
-            int(city.item_scene[int(r.item_id[1:])]) == LANDMARK for r in city.records
-        )
-        frac = hits / len(city.records)
+        hits = np.sum(city.item_scene[city.item] == LANDMARK)
+        frac = hits / SMALL.n_checkins
         expected = SMALL.home_affinity * SMALL.landmark_rate
         assert abs(frac - expected) < 0.04
 
     def test_timestamps_cover_weeks_and_stay_in_range(self):
         city = generate_city(SMALL)
-        weeks = {(r.timestamp - SMALL.start).days // 7 for r in city.records}
-        assert weeks == set(range(SMALL.weeks))
-        assert all(SMALL.start <= r.timestamp for r in city.records)
+        assert set(city.week.tolist()) == set(range(SMALL.weeks))
+        assert set(city.minute.tolist()) <= set(range(60))
+        assert set(city.slot.tolist()) <= set(range(168))
 
 
 class TestRoundTrip:
     def test_raw_file_parses_back_exactly(self, tmp_path):
         city = generate_city(SyntheticConfig(**{**SMALL.__dict__, "n_checkins": 500}))
         path = tmp_path / "raw.tsv"
-        write_raw(city.records, path)
+        write_raw(city, path)
         parsed, rejects = parse_checkins(path)
         assert rejects == []
         assert parsed == city.checkins()
-        assert parsed.user_ids == list(dict.fromkeys(r.user_id for r in city.records))
-        assert parsed.slots.tolist() == [to_slot(r.timestamp) for r in city.records]
-        assert parsed.lat.tolist() == [r.latitude for r in city.records]
+        assert parsed.user_ids == list(dict.fromkeys(f"u{u:04d}" for u in city.user.tolist()))
+        assert parsed.slots.tolist() == city.slot.tolist()
+        assert parsed.lat.tolist() == city.item_lat[city.item].tolist()
+
+    def test_log_bytes_are_pinned(self, tmp_path):
+        """The draw order and the formatting fix every generated log."""
+        write_raw(generate_city(SMALL), tmp_path / "raw.tsv")
+        digest = hashlib.sha256((tmp_path / "raw.tsv").read_bytes()).hexdigest()
+        assert digest == "14f315f17865c62dfe4e4e77afd91512b688a29b379dfa01f51cf47b197a9519"
 
     def test_pipeline_smoke(self, tmp_path):
         city = generate_city(SMALL)
         path = tmp_path / "raw.tsv"
-        write_raw(city.records, path)
+        write_raw(city, path)
         parsed, _ = parse_checkins(path)
         ds = build_dataset(parsed, SplitConfig(train_ratio=0.7, seed=1))
         assert ds.n_users > 0 and ds.n_items > 0
