@@ -338,9 +338,8 @@ def _report(cfg: RunConfig, ds, graph, sep, index, e0: np.ndarray):
     from .graph import interaction_matrix
     from .model import forward
 
-    state = forward(cfg.model, graph, sep, index, e0)
     return evaluate_model(
-        state.e_star,
+        forward(cfg.model, graph, sep, index, e0).e_star,
         interaction_matrix(ds, "train"),
         interaction_matrix(ds, "test"),
         ks=cfg.ks,
@@ -710,7 +709,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:  # a setting too large for this host
-        print(f"error: out of memory: {exc}", file=sys.stderr)
+        reason = str(exc) or "a setting asks for more memory than this host can give"
+        print(f"error: out of memory: {reason}", file=sys.stderr)
         return 3
 
 

@@ -9,7 +9,6 @@ import json
 import math
 from dataclasses import dataclass, fields
 from datetime import datetime
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -88,18 +87,6 @@ class Interactions:
 
     def __eq__(self, other) -> bool:
         return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
-
-    @classmethod
-    def from_rows(cls, rows) -> "Interactions":
-        """Columns from (user, item, slots, split) rows, split being "train" or "test"."""
-        users, items, slots, splits = list(zip(*rows)) or [()] * 4
-        return cls(
-            users=np.array(users, dtype=np.int64),
-            items=np.array(items, dtype=np.int64),
-            is_test=np.array([split == "test" for split in splits], dtype=bool),
-            slot_ptr=np.cumsum([0, *map(len, slots)]),
-            slot_vals=np.fromiter(chain.from_iterable(slots), np.int64),
-        )
 
 
 @dataclass

@@ -91,12 +91,13 @@ def metrics_at_k(topk: np.ndarray, test: sp.csr_matrix, k: int) -> MetricsAtK:
     users = np.flatnonzero(n_truth)
     if not len(users):
         return MetricsAtK(k, 0.0, 0.0, 0.0, 0.0, 0, test.shape[0])
-    ranked = topk[users, :k]
+    depth = min(k, test.shape[1])  # a row ranks at most every item once
+    ranked = topk[users, :depth]
     hit = (ranked >= 0) & has_entry(entry_keys(test), test.shape[1], users[:, None], ranked)
-    discount = np.array([1.0 / math.log2(p + 1) for p in range(1, k + 1)])
+    discount = np.array([1.0 / math.log2(p + 1) for p in range(1, depth + 1)])
     hits = np.count_nonzero(hit, axis=1)
     dcg = np.cumsum(np.where(hit, discount[: ranked.shape[1]], 0.0), axis=1)[:, -1]
-    idcg = np.cumsum(discount)[np.minimum(k, n_truth[users]) - 1]
+    idcg = np.cumsum(discount)[np.minimum(depth, n_truth[users]) - 1]
     return MetricsAtK(
         k=k,
         precision=float(np.mean(hits / k)),

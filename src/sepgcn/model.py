@@ -23,10 +23,8 @@ CHECKPOINT_MAGIC = b"SEPCKPT1"
 
 @dataclass
 class EmbeddingState:
-    """All tables produced by one forward pass."""
+    """The final table of one forward pass: the mean of layers 0..K."""
 
-    e0: np.ndarray
-    layers: list[np.ndarray]
     e_star: np.ndarray
 
 
@@ -168,11 +166,11 @@ def forward(
     e0: np.ndarray,
     operator: SepOperator | None = None,
 ) -> EmbeddingState:
-    """Full forward pass; returns every layer table plus their average.
+    """Full forward pass; returns the arithmetic mean of layers 0..K.
 
     Layer k propagates over the bipartite graph (A @ current); with the
     edge update enabled, the edge-context step follows as W @ current (see
-    SepOperator). The final table is the arithmetic mean of layers 0..K.
+    SepOperator). One running sum, not the K tables, keeps memory flat in K.
     """
     cfg.validate()
     if e0.shape != (graph.n_nodes, cfg.dim):
@@ -183,7 +181,7 @@ def forward(
     if operator is None:
         operator = build_operator(cfg, graph, sep, index)
 
-    tables = [e0]
+    total = e0.copy()
     current = e0
     for k in range(1, cfg.layers + 1):
         current = spmv(graph, current)
@@ -191,11 +189,11 @@ def forward(
         if edge_step_at(cfg, operator, k):
             current = operator.update(current)
             _check_finite(current, f"edge update at layer {k}")
-        tables.append(current)
+        total += current
 
-    e_star = sum(tables[1:], tables[0].copy()) / (cfg.layers + 1)
+    e_star = total / (cfg.layers + 1)
     _check_finite(e_star, "the layer mean")
-    return EmbeddingState(e0=e0, layers=tables[1:], e_star=e_star)
+    return EmbeddingState(e_star=e_star)
 
 
 def save_checkpoint(e0: np.ndarray, config_echo: dict, path: str | Path) -> None:

@@ -74,20 +74,6 @@ class TripletSampler:
         return TripletBatch(users, positives, negatives)
 
 
-def bpr_loss(scores_pos, scores_neg, e0: np.ndarray, l2_lambda: float) -> float:
-    """Sum of -ln logistic(pos - neg) over triples, plus the L2 penalty.
-
-    The logistic log-loss is evaluated as softplus(neg - pos) via logaddexp,
-    which stays finite for any finite scores.
-    """
-    scores_pos = np.asarray(scores_pos, dtype=np.float64)
-    scores_neg = np.asarray(scores_neg, dtype=np.float64)
-    if scores_pos.shape != scores_neg.shape:
-        raise ConfigError("positive and negative score lists must have equal length")
-    rank_term = np.logaddexp(0.0, scores_neg - scores_pos).sum()
-    return float(rank_term + l2_lambda * np.sum(e0 * e0))
-
-
 class SgdOptimizer:
     def __init__(self, lr: float):
         self.lr = lr

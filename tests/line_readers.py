@@ -13,11 +13,13 @@ from pathlib import Path
 import numpy as np
 
 from sepgcn.config import SplitConfig
-from sepgcn.data import SNAPSHOT_MAGIC, Dataset, Interactions
+from sepgcn.data import SNAPSHOT_MAGIC, Dataset
 from sepgcn.errors import InputDataError
 from sepgcn.geo import SLOTS_PER_WEEK
 from sepgcn.sep_graph import _sep_header
 from sepgcn.snapshot_columns import _SNAPSHOT_COUNTS, _snapshot_meta
+
+from reference import interactions
 
 
 def _snapshot_row(parts: list[str]):
@@ -80,7 +82,7 @@ def _snapshot_lines(path: Path) -> Dataset:
             )
     item_ids, lat, lon = list(zip(*items)) or [(), (), ()]
     return Dataset(
-        users, list(item_ids), Interactions.from_rows(edges), np.array(lat), np.array(lon), cfg
+        users, list(item_ids), interactions(edges), np.array(lat), np.array(lon), cfg
     )
 
 

@@ -18,7 +18,7 @@ import scipy.sparse as sp
 
 from sepgcn.cli import main as cli_main
 from sepgcn.config import ModelConfig, PruningParams, SimilarityParams, SplitConfig, TrainConfig
-from sepgcn.data import Dataset, Interactions, build_dataset
+from sepgcn.data import Dataset, build_dataset
 from sepgcn.evaluate import evaluate_model
 from sepgcn.geo import (
     EARTH_RADIUS_KM,
@@ -37,8 +37,10 @@ from sepgcn.sep_graph import (
     normalize_sep,
 )
 from sepgcn.synthetic import SyntheticConfig, generate_city
-from sepgcn.training import TripletBatch, bpr_loss, loss_gradient, train
+from sepgcn.training import TripletBatch, loss_gradient, train
 from sepgcn.evaluate import make_ranking_hook
+
+from reference import bpr_loss, interactions
 
 
 def make_dataset(n_users, n_items, pairs, slots, coord_seed=0):
@@ -46,7 +48,7 @@ def make_dataset(n_users, n_items, pairs, slots, coord_seed=0):
     return Dataset(
         user_ids=[f"u{k}" for k in range(n_users)],
         item_ids=[f"p{k}" for k in range(n_items)],
-        interactions=Interactions.from_rows(
+        interactions=interactions(
             (u, i, slots[k], "train") for k, (u, i) in enumerate(pairs)
         ),
         item_lat=rng.uniform(40.0, 40.1, n_items),

@@ -98,6 +98,17 @@ class TestPrepare:
         assert code == 3
         assert "config file not found" in capsys.readouterr().err
 
+    # the same threshold keeps data on a larger log, so the log is what falls short
+    @pytest.mark.parametrize(
+        "setting, reason",
+        [("split.kcore=500", "k-core eliminated all data at k=500"),
+         ("split.min_interactions=500", "no records left after filtering")],
+    )
+    def test_threshold_that_leaves_no_data_exits_2(self, chain, tmp_path, capsys, setting, reason):
+        argv = ["prepare", "--raw", chain / "raw.tsv", "--out", tmp_path / "snap.txt", "--set", setting]
+        assert TestBadInputFiles.assert_exits(argv, 2, capsys) == f"error: {reason}"
+        assert not (tmp_path / "snap.txt").exists()
+
 
 class TestBuildSep:
     def test_brute_force_flag_gives_identical_file(self, chain, tmp_path):
@@ -837,3 +848,34 @@ class TestHostLimits:
         argv = [*_stage_argv(chain, "synth", tmp_path / "raw.tsv"), flag, value]
         assert "out of memory" in TestBadInputFiles.assert_exits(argv, 3, capsys)
         assert not (tmp_path / "raw.tsv").exists()
+
+    def test_memory_error_without_a_message_still_gives_a_reason(self, chain, tmp_path, capsys, monkeypatch):
+        def bare(args):
+            raise MemoryError()
+
+        monkeypatch.setattr("sepgcn.cli.cmd_synth", bare)
+        error = TestBadInputFiles.assert_exits(_stage_argv(chain, "synth", tmp_path / "raw.tsv"), 3, capsys)
+        assert error.startswith("error: out of memory: ")
+        assert error.removeprefix("error: out of memory: ").strip()
+
+    # the child caps its own address space at 1 GB, so a cutoff that sizes an
+    # array or a list by k ends there instead of filling the host
+    @pytest.mark.parametrize("ks", ["5,20,100000000", f"5,{10**30}"])
+    def test_cutoff_past_the_item_count_in_bounded_memory(self, chain, tmp_path, ks):
+        argv = [str(a) for a in _stage_argv(chain, "eval", tmp_path / "rep")] + ["--set", f"ks={ks}"]
+        code = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from sepgcn.cli import main\n"
+            f"sys.exit(main({argv!r}))"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "error:" not in proc.stderr and "Traceback" not in proc.stderr
+        # every test item is a candidate, so a cutoff past the item count finds them all
+        line = next(line for line in proc.stdout.splitlines() if line.startswith(f"k={ks.split(',')[-1]}\t"))
+        assert "\trecall=1.0\t" in line and line.endswith("\taccuracy=1.0")

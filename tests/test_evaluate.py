@@ -18,6 +18,8 @@ from sepgcn.evaluate import (
     write_report_tsv,
 )
 
+from reference import interactions
+
 
 def loop_metrics(topk, test_set, k):
     """Straight-from-the-definitions reference for one user."""
@@ -240,6 +242,21 @@ class TestMetricsAtK:
         capped = metrics_at_k(np.array([[0, 1]]), as_matrix({0: {0, 1, 2, 3}}, 1, 10), k=2)
         assert capped.ndcg == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("k", [41, 10**30])
+    def test_cutoff_past_the_item_count(self, k):
+        """A row ranks at most n_items items, so every larger k scores recall,
+        NDCG and accuracy as k = n_items does; precision still divides by k."""
+        rng = np.random.default_rng(37)
+        n_users, n_items = 50, 40
+        topk = np.array([rng.permutation(n_items) for _ in range(n_users)])
+        tests = {u: set(map(int, rng.choice(n_items, size=rng.integers(1, 9), replace=False)))
+                 for u in range(n_users)}
+        test = as_matrix(tests, n_users, n_items)
+        block, full = metrics_at_k(topk, test, k), metrics_at_k(topk, test, n_items)
+        assert (block.recall, block.ndcg, block.accuracy) == (full.recall, full.ndcg, full.accuracy)
+        expect = np.mean([loop_metrics(topk[u], tests[u], k)[0] for u in range(n_users)])
+        assert block.precision == pytest.approx(expect, rel=1e-12)
+
 
 class TestEvaluateModel:
     def build(self, rng, n_users=8, n_items=60):
@@ -294,9 +311,9 @@ class TestEvaluateModel:
 
     def test_ranking_hook_matches_report(self):
         from sepgcn.config import SplitConfig
-        from sepgcn.data import Dataset, Interactions
+        from sepgcn.data import Dataset
 
-        inter = Interactions.from_rows(
+        inter = interactions(
             [
                 (0, 0, (0,), "train"),
                 (0, 1, (1,), "test"),

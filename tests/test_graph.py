@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse as sp
 
 from sepgcn.config import SplitConfig
-from sepgcn.data import Dataset, Interactions
+from sepgcn.data import Dataset
 from sepgcn.errors import ConfigError, InputDataError
 from sepgcn.graph import (
     build_adjacency,
@@ -17,9 +17,11 @@ from sepgcn.graph import (
     sym_normalize,
 )
 
+from reference import interactions
+
 
 def make_dataset(n_users, n_items, edges):
-    inter = Interactions.from_rows((u, i, (0,), s) for u, i, s in edges)
+    inter = interactions((u, i, (0,), s) for u, i, s in edges)
     return Dataset(
         user_ids=[f"u{k}" for k in range(n_users)],
         item_ids=[f"p{k}" for k in range(n_items)],

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 import scipy.sparse as sp
 
 from sepgcn.config import ModelConfig, PruningParams, SimilarityParams, SplitConfig
-from sepgcn.data import Dataset, Interactions
+from sepgcn.data import Dataset
 from sepgcn.errors import ConfigError, InputDataError, NumericalError
 from sepgcn.graph import build_adjacency, interaction_matrix, spmv
 from sepgcn.model import (
@@ -28,13 +29,15 @@ from sepgcn.sep_graph import (
     normalize_sep,
 )
 
+from reference import interactions
+
 PARAMS = SimilarityParams(alpha_sim=0.5, median_km=2.0)
 
 
 def make_instance(rng, n_users=10, n_items=10, n_edges=30, slot_pool=6):
     """Dataset + graph + edge index + normalized edge-pair matrix."""
     pairs = sorted({(int(rng.integers(n_users)), int(rng.integers(n_items))) for _ in range(n_edges)})
-    inter = Interactions.from_rows(
+    inter = interactions(
         (u, i, tuple(rng.choice(slot_pool, size=2, replace=False)), "train") for u, i in pairs
     )
     ds = Dataset(
@@ -473,10 +476,26 @@ class TestForward:
         ds, graph, index, sep = make_instance(rng)
         cfg = ModelConfig(dim=4, layers=3, seed=6)
         e0 = init_embeddings(cfg, graph.n_nodes)
+        op = SepOperator(sep, index, graph.n_users, graph.n_items, cfg.alpha_user, cfg.beta_item)
+        stack = [e0]
+        for _ in range(cfg.layers):
+            stack.append(op.update(spmv(graph, stack[-1])))
         state = forward(cfg, graph, sep, index, e0)
-        stack = [state.e0] + state.layers
         np.testing.assert_array_equal(state.e_star, sum(stack) / len(stack))
-        assert len(state.layers) == 3
+
+    def test_peak_memory_is_flat_in_the_layer_count(self):
+        rng = np.random.default_rng(229)
+        ds, graph, index, sep = make_instance(rng, n_users=300, n_items=500, n_edges=3000)
+        peaks = {}
+        for layers in (3, 300):
+            cfg = ModelConfig(dim=32, layers=layers, seed=8)
+            op = SepOperator(sep, index, graph.n_users, graph.n_items, cfg.alpha_user, cfg.beta_item)
+            e0 = init_embeddings(cfg, graph.n_nodes)
+            tracemalloc.start()
+            forward(cfg, graph, sep, index, e0, operator=op)
+            peaks[layers] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        assert peaks[300] <= 1.1 * peaks[3]
 
     def test_shape_and_nan_guards(self):
         rng = np.random.default_rng(227)
@@ -492,7 +511,7 @@ class TestForward:
     def test_overflowing_layer_mean_raises(self):
         """One edge: propagation swaps the two rows, so every layer stays at
         1e308 and only the sum of the four tables overflows."""
-        ds = Dataset(["u"], ["p"], Interactions.from_rows([(0, 0, (0,), "train")]),
+        ds = Dataset(["u"], ["p"], interactions([(0, 0, (0,), "train")]),
                      np.zeros(1), np.zeros(1), SplitConfig())
         cfg = ModelConfig(dim=2, layers=3, sep_enabled=False)
         with pytest.raises(NumericalError, match="after the layer mean"):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from sepgcn.config import PruningParams, SimilarityParams, SplitConfig
-from sepgcn.data import Dataset, Interactions
+from sepgcn.data import Dataset
 from sepgcn.errors import ConfigError, InputDataError
 from sepgcn.geo import haversine_km, sigma, sigma_cutoff_km
 from sepgcn.sep_graph import (
@@ -25,6 +25,7 @@ from sepgcn.sep_graph import (
 )
 
 import line_readers
+from reference import interactions
 
 
 def make_index(lat, lon, slots):
@@ -671,7 +672,7 @@ class TestEdgeIndex:
         return Dataset(
             user_ids=["a", "b"],
             item_ids=["x", "y"],
-            interactions=Interactions.from_rows(rows),
+            interactions=interactions(rows),
             item_lat=np.array([40.0, 41.0]),
             item_lon=np.array([-74.0, -75.0]),
             split=SplitConfig(),
