@@ -13,6 +13,9 @@ from .config import EARTH_RADIUS_KM, SimilarityParams
 from .errors import ConfigError, InputDataError, NumericalError
 
 SLOTS_PER_WEEK = 168
+# pairs per haversine call in the median: each temporary (128 KB) stays below
+# glibc's mmap threshold, so the chunks reuse heap pages instead of faulting in
+MEDIAN_CHUNK = 16_384
 
 
 def to_slot(ts: datetime) -> int:
@@ -70,7 +73,9 @@ def median_distance(dataset, mode: str = "global", sample_budget: int = 1_000_00
     global mode: median over distances between the item locations of pairs
     of train edges. The full pair set is quadratic in the edge count, so
     when it exceeds `sample_budget` a seeded uniform sample of pairs is
-    used instead; below the budget the computation is exhaustive.
+    used instead; below the budget the computation is exhaustive. Either
+    way it holds the pair indices and one distance per pair, about 24
+    bytes a pair, and computes the distances MEDIAN_CHUNK pairs at a time.
     Returns a float.
 
     per_user mode: for each user, the median over pairwise distances among
@@ -114,9 +119,12 @@ def _global_median(lat: np.ndarray, lon: np.ndarray, sample_budget: int, seed: i
         rng = np.random.default_rng(seed)
         ii = rng.integers(0, n, size=sample_budget)
         jj = rng.integers(0, n - 1, size=sample_budget)
-        jj = np.where(jj >= ii, jj + 1, jj)  # uniform over ordered pairs with i != j
-    d = haversine_km((lat[ii], lon[ii]), (lat[jj], lon[jj]))
-    med = float(np.median(d))
+        jj += jj >= ii  # uniform over ordered pairs with i != j
+    d = np.empty(len(ii))
+    for s in range(0, len(ii), MEDIAN_CHUNK):
+        i, j = ii[s : s + MEDIAN_CHUNK], jj[s : s + MEDIAN_CHUNK]
+        d[s : s + MEDIAN_CHUNK] = haversine_km((lat[i], lon[i]), (lat[j], lon[j]))
+    med = float(np.median(d, overwrite_input=True))
     if not med > 0:
         raise NumericalError("degenerate median: all sampled edge pairs are co-located")
     return med

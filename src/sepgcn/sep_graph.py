@@ -4,8 +4,10 @@ cutoff, and each edge keeps its max_neighbors strongest links. Candidate
 generation queries a k-d tree per weekly slot, over one point per venue, for
 each edge's nearest slot-sharing edges, so it lists a small superset of the
 kept links, about max_neighbors + 1 per edge and slot, rather than every linked
-pair; the neighbour cap then ranks each edge's links with one weight sort and
-one stable grouping by edge. A literal double-loop builder is the reference.
+pair. Each slot's ball sizes are counted against the pair budget before its
+ball lists are built, so what the builder holds stays within the budget. The
+neighbour cap then ranks each edge's links with one weight sort and one stable
+grouping by edge. A literal double-loop builder is the reference.
 """
 from __future__ import annotations
 
@@ -135,7 +137,9 @@ def candidate_pairs(index: EdgeIndex, params: SimilarityParams, pruning: Pruning
 
     Each slot's (edge, neighbour) entries are counted against
     pruning.pair_budget before they are listed, so an over-dense instance
-    stops with a ConfigError while its working memory stays bounded.
+    stops with a ConfigError while its working memory stays bounded. A
+    slot's ball sizes are counted first and bound its count from below, so
+    distinct venues crowded within the pad stop before any ball is listed.
     """
     # imported here: scipy.spatial adds about 10 MB to the peak memory of
     # every stage that imports this module, and only the builder needs it
@@ -179,17 +183,15 @@ def candidate_pairs(index: EdgeIndex, params: SimilarityParams, pruning: Pruning
         # r_k: the nearest distance at which the venues' members add up to k
         r_k = np.where(np.cumsum(sizes[near], axis=1) >= k, dist, np.inf).min(axis=1)
         balls = np.minimum(r_k * (1.0 + 1e-9) + slack, chord_cutoff)
-        hits = tree.query_ball_point(pts, balls)
-        p = np.repeat(np.arange(len(pts)), np.fromiter(map(len, hits), dtype=np.int64, count=len(pts)))
-        q = np.fromiter(chain.from_iterable(hits), dtype=np.int64, count=len(p))
+        lengths = tree.query_ball_point(pts, balls, return_length=True)
         taken = np.minimum(sizes, k)  # the smallest ids a member takes from each venue
+        # a lower bound: each venue in a ball gives each member at least one entry
+        _check_budget(n_entries + int(sizes @ lengths) - int(taken.sum()), pruning.pair_budget)
+        hits = tree.query_ball_point(pts, balls)
+        p = np.repeat(np.arange(len(pts)), lengths)
+        q = np.fromiter(chain.from_iterable(hits), dtype=np.int64, count=len(p))
         n_entries += int(sizes[p] @ taken[q]) - int(taken.sum())  # less each member's own entry
-        if n_entries > pruning.pair_budget:
-            raise ConfigError(
-                f"candidate pair count exceeds pair_budget={pruning.pair_budget}; each edge "
-                "lists about max_neighbors + 1 slot mates per slot: lower "
-                "pruning.max_neighbors or raise pruning.pair_budget"
-            )
+        _check_budget(n_entries, pruning.pair_budget)
         # every member of venue p against the smallest ids of venue q
         a = grouped[_ranges(first[p], sizes[p])]
         q = np.repeat(q, sizes[p])  # the venue q of each (member, q) entry
@@ -201,6 +203,15 @@ def candidate_pairs(index: EdgeIndex, params: SimilarityParams, pruning: Pruning
     dd = haversine_km((index.lat[ii], index.lon[ii]), (index.lat[jj], index.lon[jj]), radius)
     keep = (ii != jj) & (dd <= d_max)
     return ii[keep], jj[keep], dd[keep]
+
+
+def _check_budget(n_entries: int, pair_budget: int) -> None:
+    if n_entries > pair_budget:
+        raise ConfigError(
+            f"candidate pair count exceeds pair_budget={pair_budget}; each edge "
+            "lists about max_neighbors + 1 slot mates per slot: lower "
+            "pruning.max_neighbors or raise pruning.pair_budget"
+        )
 
 
 def _ranges(starts, lengths):

@@ -4,6 +4,8 @@
 trainer only ever needs its gradient, so the finite-difference tests
 differentiate this function and compare against `loss_gradient`.
 `interactions` builds interaction columns from readable rows.
+`global_median` is the sampled median of pairwise edge distances computed
+over whole arrays at once; `median_distance` must return its value exactly.
 """
 from __future__ import annotations
 
@@ -12,6 +14,8 @@ from itertools import chain
 import numpy as np
 
 from sepgcn.data import Interactions
+from sepgcn.errors import NumericalError
+from sepgcn.geo import haversine_km
 
 
 def bpr_loss(scores_pos, scores_neg, e0: np.ndarray, l2_lambda: float) -> float:
@@ -36,3 +40,24 @@ def interactions(rows) -> Interactions:
         slot_ptr=np.cumsum([0, *map(len, slots)]),
         slot_vals=np.fromiter(chain.from_iterable(slots), np.int64),
     )
+
+
+def global_median(lat: np.ndarray, lon: np.ndarray, sample_budget: int, seed: int) -> float:
+    """Median distance over every edge pair, or over a seeded sample of
+    `sample_budget` ordered pairs when there are more pairs than that."""
+    n = len(lat)
+    if n < 2:
+        raise NumericalError("degenerate median: fewer than two edges")
+    n_pairs = n * (n - 1) // 2
+    if n_pairs <= sample_budget:
+        ii, jj = np.triu_indices(n, k=1)
+    else:
+        rng = np.random.default_rng(seed)
+        ii = rng.integers(0, n, size=sample_budget)
+        jj = rng.integers(0, n - 1, size=sample_budget)
+        jj = np.where(jj >= ii, jj + 1, jj)  # uniform over ordered pairs with i != j
+    d = haversine_km((lat[ii], lon[ii]), (lat[jj], lon[jj]))
+    med = float(np.median(d))
+    if not med > 0:
+        raise NumericalError("degenerate median: all sampled edge pairs are co-located")
+    return med

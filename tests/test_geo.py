@@ -1,6 +1,7 @@
 """Slot mapping, great-circle distance, similarity decay, and median statistics."""
 from __future__ import annotations
 
+import tracemalloc
 from datetime import datetime, timedelta
 
 import mpmath as mp
@@ -12,6 +13,7 @@ from sepgcn.data import Dataset
 from sepgcn.errors import ConfigError, InputDataError, NumericalError
 from sepgcn.geo import (
     EARTH_RADIUS_KM,
+    MEDIAN_CHUNK,
     SLOTS_PER_WEEK,
     haversine_km,
     median_distance,
@@ -20,7 +22,7 @@ from sepgcn.geo import (
     to_slot,
 )
 
-from reference import interactions
+from reference import global_median, interactions
 
 mp.mp.dps = 50
 
@@ -260,6 +262,43 @@ class TestMedianDistance:
         c = median_distance(ds, sample_budget=500, seed=6)
         assert a == b
         assert a != c
+
+    @staticmethod
+    def city(n_edges, n_users=1, seed=0):
+        """n_edges train edges on distinct random venues, with their venue coordinates."""
+        rng = np.random.default_rng(seed)
+        coords = [(rng.uniform(40, 41), rng.uniform(-74, -73)) for _ in range(n_edges)]
+        ds = make_dataset(coords, [(k % n_users, k, "train") for k in range(n_edges)])
+        return ds, ds.item_lat, ds.item_lon
+
+    def test_exhaustive_equals_the_whole_array_reference(self):
+        """44,850 pairs, below the default budget and over several chunks."""
+        ds, lat, lon = self.city(300)
+        assert median_distance(ds) == global_median(lat, lon, 1_000_000, 0)
+
+    @pytest.mark.parametrize("budget", [MEDIAN_CHUNK, MEDIAN_CHUNK + 1, 200_003, 1_000_000])
+    def test_sampled_equals_the_whole_array_reference(self, budget):
+        ds, lat, lon = self.city(2000)
+        for seed in range(4):
+            got = median_distance(ds, sample_budget=budget, seed=seed)
+            assert got == global_median(lat, lon, budget, seed)
+
+    def test_per_user_global_equals_the_whole_array_reference(self):
+        ds, lat, lon = self.city(2000, n_users=50)
+        got, _ = median_distance(ds, mode="per_user", seed=3)
+        assert got == global_median(lat, lon, 1_000_000, 3)
+
+    def test_sampled_median_stays_within_its_budget(self):
+        """The default 1 M sample over 2,000 edges holds two index arrays and
+        one distance array (24 MB), not the sample's gathered coordinates."""
+        ds, _, _ = self.city(2000)
+        tracemalloc.start()
+        try:
+            median_distance(ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
     def test_per_user_medians(self):
         coords = [(40.0, -74.0), (40.2, -74.0), (40.4, -74.0), (41.0, -74.0)]

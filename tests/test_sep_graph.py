@@ -245,6 +245,24 @@ class TestCandidatePairs:
             tracemalloc.stop()
         assert peak < 64 * 2**20
 
+    def test_venues_crowded_inside_the_pad_stop_before_their_balls_are_listed(self):
+        """1,500 distinct venues 1e-13 degrees apart in one slot: every ball's
+        pad holds hundreds of them, so listing the balls alone would cost
+        about a million entries. The counted ball sizes stop the slot first."""
+        from scipy.spatial import cKDTree  # noqa: F401  imported outside the traced peak
+
+        m = 1500
+        index = make_index(40.0 + 1e-13 * np.arange(m), [-74.0] * m, [(0,)] * m)
+        assert len(np.unique(index.lat)) == m
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match="exceeds pair_budget"):
+                candidate_pairs(index, PARAMS, PruningParams(pair_budget=100_000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
     def test_busy_venue_costs_max_neighbors_plus_one_entries_per_edge(self):
         """10,000 edges at one venue in one slot, with the default settings:
         each takes the venue's 65 smallest ids, so 650 k entries fit the 5 M
