@@ -36,6 +36,7 @@ import numpy as np
 
 from .config import (
     VARIANTS,
+    PathsConfig,
     RunConfig,
     SimilarityParams,
     SplitConfig,
@@ -66,7 +67,11 @@ logger = logging.getLogger("sepgcn.cli")
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Merge config file, --set overrides, and dedicated flags (flags win)."""
+    """Merge config file, --set overrides, and dedicated flags (flags win).
+
+    Each path flag stores under its PathsConfig field's name, so a path
+    given as a flag replaces that setting from --set or the file.
+    """
     file_pairs = load_config_file(args.config) if args.config else {}
     overrides = parse_overrides(args.set)
     for key in ("variant", "seed"):
@@ -75,18 +80,10 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
             overrides[key] = str(value)
 
     cfg = build_run_config(file_pairs, overrides)
-
-    # dedicated path flags outrank --set, which outranks the file
-    for attr, field_name in (
-        ("raw", "raw"),
-        ("snapshot", "snapshot"),
-        ("sep", "sep_matrix"),
-        ("checkpoint", "checkpoint"),
-        ("log", "train_log"),
-    ):
-        value = getattr(args, attr, None)
+    for field in dataclasses.fields(PathsConfig):
+        value = getattr(args, field.name, None)
         if value is not None:
-            setattr(cfg.paths, field_name, value)
+            setattr(cfg.paths, field.name, value)
     return cfg
 
 
@@ -127,14 +124,9 @@ def _sep_params(cfg: RunConfig, ds) -> SimilarityParams:
         params.median_km = pi_r * math.log(params.alpha_sim) / math.log(cfg.pruning.sigma_floor)
         return params
     if params.median_km is None:
-        med = median_distance(ds, params.median_mode, params.sample_budget, cfg.median_seed)
-        if params.median_mode == "per_user":
-            global_med, per_user = med
-            # collapse to a scalar scale: the median of the user medians
-            values = list(per_user.values())
-            params.median_km = float(np.median(values)) if values else float(global_med)
-        else:
-            params.median_km = float(med)
+        params.median_km = median_distance(
+            ds, params.median_mode, params.sample_budget, cfg.median_seed
+        )
     return params
 
 
@@ -162,10 +154,23 @@ def _build_sep(cfg: RunConfig, ds, index: EdgeIndex, brute: bool = False) -> Sep
     return normalize_sep(raw)
 
 
-def _load_sep_for_run(cfg: RunConfig, ds) -> tuple[SepMatrix, EdgeIndex]:
-    """The build-sep file of this run, checked against the snapshot and the settings."""
+def _model_inputs(cfg: RunConfig, ds, build: bool = False):
+    """Adjacency, edge-pair matrix and edge index of one dataset.
+
+    The matrix is the run's build-sep file, checked against the snapshot and
+    the settings, or with build it is built in memory. Nothing here reads the
+    model or training settings, so a sweep over those reuses one result for
+    every value.
+    """
+    from .graph import build_adjacency
     from .sep_graph import EdgeIndex, load_sep_matrix
 
+    graph = build_adjacency(ds)
+    if not cfg.model.sep_enabled:
+        return graph, None, None
+    if build:
+        index = EdgeIndex.from_dataset(ds)
+        return graph, _build_sep(cfg, ds, index), index
     path = _require_path(cfg.paths.sep_matrix, "paths.sep", "--sep")
     sep = load_sep_matrix(_existing(path, "edge-pair matrix"))
     index = EdgeIndex.from_dataset(ds)
@@ -179,7 +184,7 @@ def _load_sep_for_run(cfg: RunConfig, ds) -> tuple[SepMatrix, EdgeIndex]:
         variant=cfg.variant, seed=cfg.seed, max_neighbors=cfg.pruning.max_neighbors,
         sigma_floor=cfg.pruning.sigma_floor, alpha_sim=cfg.similarity.alpha_sim,
     )
-    return sep, index
+    return graph, sep, index
 
 
 def _check_made_with(meta: dict, made: str, advice: str = "", **settings) -> None:
@@ -202,11 +207,11 @@ def cmd_prepare(args: argparse.Namespace) -> int:
     raw_path = _existing(
         _require_path(cfg.paths.raw, "paths.raw", "--raw"), "raw check-in file"
     )
+    out = _require_path(cfg.paths.snapshot, "paths.snapshot", "--out")
     checkins, rejects = parse_checkins(raw_path)
     if rejects:
         logger.warning("rejected %d malformed line(s)", len(rejects))
     ds = build_dataset(checkins, cfg.split)
-    out = _require_path(getattr(args, "out", None) or cfg.paths.snapshot, "paths.snapshot", "--out")
     save_snapshot(ds, out)
     stats = dataset_stats(ds)
     print("users\titems\tcheckins\tinteractions\tdensity_pct")
@@ -223,9 +228,8 @@ def cmd_build_sep(args: argparse.Namespace) -> int:
 
     cfg = _resolve_config(args)
     ds = _load_run_snapshot(cfg)
-    index = EdgeIndex.from_dataset(ds)
-    sep = _build_sep(cfg, ds, index, brute=args.brute_force)
-    out = _require_path(getattr(args, "out", None) or cfg.paths.sep_matrix, "paths.sep", "--out")
+    out = _require_path(cfg.paths.sep_matrix, "paths.sep", "--out")
+    sep = _build_sep(cfg, ds, EdgeIndex.from_dataset(ds), brute=args.brute_force)
     save_sep_matrix(sep, out)
 
     median_km = sep.meta.get("median_km")
@@ -245,18 +249,14 @@ def cmd_build_sep(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     from .evaluate import make_ranking_hook
-    from .graph import build_adjacency
     from .model import save_checkpoint
     from .training import train
 
     cfg = _resolve_config(args)
     ds = _load_run_snapshot(cfg)
-    graph = build_adjacency(ds)
-
-    sep = index = None
-    if cfg.model.sep_enabled:
-        sep, index = _load_sep_for_run(cfg, ds)
-    elif cfg.paths.sep_matrix:
+    out = _require_path(cfg.paths.checkpoint, "paths.checkpoint", "--out")
+    graph, sep, index = _model_inputs(cfg, ds)
+    if sep is None and cfg.paths.sep_matrix:
         print(
             f"variant={cfg.variant} does not use the edge-pair matrix; "
             f"{cfg.paths.sep_matrix} left unread"
@@ -265,10 +265,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     hook = make_ranking_hook(ds, k=20)
     result = train(
         ds, graph, sep, index, cfg.model, cfg.train, hook, log_path=cfg.paths.train_log
-    )
-
-    out = _require_path(
-        getattr(args, "out", None) or cfg.paths.checkpoint, "paths.checkpoint", "--out"
     )
     echo = {
         "config_hash": cfg.fingerprint(),
@@ -300,8 +296,6 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def _evaluate_checkpoint(cfg: RunConfig, ds, e0: np.ndarray, meta: dict):
     """Compatibility checks of a checkpoint against the run, then its report."""
-    from .graph import build_adjacency
-
     n_nodes = ds.n_users + ds.n_items
     if meta["dim"] != cfg.model.dim:
         raise ConfigError(
@@ -318,18 +312,7 @@ def _evaluate_checkpoint(cfg: RunConfig, ds, e0: np.ndarray, meta: dict):
         alpha_user=cfg.model.alpha_user, beta_item=cfg.model.beta_item,
         sep_update=cfg.model.sep_update,
     )
-    if meta.get("config_hash") not in (None, cfg.fingerprint()):
-        logger.warning(
-            "checkpoint config hash %s differs from the current run (%s)",
-            meta["config_hash"],
-            cfg.fingerprint(),
-        )
-
-    graph = build_adjacency(ds)
-    sep = index = None
-    if cfg.model.sep_enabled:
-        sep, index = _load_sep_for_run(cfg, ds)
-    return _report(cfg, ds, graph, sep, index, e0)
+    return _report(cfg, ds, *_model_inputs(cfg, ds), e0)
 
 
 def _report(cfg: RunConfig, ds, graph, sep, index, e0: np.ndarray):
@@ -355,14 +338,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     ds = _load_run_snapshot(cfg)
     cp = _require_path(cfg.paths.checkpoint, "paths.checkpoint", "--checkpoint")
+    prefix = _require_path(cfg.paths.report_prefix, "paths.report_prefix", "--out")
     e0, meta = load_checkpoint(cp)
     report = _evaluate_checkpoint(cfg, ds, e0, meta)
 
-    prefix = _require_path(
-        getattr(args, "out", None) or cfg.paths.report_prefix,
-        "paths.report_prefix",
-        "--out",
-    )
     tsv_path, kv_path = f"{prefix}.tsv", f"{prefix}.kv"
     write_report_tsv(report, tsv_path)
     write_report_kv(report, kv_path)
@@ -413,34 +392,11 @@ def _apply_axis(cfg: RunConfig, axis: str, value: str) -> RunConfig:
     return cfg
 
 
-def _model_inputs(cfg: RunConfig, ds):
-    """Adjacency, edge-pair matrix and edge index of one dataset, built in memory.
-
-    Nothing here reads the model or training settings, so a sweep over those
-    reuses one result for every value.
-    """
-    from .graph import build_adjacency
-    from .sep_graph import EdgeIndex
-
-    graph = build_adjacency(ds)
-    sep = index = None
-    if cfg.model.sep_enabled:
-        index = EdgeIndex.from_dataset(ds)
-        sep = _build_sep(cfg, ds, index)
-    return graph, sep, index
-
-
-def _run_pipeline(cfg: RunConfig, ds, graph, sep, index):
-    """In-memory train-to-eval chain used by the sweep."""
+def cmd_sweep(args: argparse.Namespace) -> int:
+    """Train and evaluate in memory for each value of one axis."""
     from .evaluate import make_ranking_hook
     from .training import train
 
-    hook = make_ranking_hook(ds, k=20)
-    result = train(ds, graph, sep, index, cfg.model, cfg.train, hook)
-    return _report(cfg, ds, graph, sep, index, result.e0)
-
-
-def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     ds = _load_run_snapshot(cfg)
     values = [v.strip() for v in args.values.split(",") if v.strip()]
@@ -460,8 +416,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if args.axis == "kcore":
             ds = build_dataset(base_checkins, run_cfg.split)
         if inputs is None or args.axis == "kcore":
-            inputs = _model_inputs(run_cfg, ds)
-        report = _run_pipeline(run_cfg, ds, *inputs)
+            inputs = _model_inputs(run_cfg, ds, build=True)
+        result = train(ds, *inputs, run_cfg.model, run_cfg.train, make_ranking_hook(ds, k=20))
+        report = _report(run_cfg, ds, *inputs, result.e0)
         for k in report.ks:
             block = report.blocks[k]
             lines.append(
@@ -471,7 +428,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     table = "\n".join(lines) + "\n"
     print(table, end="")
-    out = getattr(args, "out", None) or cfg.paths.report_prefix
+    out = cfg.paths.report_prefix
     if out:
         out_path = f"{out}.sweep.tsv" if not out.endswith(".tsv") else out
         Path(out_path).write_text(table, encoding="utf-8")
@@ -609,7 +566,12 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    """The sepgcn parser. Each path flag stores under the name of the
+    PathsConfig field it sets; synth's --out is the one path that is no
+    run setting."""
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, help="master seed (fans out to split/model/train)")
+    common = argparse.ArgumentParser(add_help=False, parents=[seeded])
     g = common.add_argument_group("run configuration")
     g.add_argument("--config", metavar="FILE", help="key = value configuration file")
     g.add_argument(
@@ -620,7 +582,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="override one configuration key (repeatable; beats the file)",
     )
     g.add_argument("--variant", choices=VARIANTS, help="model variant")
-    g.add_argument("--seed", type=int, help="master seed (fans out to split/model/train)")
 
     parser = argparse.ArgumentParser(
         prog="sepgcn",
@@ -632,14 +593,14 @@ def build_parser() -> argparse.ArgumentParser:
         "prepare", parents=[common], help="ingest a raw check-in log and write a snapshot"
     )
     p.add_argument("--raw", help="raw TSV (user, item, ISO timestamp, lat, lon)")
-    p.add_argument("--out", help="snapshot path to write")
+    p.add_argument("--out", dest="snapshot", help="snapshot path to write")
     p.set_defaults(func=cmd_prepare)
 
     p = sub.add_parser(
         "build-sep", parents=[common], help="build the edge-pair similarity matrix"
     )
     p.add_argument("--snapshot", help="snapshot produced by prepare")
-    p.add_argument("--out", help="matrix path to write")
+    p.add_argument("--out", dest="sep_matrix", help="matrix path to write")
     p.add_argument(
         "--brute-force",
         action="store_true",
@@ -649,16 +610,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", parents=[common], help="train and write a checkpoint")
     p.add_argument("--snapshot", help="snapshot produced by prepare")
-    p.add_argument("--sep", help="edge-pair matrix produced by build-sep")
-    p.add_argument("--out", help="checkpoint path to write")
-    p.add_argument("--log", help="per-epoch training log path")
+    p.add_argument("--sep", dest="sep_matrix", help="edge-pair matrix produced by build-sep")
+    p.add_argument("--out", dest="checkpoint", help="checkpoint path to write")
+    p.add_argument("--log", dest="train_log", help="per-epoch training log path")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", parents=[common], help="rank and write metric reports")
     p.add_argument("--snapshot", help="snapshot produced by prepare")
-    p.add_argument("--sep", help="edge-pair matrix (needed for edge-update variants)")
+    p.add_argument("--sep", dest="sep_matrix", help="edge-pair matrix (needed for edge-update variants)")
     p.add_argument("--checkpoint", help="checkpoint produced by train")
-    p.add_argument("--out", help="report prefix; writes <prefix>.tsv and <prefix>.kv")
+    p.add_argument(
+        "--out", dest="report_prefix", help="report prefix; writes <prefix>.tsv and <prefix>.kv"
+    )
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser(
@@ -667,18 +630,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--snapshot", help="snapshot produced by prepare")
     p.add_argument("--axis", required=True, choices=SWEEP_AXES, help="what to vary")
     p.add_argument("--values", required=True, help="comma-separated axis values")
-    p.add_argument("--out", help="combined table path (or prefix)")
+    p.add_argument("--out", dest="report_prefix", help="combined table path (or prefix)")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser(
         "oracle-check",
-        parents=[common],
+        parents=[seeded],
         help="self test: brute-force cross-checks and file round trips",
     )
     p.add_argument("--workdir", help="directory for the scratch files (default: temp)")
     p.set_defaults(func=cmd_oracle_check)
 
-    p = sub.add_parser("synth", parents=[common], help="generate a synthetic check-in log")
+    p = sub.add_parser("synth", parents=[seeded], help="generate a synthetic check-in log")
     p.add_argument("--out", required=True, help="raw TSV path to write")
     p.add_argument("--users", type=int, default=1000, help="number of users")
     p.add_argument("--items", type=int, default=2000, help="number of items")
@@ -686,6 +649,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synth)
 
     return parser
+
+
+# the exit code of each error a stage may end with; the first match counts
+EXIT_CODES = {
+    InputDataError: 2,
+    ConfigError: 3,
+    NumericalError: 4,
+    OSError: 2,  # a path that cannot be read or written
+    MemoryError: 3,  # a setting too large for this host
+}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -696,22 +669,13 @@ def main(argv: list[str] | None = None) -> int:
         )
     try:
         return args.func(args)
-    except InputDataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except OSError as exc:  # a path that cannot be read or written
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except MemoryError as exc:  # a setting too large for this host
-        reason = str(exc) or "a setting asks for more memory than this host can give"
-        print(f"error: out of memory: {reason}", file=sys.stderr)
-        return 3
+    except tuple(EXIT_CODES) as exc:
+        reason = str(exc)
+        if isinstance(exc, MemoryError):
+            reason = reason or "a setting asks for more memory than this host can give"
+            reason = f"out of memory: {reason}"
+        print(f"error: {reason}", file=sys.stderr)
+        return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -78,9 +78,9 @@ def median_distance(dataset, mode: str = "global", sample_budget: int = 1_000_00
     bytes a pair, and computes the distances MEDIAN_CHUNK pairs at a time.
     Returns a float.
 
-    per_user mode: for each user, the median over pairwise distances among
-    that user's distinct visited locations. Users with a single location
-    fall back to the global (sampled) median. Returns (global_median, {user: median}).
+    per_user mode: the median over users of the median distance among each
+    user's distinct visited locations; a user with a single location counts
+    the global (sampled) median. Returns a float.
     """
     edges = dataset.interactions
     users, items = edges.users[~edges.is_test], edges.items[~edges.is_test]
@@ -96,16 +96,16 @@ def median_distance(dataset, mode: str = "global", sample_budget: int = 1_000_00
     by_user: dict[int, set[tuple[float, float]]] = {}
     for user, loc in zip(users.tolist(), zip(lat.tolist(), lon.tolist())):
         by_user.setdefault(user, set()).add(loc)
-    medians: dict[int, float] = {}
-    for user, locs in by_user.items():
+    medians = []
+    for locs in by_user.values():
         if len(locs) < 2:
-            medians[user] = global_median
+            medians.append(global_median)
             continue
         pts = np.array(sorted(locs))
         ii, jj = np.triu_indices(len(pts), k=1)
         d = haversine_km((pts[ii, 0], pts[ii, 1]), (pts[jj, 0], pts[jj, 1]))
-        medians[user] = float(np.median(d))
-    return global_median, medians
+        medians.append(float(np.median(d)))
+    return float(np.median(medians))
 
 
 def _global_median(lat: np.ndarray, lon: np.ndarray, sample_budget: int, seed: int) -> float:

@@ -237,10 +237,8 @@ def _neighbor_cap(ii, jj, vals, n_edges, max_neighbors):
     ends[1::2] = jj[by_weight]
     grouped = np.argsort(ends, kind="stable")
     counts = np.bincount(ends, minlength=n_edges)
-    tails = counts - np.minimum(counts, max_neighbors)  # links each edge ranks too low
-    heads = counts - tails
-    # positions in `grouped` of each edge's first `heads` links
-    firsts = np.arange(heads.sum()) + np.repeat(np.cumsum(tails) - tails, heads)
+    # positions in `grouped` of each edge's first max_neighbors links
+    firsts = _ranges(np.cumsum(counts) - counts, np.minimum(counts, max_neighbors))
     top = np.zeros(len(ends), dtype=bool)
     top[grouped[firsts]] = True
     keep = np.zeros(len(ii), dtype=bool)

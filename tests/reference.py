@@ -6,6 +6,8 @@ differentiate this function and compare against `loss_gradient`.
 `interactions` builds interaction columns from readable rows.
 `global_median` is the sampled median of pairwise edge distances computed
 over whole arrays at once; `median_distance` must return its value exactly.
+`per_user_median` is the per-user statistic written as a loop over users and
+their venue pairs; `median_distance` in per_user mode must return it exactly.
 """
 from __future__ import annotations
 
@@ -61,3 +63,23 @@ def global_median(lat: np.ndarray, lon: np.ndarray, sample_budget: int, seed: in
     if not med > 0:
         raise NumericalError("degenerate median: all sampled edge pairs are co-located")
     return med
+
+
+def per_user_median(users, lat, lon, global_med: float) -> float:
+    """Median over users of the median distance between each user's distinct
+    venues, taken pair by pair in visit order; a user with one venue counts
+    global_med."""
+    venues: dict[int, list[tuple[float, float]]] = {}
+    for user, point in zip(users.tolist(), zip(lat.tolist(), lon.tolist())):
+        seen = venues.setdefault(user, [])
+        if point not in seen:
+            seen.append(point)
+    medians = []
+    for points in venues.values():
+        pairs = [(p, q) for k, p in enumerate(points) for q in points[k + 1 :]]
+        if not pairs:
+            medians.append(global_med)
+            continue
+        a, b = np.array([p for p, _ in pairs]), np.array([q for _, q in pairs])
+        medians.append(float(np.median(haversine_km((a[:, 0], a[:, 1]), (b[:, 0], b[:, 1])))))
+    return float(np.median(medians))

@@ -1,5 +1,8 @@
 """End-to-end tests for the command-line pipeline."""
 
+import argparse
+import dataclasses
+import inspect
 import json
 import math
 import os
@@ -11,7 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sepgcn.cli import main
+from sepgcn.cli import build_parser, main
+from sepgcn.config import PathsConfig
 from sepgcn.data import load_snapshot
 from sepgcn.geo import EARTH_RADIUS_KM
 from sepgcn.graph import interaction_matrix
@@ -230,6 +234,14 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "paths.sep" in err and "--sep" in err
 
+    def test_missing_out_path_exits_3_before_training(self, chain, tmp_path, capsys):
+        code = main(["train", "--snapshot", str(chain / "snap.txt"), "--sep", str(chain / "pairs.sep"),
+                     "--log", str(tmp_path / "train.log"), *[str(a) for a in SETTINGS]])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "paths.checkpoint" in err and "--out" in err
+        assert not (tmp_path / "train.log").exists()
+
     def test_divergent_run_exits_4_but_keeps_checkpoint(self, chain, tmp_path, capsys):
         code = main(["train", "--snapshot", str(chain / "snap.txt"),
                      "--sep", str(chain / "pairs.sep"), "--out", str(tmp_path / "div.bin"),
@@ -389,6 +401,18 @@ class TestEval:
                      "--out", str(tmp_path / "r"), *[str(a) for a in SETTINGS]])
         assert code == 2
         assert str(gone) in capsys.readouterr().err
+
+    def test_other_cutoffs_than_training_warn_nothing(self, chain, tmp_path):
+        """The checkpoint is one table for any cutoff, so ks other than the
+        ones of training end in a report and an empty stderr."""
+        argv = [str(a) for a in _stage_argv(chain, "eval", tmp_path / "rep")] + ["--set", "ks=5,120"]
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "sepgcn.cli", *argv],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert "k120.recall" in (tmp_path / "rep.kv").read_text()
 
     def test_user_without_test_items_counts_as_excluded(self, tmp_path, capsys):
         """Users a and b share six venues; x's five venues are x's alone, so the
@@ -573,6 +597,65 @@ class TestConfigPrecedence:
     def test_bad_variant_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit):
             main(["train", "--variant", "nonsense"])
+
+
+def _stages() -> dict[str, argparse.ArgumentParser]:
+    """Each subcommand's parser by name."""
+    parser = build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+class TestPathSettings:
+    """Each path flag is the paths.* setting of its name: the flag beats
+    --set, which beats the config file."""
+
+    PATH_FLAGS = {"--raw", "--snapshot", "--sep", "--checkpoint", "--out", "--log"}
+
+    def test_every_path_flag_stores_a_paths_field(self):
+        fields = {f.name for f in dataclasses.fields(PathsConfig)}
+        for name, parser in _stages().items():
+            dests = {a.dest for a in parser._actions if self.PATH_FLAGS & set(a.option_strings)}
+            assert dests <= ({"out"} if name == "synth" else fields), name
+            if name != "synth":
+                assert "args.out" not in inspect.getsource(parser.get_default("func")), name
+
+    @pytest.mark.parametrize(
+        "stage, flag, key",
+        [("prepare", "--out", "paths.snapshot"), ("build-sep", "--out", "paths.sep"),
+         ("train", "--out", "paths.checkpoint"), ("train", "--log", "paths.train_log"),
+         ("eval", "--out", "paths.report_prefix"), ("sweep", "--out", "paths.report_prefix")],
+    )
+    @pytest.mark.parametrize("winner", ["flag", "set"])
+    def test_output_lands_at_the_strongest_path(self, chain, tmp_path, stage, flag, key, winner):
+        dirs = {name: tmp_path / name for name in ("flag", "set", "file")}
+        for d in dirs.values():
+            d.mkdir()
+        argv = [str(a) for a in _stage_argv(chain, stage, tmp_path / "ck.bin")]
+        if flag == "--out":
+            del argv[argv.index("--out") : argv.index("--out") + 2]
+        (tmp_path / "run.cfg").write_text(f"{key} = {dirs['file'] / 'out'}\n")
+        argv += ["--config", str(tmp_path / "run.cfg"), "--set", f"{key}={dirs['set'] / 'out'}"]
+        if winner == "flag":
+            argv += [flag, str(dirs["flag"] / "out")]
+        assert main(argv) == 0
+        assert [name for name, d in dirs.items() if any(d.iterdir())] == [winner]
+
+    @pytest.mark.parametrize("stage", ["synth", "oracle-check"])
+    @pytest.mark.parametrize(
+        "flag",
+        [["--config", "/nonexistent.cfg"], ["--set", "bogus.key=1"], ["--variant", "lightgcn"]],
+        ids=["config", "set", "variant"],
+    )
+    def test_stage_without_run_settings_refuses_them(self, chain, tmp_path, capsys, stage, flag):
+        argv = {
+            "synth": _stage_argv(chain, "synth", tmp_path / "raw.tsv"),
+            "oracle-check": ["oracle-check", "--workdir", tmp_path / "oc"],
+        }[stage]
+        with pytest.raises(SystemExit) as stop:
+            main([str(a) for a in [*argv, *flag]])
+        assert stop.value.code == 2
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
 
 class TestNegativeSeed:

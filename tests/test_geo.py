@@ -22,7 +22,7 @@ from sepgcn.geo import (
     to_slot,
 )
 
-from reference import global_median, interactions
+from reference import global_median, interactions, per_user_median
 
 mp.mp.dps = 50
 
@@ -284,9 +284,14 @@ class TestMedianDistance:
             assert got == global_median(lat, lon, budget, seed)
 
     def test_per_user_global_equals_the_whole_array_reference(self):
-        ds, lat, lon = self.city(2000, n_users=50)
-        got, _ = median_distance(ds, mode="per_user", seed=3)
-        assert got == global_median(lat, lon, 1_000_000, 3)
+        """50 users of 40 venues each and one user of one venue, who counts
+        the sampled global median."""
+        rng = np.random.default_rng(0)
+        coords = [(rng.uniform(40, 41), rng.uniform(-74, -73)) for _ in range(2001)]
+        ds = make_dataset(coords, [(k % 50, k, "train") for k in range(2000)] + [(50, 2000, "train")])
+        users, lat, lon = ds.interactions.users, ds.item_lat, ds.item_lon
+        got = median_distance(ds, mode="per_user", seed=3)
+        assert got == per_user_median(users, lat, lon, global_median(lat, lon, 1_000_000, 3))
 
     def test_sampled_median_stays_within_its_budget(self):
         """The default 1 M sample over 2,000 edges holds two index arrays and
@@ -309,21 +314,24 @@ class TestMedianDistance:
             (1, 3, "train"),
         ]
         ds = make_dataset(coords, edges)
-        global_med, per_user = median_distance(ds, mode="per_user")
         u0 = [
             haversine_km(coords[a], coords[b]) for a in range(3) for b in range(a + 1, 3)
         ]
-        np.testing.assert_allclose(per_user[0], np.median(u0), rtol=1e-12)
-        # single-location users fall back to the global statistic
-        assert per_user[1] == global_med
+        # the single-location user counts the global statistic
+        np.testing.assert_allclose(
+            median_distance(ds, mode="per_user"),
+            np.median([np.median(u0), median_distance(ds)]),
+            rtol=1e-12,
+        )
 
     def test_per_user_uses_distinct_locations(self):
         """A venue visited through many edges counts once inside a user's median."""
         coords = [(40.0, -74.0), (40.0, -74.0), (40.5, -74.0)]
         edges = [(0, 0, "train"), (0, 1, "train"), (0, 2, "train")]
         ds = make_dataset(coords, edges)
-        _, per_user = median_distance(ds, mode="per_user")
-        np.testing.assert_allclose(per_user[0], haversine_km(coords[0], coords[2]), rtol=1e-12)
+        np.testing.assert_allclose(
+            median_distance(ds, mode="per_user"), haversine_km(coords[0], coords[2]), rtol=1e-12
+        )
 
     def test_errors(self):
         ds = make_dataset([(0.0, 0.0)], [(0, 0, "test")])
