@@ -43,6 +43,7 @@ from .config import (
     build_run_config,
     load_config_file,
     parse_overrides,
+    set_key,
 )
 from .data import (
     Checkins,
@@ -93,17 +94,9 @@ def _require_path(value: str | None, key: str, flag: str) -> str:
     return value
 
 
-def _existing(path: str, what: str) -> Path:
-    p = Path(path)
-    if not p.exists():
-        raise InputDataError(f"{what} not found: {p}")
-    return p
-
-
 def _load_run_snapshot(cfg: RunConfig):
     """The snapshot named by the run's paths.snapshot."""
-    path = _require_path(cfg.paths.snapshot, "paths.snapshot", "--snapshot")
-    return load_snapshot(_existing(path, "snapshot"))
+    return load_snapshot(_require_path(cfg.paths.snapshot, "paths.snapshot", "--snapshot"))
 
 
 # ---------------------------------------------------------------------------
@@ -142,15 +135,20 @@ def _variant_index(cfg: RunConfig, index: EdgeIndex) -> EdgeIndex:
     return index
 
 
+def _sep_settings(cfg: RunConfig) -> dict:
+    """The settings a .sep file records and a run must match to read it."""
+    return dict(variant=cfg.variant, seed=cfg.seed, max_neighbors=cfg.pruning.max_neighbors,
+                sigma_floor=cfg.pruning.sigma_floor, alpha_sim=cfg.similarity.alpha_sim)
+
+
 def _build_sep(cfg: RunConfig, ds, index: EdgeIndex, brute: bool = False) -> SepMatrix:
     from .sep_graph import build_sep_matrix, build_sep_matrix_bruteforce, normalize_sep
 
     builder = build_sep_matrix_bruteforce if brute else build_sep_matrix
-    raw = builder(_variant_index(cfg, index), _sep_params(cfg, ds), cfg.pruning)
-    raw.meta["config_hash"] = cfg.fingerprint()
-    raw.meta["seed"] = cfg.seed
-    raw.meta["unit_values"] = cfg.variant == "sep_temporal_only"
-    raw.meta["variant"] = cfg.variant
+    params = _sep_params(cfg, ds)
+    raw = builder(_variant_index(cfg, index), params, cfg.pruning)
+    raw.meta.update(_sep_settings(cfg), config_hash=cfg.fingerprint(), median_km=params.median_km,
+                    unit_values=cfg.variant == "sep_temporal_only")
     return normalize_sep(raw)
 
 
@@ -172,7 +170,7 @@ def _model_inputs(cfg: RunConfig, ds, build: bool = False):
         index = EdgeIndex.from_dataset(ds)
         return graph, _build_sep(cfg, ds, index), index
     path = _require_path(cfg.paths.sep_matrix, "paths.sep", "--sep")
-    sep = load_sep_matrix(_existing(path, "edge-pair matrix"))
+    sep = load_sep_matrix(path)
     index = EdgeIndex.from_dataset(ds)
     if sep.n_edges != index.n_edges:
         raise ConfigError(
@@ -180,9 +178,7 @@ def _model_inputs(cfg: RunConfig, ds, build: bool = False):
             f"yields {index.n_edges}; rebuild it from this snapshot"
         )
     _check_made_with(
-        sep.meta, "edge-pair matrix was built", "; rebuild it with build-sep",
-        variant=cfg.variant, seed=cfg.seed, max_neighbors=cfg.pruning.max_neighbors,
-        sigma_floor=cfg.pruning.sigma_floor, alpha_sim=cfg.similarity.alpha_sim,
+        sep.meta, "edge-pair matrix was built", "; rebuild it with build-sep", **_sep_settings(cfg)
     )
     return graph, sep, index
 
@@ -204,9 +200,7 @@ def _check_made_with(meta: dict, made: str, advice: str = "", **settings) -> Non
 
 def cmd_prepare(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    raw_path = _existing(
-        _require_path(cfg.paths.raw, "paths.raw", "--raw"), "raw check-in file"
-    )
+    raw_path = _require_path(cfg.paths.raw, "paths.raw", "--raw")
     out = _require_path(cfg.paths.snapshot, "paths.snapshot", "--out")
     checkins, rejects = parse_checkins(raw_path)
     if rejects:
@@ -227,22 +221,21 @@ def cmd_build_sep(args: argparse.Namespace) -> int:
     from .sep_graph import EdgeIndex, save_sep_matrix
 
     cfg = _resolve_config(args)
-    ds = _load_run_snapshot(cfg)
     out = _require_path(cfg.paths.sep_matrix, "paths.sep", "--out")
+    ds = _load_run_snapshot(cfg)
     sep = _build_sep(cfg, ds, EdgeIndex.from_dataset(ds), brute=args.brute_force)
     save_sep_matrix(sep, out)
 
-    median_km = sep.meta.get("median_km")
+    median_km = float(sep.meta["median_km"])
+    cutoff = sigma_cutoff_km(
+        SimilarityParams(alpha_sim=sep.meta["alpha_sim"], median_km=median_km),
+        sep.meta["sigma_floor"],
+    )
     print(f"edges\t{sep.n_edges}")
     print(f"entries\t{sep.nnz}")
     print(f"linked_edges\t{np.count_nonzero(sep.active_edges())}")
-    if median_km is not None:
-        cutoff = sigma_cutoff_km(
-            SimilarityParams(alpha_sim=sep.meta["alpha_sim"], median_km=float(median_km)),
-            sep.meta["sigma_floor"],
-        )
-        print(f"median_km\t{float(median_km)!r}")
-        print(f"cutoff_km\t{float(cutoff)!r}")
+    print(f"median_km\t{median_km!r}")
+    print(f"cutoff_km\t{float(cutoff)!r}")
     print(f"matrix written to {out}")
     return 0
 
@@ -253,8 +246,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     from .training import train
 
     cfg = _resolve_config(args)
-    ds = _load_run_snapshot(cfg)
     out = _require_path(cfg.paths.checkpoint, "paths.checkpoint", "--out")
+    ds = _load_run_snapshot(cfg)
     graph, sep, index = _model_inputs(cfg, ds)
     if sep is None and cfg.paths.sep_matrix:
         print(
@@ -266,15 +259,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     result = train(
         ds, graph, sep, index, cfg.model, cfg.train, hook, log_path=cfg.paths.train_log
     )
-    echo = {
-        "config_hash": cfg.fingerprint(),
-        "variant": cfg.variant,
-        "seed": cfg.seed,
-        "layers": cfg.model.layers,
-        "alpha_user": cfg.model.alpha_user,
-        "beta_item": cfg.model.beta_item,
-        "sep_update": cfg.model.sep_update,
-    }
+    echo = {"config_hash": cfg.fingerprint(), "seed": cfg.seed, **_trained_settings(cfg)}
     save_checkpoint(result.e0, echo, out)
     if math.isfinite(result.best_recall):
         print(
@@ -294,6 +279,12 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
+def _trained_settings(cfg: RunConfig) -> dict:
+    """The settings a checkpoint records and a run must match to evaluate it."""
+    return dict(variant=cfg.variant, layers=cfg.model.layers, alpha_user=cfg.model.alpha_user,
+                beta_item=cfg.model.beta_item, sep_update=cfg.model.sep_update)
+
+
 def _evaluate_checkpoint(cfg: RunConfig, ds, e0: np.ndarray, meta: dict):
     """Compatibility checks of a checkpoint against the run, then its report."""
     n_nodes = ds.n_users + ds.n_items
@@ -307,11 +298,7 @@ def _evaluate_checkpoint(cfg: RunConfig, ds, e0: np.ndarray, meta: dict):
             f"checkpoint covers {meta['n_nodes']} nodes but the snapshot "
             f"yields {n_nodes}; it was trained on different data"
         )
-    _check_made_with(
-        meta, "checkpoint was trained", variant=cfg.variant, layers=cfg.model.layers,
-        alpha_user=cfg.model.alpha_user, beta_item=cfg.model.beta_item,
-        sep_update=cfg.model.sep_update,
-    )
+    _check_made_with(meta, "checkpoint was trained", **_trained_settings(cfg))
     return _report(cfg, ds, *_model_inputs(cfg, ds), e0)
 
 
@@ -336,9 +323,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     from .model import load_checkpoint
 
     cfg = _resolve_config(args)
-    ds = _load_run_snapshot(cfg)
     cp = _require_path(cfg.paths.checkpoint, "paths.checkpoint", "--checkpoint")
     prefix = _require_path(cfg.paths.report_prefix, "paths.report_prefix", "--out")
+    ds = _load_run_snapshot(cfg)
     e0, meta = load_checkpoint(cp)
     report = _evaluate_checkpoint(cfg, ds, e0, meta)
 
@@ -356,7 +343,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-SWEEP_AXES = ("layers", "alpha", "beta", "kcore")
+# each sweep axis and the setting it varies
+SWEEP_AXES = {
+    "layers": "model.layers", "alpha": "model.alpha", "beta": "model.beta", "kcore": "split.kcore"
+}
 
 
 def _checkins_from_dataset(ds) -> Checkins:
@@ -377,17 +367,7 @@ def _checkins_from_dataset(ds) -> Checkins:
 
 def _apply_axis(cfg: RunConfig, axis: str, value: str) -> RunConfig:
     cfg = copy.deepcopy(cfg)
-    try:
-        if axis == "layers":
-            cfg.model.layers = int(value)
-        elif axis == "alpha":
-            cfg.model.alpha_user = float(value)
-        elif axis == "beta":
-            cfg.model.beta_item = float(value)
-        elif axis == "kcore":
-            cfg.split.kcore = int(value)
-    except ValueError as exc:
-        raise ConfigError(f"bad sweep value {value!r} for axis {axis!r}: {exc}") from exc
+    set_key(cfg, SWEEP_AXES[axis], value)
     cfg.validate()
     return cfg
 

@@ -273,6 +273,19 @@ KEYMAP = {
 }
 
 
+def set_key(cfg: RunConfig, key: str, raw: str) -> None:
+    """Set the field a dotted key names to the value its text spells, unvalidated;
+    ConfigError for an unknown key or a text the field's type cannot read."""
+    if key not in KEYMAP:
+        raise ConfigError(f"unknown config key {key!r}")
+    section, attr, coerce = KEYMAP[key]
+    try:
+        value = coerce(raw)
+    except ValueError as exc:
+        raise ConfigError(f"bad value for {key!r}: {exc}") from None
+    setattr(cfg if section is None else getattr(cfg, section), attr, value)
+
+
 def load_config_file(path: str | Path) -> dict[str, str]:
     """Parse `key = value` lines; '#' starts a comment, blanks are skipped."""
     pairs: dict[str, str] = {}
@@ -322,15 +335,7 @@ def build_run_config(
     pairs = {**(file_pairs or {}), **(override_pairs or {})}
     cfg = RunConfig()
     for key, raw in pairs.items():
-        if key not in KEYMAP:
-            raise ConfigError(f"unknown config key {key!r}")
-        section, attr, coerce = KEYMAP[key]
-        try:
-            value = coerce(raw)
-        except ValueError as exc:
-            raise ConfigError(f"bad value for {key!r}: {exc}") from None
-        target = cfg if section is None else getattr(cfg, section)
-        setattr(target, attr, value)
+        set_key(cfg, key, raw)
     if "split.seed" not in pairs:
         cfg.split.seed = cfg.seed
     if "model.seed" not in pairs:

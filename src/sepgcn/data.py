@@ -129,6 +129,8 @@ def parse_checkins(path: str | Path) -> tuple[Checkins, list[tuple[int, str]]]:
     result, rejects or error stand.
     """
     path = Path(path)
+    if not path.exists():
+        raise InputDataError(f"raw check-in file not found: {path}")
     data = path.read_bytes()
     # imported here: synth, which imports this module, never compiles it
     from .checkin_columns import read_columns

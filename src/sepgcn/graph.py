@@ -28,7 +28,8 @@ class BipartiteGraph:
 
 
 def interaction_matrix(dataset, split: str) -> sp.csr_matrix:
-    """Binary user-by-item matrix of one split ("train" or "test").
+    """Binary user-by-item matrix of one split ("train" or "test"); a
+    dataset lists each (user, item) pair once (see sepgcn.snapshot_columns).
 
     The one place a user's train or test items are worked out: the
     adjacency, the sampler, ranking and the metrics all read them from here.
@@ -40,11 +41,9 @@ def interaction_matrix(dataset, split: str) -> sp.csr_matrix:
     rows, cols = edges.users[chosen], edges.items[chosen]
     if split == "train" and not len(rows):
         raise InputDataError("dataset has no train interactions")
-    mat = sp.csr_matrix(
+    return sp.csr_matrix(
         (np.ones(len(rows)), (rows, cols)), shape=(dataset.n_users, dataset.n_items)
     )
-    mat.data[:] = 1.0  # collapse any duplicate edges to binary
-    return mat
 
 
 def entry_keys(mat: sp.csr_matrix) -> np.ndarray:

@@ -58,10 +58,6 @@ class EdgeIndex:
         edges = dataset.interactions
         train = ~edges.is_test
         users, items = edges.users[train], edges.items[train]
-        _, first = np.unique(users * dataset.n_items + items, return_index=True)
-        if len(first) < len(users):
-            k = np.setdiff1d(np.arange(len(users)), first)[0]  # the first repeat
-            raise InputDataError(f"duplicate train interaction {(int(users[k]), int(items[k]))}")
         # a key train_edge * SLOTS_PER_WEEK + slot per train check-in, sorted and distinct
         n_slots = np.diff(edges.slot_ptr)
         in_train = np.repeat(train, n_slots)
@@ -246,23 +242,6 @@ def _neighbor_cap(ii, jj, vals, n_edges, max_neighbors):
     return ii[keep], jj[keep], vals[keep]
 
 
-def _sep_matrix(n_edges, ii, jj, vals, params, pruning) -> SepMatrix:
-    """The raw matrix of a builder's pairs, sorted by (i, j), with its build settings."""
-    return SepMatrix(
-        n_edges=n_edges,
-        rows=ii,
-        cols=jj,
-        values=vals,
-        normalization="raw",
-        meta={
-            "alpha_sim": params.alpha_sim,
-            "median_km": params.median_km,
-            "sigma_floor": pruning.sigma_floor,
-            "max_neighbors": pruning.max_neighbors,
-        },
-    )
-
-
 def build_sep_matrix(
     index: EdgeIndex,
     params: SimilarityParams,
@@ -284,7 +263,7 @@ def build_sep_matrix(
         logger.warning(
             "edge-pair graph is empty; propagation will behave like the plain baseline"
         )
-    return _sep_matrix(index.n_edges, ii, jj, vals, params, pruning)
+    return SepMatrix(index.n_edges, ii, jj, vals)
 
 
 def build_sep_matrix_bruteforce(
@@ -337,7 +316,7 @@ def build_sep_matrix_bruteforce(
     ii = np.array([i for i, _, _ in survivors], dtype=np.int64)
     jj = np.array([j for _, j, _ in survivors], dtype=np.int64)
     vals = np.array([w for _, _, w in survivors], dtype=np.float64)
-    return _sep_matrix(n, ii, jj, vals, params, pruning)
+    return SepMatrix(n, ii, jj, vals)
 
 
 def normalize_sep(matrix: SepMatrix) -> SepMatrix:
@@ -423,7 +402,7 @@ def load_sep_matrix(path: str | Path) -> SepMatrix:
     """
     path = Path(path)
     if not path.exists():
-        raise InputDataError(f"matrix file not found: {path}")
+        raise InputDataError(f"edge-pair matrix not found: {path}")
     data = path.read_bytes()
     header, _, body = data.partition(b"\n")
     check_text(path, data[: len(header) + 1], "matrix file")

@@ -7,8 +7,10 @@ that order, sized by the header counts, every line ending in a newline:
     I<TAB>item id<TAB>lat<TAB>lon                   coordinates as float() reads them
     E<TAB>user<TAB>item<TAB>train|test<TAB>slot,...,slot   numbers in plain digits
 
-The reader accepts that layout alone. It lives apart from sepgcn.data so
-that the stages that only write a snapshot (synth, prepare) do not compile it.
+The reader accepts that layout alone, with each (user, item) pair on one E
+row at most, so every later stage can count one interaction per pair. It lives
+apart from sepgcn.data so that the stages that only write a snapshot (synth,
+prepare) do not compile it.
 """
 from __future__ import annotations
 
@@ -34,7 +36,7 @@ def read_columns(path: Path) -> Dataset:
     """The snapshot at path, in the layout above. Anything else is an
     InputDataError naming the path; a fault in one row names its line too:
     the first line off the layout, or else the first row holding a value out
-    of range."""
+    of range, or else the first row that repeats an earlier row's pair."""
     data = path.read_bytes()
     check_text(path, data, "snapshot")
     ends = np.flatnonzero(np.frombuffer(data, np.uint8) == ord("\n"))
@@ -60,6 +62,12 @@ def read_columns(path: Path) -> Dataset:
     if len(bad_slots) or bad.any():
         bad[np.searchsorted(edges.slot_ptr, bad_slots, "right") - 1] = True
         raise _edge_error(path, data, starts, ends, first + np.argmax(bad), meta)
+    keys = edges.users * n_items + edges.items
+    if np.any(np.diff(np.sort(keys)) == 0):
+        order = np.argsort(keys, kind="stable")  # a repeat sorts right after the row it repeats
+        k = order[1:][np.diff(keys[order]) == 0].min()
+        pair = (int(edges.users[k]), int(edges.items[k]))
+        raise InputDataError(f"{path}:{first + k + 1}: bad snapshot row: interaction {pair} is listed twice")
     if len(edges.slot_vals) != n_checkins:
         raise InputDataError(f"{path}: snapshot body does not match its header counts")
     item_ids, lat, lon = list(zip(*items)) or [(), (), ()]

@@ -325,6 +325,54 @@ class TestMatrixOfAnotherRun:
         assert not (tmp_path / "r.tsv").exists()
 
 
+class TestCheckpointOfAnotherRun:
+    """A checkpoint trained with other model settings than the run's ends eval."""
+
+    @pytest.mark.parametrize(
+        "trained_with, key",
+        [
+            (["--variant", "lightgcn"], "variant"),
+            (["--set", "model.layers=2"], "layers"),
+            (["--set", "model.alpha=0.3"], "alpha_user"),
+            (["--set", "model.beta=0.3"], "beta_item"),
+            (["--set", "model.sep_update=once"], "sep_update"),
+        ],
+    )
+    def test_eval_exits_3_with_one_error_line(self, chain, tmp_path, capsys, trained_with, key):
+        other = tmp_path / "other.bin"
+        common = ["--snapshot", chain / "snap.txt", "--sep", chain / "pairs.sep", *SETTINGS]
+        assert main([str(a) for a in ["train", *common, "--out", other,
+                                      "--set", "train.epochs_max=1", *trained_with]]) == 0
+        capsys.readouterr()
+        argv = ["eval", *common, "--checkpoint", other, "--out", tmp_path / "r"]
+        error = TestBadInputFiles.assert_exits(argv, 3, capsys)
+        assert f"checkpoint was trained with {key}=" in error
+        assert not (tmp_path / "r.tsv").exists()
+
+
+class TestRepeatedPair:
+    """A snapshot that lists one (user, item) pair twice ends every stage that reads it."""
+
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_exits_2_with_one_error_line(self, chain, tmp_path, capsys, split):
+        lines = (chain / "snap.txt").read_text().splitlines()
+        train = next(line for line in lines if line.startswith("E\t") and "\ttrain\t" in line)
+        lines[-1] = "\t".join(["E", *train.split("\t")[1:3], split, lines[-1].split("\t")[4]])
+        snap = tmp_path / "snap.txt"
+        snap.write_text("\n".join(lines) + "\n")
+        common = ["--snapshot", snap, *SETTINGS]
+        for argv in (
+            ["build-sep", *common, "--out", tmp_path / "p.sep"],
+            ["train", *common, "--variant", "lightgcn", "--out", tmp_path / "lg.bin"],
+            ["eval", *common, "--sep", chain / "pairs.sep", "--checkpoint", chain / "ck.bin",
+             "--out", tmp_path / "r"],
+        ):
+            error = TestBadInputFiles.assert_exits(argv, 2, capsys)
+            assert error.startswith(f"error: {snap}:{len(lines)}: bad snapshot row: interaction (")
+            assert error.endswith(") is listed twice")
+        assert sorted(tmp_path.iterdir()) == [snap]
+
+
 class TestEval:
     def test_reeval_is_byte_identical(self, chain, tmp_path):
         assert main(["eval", "--snapshot", str(chain / "snap.txt"),
@@ -533,6 +581,12 @@ class TestSweep:
                      "--values", " , ", *[str(a) for a in SETTINGS]])
         assert code == 3
 
+    def test_bad_value_is_named_under_its_key(self, chain, capsys):
+        argv = ["sweep", "--snapshot", chain / "snap.txt", "--axis", "layers", "--values", "x",
+                *SETTINGS]
+        error = TestBadInputFiles.assert_exits(argv, 3, capsys)
+        assert error.startswith("error: bad value for 'model.layers': ")
+
 
 class TestOracleCheck:
     def test_all_pass(self, tmp_path, capsys):
@@ -639,6 +693,18 @@ class TestPathSettings:
             argv += [flag, str(dirs["flag"] / "out")]
         assert main(argv) == 0
         assert [name for name, d in dirs.items() if any(d.iterdir())] == [winner]
+
+    @pytest.mark.parametrize(
+        "stage, key",
+        [("build-sep", "paths.sep"), ("train", "paths.checkpoint"), ("eval", "paths.report_prefix")],
+    )
+    def test_missing_output_path_wins_over_a_missing_snapshot(
+        self, chain, tmp_path, capsys, stage, key
+    ):
+        checkpoint = ["--checkpoint", chain / "ck.bin"] if stage == "eval" else []
+        argv = [stage, "--snapshot", tmp_path / "nope.txt", *checkpoint, *SETTINGS]
+        error = TestBadInputFiles.assert_exits(argv, 3, capsys)
+        assert error.startswith(f"error: no path configured for {key}; ")
 
     @pytest.mark.parametrize("stage", ["synth", "oracle-check"])
     @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
-"""Config parsing, override precedence, seed fan-out, and fingerprints."""
+"""Config parsing, override precedence, seed fan-out, fingerprints, and a
+probe of every setting with awkward values."""
 from __future__ import annotations
 
 import pytest
@@ -10,6 +11,7 @@ from sepgcn.config import (
     load_config_file,
     parse_overrides,
 )
+from sepgcn.cli import SWEEP_AXES, _apply_axis
 from sepgcn.errors import ConfigError
 
 
@@ -207,3 +209,31 @@ class TestRunConfigValidate:
         cfg.ks = ()
         with pytest.raises(ConfigError, match="cutoff"):
             cfg.validate()
+
+
+# values that have broken settings before: signs, zero, fractions, non-finite
+# floats, numbers past float and int64 range, words and lists
+PROBE_VALUES = ["-1", "0", "0.5", "nan", "inf", "-inf", "1e400", str(10**30), str(2**63),
+                "x", "none", "5,5", "0,20"]
+
+
+class TestSettingsProbe:
+    """Every setting given each probe value yields a RunConfig or a ConfigError,
+    never another exception."""
+
+    @pytest.mark.parametrize("key", [key for key in KEYMAP if not key.startswith("paths.")])
+    def test_every_key(self, key):
+        for value in PROBE_VALUES:
+            try:
+                assert isinstance(build_run_config({}, {key: value}), RunConfig)
+            except ConfigError:
+                pass
+
+    @pytest.mark.parametrize("axis", SWEEP_AXES)
+    def test_every_sweep_axis(self, axis):
+        base = build_run_config()
+        for value in PROBE_VALUES:
+            try:
+                assert isinstance(_apply_axis(base, axis, value), RunConfig)
+            except ConfigError:
+                pass

@@ -758,6 +758,39 @@ class TestSnapshot:
         path = tmp_path / "bad.sepdata"
         assert str(error.value).startswith(f"{path}:{k + 1}: bad snapshot row: ")
 
+    @staticmethod
+    def repeat_pair(lines, k, of, split):
+        """Line index k rewritten as a `split` row of line index of's pair; its
+        check-ins stay, so the header counts stay true."""
+        pair, slots = lines[of].split("\t")[1:3], lines[k].split("\t")[4]
+        lines[k] = "\t".join(["E", *pair, split, slots])
+        return "({}, {})".format(*pair)
+
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_a_repeated_pair_names_its_second_row(self, tmp_path, split):
+        """A (user, item) pair on two E rows, train twice or train and test, is
+        refused at the second row."""
+        lines = self.saved_lines(tmp_path)
+        train = [n for n, line in enumerate(lines) if line.startswith("E\t") and "\ttrain\t" in line]
+        k = len(lines) - 1
+        pair = self.repeat_pair(lines, k, train[0], split)
+        with pytest.raises(InputDataError) as error:
+            self.load_lines(tmp_path, lines)
+        path = tmp_path / "bad.sepdata"
+        assert str(error.value) == (
+            f"{path}:{k + 1}: bad snapshot row: interaction {pair} is listed twice"
+        )
+
+    def test_the_first_row_that_repeats_a_pair_is_named(self, tmp_path):
+        """Of two repeats, the one whose second row comes first is named, not
+        the one with the smaller pair."""
+        lines = self.saved_lines(tmp_path)
+        rows = [n for n, line in enumerate(lines) if line.startswith("E\t")]
+        pair = self.repeat_pair(lines, rows[2], rows[1], "train")
+        self.repeat_pair(lines, rows[3], rows[0], "train")  # the smaller pair, repeated later
+        with pytest.raises(InputDataError, match=rf":{rows[2] + 1}: .* {re.escape(pair)} is listed twice$"):
+            self.load_lines(tmp_path, lines)
+
     def test_mutated_files_load_or_raise_input_error(self, tmp_path, mutate):
         rng = np.random.default_rng(67)
         lines = self.saved_lines(tmp_path)

@@ -718,12 +718,3 @@ class TestEdgeIndex:
             expected = [sorted(set(slots)) for _, _, slots, split in rows if split == "train"]
             assert index.slot_ptr.tolist() == np.cumsum([0] + [len(s) for s in expected]).tolist()
             assert index.slot_vals.tolist() == [v for s in expected for v in s]
-
-    def test_duplicate_train_edge_rejected(self):
-        rows = [*self.ROWS, (0, 0, (1,), "train")]
-        with pytest.raises(InputDataError, match=r"^duplicate train interaction \(0, 0\)$"):
-            EdgeIndex.from_dataset(self.build_dataset(rows))
-        # the first edge that repeats an earlier one is named, not the smallest key
-        rows.insert(3, (1, 1, (4,), "train"))
-        with pytest.raises(InputDataError, match=r"^duplicate train interaction \(1, 1\)$"):
-            EdgeIndex.from_dataset(self.build_dataset(rows))
