@@ -204,7 +204,7 @@ def cmd_prepare(args: argparse.Namespace) -> int:
     out = _require_path(cfg.paths.snapshot, "paths.snapshot", "--out")
     checkins, rejects = parse_checkins(raw_path)
     if rejects:
-        logger.warning("rejected %d malformed line(s)", len(rejects))
+        logger.warning("rejected %d malformed line(s); first: line %d: %s", len(rejects), *rejects[0])
     ds = build_dataset(checkins, cfg.split)
     save_snapshot(ds, out)
     stats = dataset_stats(ds)
@@ -319,7 +319,7 @@ def _report(cfg: RunConfig, ds, graph, sep, index, e0: np.ndarray):
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    from .evaluate import write_report_kv, write_report_tsv
+    from .evaluate import METRIC_NAMES, write_report_kv, write_report_tsv
     from .model import load_checkpoint
 
     cfg = _resolve_config(args)
@@ -333,11 +333,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     write_report_tsv(report, tsv_path)
     write_report_kv(report, kv_path)
     for k in report.ks:
-        block = report.blocks[k]
-        print(
-            f"k={k}\tprecision={block.precision!r}\trecall={block.recall!r}"
-            f"\tndcg={block.ndcg!r}\taccuracy={block.accuracy!r}"
-        )
+        cells = (f"{name}={getattr(report.blocks[k], name)!r}" for name in METRIC_NAMES)
+        print(f"k={k}\t" + "\t".join(cells))
     print(f"evaluated {report.n_evaluated_users} users ({report.n_excluded_users} excluded)")
     print(f"reports written to {tsv_path} and {kv_path}")
     return 0
@@ -374,7 +371,7 @@ def _apply_axis(cfg: RunConfig, axis: str, value: str) -> RunConfig:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     """Train and evaluate in memory for each value of one axis."""
-    from .evaluate import make_ranking_hook
+    from .evaluate import METRIC_NAMES, make_ranking_hook, metric_cells
     from .training import train
 
     cfg = _resolve_config(args)
@@ -388,7 +385,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     lines = [
         f"# axis={args.axis}\tconfig_hash={cfg.fingerprint()}\tseed={cfg.seed}"
         f"\tvariant={cfg.variant}\tn_values={len(values)}",
-        "value\tk\tprecision\trecall\tndcg\taccuracy",
+        "value\tk\t" + "\t".join(METRIC_NAMES),
     ]
     inputs = None
     for value in values:
@@ -399,12 +396,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             inputs = _model_inputs(run_cfg, ds, build=True)
         result = train(ds, *inputs, run_cfg.model, run_cfg.train, make_ranking_hook(ds, k=20))
         report = _report(run_cfg, ds, *inputs, result.e0)
-        for k in report.ks:
-            block = report.blocks[k]
-            lines.append(
-                f"{value}\t{k}\t{block.precision!r}\t{block.recall!r}"
-                f"\t{block.ndcg!r}\t{block.accuracy!r}"
-            )
+        lines += [f"{value}\t{k}\t{metric_cells(report.blocks[k])}" for k in report.ks]
 
     table = "\n".join(lines) + "\n"
     print(table, end="")
@@ -432,20 +424,14 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
         if not ok:
             failures.append(name)
 
-    city = generate_city(
-        SyntheticConfig(
-            n_users=40,
-            n_items=80,
-            n_checkins=700,
-            n_districts=3,
-            themes_per_district=2,
-            seed=seed,
-        )
-    )
+    city = generate_city(SyntheticConfig(
+        n_users=40, n_items=80, n_checkins=700, n_districts=3, themes_per_district=2, seed=seed
+    ))
     split = SplitConfig(train_ratio=0.7, seed=seed, min_interactions=2)
     ds = build_dataset(city.checkins(), split)
     index = EdgeIndex.from_dataset(ds)
-    cfg = build_run_config({}, {"seed": str(seed), "pruning.max_neighbors": "16"})
+    settings = {"seed": str(seed), "pruning.max_neighbors": "16"}
+    cfg = build_run_config({}, settings)
 
     def same_entries(a: SepMatrix, b: SepMatrix) -> bool:
         return all(np.array_equal(getattr(a, f), getattr(b, f)) for f in ("rows", "cols", "values"))
@@ -455,34 +441,27 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     verdict("pair builder agreement (optimized vs brute force)", same_entries(fast, slow))
 
     # every weight is 1 here, so the neighbour cap keeps links by id alone
-    tied = build_run_config(
-        {}, {"seed": str(seed), "pruning.max_neighbors": "16", "variant": "sep_temporal_only"}
-    )
+    tied = build_run_config({}, {**settings, "variant": "sep_temporal_only"})
     verdict(
         "pair builder agreement on tied weights (temporal only)",
         same_entries(_build_sep(tied, ds, index, brute=False), _build_sep(tied, ds, index, brute=True)),
     )
 
-    workdir = args.workdir or tempfile.mkdtemp(prefix="sepgcn-oracle-")
-    work = Path(workdir)
+    work = Path(args.workdir or tempfile.mkdtemp(prefix="sepgcn-oracle-"))
     work.mkdir(parents=True, exist_ok=True)
+
+    def same_bytes(a: str, b: str) -> bool:
+        return (work / a).read_bytes() == (work / b).read_bytes()
 
     save_sep_matrix(fast, work / "fast.sep")
     save_sep_matrix(slow, work / "slow.sep")
-    verdict(
-        "matrix file determinism (both builders, identical bytes)",
-        (work / "fast.sep").read_bytes() == (work / "slow.sep").read_bytes(),
-    )
+    verdict("matrix file determinism (both builders, identical bytes)", same_bytes("fast.sep", "slow.sep"))
 
+    # each round trip saves what it loads beside the file, and is exact when
+    # both files hold the same bytes
     save_snapshot(ds, work / "snap.txt")
-    ds2 = load_snapshot(work / "snap.txt")
-    snap_ok = (
-        (ds2.user_ids, ds2.item_ids, ds2.split) == (ds.user_ids, ds.item_ids, ds.split)
-        and ds2.interactions == ds.interactions
-        and np.array_equal(ds2.item_lat, ds.item_lat)
-        and np.array_equal(ds2.item_lon, ds.item_lon)
-    )
-    verdict("snapshot round trip", snap_ok)
+    save_snapshot(load_snapshot(work / "snap.txt"), work / "snap2.txt")
+    verdict("snapshot round trip", same_bytes("snap.txt", "snap2.txt"))
 
     # the raw log through each reader; both must write the snapshot above
     write_raw(city, work / "raw.tsv")
@@ -502,19 +481,14 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
         whole == lines == (work / "snap.txt").read_bytes(),
     )
 
-    loaded = load_sep_matrix(work / "fast.sep")
-    verdict(
-        "matrix round trip",
-        (loaded.n_edges, loaded.normalization, loaded.meta)
-        == (fast.n_edges, fast.normalization, fast.meta)
-        and same_entries(loaded, fast),
-    )
+    save_sep_matrix(load_sep_matrix(work / "fast.sep"), work / "fast2.sep")
+    verdict("matrix round trip", same_bytes("fast.sep", "fast2.sep"))
 
     rng = np.random.default_rng(seed)
     e0 = rng.normal(0.0, 0.1, size=(ds.n_users + ds.n_items, cfg.model.dim))
     save_checkpoint(e0, {"config_hash": cfg.fingerprint()}, work / "ck.bin")
-    e0_back, _ = load_checkpoint(work / "ck.bin")
-    verdict("checkpoint round trip", np.array_equal(e0_back, e0))
+    save_checkpoint(*load_checkpoint(work / "ck.bin"), work / "ck2.bin")
+    verdict("checkpoint round trip", same_bytes("ck.bin", "ck2.bin"))
 
     state_a = forward(cfg.model, build_adjacency(ds), fast, index, e0)
     state_b = forward(cfg.model, build_adjacency(ds), fast, index, e0)

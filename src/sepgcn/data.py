@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import SplitConfig
-from .errors import InputDataError
+from .errors import InputDataError, read_input
 from .geo import to_slot
 
 SNAPSHOT_MAGIC = "SEPDATA1"
@@ -129,9 +129,7 @@ def parse_checkins(path: str | Path) -> tuple[Checkins, list[tuple[int, str]]]:
     result, rejects or error stand.
     """
     path = Path(path)
-    if not path.exists():
-        raise InputDataError(f"raw check-in file not found: {path}")
-    data = path.read_bytes()
+    data = read_input(path, "raw check-in file")
     # imported here: synth, which imports this module, never compiles it
     from .checkin_columns import read_columns
 
@@ -371,10 +369,7 @@ def load_snapshot(path: str | Path) -> Dataset:
     Any other file is an InputDataError that names the path, and for a fault
     in one row the row's line.
     """
-    path = Path(path)
-    if not path.exists():
-        raise InputDataError(f"snapshot not found: {path}")
     # imported here: the stages that only write snapshots never compile it
     from .snapshot_columns import read_columns
 
-    return read_columns(path)
+    return read_columns(Path(path))

@@ -1,11 +1,14 @@
-"""Exception taxonomy shared across the package, the checks the readers of
-the files the pipeline writes share, and the array size check.
+"""Exception taxonomy shared across the package, the checks every reader of
+a pipeline file shares (the file is there, its text, its JSON header), and
+the array size check.
 
 The CLI maps these onto exit codes: InputDataError -> 2,
 ConfigError -> 3, NumericalError -> 4; and OSError -> 2, MemoryError -> 3.
 """
+import json
 import math
 import sys
+from pathlib import Path
 
 
 class SepGcnError(Exception):
@@ -22,6 +25,26 @@ class ConfigError(SepGcnError):
 
 class NumericalError(SepGcnError):
     """A numerical invariant was violated (NaN/Inf, degenerate statistic)."""
+
+
+def read_input(path: Path, what: str) -> bytes:
+    """The bytes of the file at path; an InputDataError when there is none."""
+    if not path.exists():
+        raise InputDataError(f"{what} not found: {path}")
+    return path.read_bytes()
+
+
+def json_object(path, text: str | bytes, what: str) -> dict:
+    """The JSON object that text, a header of the file at path, spells; an
+    InputDataError otherwise, whose excerpt shows the header as text."""
+    try:
+        meta = json.loads(text)
+    except ValueError:
+        excerpt = text if isinstance(text, str) else text.decode("utf-8", "replace")
+        raise InputDataError(f"{path}: {what} is not JSON: {excerpt[:60]!r}") from None
+    if not isinstance(meta, dict):
+        raise InputDataError(f"{path}: {what} must be a JSON object")
+    return meta
 
 
 def check_text(path, data: bytes, what: str) -> None:

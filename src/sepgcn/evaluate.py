@@ -149,29 +149,21 @@ def make_ranking_hook(dataset, k: int = 20):
     return hook
 
 
-def _header_line(seed, config_hash, **counts) -> str:
-    parts = [f"config_hash={config_hash if config_hash is not None else '-'}"]
-    parts.append(f"seed={seed if seed is not None else '-'}")
-    parts += [f"{key}={value}" for key, value in counts.items()]
-    return "# " + "  ".join(parts) + "\n"
+def metric_cells(block: MetricsAtK) -> str:
+    """The block's metrics in METRIC_NAMES order, as tab-separated reprs."""
+    return "\t".join(repr(getattr(block, name)) for name in METRIC_NAMES)
 
 
 def write_report_tsv(report: MetricsReport, path: str | Path) -> None:
     """One row per cutoff; floats written with full repr precision."""
+    config_hash = report.config_hash if report.config_hash is not None else "-"
+    seed = report.seed if report.seed is not None else "-"
     with Path(path).open("w", encoding="utf-8", newline="\n") as f:
-        f.write(
-            _header_line(
-                report.seed,
-                report.config_hash,
-                n_users=report.n_evaluated_users,
-                n_excluded=report.n_excluded_users,
-            )
-        )
+        f.write(f"# config_hash={config_hash}  seed={seed}  n_users={report.n_evaluated_users}"
+                f"  n_excluded={report.n_excluded_users}\n")
         f.write("k\t" + "\t".join(METRIC_NAMES) + "\n")
         for k in report.ks:
-            block = report.blocks[k]
-            cells = "\t".join(repr(getattr(block, name)) for name in METRIC_NAMES)
-            f.write(f"{k}\t{cells}\n")
+            f.write(f"{k}\t{metric_cells(report.blocks[k])}\n")
 
 
 def write_report_kv(report: MetricsReport, path: str | Path) -> None:

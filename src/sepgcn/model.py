@@ -14,7 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .config import ModelConfig
-from .errors import ConfigError, InputDataError, NumericalError
+from .errors import ConfigError, InputDataError, NumericalError, json_object, read_input
 from .graph import BipartiteGraph, spmv
 from .sep_graph import EdgeIndex, SepMatrix
 
@@ -209,19 +209,12 @@ def save_checkpoint(e0: np.ndarray, config_echo: dict, path: str | Path) -> None
 
 def load_checkpoint(path: str | Path) -> tuple[np.ndarray, dict]:
     path = Path(path)
-    if not path.exists():
-        raise InputDataError(f"checkpoint not found: {path}")
-    blob = path.read_bytes()
+    blob = read_input(path, "checkpoint")
     head, _, rest = blob.partition(b"\n")
     if head != CHECKPOINT_MAGIC:
         raise InputDataError(f"{path}: bad checkpoint magic {head[:16]!r}")
     meta_line, _, payload = rest.partition(b"\n")
-    try:
-        meta = json.loads(meta_line)
-    except ValueError:
-        raise InputDataError(f"{path}: checkpoint header is not JSON") from None
-    if not isinstance(meta, dict):
-        raise InputDataError(f"{path}: checkpoint header must be a JSON object")
+    meta = json_object(path, meta_line, "checkpoint header")
     for key in ("n_nodes", "dim"):
         if type(meta.get(key)) is not int or meta[key] < 1:
             raise InputDataError(
@@ -230,9 +223,7 @@ def load_checkpoint(path: str | Path) -> tuple[np.ndarray, dict]:
     n_nodes, dim = meta["n_nodes"], meta["dim"]
     expected = n_nodes * dim * 8
     if len(payload) != expected:
-        raise InputDataError(
-            f"{path}: payload holds {len(payload)} bytes, header promises {expected}"
-        )
+        raise InputDataError(f"{path}: payload holds {len(payload)} bytes, header promises {expected}")
     e0 = np.frombuffer(payload, dtype="<f8").reshape(n_nodes, dim).copy()
     if not np.isfinite(e0).all():
         raise InputDataError(f"{path}: checkpoint holds non-finite values")

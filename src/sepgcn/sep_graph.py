@@ -25,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .config import PruningParams, SimilarityParams
-from .errors import ConfigError, InputDataError, check_text, is_index
+from .errors import ConfigError, InputDataError, check_text, is_index, json_object, read_input
 from .geo import SLOTS_PER_WEEK, haversine_km, sigma, sigma_cutoff_km
 
 logger = logging.getLogger(__name__)
@@ -372,12 +372,7 @@ def _sep_header(path: Path, header: str) -> dict:
     """The JSON header of a matrix file, with the keys load_sep_matrix reads checked."""
     if not header.startswith(SEPMAT_MAGIC + " "):
         raise InputDataError(f"{path}: bad header {header[:40]!r}")
-    try:
-        meta = json.loads(header[len(SEPMAT_MAGIC) + 1 :])
-    except ValueError:
-        raise InputDataError(f"{path}: matrix header is not JSON") from None
-    if not isinstance(meta, dict):
-        raise InputDataError(f"{path}: matrix header must be a JSON object")
+    meta = json_object(path, header[len(SEPMAT_MAGIC) + 1 :], "matrix header")
     n_edges = meta.get("n_edges")
     if type(n_edges) is not int or not 0 <= n_edges <= np.iinfo(np.int64).max:
         raise InputDataError(f"{path}: n_edges must be an integer in [0, 2**63), got {n_edges!r}")
@@ -401,9 +396,7 @@ def load_sep_matrix(path: str | Path) -> SepMatrix:
     the first line off the layout or else the first entry that fails a check.
     """
     path = Path(path)
-    if not path.exists():
-        raise InputDataError(f"edge-pair matrix not found: {path}")
-    data = path.read_bytes()
+    data = read_input(path, "edge-pair matrix")
     header, _, body = data.partition(b"\n")
     check_text(path, data[: len(header) + 1], "matrix file")
     meta = _sep_header(path, header.decode("utf-8"))
@@ -427,14 +420,7 @@ def load_sep_matrix(path: str | Path) -> SepMatrix:
             raise InputDataError(f"{pair} is listed twice")
         raise InputDataError(f"{pair} follows ({rows[k - 1]}, {cols[k - 1]}); pairs must ascend")
     extra = {k: v for k, v in meta.items() if k not in ("n_edges", "normalization", "storage")}
-    return SepMatrix(
-        n_edges=n_edges,
-        rows=rows,
-        cols=cols,
-        values=values,
-        normalization="sym_degree",
-        meta=extra,
-    )
+    return SepMatrix(n_edges, rows, cols, values, "sym_degree", extra)
 
 
 _SEP_ROW = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])

@@ -14,7 +14,6 @@ prepare) do not compile it.
 """
 from __future__ import annotations
 
-import json
 import re
 from pathlib import Path
 
@@ -22,7 +21,7 @@ import numpy as np
 
 from .config import SplitConfig
 from .data import SNAPSHOT_MAGIC, Dataset, Interactions
-from .errors import InputDataError, check_text, is_index
+from .errors import InputDataError, check_text, is_index, json_object, read_input
 from .geo import SLOTS_PER_WEEK
 
 _SNAPSHOT_COUNTS = ("n_users", "n_items", "n_interactions", "n_checkins")
@@ -37,7 +36,7 @@ def read_columns(path: Path) -> Dataset:
     InputDataError naming the path; a fault in one row names its line too:
     the first line off the layout, or else the first row holding a value out
     of range, or else the first row that repeats an earlier row's pair."""
-    data = path.read_bytes()
+    data = read_input(path, "snapshot")
     check_text(path, data, "snapshot")
     ends = np.flatnonzero(np.frombuffer(data, np.uint8) == ord("\n"))
     if len(ends) < 2 or data[: ends[0]] != SNAPSHOT_MAGIC.encode():
@@ -77,12 +76,7 @@ def read_columns(path: Path) -> Dataset:
 
 def _snapshot_meta(path: Path, line: str) -> dict:
     """The JSON header line, with every key read_columns reads type-checked."""
-    try:
-        meta = json.loads(line)
-    except ValueError:
-        raise InputDataError(f"{path}: snapshot header is not JSON: {line[:60]!r}") from None
-    if not isinstance(meta, dict):
-        raise InputDataError(f"{path}: snapshot header must be a JSON object")
+    meta = json_object(path, line, "snapshot header")
     for key in _SNAPSHOT_COUNTS + _SNAPSHOT_INTS + ("train_ratio",):
         if key not in meta:
             raise InputDataError(f"{path}: snapshot header lacks {key!r}")

@@ -2,8 +2,10 @@
 
 import argparse
 import dataclasses
+import importlib
 import inspect
 import json
+import logging
 import math
 import os
 import shutil
@@ -89,6 +91,17 @@ class TestPrepare:
         code = main(["prepare", "--raw", str(missing), "--out", str(tmp_path / "s.txt")])
         assert code == 2
         assert str(missing) in capsys.readouterr().err
+
+    def test_reject_warning_names_the_first_rejected_line(self, chain, tmp_path, caplog):
+        lines = (chain / "raw.tsv").read_text().splitlines(keepends=True)
+        user, item, when, *coords = lines[6].split("\t")
+        lines[6] = "\t".join([user, item, "2024-02-32" + when[10:], *coords])
+        (tmp_path / "raw.tsv").write_text("".join(lines))
+        with caplog.at_level(logging.WARNING, logger="sepgcn.cli"):
+            code = main(["prepare", "--raw", str(tmp_path / "raw.tsv"),
+                         "--out", str(tmp_path / "snap.txt"), *SETTINGS])
+        assert code == 0
+        assert "rejected 1 malformed line(s); first: line 7: unparseable timestamp" in caplog.text
 
     def test_missing_out_path_exits_3(self, chain, capsys):
         code = main(["prepare", "--raw", str(chain / "raw.tsv")])
@@ -595,6 +608,33 @@ class TestOracleCheck:
         verdicts = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
         assert len(verdicts) == 8
         assert all(v.startswith("PASS") for v in verdicts)
+
+    # each loader is patched where cmd_oracle_check looks it up; values(loaded)
+    # is the array whose first value the patched loader moves by one ulp
+    @pytest.mark.parametrize(
+        "module, loader, values, name",
+        [("sepgcn.cli", "load_snapshot", lambda ds: ds.item_lat, "snapshot round trip"),
+         ("sepgcn.sep_graph", "load_sep_matrix", lambda sep: sep.values, "matrix round trip"),
+         ("sepgcn.model", "load_checkpoint", lambda loaded: loaded[0][0], "checkpoint round trip")],
+        ids=["snapshot", "matrix", "checkpoint"],
+    )
+    def test_a_round_trip_one_ulp_off_fails(self, tmp_path, capsys, monkeypatch,
+                                            module, loader, values, name):
+        real = getattr(importlib.import_module(module), loader)
+
+        def nudged(path):
+            loaded = real(path)
+            values(loaded)[0] = np.nextafter(values(loaded)[0], np.inf)
+            return loaded
+
+        monkeypatch.setattr(f"{module}.{loader}", nudged)
+        code = main(["oracle-check", "--seed", "7", "--workdir", str(tmp_path / "oc")])
+        assert code == 4
+        out, err = capsys.readouterr()
+        verdicts = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
+        assert len(verdicts) == 8
+        assert [v for v in verdicts if not v.startswith("PASS")] == [f"FAIL {name}"]
+        assert err == f"error: oracle check failed: {name}\n"
 
     def test_seed_with_last_bit_distances_passes(self, tmp_path, capsys):
         """At seed 6 a per-pair distance taken on numpy scalars differs in its last bit

@@ -706,6 +706,13 @@ class TestSnapshot:
         with pytest.raises(InputDataError, match=match):
             self.load_lines(tmp_path, [lines[0], header, *lines[2:]])
 
+    @pytest.mark.parametrize("header", ["not json", "{" * 70], ids=["short", "long"])
+    def test_header_that_is_not_json_is_shown_as_text(self, tmp_path, header):
+        lines = self.saved_lines(tmp_path)
+        with pytest.raises(InputDataError) as err:
+            self.load_lines(tmp_path, [lines[0], header, *lines[2:]])
+        assert str(err.value) == f"{tmp_path / 'bad.sepdata'}: snapshot header is not JSON: {header[:60]!r}"
+
     @pytest.mark.parametrize(
         "key, value",
         [("n_users", "-1"), ("n_items", '"20"'), ("kcore", "1.5"), ("train_ratio", "null")],

@@ -571,12 +571,28 @@ class TestCheckpoint:
         ],
     )
     def test_header_is_checked(self, tmp_path, header, match):
+        path = self.with_header(tmp_path, header)
+        with pytest.raises(InputDataError, match=match):
+            load_checkpoint(path)
+
+    @staticmethod
+    def with_header(tmp_path, header):
         path = tmp_path / "x.ckpt"
         save_checkpoint(np.zeros((12, 5)), {}, path)
         magic, _, payload = path.read_bytes().split(b"\n", 2)
         path.write_bytes(magic + b"\n" + header + b"\n" + payload)
-        with pytest.raises(InputDataError, match=match):
+        return path
+
+    @pytest.mark.parametrize(
+        "header, excerpt",
+        [(b"not json", "'not json'"), (b"not json \xff", "'not json \ufffd'"), (b"{" * 70, repr("{" * 60))],
+        ids=["short", "not-utf8", "long"],
+    )
+    def test_header_that_is_not_json_is_shown_as_text(self, tmp_path, header, excerpt):
+        path = self.with_header(tmp_path, header)
+        with pytest.raises(InputDataError) as err:
             load_checkpoint(path)
+        assert str(err.value) == f"{path}: checkpoint header is not JSON: {excerpt}"
 
     def test_non_finite_payload_rejected(self, tmp_path):
         e0 = np.zeros((3, 2))

@@ -586,6 +586,13 @@ class TestLoadContract:
         with pytest.raises(InputDataError, match=match):
             load_sep_matrix(self.write(tmp_path, lines))
 
+    @pytest.mark.parametrize("header", ["not json", "{" * 70], ids=["short", "long"])
+    def test_header_that_is_not_json_is_shown_as_text(self, tmp_path, saved, header):
+        path = self.write(tmp_path, [f"SEPMAT1 {header}", *saved[1:]])
+        with pytest.raises(InputDataError) as err:
+            load_sep_matrix(path)
+        assert str(err.value) == f"{path}: matrix header is not JSON: {header[:60]!r}"
+
     def test_header_must_be_an_object(self, tmp_path, saved):
         lines = ["SEPMAT1 [40]", *saved[1:]]
         with pytest.raises(InputDataError, match="JSON object"):
