@@ -2,20 +2,21 @@
 overrides, seeds, fingerprints.
 
 Each stage's settings class lives here, so reading a configuration needs
-neither numpy nor scipy, and a stage imports only the modules it runs.
-One master seed fans out to the stages (split, model init, training,
-median sampling) so a single integer reproduces a whole run, while any
-stage seed can still be pinned individually. The fingerprint covers only
-behavior-relevant fields — never paths — so two runs of the same
-experiment in different directories stamp identical hashes on their
-reports.
+neither numpy nor scipy, and a stage imports only the modules it runs. Each
+setting is declared once, on its field, by setting(); KEYMAP and every
+section's validate() come from those declarations. One master seed fans out
+to the stages (split, model init, training, median sampling) so a single
+integer reproduces a whole run, while any stage seed can still be pinned
+individually. The fingerprint covers only behavior-relevant fields — never
+paths — so two runs of the same experiment in different directories stamp
+identical hashes on their reports.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigError
@@ -24,23 +25,62 @@ EARTH_RADIUS_KM = 6371.0
 VARIANTS = ("sepgcn", "lightgcn", "sep_temporal_only", "sep_spatial_only")
 
 
-@dataclass
-class SplitConfig:
-    train_ratio: float = 0.70
-    seed: int = 0
-    min_interactions: int = 5
-    kcore: int = 0
+def setting(key: str, default, check=None, read=None):
+    """The field of the setting a user sets by its dotted key.
 
+    check is a (test, wording) pair: validate() raises
+    ConfigError("<key> <wording>, got <value!r>") when test(value) is false.
+    read turns the setting's text into its value; it defaults to the type of
+    the default.
+    """
+    return field(default=default, metadata={"key": key, "check": check, "read": read or type(default)})
+
+
+# conditions a setting's value must meet: (test, wording)
+AT_LEAST_0 = (lambda v: v >= 0, "must be >= 0")
+AT_LEAST_1 = (lambda v: v >= 1, "must be >= 1")
+IN_OPEN_UNIT = (lambda v: 0 < v < 1, "must lie in (0,1)")
+IN_UNIT = (lambda v: 0 <= v <= 1, "must lie in [0,1]")
+FINITE_AT_LEAST_0 = (lambda v: math.isfinite(v) and v >= 0, "must be finite and >= 0")
+FINITE_ABOVE_0 = (lambda v: math.isfinite(v) and v > 0, "must be finite and > 0")
+
+
+def one_of(*choices):
+    return lambda v: v in choices, f"must be one of {', '.join(choices)}"
+
+
+def _read_ks(raw: str) -> tuple[int, ...]:
+    return tuple(int(part.strip()) for part in raw.split(",") if part.strip())
+
+
+def _read_optional_float(raw: str):
+    return None if raw.lower() == "none" else float(raw)
+
+
+def _error(section, name: str, wording: str) -> ConfigError:
+    key = section.__dataclass_fields__[name].metadata["key"]
+    return ConfigError(f"{key} {wording}, got {getattr(section, name)!r}")
+
+
+class _Settings:
     def validate(self) -> None:
-        if not (0.0 < self.train_ratio < 1.0):
-            raise ConfigError(f"train_ratio must lie in (0,1), got {self.train_ratio}")
-        for key in ("min_interactions", "kcore"):
-            if getattr(self, key) < 0:
-                raise ConfigError(f"split.{key} must be >= 0, got {getattr(self, key)}")
+        """ConfigError naming the key of the first setting whose condition fails."""
+        for f in fields(self):
+            check = f.metadata.get("check")
+            if check and not check[0](getattr(self, f.name)):
+                raise _error(self, f.name, check[1])
 
 
 @dataclass
-class SimilarityParams:
+class SplitConfig(_Settings):
+    train_ratio: float = setting("split.train_ratio", 0.70, IN_OPEN_UNIT)
+    seed: int = setting("split.seed", 0, AT_LEAST_0)
+    min_interactions: int = setting("split.min_interactions", 5, AT_LEAST_0)
+    kcore: int = setting("split.kcore", 0, AT_LEAST_0)
+
+
+@dataclass
+class SimilarityParams(_Settings):
     """Parameters of the distance-decay similarity.
 
     alpha_sim is the similarity assigned to a pair at exactly the median
@@ -48,25 +88,19 @@ class SimilarityParams:
     median_distance(). median_mode selects how that statistic is computed.
     """
 
-    alpha_sim: float = 0.5
-    median_mode: str = "global"  # "global" | "per_user"
-    median_km: float | None = None
-    sample_budget: int = 1_000_000
+    alpha_sim: float = setting("similarity.alpha", 0.5, IN_OPEN_UNIT)
+    median_mode: str = setting("similarity.median_mode", "global", one_of("global", "per_user"))
+    median_km: float | None = setting(
+        "similarity.median_km", None,
+        (lambda v: v is None or (math.isfinite(v) and v > 0), "must be none, or finite and > 0"),
+        _read_optional_float,
+    )
+    sample_budget: int = setting("similarity.sample_budget", 1_000_000, AT_LEAST_1)
     earth_radius_km: float = EARTH_RADIUS_KM
-
-    def validate(self) -> None:
-        if not (0.0 < self.alpha_sim < 1.0):
-            raise ConfigError(f"alpha_sim must lie in (0,1), got {self.alpha_sim}")
-        if self.median_mode not in ("global", "per_user"):
-            raise ConfigError(f"unknown median_mode {self.median_mode!r}")
-        if self.sample_budget < 1:
-            raise ConfigError(f"sample_budget must be >= 1, got {self.sample_budget}")
-        if self.median_km is not None and not (math.isfinite(self.median_km) and self.median_km > 0):
-            raise ConfigError(f"median_km must be finite and > 0, got {self.median_km}")
 
 
 @dataclass
-class PruningParams:
+class PruningParams(_Settings):
     """Knobs that keep the edge-pair graph sparse.
 
     sigma_floor induces the distance cutoff (the radius where the
@@ -79,23 +113,18 @@ class PruningParams:
     the budget stops with a ConfigError before it exhausts memory.
     """
 
-    sigma_floor: float = 0.01
-    max_neighbors: int = 64
-    pair_budget: int = 5_000_000
+    sigma_floor: float = setting("pruning.sigma_floor", 0.01, IN_OPEN_UNIT)
+    max_neighbors: int = setting("pruning.max_neighbors", 64, AT_LEAST_1)
+    pair_budget: int = setting("pruning.pair_budget", 5_000_000, AT_LEAST_1)
 
     def validate(self, alpha_sim: float) -> None:
-        if not (0.0 < self.sigma_floor < alpha_sim):
-            raise ConfigError(
-                f"sigma_floor must lie in (0, alpha_sim={alpha_sim}), got {self.sigma_floor}"
-            )
-        if self.max_neighbors < 1:
-            raise ConfigError(f"max_neighbors must be >= 1, got {self.max_neighbors}")
-        if self.pair_budget < 1:
-            raise ConfigError(f"pair_budget must be >= 1, got {self.pair_budget}")
+        super().validate()
+        if not self.sigma_floor < alpha_sim:
+            raise _error(self, "sigma_floor", f"must be < similarity.alpha={alpha_sim!r}")
 
 
 @dataclass
-class ModelConfig:
+class ModelConfig(_Settings):
     """Architecture and initialization knobs.
 
     alpha_user/beta_item weigh how much of a node's embedding survives the
@@ -103,103 +132,59 @@ class ModelConfig:
     that update runs after every propagation layer or only after the first.
     """
 
-    dim: int = 64
-    layers: int = 3
-    alpha_user: float = 0.5
-    beta_item: float = 0.5
+    dim: int = setting("model.dim", 64, AT_LEAST_1)
+    layers: int = setting("model.layers", 3, AT_LEAST_1)
+    alpha_user: float = setting("model.alpha", 0.5, IN_UNIT)
+    beta_item: float = setting("model.beta", 0.5, IN_UNIT)
     sep_enabled: bool = True
-    sep_update: str = "every_layer"
-    init_std: float = 0.1
-    seed: int = 0
-
-    def validate(self) -> None:
-        if self.dim < 1:
-            raise ConfigError(f"dim must be >= 1, got {self.dim}")
-        if self.layers < 1:
-            raise ConfigError(f"layers must be >= 1, got {self.layers}")
-        for name, w in (("alpha_user", self.alpha_user), ("beta_item", self.beta_item)):
-            if not (0.0 <= w <= 1.0):
-                raise ConfigError(f"{name} must lie in [0,1], got {w}")
-        if not (math.isfinite(self.init_std) and self.init_std >= 0):
-            raise ConfigError(f"init_std must be finite and >= 0, got {self.init_std}")
-        if self.sep_update not in ("every_layer", "once"):
-            raise ConfigError(f"unknown sep_update mode {self.sep_update!r}")
+    sep_update: str = setting("model.sep_update", "every_layer", one_of("every_layer", "once"))
+    init_std: float = setting("model.init_std", 0.1, FINITE_AT_LEAST_0)
+    seed: int = setting("model.seed", 0, AT_LEAST_0)
 
 
 @dataclass
-class TrainConfig:
-    lr: float = 0.001
-    l2_lambda: float = 1e-5
-    epochs_max: int = 100
-    batch_size: int = 2048
-    neg_per_pos: int = 1
-    eval_every: int = 5  # epochs between evaluations; 0 disables them
-    early_stop_patience: int = 10  # evaluations without Recall@20 improvement
-    optimizer: str = "adam"
-    seed: int = 0
-
-    def validate(self) -> None:
-        if not (math.isfinite(self.lr) and self.lr > 0):
-            raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
-        if not (math.isfinite(self.l2_lambda) and self.l2_lambda >= 0):
-            raise ConfigError(f"l2_lambda must be finite and >= 0, got {self.l2_lambda}")
-        if self.epochs_max < 0:
-            raise ConfigError(f"epochs_max must be >= 0, got {self.epochs_max}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.neg_per_pos < 1:
-            raise ConfigError(f"neg_per_pos must be >= 1, got {self.neg_per_pos}")
-        if self.eval_every < 0:
-            raise ConfigError(f"eval_every must be >= 0, got {self.eval_every}")
-        if self.early_stop_patience < 1:
-            raise ConfigError(f"early_stop_patience must be >= 1, got {self.early_stop_patience}")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ConfigError(f"unknown optimizer {self.optimizer!r}")
+class TrainConfig(_Settings):
+    lr: float = setting("train.lr", 0.001, FINITE_ABOVE_0)
+    l2_lambda: float = setting("train.l2", 1e-5, FINITE_AT_LEAST_0)
+    epochs_max: int = setting("train.epochs_max", 100, AT_LEAST_0)
+    batch_size: int = setting("train.batch_size", 2048, AT_LEAST_1)
+    neg_per_pos: int = setting("train.neg_per_pos", 1, AT_LEAST_1)
+    eval_every: int = setting("train.eval_every", 5, AT_LEAST_0)  # epochs between evaluations; 0: none
+    # evaluations without Recall@20 improvement
+    early_stop_patience: int = setting("train.patience", 10, AT_LEAST_1)
+    optimizer: str = setting("train.optimizer", "adam", one_of("adam", "sgd"))
+    seed: int = setting("train.seed", 0, AT_LEAST_0)
 
 
 @dataclass
 class PathsConfig:
-    raw: str | None = None
-    snapshot: str | None = None
-    sep_matrix: str | None = None
-    checkpoint: str | None = None
-    report_prefix: str | None = None
-    train_log: str | None = None
+    raw: str | None = setting("paths.raw", None, read=str)
+    snapshot: str | None = setting("paths.snapshot", None, read=str)
+    sep_matrix: str | None = setting("paths.sep", None, read=str)
+    checkpoint: str | None = setting("paths.checkpoint", None, read=str)
+    report_prefix: str | None = setting("paths.report_prefix", None, read=str)
+    train_log: str | None = setting("paths.train_log", None, read=str)
 
 
 @dataclass
-class RunConfig:
+class RunConfig(_Settings):
     paths: PathsConfig = field(default_factory=PathsConfig)
     split: SplitConfig = field(default_factory=SplitConfig)
     similarity: SimilarityParams = field(default_factory=SimilarityParams)
     pruning: PruningParams = field(default_factory=PruningParams)
     model: ModelConfig = field(default_factory=ModelConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
-    ks: tuple[int, ...] = (5, 20)
-    variant: str = "sepgcn"
-    seed: int = 0
-    median_seed: int = 3
+    ks: tuple[int, ...] = setting(
+        "ks", (5, 20),
+        (lambda ks: ks and min(ks) >= 1 and len(set(ks)) == len(ks), "must be distinct cutoffs >= 1"),
+        _read_ks,
+    )
+    variant: str = setting("variant", "sepgcn", one_of(*VARIANTS))
+    seed: int = setting("seed", 0, AT_LEAST_0)
+    median_seed: int = setting("similarity.seed", 3, AT_LEAST_0)
 
     def validate(self) -> None:
-        if self.variant not in VARIANTS:
-            raise ConfigError(
-                f"unknown variant {self.variant!r}; choose one of {', '.join(VARIANTS)}"
-            )
-        if not self.ks:
-            raise ConfigError("at least one ranking cutoff k is required")
-        if any(k < 1 for k in self.ks):
-            raise ConfigError("ranking cutoffs must be >= 1")
-        if len(set(self.ks)) != len(self.ks):
-            raise ConfigError("ranking cutoffs must be distinct")
-        for key, seed in (
-            ("seed", self.seed),
-            ("split.seed", self.split.seed),
-            ("model.seed", self.model.seed),
-            ("train.seed", self.train.seed),
-            ("similarity.seed", self.median_seed),
-        ):
-            if seed < 0:
-                raise ConfigError(f"{key} must be >= 0, got {seed}")
+        super().validate()
         self.split.validate()
         self.similarity.validate()
         self.pruning.validate(self.similarity.alpha_sim)
@@ -223,54 +208,17 @@ class RunConfig:
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
-def _coerce_ks(raw: str) -> tuple[int, ...]:
-    return tuple(int(part.strip()) for part in raw.split(",") if part.strip())
-
-
-def _coerce_optional_float(raw: str):
-    return None if raw.lower() == "none" else float(raw)
-
-
-# dotted key -> (section attribute or None for top level, field, coercion)
+# dotted key -> (section attribute or None for top level, field, reader)
 KEYMAP = {
-    "variant": (None, "variant", str),
-    "seed": (None, "seed", int),
-    "ks": (None, "ks", _coerce_ks),
-    "paths.raw": ("paths", "raw", str),
-    "paths.snapshot": ("paths", "snapshot", str),
-    "paths.sep": ("paths", "sep_matrix", str),
-    "paths.checkpoint": ("paths", "checkpoint", str),
-    "paths.report_prefix": ("paths", "report_prefix", str),
-    "paths.train_log": ("paths", "train_log", str),
-    "split.train_ratio": ("split", "train_ratio", float),
-    "split.seed": ("split", "seed", int),
-    "split.min_interactions": ("split", "min_interactions", int),
-    "split.kcore": ("split", "kcore", int),
-    "similarity.alpha": ("similarity", "alpha_sim", float),
-    "similarity.median_mode": ("similarity", "median_mode", str),
-    "similarity.median_km": ("similarity", "median_km", _coerce_optional_float),
-    "similarity.sample_budget": ("similarity", "sample_budget", int),
-    "similarity.seed": (None, "median_seed", int),
-    "pruning.sigma_floor": ("pruning", "sigma_floor", float),
-    "pruning.max_neighbors": ("pruning", "max_neighbors", int),
-    "pruning.pair_budget": ("pruning", "pair_budget", int),
-    "model.dim": ("model", "dim", int),
-    "model.layers": ("model", "layers", int),
-    "model.alpha": ("model", "alpha_user", float),
-    "model.beta": ("model", "beta_item", float),
-    "model.sep_update": ("model", "sep_update", str),
-    "model.init_std": ("model", "init_std", float),
-    "model.seed": ("model", "seed", int),
-    "train.lr": ("train", "lr", float),
-    "train.l2": ("train", "l2_lambda", float),
-    "train.epochs_max": ("train", "epochs_max", int),
-    "train.batch_size": ("train", "batch_size", int),
-    "train.neg_per_pos": ("train", "neg_per_pos", int),
-    "train.eval_every": ("train", "eval_every", int),
-    "train.patience": ("train", "early_stop_patience", int),
-    "train.optimizer": ("train", "optimizer", str),
-    "train.seed": ("train", "seed", int),
+    f.metadata["key"]: (section, f.name, f.metadata["read"])
+    for section, cls in [(None, RunConfig)]
+    + [(s.name, s.default_factory) for s in fields(RunConfig) if not s.metadata]
+    for f in fields(cls)
+    if f.metadata
 }
+
+# each stage seed's offset from the master seed, which it follows unless set
+STAGE_SEED_OFFSETS = {"split.seed": 0, "model.seed": 1, "train.seed": 2, "similarity.seed": 3}
 
 
 def set_key(cfg: RunConfig, key: str, raw: str) -> None:
@@ -278,9 +226,9 @@ def set_key(cfg: RunConfig, key: str, raw: str) -> None:
     ConfigError for an unknown key or a text the field's type cannot read."""
     if key not in KEYMAP:
         raise ConfigError(f"unknown config key {key!r}")
-    section, attr, coerce = KEYMAP[key]
+    section, attr, read = KEYMAP[key]
     try:
-        value = coerce(raw)
+        value = read(raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key!r}: {exc}") from None
     setattr(cfg if section is None else getattr(cfg, section), attr, value)
@@ -327,23 +275,15 @@ def build_run_config(
     file_pairs: dict[str, str] | None = None,
     override_pairs: dict[str, str] | None = None,
 ) -> RunConfig:
-    """Assemble a validated RunConfig; overrides beat the file.
-
-    Stage seeds derive from the master seed (split = seed, model = seed+1,
-    train = seed+2, median sampling = seed+3) unless set explicitly.
-    """
+    """Assemble a validated RunConfig; overrides beat the file. Each stage
+    seed not set is the master seed plus its STAGE_SEED_OFFSETS entry."""
     pairs = {**(file_pairs or {}), **(override_pairs or {})}
     cfg = RunConfig()
     for key, raw in pairs.items():
         set_key(cfg, key, raw)
-    if "split.seed" not in pairs:
-        cfg.split.seed = cfg.seed
-    if "model.seed" not in pairs:
-        cfg.model.seed = cfg.seed + 1
-    if "train.seed" not in pairs:
-        cfg.train.seed = cfg.seed + 2
-    if "similarity.seed" not in pairs:
-        cfg.median_seed = cfg.seed + 3
+    for key, offset in STAGE_SEED_OFFSETS.items():
+        if key not in pairs:
+            set_key(cfg, key, str(cfg.seed + offset))
     cfg.model.sep_enabled = cfg.variant != "lightgcn"
     cfg.validate()
     return cfg

@@ -28,9 +28,12 @@ class NumericalError(SepGcnError):
 
 
 def read_input(path: Path, what: str) -> bytes:
-    """The bytes of the file at path; an InputDataError when there is none."""
+    """The bytes of the regular file at path; an InputDataError when there is
+    none, or when path names a directory or another kind of file."""
     if not path.exists():
         raise InputDataError(f"{what} not found: {path}")
+    if not path.is_file():
+        raise InputDataError(f"{what} is not a regular file: {path}")
     return path.read_bytes()
 
 

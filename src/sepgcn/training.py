@@ -19,7 +19,7 @@ import scipy.sparse as sp
 from scipy.special import expit
 
 from .config import ModelConfig, TrainConfig
-from .errors import ConfigError, InputDataError, NumericalError, check_size
+from .errors import InputDataError, NumericalError, check_size
 from .graph import BipartiteGraph, entry_keys, has_entry, interaction_matrix, spmv
 from .model import SepOperator, build_operator, edge_step_at, forward, init_embeddings
 
@@ -105,11 +105,7 @@ class AdamOptimizer:
 
 
 def make_optimizer(cfg: TrainConfig):
-    if cfg.optimizer == "adam":
-        return AdamOptimizer(cfg.lr)
-    if cfg.optimizer == "sgd":
-        return SgdOptimizer(cfg.lr)
-    raise ConfigError(f"unknown optimizer {cfg.optimizer!r}")
+    return AdamOptimizer(cfg.lr) if cfg.optimizer == "adam" else SgdOptimizer(cfg.lr)
 
 
 def _check_finite(arr: np.ndarray, stage: str) -> None:

@@ -8,6 +8,9 @@ differentiate this function and compare against `loss_gradient`.
 over whole arrays at once; `median_distance` must return its value exactly.
 `per_user_median` is the per-user statistic written as a loop over users and
 their venue pairs; `median_distance` in per_user mode must return it exactly.
+`EdgeSpaceStep` is the edge-context step and its hand-written transpose in
+edge space, over dense maps built from the stored pairs, the edge index and
+alpha/beta alone; the model's node-space matrix W must agree with it.
 """
 from __future__ import annotations
 
@@ -83,3 +86,56 @@ def per_user_median(users, lat, lon, global_med: float) -> float:
         a, b = np.array([p for p, _ in pairs]), np.array([q for _, q in pairs])
         medians.append(float(np.median(haversine_km((a[:, 0], a[:, 1]), (b[:, 0], b[:, 1])))))
     return float(np.median(medians))
+
+
+class EdgeSpaceStep:
+    """The edge-context step written in edge space, with dense maps.
+
+    It gathers user‖item rows onto every edge, propagates them over the
+    symmetric edge-pair matrix X, averages each half into its node over the
+    node's active edges (those in at least one stored pair), and blends that
+    mean into the node's row with weight 1 - alpha (users) or 1 - beta
+    (items). A node without an active edge keeps its row.
+    """
+
+    def __init__(self, sep, index, n_users: int, n_items: int, alpha: float, beta: float):
+        n_edges = index.n_edges
+        self.n_users, self.alpha, self.beta = n_users, alpha, beta
+        self.x = np.zeros((n_edges, n_edges))
+        for i, j, v in zip(sep.rows.tolist(), sep.cols.tolist(), sep.values.tolist()):
+            self.x[i, j] = self.x[j, i] = v
+        active = set(sep.rows.tolist()) | set(sep.cols.tolist())
+        self.gu, self.gi = np.zeros((n_users, n_edges)), np.zeros((n_items, n_edges))
+        self.pu, self.pi = np.zeros((n_users, n_edges)), np.zeros((n_items, n_edges))
+        for gather, mean, nodes in ((self.gu, self.pu, index.users), (self.gi, self.pi, index.items)):
+            for node in range(len(gather)):
+                edges = [k for k in range(n_edges) if nodes[k] == node]
+                gather[node, edges] = 1.0
+                linked = [k for k in edges if k in active]
+                if linked:
+                    mean[node, linked] = 1.0 / len(linked)
+        self.keep = np.concatenate([
+            np.where(self.pu.any(axis=1), alpha, 1.0), np.where(self.pi.any(axis=1), beta, 1.0)
+        ])
+
+    def step(self, table: np.ndarray) -> np.ndarray:
+        d, n = table.shape[1], self.n_users
+        rows = np.concatenate([self.gu.T @ table[:n], self.gi.T @ table[n:]], axis=1)
+        propagated = self.x @ rows
+        out = self.keep[:, None] * table
+        out[:n] += (1.0 - self.alpha) * (self.pu @ propagated[:, :d])
+        out[n:] += (1.0 - self.beta) * (self.pi @ propagated[:, d:])
+        return out
+
+    def adjoint(self, grad_out: np.ndarray) -> np.ndarray:
+        """The transpose of step(), written out map by map."""
+        d, n = grad_out.shape[1], self.n_users
+        grad_edges = np.concatenate(
+            [self.pu.T @ ((1.0 - self.alpha) * grad_out[:n]),
+             self.pi.T @ ((1.0 - self.beta) * grad_out[n:])], axis=1
+        )
+        grad_rows = self.x.T @ grad_edges
+        grad = self.keep[:, None] * grad_out
+        grad[:n] += self.gu @ grad_rows[:, :d]
+        grad[n:] += self.gi @ grad_rows[:, d:]
+        return grad

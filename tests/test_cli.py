@@ -968,6 +968,27 @@ class TestBadInputFiles:
                     "--checkpoint", tmp_path / "ck.bin", "--out", tmp_path / "r", *common]
         assert "not UTF-8 text" in self.assert_exits(argv, code, capsys)
 
+    @pytest.mark.parametrize(
+        "stage, flag, what",
+        [
+            ("prepare", "--raw", "raw check-in file"),
+            ("build-sep", "--snapshot", "snapshot"),
+            ("train", "--sep", "edge-pair matrix"),
+            ("eval", "--checkpoint", "checkpoint"),
+        ],
+    )
+    def test_directory_for_a_file(self, chain, tmp_path, capsys, stage, flag, what):
+        """A directory given for the file a flag names exits 2, naming its kind and path."""
+        inputs = {"--raw": chain / "raw.tsv", "--snapshot": chain / "snap.txt",
+                  "--sep": chain / "pairs.sep", "--checkpoint": chain / "ck.bin"}
+        reads = {"prepare": ["--raw"], "build-sep": ["--snapshot"],
+                 "train": ["--snapshot", "--sep"], "eval": ["--snapshot", "--sep", "--checkpoint"]}
+        argv = [stage, "--out", tmp_path / "out", *SETTINGS]
+        for name in reads[stage]:
+            argv += [name, tmp_path if name == flag else inputs[name]]
+        error = self.assert_exits(argv, 2, capsys)
+        assert error == f"error: {what} is not a regular file: {tmp_path}"
+
     @staticmethod
     def assert_exits(argv, code, capsys):
         """Run a stage; it must end with `code` and one final `error:` line."""

@@ -120,7 +120,7 @@ class TestBuild:
         assert cfg.ks == (10,)
 
     def test_alpha_out_of_range(self):
-        with pytest.raises(ConfigError, match="alpha_user"):
+        with pytest.raises(ConfigError, match=r"^model\.alpha must lie in \[0,1\], got 1\.2$"):
             build_run_config({"model.alpha": "1.2"})
 
     def test_variant_drives_sep_enabled(self):
@@ -217,17 +217,23 @@ PROBE_VALUES = ["-1", "0", "0.5", "nan", "inf", "-inf", "1e400", str(10**30), st
                 "x", "none", "5,5", "0,20"]
 
 
+def names_key(message: str, key: str) -> bool:
+    """Whether an error message names the dotted key itself, not only a key
+    that ends with it (`similarity.seed` does not name `seed`)."""
+    return message.startswith(f"{key} ") or f"'{key}'" in message
+
+
 class TestSettingsProbe:
     """Every setting given each probe value yields a RunConfig or a ConfigError,
-    never another exception."""
+    never another exception, and the error names the key that was set."""
 
     @pytest.mark.parametrize("key", [key for key in KEYMAP if not key.startswith("paths.")])
     def test_every_key(self, key):
         for value in PROBE_VALUES:
             try:
                 assert isinstance(build_run_config({}, {key: value}), RunConfig)
-            except ConfigError:
-                pass
+            except ConfigError as exc:
+                assert names_key(str(exc), key), (value, str(exc))
 
     @pytest.mark.parametrize("axis", SWEEP_AXES)
     def test_every_sweep_axis(self, axis):
@@ -235,5 +241,5 @@ class TestSettingsProbe:
         for value in PROBE_VALUES:
             try:
                 assert isinstance(_apply_axis(base, axis, value), RunConfig)
-            except ConfigError:
-                pass
+            except ConfigError as exc:
+                assert names_key(str(exc), SWEEP_AXES[axis]), (value, str(exc))

@@ -29,7 +29,7 @@ from sepgcn.sep_graph import (
     normalize_sep,
 )
 
-from reference import interactions
+from reference import EdgeSpaceStep, interactions
 
 PARAMS = SimilarityParams(alpha_sim=0.5, median_km=2.0)
 
@@ -168,42 +168,13 @@ class TestEdgeEmbed:
             np.testing.assert_array_equal(got[k, 5:], table[graph.n_users + index.items[k]])
 
 
-def edge_space_step(op, table):
-    """Reference: the edge-context step written in edge space.
-
-    Gathers user‖item rows onto every edge, propagates them over the
-    edge-pair matrix, mean-aggregates each half back into its nodes over the
-    active edges and blends the mean into the node's row.
-    """
-    d, n = table.shape[1], op.n_users
-    rows = np.concatenate([table[op.index.users], table[n + op.index.items]], axis=1)
-    propagated = op.x @ rows
-    out = op.node_weight[:, None] * table
-    out[:n] += (1.0 - op.alpha_user) * (op.pu @ propagated[:, :d])
-    out[n:] += (1.0 - op.beta_item) * (op.pi @ propagated[:, d:])
-    return out
-
-
-def edge_space_adjoint(op, grad_out):
-    """Reference: the hand-written transpose of edge_space_step."""
-    d, n = grad_out.shape[1], op.n_users
-    grad_edges = np.zeros((op.x.shape[0], 2 * d))
-    grad_edges[:, :d] = op.put @ ((1.0 - op.alpha_user) * grad_out[:n])
-    grad_edges[:, d:] = op.pit @ ((1.0 - op.beta_item) * grad_out[n:])
-    grad_s = op.xt @ grad_edges
-    grad = op.node_weight[:, None] * grad_out
-    grad[:n] += op.gu @ grad_s[:, :d]
-    grad[n:] += op.gi @ grad_s[:, d:]
-    return grad
-
-
-def edge_space_forward(cfg, graph, op, e0):
-    """Reference forward pass that applies the step through edge_space_step."""
+def edge_space_forward(cfg, graph, ref, e0):
+    """Reference forward pass that applies the step through EdgeSpaceStep."""
     tables, cur = [e0], e0
     for k in range(1, cfg.layers + 1):
         cur = spmv(graph, cur)
         if cfg.sep_update == "every_layer" or k == 1:
-            cur = edge_space_step(op, cur)
+            cur = ref.step(cur)
         tables.append(cur)
     return sum(tables[1:], tables[0].copy()) / (cfg.layers + 1)
 
@@ -327,7 +298,7 @@ class TestUpdateFromSep:
 
 
 class TestNodeSpaceOperator:
-    """W and its transpose against the edge-space reference above."""
+    """W and its transpose against the edge-space reference in reference.py."""
 
     def instances(self, seed, count=6):
         rng = np.random.default_rng(seed)
@@ -336,31 +307,33 @@ class TestNodeSpaceOperator:
                 rng, n_users=int(rng.integers(5, 20)), n_items=int(rng.integers(5, 25)),
                 n_edges=int(rng.integers(20, 80)),
             )
+            # a sparse subset of the pairs, so that nodes hold both linked and unlinked edges
+            keep = rng.random(len(sep.values)) < 0.05
+            sep = SepMatrix(index.n_edges, sep.rows[keep], sep.cols[keep], sep.values[keep], "sym_degree")
             alpha, beta = rng.uniform(0.0, 1.0, size=2)
             op = SepOperator(sep, index, graph.n_users, graph.n_items, alpha, beta)
-            yield rng, graph, index, sep, op
+            ref = EdgeSpaceStep(sep, index, graph.n_users, graph.n_items, alpha, beta)
+            yield rng, graph, index, sep, op, ref
 
     def test_update_matches_edge_space_reference(self):
-        for rng, graph, _, _, op in self.instances(401):
+        for rng, graph, _, _, op, ref in self.instances(401):
             table = rng.normal(size=(graph.n_nodes, 6))
-            np.testing.assert_allclose(op.update(table), edge_space_step(op, table), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(op.update(table), ref.step(table), rtol=0, atol=1e-12)
 
     def test_adjoint_matches_edge_space_reference(self):
-        for rng, graph, _, _, op in self.instances(409):
+        for rng, graph, _, _, op, ref in self.instances(409):
             grad = rng.normal(size=(graph.n_nodes, 6))
-            np.testing.assert_allclose(
-                op.update_adjoint(grad), edge_space_adjoint(op, grad), rtol=0, atol=1e-12
-            )
+            np.testing.assert_allclose(op.update_adjoint(grad), ref.adjoint(grad), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("dim", [6, 32, 64])
     def test_adjoint_equals_the_stored_transpose(self, dim):
         """The CSC view W.T gives the bits a CSR copy of the transpose gives."""
-        for rng, graph, _, _, op in self.instances(443):
+        for rng, graph, _, _, op, _ in self.instances(443):
             grad = rng.normal(size=(graph.n_nodes, dim))
             assert np.array_equal(op.update_adjoint(grad), op.w.T.tocsr() @ grad)
 
     def test_adjoint_identity(self):
-        for rng, graph, _, _, op in self.instances(419):
+        for rng, graph, _, _, op, _ in self.instances(419):
             a = rng.normal(size=(graph.n_nodes, 5))
             b = rng.normal(size=(graph.n_nodes, 5))
             lhs = np.sum(op.update(a) * b)
@@ -369,26 +342,26 @@ class TestNodeSpaceOperator:
 
     @pytest.mark.parametrize("mode", ["every_layer", "once"])
     def test_forward_matches_edge_space_reference(self, mode):
-        for rng, graph, index, sep, op in self.instances(421, count=4):
+        for rng, graph, index, sep, op, ref in self.instances(421, count=4):
             cfg = ModelConfig(
-                dim=5, layers=3, alpha_user=op.alpha_user, beta_item=op.beta_item,
+                dim=5, layers=3, alpha_user=ref.alpha, beta_item=ref.beta,
                 sep_update=mode, seed=int(rng.integers(1000)),
             )
             e0 = init_embeddings(cfg, graph.n_nodes)
             state = forward(cfg, graph, sep, index, e0, operator=op)
             np.testing.assert_allclose(
-                state.e_star, edge_space_forward(cfg, graph, op, e0), rtol=0, atol=1e-12
+                state.e_star, edge_space_forward(cfg, graph, ref, e0), rtol=0, atol=1e-12
             )
 
     def test_retain_all_is_the_identity(self):
-        for rng, graph, index, sep, _ in self.instances(431, count=3):
+        for rng, graph, index, sep, _, _ in self.instances(431, count=3):
             op = SepOperator(sep, index, graph.n_users, graph.n_items, 1.0, 1.0)
             table = rng.normal(size=(graph.n_nodes, 4))
             np.testing.assert_array_equal(op.update(table), table)
             np.testing.assert_array_equal(op.update_adjoint(table), table)
 
     def test_empty_matrix_is_the_identity(self):
-        for rng, graph, index, _, _ in self.instances(433, count=3):
+        for rng, graph, index, _, _, _ in self.instances(433, count=3):
             op = SepOperator(empty_sep(index.n_edges), index, graph.n_users, graph.n_items, 0.3, 0.6)
             table = rng.normal(size=(graph.n_nodes, 4))
             np.testing.assert_array_equal(op.update(table), table)
@@ -409,7 +382,9 @@ class TestNodeSpaceOperator:
         for out in (op.update(table), op.update_adjoint(table)):
             np.testing.assert_array_equal(out[~live], table[~live])
             assert not np.array_equal(out[live], table[live])
-        np.testing.assert_allclose(op.update(table), edge_space_step(op, table), rtol=0, atol=1e-12)
+        ref = EdgeSpaceStep(sep, index, graph.n_users, graph.n_items, 0.3, 0.6)
+        np.testing.assert_allclose(op.update(table), ref.step(table), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(op.update_adjoint(table), ref.adjoint(table), rtol=0, atol=1e-12)
 
 
 class TestForward:
