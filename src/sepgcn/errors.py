@@ -28,13 +28,14 @@ class NumericalError(SepGcnError):
 
 
 def read_input(path: Path, what: str) -> bytes:
-    """The bytes of the regular file at path; an InputDataError when there is
-    none, or when path names a directory or another kind of file."""
-    if not path.exists():
-        raise InputDataError(f"{what} not found: {path}")
-    if not path.is_file():
-        raise InputDataError(f"{what} is not a regular file: {path}")
-    return path.read_bytes()
+    """The bytes of the file (or pipe) at path; an InputDataError naming what
+    and the path when there is none or it cannot be read, as a directory."""
+    try:
+        return path.read_bytes()
+    except FileNotFoundError:
+        raise InputDataError(f"{what} not found: {path}") from None
+    except OSError as exc:
+        raise InputDataError(f"{what} cannot be read: {path} ({exc.strerror})") from None
 
 
 def json_object(path, text: str | bytes, what: str) -> dict:

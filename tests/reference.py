@@ -8,9 +8,12 @@ differentiate this function and compare against `loss_gradient`.
 over whole arrays at once; `median_distance` must return its value exactly.
 `per_user_median` is the per-user statistic written as a loop over users and
 their venue pairs; `median_distance` in per_user mode must return it exactly.
-`EdgeSpaceStep` is the edge-context step and its hand-written transpose in
-edge space, over dense maps built from the stored pairs, the edge index and
-alpha/beta alone; the model's node-space matrix W must agree with it.
+`update_oracle` is the edge-context step as a literal loop over each node's
+active edges, fed by `propagated_rows` over `dense_pairs`, the edge-pair
+matrix X built from the stored pairs; `EdgeSpaceStep` holds that step and
+its hand-written transpose for one operator's pairs, edge index and
+alpha/beta, all built here and not read from the code under test. The
+model's node-space matrix W must agree with it.
 """
 from __future__ import annotations
 
@@ -88,30 +91,66 @@ def per_user_median(users, lat, lon, global_med: float) -> float:
     return float(np.median(medians))
 
 
-class EdgeSpaceStep:
-    """The edge-context step written in edge space, with dense maps.
+def dense_pairs(sep) -> np.ndarray:
+    """The symmetric edge-pair matrix X, dense, from the pairs stored once."""
+    x = np.zeros((sep.n_edges, sep.n_edges))
+    for i, j, v in zip(sep.rows.tolist(), sep.cols.tolist(), sep.values.tolist()):
+        x[i, j] = x[j, i] = v
+    return x
 
-    It gathers user‖item rows onto every edge, propagates them over the
+
+def active_edges(sep) -> np.ndarray:
+    """Mask of the edges that sit in at least one stored pair."""
+    active = np.zeros(sep.n_edges, dtype=bool)
+    active[sep.rows] = active[sep.cols] = True
+    return active
+
+
+def propagated_rows(index, x: np.ndarray, table: np.ndarray, n_users: int) -> np.ndarray:
+    """Edge rows user‖item, propagated over the dense edge-pair matrix x."""
+    rows = np.concatenate([table[index.users], table[n_users + index.items]], axis=1)
+    return x @ rows
+
+
+def update_oracle(table, propagated, users, items, n_users, alpha, beta, active):
+    """Literal loop over edges: aggregate active segments, blend per node."""
+    d = table.shape[1]
+    out = table.copy()
+    for u in range(n_users):
+        incident = [e for e in range(len(users)) if users[e] == u and active[e]]
+        if incident:
+            mean = np.mean([propagated[e, :d] for e in incident], axis=0)
+            out[u] = alpha * table[u] + (1 - alpha) * mean
+    for i in range(table.shape[0] - n_users):
+        incident = [e for e in range(len(items)) if items[e] == i and active[e]]
+        if incident:
+            mean = np.mean([propagated[e, d:] for e in incident], axis=0)
+            out[n_users + i] = beta * table[n_users + i] + (1 - beta) * mean
+    return out
+
+
+class EdgeSpaceStep:
+    """The edge-context step in edge space, and its hand-written transpose.
+
+    step() gathers user‖item rows onto every edge, propagates them over the
     symmetric edge-pair matrix X, averages each half into its node over the
     node's active edges (those in at least one stored pair), and blends that
     mean into the node's row with weight 1 - alpha (users) or 1 - beta
-    (items). A node without an active edge keeps its row.
+    (items); a node without an active edge keeps its row. adjoint() is the
+    transpose of that step, written map by map over dense gather and mean maps.
     """
 
     def __init__(self, sep, index, n_users: int, n_items: int, alpha: float, beta: float):
         n_edges = index.n_edges
-        self.n_users, self.alpha, self.beta = n_users, alpha, beta
-        self.x = np.zeros((n_edges, n_edges))
-        for i, j, v in zip(sep.rows.tolist(), sep.cols.tolist(), sep.values.tolist()):
-            self.x[i, j] = self.x[j, i] = v
-        active = set(sep.rows.tolist()) | set(sep.cols.tolist())
+        self.index, self.n_users, self.alpha, self.beta = index, n_users, alpha, beta
+        self.x, self.active = dense_pairs(sep), active_edges(sep)
         self.gu, self.gi = np.zeros((n_users, n_edges)), np.zeros((n_items, n_edges))
         self.pu, self.pi = np.zeros((n_users, n_edges)), np.zeros((n_items, n_edges))
         for gather, mean, nodes in ((self.gu, self.pu, index.users), (self.gi, self.pi, index.items)):
             for node in range(len(gather)):
                 edges = [k for k in range(n_edges) if nodes[k] == node]
                 gather[node, edges] = 1.0
-                linked = [k for k in edges if k in active]
+                linked = [k for k in edges if self.active[k]]
                 if linked:
                     mean[node, linked] = 1.0 / len(linked)
         self.keep = np.concatenate([
@@ -119,13 +158,11 @@ class EdgeSpaceStep:
         ])
 
     def step(self, table: np.ndarray) -> np.ndarray:
-        d, n = table.shape[1], self.n_users
-        rows = np.concatenate([self.gu.T @ table[:n], self.gi.T @ table[n:]], axis=1)
-        propagated = self.x @ rows
-        out = self.keep[:, None] * table
-        out[:n] += (1.0 - self.alpha) * (self.pu @ propagated[:, :d])
-        out[n:] += (1.0 - self.beta) * (self.pi @ propagated[:, d:])
-        return out
+        propagated = propagated_rows(self.index, self.x, table, self.n_users)
+        return update_oracle(
+            table, propagated, self.index.users, self.index.items, self.n_users,
+            self.alpha, self.beta, self.active,
+        )
 
     def adjoint(self, grad_out: np.ndarray) -> np.ndarray:
         """The transpose of step(), written out map by map."""

@@ -987,7 +987,25 @@ class TestBadInputFiles:
         for name in reads[stage]:
             argv += [name, tmp_path if name == flag else inputs[name]]
         error = self.assert_exits(argv, 2, capsys)
-        assert error == f"error: {what} is not a regular file: {tmp_path}"
+        assert error == f"error: {what} cannot be read: {tmp_path} (Is a directory)"
+
+    def test_path_through_a_file_cannot_be_read(self, chain, tmp_path, capsys):
+        """A path whose parent is a file is not missing either: it cannot be read."""
+        bad = chain / "snap.txt" / "snap.txt"
+        argv = ["build-sep", "--snapshot", bad, "--out", tmp_path / "pairs.sep", *SETTINGS]
+        error = self.assert_exits(argv, 2, capsys)
+        assert error == f"error: snapshot cannot be read: {bad} (Not a directory)"
+
+    def test_raw_log_read_from_a_pipe(self, chain, tmp_path):
+        """--raw reads a pipe as it reads a file: /dev/stdin gives the same snapshot."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        argv = ["prepare", "--raw", "/dev/stdin", "--out", tmp_path / "snap.txt", *SETTINGS]
+        proc = subprocess.run(
+            [sys.executable, "-m", "sepgcn.cli", *map(str, argv)], input=(chain / "raw.tsv").read_bytes(),
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert (tmp_path / "snap.txt").read_bytes() == (chain / "snap.txt").read_bytes()
 
     @staticmethod
     def assert_exits(argv, code, capsys):

@@ -29,7 +29,14 @@ from sepgcn.sep_graph import (
     normalize_sep,
 )
 
-from reference import EdgeSpaceStep, interactions
+from reference import (
+    EdgeSpaceStep,
+    active_edges,
+    dense_pairs,
+    interactions,
+    propagated_rows,
+    update_oracle,
+)
 
 PARAMS = SimilarityParams(alpha_sim=0.5, median_km=2.0)
 
@@ -67,23 +74,6 @@ def dense_lightgcn_oracle(r: np.ndarray, e0: np.ndarray, layers: int) -> np.ndar
     return sum(tables) / (layers + 1)
 
 
-def update_oracle(table, propagated, users, items, n_users, alpha, beta, active):
-    """Literal loop over edges: aggregate active segments, blend per node."""
-    d = table.shape[1]
-    out = table.copy()
-    for u in range(n_users):
-        incident = [e for e in range(len(users)) if users[e] == u and active[e]]
-        if incident:
-            mean = np.mean([propagated[e, :d] for e in incident], axis=0)
-            out[u] = alpha * table[u] + (1 - alpha) * mean
-    for i in range(table.shape[0] - n_users):
-        incident = [e for e in range(len(items)) if items[e] == i and active[e]]
-        if incident:
-            mean = np.mean([propagated[e, d:] for e in incident], axis=0)
-            out[n_users + i] = beta * table[n_users + i] + (1 - beta) * mean
-    return out
-
-
 def dense_forward_oracle(ds, cfg, e0, sep):
     """Straight-line dense re-implementation of the whole forward pass."""
     r = interaction_matrix(ds, "train").toarray()
@@ -93,8 +83,7 @@ def dense_forward_oracle(ds, cfg, e0, sep):
     inv = np.array([1.0 / math.sqrt(x) if x > 0 else 0.0 for x in deg])
     a_norm = np.diag(inv) @ a @ np.diag(inv)
     index = EdgeIndex.from_dataset(ds)
-    x = sep.to_csr().toarray()
-    active = sep.active_edges()
+    x, active = dense_pairs(sep), active_edges(sep)
     tables = [e0]
     cur = e0
     for k in range(1, cfg.layers + 1):
@@ -222,8 +211,8 @@ class TestSepPropagate:
         n = index.n_edges
         op = one_edge_per_node(sep, n, 0.0, 0.0)
         table = rng.normal(size=(2 * n, 8))
-        active = sep.active_edges()
-        x = sep.to_csr().toarray()
+        active = active_edges(sep)
+        x = dense_pairs(sep)
         out = op.update(table)
         for half in (slice(0, n), slice(n, 2 * n)):
             expect = np.where(active[:, None], x @ table[half], table[half])
@@ -236,12 +225,6 @@ class TestSepPropagate:
 
 def sep_update(graph, index, sep, table, alpha, beta):
     return SepOperator(sep, index, graph.n_users, graph.n_items, alpha, beta).update(table)
-
-
-def propagated_rows(index, sep, table, n_users):
-    """Edge rows user‖item, propagated over the dense edge-pair matrix."""
-    rows = np.concatenate([table[index.users], table[n_users + index.items]], axis=1)
-    return sep.to_csr().toarray() @ rows
 
 
 class TestUpdateFromSep:
@@ -276,15 +259,15 @@ class TestUpdateFromSep:
             table = rng.normal(size=(graph.n_nodes, 4))
             got = sep_update(graph, index, sep, table, 0.3, 0.6)
             expect = update_oracle(
-                table, propagated_rows(index, sep, table, graph.n_users),
-                index.users, index.items, graph.n_users, 0.3, 0.6, sep.active_edges(),
+                table, propagated_rows(index, dense_pairs(sep), table, graph.n_users),
+                index.users, index.items, graph.n_users, 0.3, 0.6, active_edges(sep),
             )
             np.testing.assert_allclose(got, expect, atol=1e-12)
 
     def test_nodes_without_active_edges_are_untouched(self):
         rng = np.random.default_rng(179)
         ds, graph, index, sep = make_instance(rng)
-        active = sep.active_edges()
+        active = active_edges(sep)
         table = rng.normal(size=(graph.n_nodes, 4))
         out = sep_update(graph, index, sep, table, 0.2, 0.2)
         live_users = set(index.users[active])
@@ -301,19 +284,22 @@ class TestNodeSpaceOperator:
     """W and its transpose against the edge-space reference in reference.py."""
 
     def instances(self, seed, count=6):
+        """Each random instance twice: with all its pairs, where nearly every
+        edge is linked and rows hold many nonzeros, and with a 5% subset of
+        them, where nodes hold both linked and unlinked edges."""
         rng = np.random.default_rng(seed)
         for _ in range(count):
-            ds, graph, index, sep = make_instance(
+            ds, graph, index, full = make_instance(
                 rng, n_users=int(rng.integers(5, 20)), n_items=int(rng.integers(5, 25)),
                 n_edges=int(rng.integers(20, 80)),
             )
-            # a sparse subset of the pairs, so that nodes hold both linked and unlinked edges
-            keep = rng.random(len(sep.values)) < 0.05
-            sep = SepMatrix(index.n_edges, sep.rows[keep], sep.cols[keep], sep.values[keep], "sym_degree")
             alpha, beta = rng.uniform(0.0, 1.0, size=2)
-            op = SepOperator(sep, index, graph.n_users, graph.n_items, alpha, beta)
-            ref = EdgeSpaceStep(sep, index, graph.n_users, graph.n_items, alpha, beta)
-            yield rng, graph, index, sep, op, ref
+            keep = rng.random(len(full.values)) < 0.05
+            thin = SepMatrix(index.n_edges, full.rows[keep], full.cols[keep], full.values[keep], "sym_degree")
+            for sep in (full, thin):
+                op = SepOperator(sep, index, graph.n_users, graph.n_items, alpha, beta)
+                ref = EdgeSpaceStep(sep, index, graph.n_users, graph.n_items, alpha, beta)
+                yield rng, graph, index, sep, op, ref
 
     def test_update_matches_edge_space_reference(self):
         for rng, graph, _, _, op, ref in self.instances(401):
