@@ -255,7 +255,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             f"{cfg.paths.sep_matrix} left unread"
         )
 
-    hook = make_ranking_hook(ds, k=20)
+    hook = make_ranking_hook(ds)
     result = train(
         ds, graph, sep, index, cfg.model, cfg.train, hook, log_path=cfg.paths.train_log
     )
@@ -394,7 +394,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             ds = build_dataset(base_checkins, run_cfg.split)
         if inputs is None or args.axis == "kcore":
             inputs = _model_inputs(run_cfg, ds, build=True)
-        result = train(ds, *inputs, run_cfg.model, run_cfg.train, make_ranking_hook(ds, k=20))
+        result = train(ds, *inputs, run_cfg.model, run_cfg.train, make_ranking_hook(ds))
         report = _report(run_cfg, ds, *inputs, result.e0)
         lines += [f"{value}\t{k}\t{metric_cells(report.blocks[k])}" for k in report.ks]
 
@@ -505,7 +505,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         n_users=args.users,
         n_items=args.items,
         n_checkins=args.checkins,
-        seed=args.seed if args.seed is not None else 0,
+        seed=SyntheticConfig.seed if args.seed is None else args.seed,
     )
     write_raw(generate_city(cfg), args.out)
     print(
@@ -597,9 +597,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", parents=[seeded], help="generate a synthetic check-in log")
     p.add_argument("--out", required=True, help="raw TSV path to write")
-    p.add_argument("--users", type=int, default=1000, help="number of users")
-    p.add_argument("--items", type=int, default=2000, help="number of items")
-    p.add_argument("--checkins", type=int, default=30_000, help="number of check-ins")
+    defaults = SyntheticConfig()
+    p.add_argument("--users", type=int, default=defaults.n_users, help="number of users")
+    p.add_argument("--items", type=int, default=defaults.n_items, help="number of items")
+    p.add_argument("--checkins", type=int, default=defaults.n_checkins, help="number of check-ins")
     p.set_defaults(func=cmd_synth)
 
     return parser

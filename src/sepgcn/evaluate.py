@@ -137,14 +137,14 @@ def evaluate_model(
     )
 
 
-def make_ranking_hook(dataset, k: int = 20):
-    """Adapter for the trainer: averaged table -> {"recall@k", "ndcg@k"}."""
+def make_ranking_hook(dataset):
+    """Adapter for the trainer: averaged table -> {"recall@20", "ndcg@20"}."""
     train = interaction_matrix(dataset, "train")
     test = interaction_matrix(dataset, "test")
 
     def hook(e_star: np.ndarray) -> dict[str, float]:
-        block = evaluate_model(e_star, train, test, ks=(k,)).blocks[k]
-        return {f"recall@{k}": block.recall, f"ndcg@{k}": block.ndcg}
+        block = evaluate_model(e_star, train, test, ks=(20,)).blocks[20]
+        return {"recall@20": block.recall, "ndcg@20": block.ndcg}
 
     return hook
 

@@ -10,7 +10,7 @@ from datetime import datetime
 import numpy as np
 
 from .config import EARTH_RADIUS_KM, SimilarityParams
-from .errors import ConfigError, InputDataError, NumericalError
+from .errors import InputDataError, NumericalError
 
 SLOTS_PER_WEEK = 168
 # pairs per haversine call in the median: each temporary (128 KB) stays below
@@ -57,13 +57,10 @@ def sigma_cutoff_km(params: SimilarityParams, sigma_floor: float) -> float:
     """Distance at which the similarity falls to sigma_floor.
 
     Inverts sigma(): d_max = median * ln(sigma_floor) / ln(alpha_sim).
+    sigma_floor lies in (0, alpha_sim), as PruningParams.validate() checks.
     """
     if params.median_km is None or not params.median_km > 0:
         raise NumericalError("degenerate median")
-    if not (0.0 < sigma_floor < params.alpha_sim):
-        raise ConfigError(
-            f"sigma_floor must lie in (0, alpha_sim={params.alpha_sim}), got {sigma_floor}"
-        )
     return params.median_km * np.log(sigma_floor) / np.log(params.alpha_sim)
 
 
@@ -90,9 +87,6 @@ def median_distance(dataset, mode: str = "global", sample_budget: int = 1_000_00
     global_median = _global_median(lat, lon, sample_budget, seed)
     if mode == "global":
         return global_median
-    if mode != "per_user":
-        raise ConfigError(f"unknown median_mode {mode!r}")
-
     by_user: dict[int, set[tuple[float, float]]] = {}
     for user, loc in zip(users.tolist(), zip(lat.tolist(), lon.tolist())):
         by_user.setdefault(user, set()).add(loc)

@@ -299,7 +299,7 @@ def test_criterion_6_edge_pair_updates_beat_plain_backbone():
         med = median_distance(ds, "global", 1_000_000, seed=seed + 100)
         params = SimilarityParams(alpha_sim=0.5, median_km=float(med))
         sep = normalize_sep(build_sep_matrix(index, params, PruningParams(max_neighbors=16)))
-        hook = make_ranking_hook(ds, k=20)
+        hook = make_ranking_hook(ds)
         train_cfg = TrainConfig(
             lr=0.01,
             l2_lambda=1e-5,

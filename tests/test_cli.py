@@ -790,6 +790,17 @@ class TestNegativeSeed:
         assert not (tmp_path / "new.tsv").exists() and not (tmp_path / "rep.tsv").exists()
 
 
+class TestBadSynthCount:
+    """A synth count below 1 exits 3 naming its flag, before anything is written."""
+
+    @pytest.mark.parametrize("flag", ["users", "items", "checkins"])
+    def test_exits_3_with_one_error_line(self, tmp_path, capsys, flag):
+        argv = ["synth", "--out", tmp_path / "raw.tsv", f"--{flag}", "0"]
+        error = TestBadInputFiles.assert_exits(argv, 3, capsys)
+        assert error == f"error: {flag} must be >= 1, got 0"
+        assert not (tmp_path / "raw.tsv").exists()
+
+
 class TestNegativeSplitThreshold:
     """A negative k-core or minimum-interaction threshold has no meaning."""
 

@@ -331,7 +331,7 @@ class TestEvaluateModel:
         )
         rng = np.random.default_rng(8)
         e_star = rng.normal(size=(5, 4))
-        hook = make_ranking_hook(ds, k=20)
+        hook = make_ranking_hook(ds)
         got = hook(e_star)
         report = evaluate_model(
             e_star,

@@ -179,15 +179,6 @@ class TestSigmaCutoff:
             floor = rng.uniform(1e-4, p.alpha_sim * 0.5)
             np.testing.assert_allclose(sigma(sigma_cutoff_km(p, floor), p), floor, rtol=1e-12)
 
-    def test_floor_must_sit_below_alpha(self):
-        p = SimilarityParams(median_km=3.0)
-        with pytest.raises(ConfigError):
-            sigma_cutoff_km(p, sigma_floor=0.0)
-        with pytest.raises(ConfigError):
-            sigma_cutoff_km(p, sigma_floor=0.5)
-        with pytest.raises(ConfigError):
-            sigma_cutoff_km(p, sigma_floor=0.7)
-
     def test_requires_a_median(self):
         with pytest.raises(NumericalError):
             sigma_cutoff_km(SimilarityParams(median_km=None), sigma_floor=0.01)
@@ -343,8 +334,3 @@ class TestMedianDistance:
         colocated = make_dataset([(5.0, 5.0), (5.0, 5.0)], [(0, 0, "train"), (0, 1, "train")])
         with pytest.raises(NumericalError):
             median_distance(colocated)
-        with pytest.raises(ConfigError):
-            median_distance(
-                make_dataset([(0.0, 0.0), (1.0, 1.0)], [(0, 0, "train"), (0, 1, "train")]),
-                mode="hourly",
-            )
