@@ -241,7 +241,6 @@ def build_dataset(checkins: Checkins, cfg: SplitConfig) -> Dataset:
     that would only appear in test get one edge promoted to train so no
     test item is unseen at training time.
     """
-    cfg.validate()
     users, items = checkins.users, checkins.items
     # users with enough distinct items, then the k-core of what they leave
     keep = np.bincount(_pairs(users, items)[0])[users] >= cfg.min_interactions

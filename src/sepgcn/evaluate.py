@@ -14,11 +14,10 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ConfigError, NumericalError
+from .errors import NumericalError
 from .graph import entry_keys, has_entry, interaction_matrix
 
 METRIC_NAMES = ("precision", "recall", "ndcg", "accuracy")
-DEFAULT_KS = (5, 20)
 
 
 @dataclass
@@ -52,8 +51,6 @@ def rank_all(e_star: np.ndarray, train: sp.csr_matrix, k: int, chunk: int = 256)
     much (ties at the boundary included) is then sorted by (-score, id), so
     no row is sorted in full. Non-finite scores raise `NumericalError`.
     """
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
     n_users, n_items = train.shape
     item_table = e_star[n_users:]
     width = min(k, n_items)
@@ -113,17 +110,16 @@ def evaluate_model(
     e_star: np.ndarray,
     train: sp.csr_matrix,
     test: sp.csr_matrix,
-    ks: tuple[int, ...] = DEFAULT_KS,
+    ks: tuple[int, ...],
     seed: int | None = None,
     config_hash: str | None = None,
 ) -> MetricsReport:
     """Rank once at the largest cutoff, then score every requested k.
 
     `train` and `test` are the binary user-by-item matrices of the split
-    (`graph.interaction_matrix`).
+    (`graph.interaction_matrix`); `ks` holds distinct cutoffs >= 1, as the
+    run's `ks` setting checks.
     """
-    if not ks:
-        raise ConfigError("at least one cutoff k is required")
     topk = rank_all(e_star, train, max(ks))
     blocks = {k: metrics_at_k(topk, test, k) for k in sorted(ks)}
     any_block = next(iter(blocks.values()))

@@ -46,10 +46,9 @@ def sigma(d_km, params: SimilarityParams):
     """Distance-decay similarity: exp((d / median) * ln(alpha)).
 
     Equals 1 at distance 0, alpha_sim at the median distance, and decays
-    strictly monotonically toward 0 beyond it.
+    strictly monotonically toward 0 beyond it. median_km is positive, as
+    median_distance() and the similarity.median_km setting make sure.
     """
-    if params.median_km is None or not params.median_km > 0:
-        raise NumericalError("degenerate median")
     return np.exp((np.asarray(d_km, dtype=np.float64) / params.median_km) * np.log(params.alpha_sim))
 
 
@@ -57,10 +56,8 @@ def sigma_cutoff_km(params: SimilarityParams, sigma_floor: float) -> float:
     """Distance at which the similarity falls to sigma_floor.
 
     Inverts sigma(): d_max = median * ln(sigma_floor) / ln(alpha_sim).
-    sigma_floor lies in (0, alpha_sim), as PruningParams.validate() checks.
+    sigma_floor lies in (0, alpha_sim), as the pruning.sigma_floor setting's check ensures.
     """
-    if params.median_km is None or not params.median_km > 0:
-        raise NumericalError("degenerate median")
     return params.median_km * np.log(sigma_floor) / np.log(params.alpha_sim)
 
 
@@ -99,7 +96,10 @@ def median_distance(dataset, mode: str = "global", sample_budget: int = 1_000_00
         ii, jj = np.triu_indices(len(pts), k=1)
         d = haversine_km((pts[ii, 0], pts[ii, 1]), (pts[jj, 0], pts[jj, 1]))
         medians.append(float(np.median(d)))
-    return float(np.median(medians))
+    med = float(np.median(medians))
+    if not med > 0:
+        raise NumericalError("degenerate median: most users' distinct venues lie at zero distance")
+    return med
 
 
 def _global_median(lat: np.ndarray, lon: np.ndarray, sample_budget: int, seed: int) -> float:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ConfigError, InputDataError
+from .errors import InputDataError
 
 
 @dataclass
@@ -83,8 +83,4 @@ def spmv(graph: BipartiteGraph, embeddings: np.ndarray) -> np.ndarray:
     Single-threaded CSR row accumulation, so the summation order (and hence
     the result) is identical across runs.
     """
-    if embeddings.shape[0] != graph.n_nodes:
-        raise ConfigError(
-            f"embedding matrix has {embeddings.shape[0]} rows, graph has {graph.n_nodes} nodes"
-        )
     return graph.a_norm @ embeddings

@@ -30,7 +30,6 @@ class EmbeddingState:
 
 def init_embeddings(cfg: ModelConfig, n_nodes: int) -> np.ndarray:
     """Seeded normal(0, init_std^2) table of shape (n_nodes, dim)."""
-    cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     return rng.normal(0.0, cfg.init_std, size=(n_nodes, cfg.dim))
 
@@ -78,10 +77,6 @@ class SepOperator:
         if sep.normalization == "raw":
             raise ConfigError("normalize the edge-pair matrix before building the operator")
         n_edges = index.n_edges
-        if sep.n_edges != n_edges:
-            raise ConfigError(
-                f"matrix is over {sep.n_edges} edges but the index holds {n_edges}"
-            )
         self.n_users = n_users
         self.n_items = n_items
         self.alpha_user = alpha_user
@@ -141,8 +136,6 @@ def build_operator(
     """Operator for the configured variant, or None when the update is off."""
     if not cfg.sep_enabled:
         return None
-    if sep is None or index is None:
-        raise ConfigError("sep_enabled requires an edge-pair matrix and an edge index")
     return SepOperator(
         sep, index, graph.n_users, graph.n_items, cfg.alpha_user, cfg.beta_item
     )
@@ -172,11 +165,6 @@ def forward(
     edge update enabled, the edge-context step follows as W @ current (see
     SepOperator). One running sum, not the K tables, keeps memory flat in K.
     """
-    cfg.validate()
-    if e0.shape != (graph.n_nodes, cfg.dim):
-        raise ConfigError(
-            f"embedding table must be {(graph.n_nodes, cfg.dim)}, got {e0.shape}"
-        )
     _check_finite(e0, "initialization")
     if operator is None:
         operator = build_operator(cfg, graph, sep, index)

@@ -141,8 +141,6 @@ def candidate_pairs(index: EdgeIndex, params: SimilarityParams, pruning: Pruning
     # every stage that imports this module, and only the builder needs it
     from scipy.spatial import cKDTree
 
-    params.validate()
-    pruning.validate(params.alpha_sim)
     d_max = sigma_cutoff_km(params, pruning.sigma_floor)
     n = index.n_edges
     radius = params.earth_radius_km
@@ -279,8 +277,6 @@ def build_sep_matrix_bruteforce(
     with the fast path.
     """
     pruning = pruning or PruningParams()
-    params.validate()
-    pruning.validate(params.alpha_sim)
     d_max = sigma_cutoff_km(params, pruning.sigma_floor)
     n = index.n_edges
     slot_sets = [set(s.tolist()) for s in np.split(index.slot_vals, index.slot_ptr[1:-1])]

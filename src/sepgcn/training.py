@@ -219,8 +219,6 @@ def train(
     seen so far, or else the input of the last step whose forward pass,
     gradient and loss were finite.
     """
-    model_cfg.validate()
-    train_cfg.validate()
     # the largest arrays the settings size: the table, and a batch's gathered rows
     triples = train_cfg.batch_size * train_cfg.neg_per_pos
     check_size((graph.n_nodes, model_cfg.dim), "the embedding table")

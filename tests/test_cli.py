@@ -22,7 +22,7 @@ from sepgcn.data import load_snapshot
 from sepgcn.geo import EARTH_RADIUS_KM
 from sepgcn.graph import interaction_matrix
 from sepgcn.model import load_checkpoint, save_checkpoint
-from sepgcn.sep_graph import build_sep_matrix, load_sep_matrix
+from sepgcn.sep_graph import EdgeIndex, build_sep_matrix, load_sep_matrix
 
 SETTINGS = [
     "--seed", "3",
@@ -55,6 +55,17 @@ def chain(tmp_path_factory):
     assert main(["eval", "--snapshot", str(d / "snap.txt"), "--sep", str(d / "pairs.sep"),
                  "--checkpoint", str(d / "ck.bin"), "--out", str(d / "rep"), *SETTINGS]) == 0
     return d
+
+
+@pytest.fixture(scope="module")
+def other_snapshot(tmp_path_factory):
+    """A snapshot of another city, with the chain's settings."""
+    d = tmp_path_factory.mktemp("other")
+    assert main(["synth", "--out", str(d / "raw.tsv"), "--users", "30",
+                 "--items", "50", "--checkins", "900", "--seed", "9"]) == 0
+    assert main(["prepare", "--raw", str(d / "raw.tsv"), "--out", str(d / "snap.txt"),
+                 *[str(a) for a in SETTINGS]]) == 0
+    return d / "snap.txt"
 
 
 class TestPrepare:
@@ -309,6 +320,19 @@ class TestTrain:
         assert "must be finite" in capsys.readouterr().err
         assert not (tmp_path / "ck.bin").exists()
 
+    def test_matrix_of_another_snapshot_exits_3(self, chain, other_snapshot, tmp_path, capsys):
+        """The matrix must cover the snapshot's train edges; the stage checks
+        that before it builds the model."""
+        n_sep = load_sep_matrix(chain / "pairs.sep").n_edges
+        n_snap = EdgeIndex.from_dataset(load_snapshot(other_snapshot)).n_edges
+        assert n_sep != n_snap
+        argv = ["train", "--snapshot", other_snapshot, "--sep", chain / "pairs.sep",
+                "--out", tmp_path / "ck.bin", *SETTINGS]
+        error = TestBadInputFiles.assert_exits(argv, 3, capsys)
+        assert error == (f"error: edge-pair matrix covers {n_sep} edges but the snapshot "
+                         f"yields {n_snap}; rebuild it from this snapshot")
+        assert not (tmp_path / "ck.bin").exists()
+
 
 class TestMatrixOfAnotherRun:
     """A matrix file built with other pair settings than the run's ends train and eval."""
@@ -411,12 +435,8 @@ class TestEval:
         assert code == 3
         assert "dim" in capsys.readouterr().err
 
-    def test_wrong_snapshot_exits_3(self, chain, tmp_path, capsys):
-        assert main(["synth", "--out", str(tmp_path / "raw2.tsv"), "--users", "30",
-                     "--items", "50", "--checkins", "900", "--seed", "9"]) == 0
-        assert main(["prepare", "--raw", str(tmp_path / "raw2.tsv"),
-                     "--out", str(tmp_path / "snap2.txt"), *[str(a) for a in SETTINGS]]) == 0
-        code = main(["eval", "--snapshot", str(tmp_path / "snap2.txt"),
+    def test_wrong_snapshot_exits_3(self, chain, other_snapshot, tmp_path, capsys):
+        code = main(["eval", "--snapshot", str(other_snapshot),
                      "--sep", str(chain / "pairs.sep"), "--checkpoint", str(chain / "ck.bin"),
                      "--out", str(tmp_path / "r"), *[str(a) for a in SETTINGS]])
         assert code == 3

@@ -2,8 +2,12 @@
 probe of every setting with awkward values."""
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import pytest
 
+import sepgcn
 from sepgcn.config import (
     KEYMAP,
     RunConfig,
@@ -209,6 +213,25 @@ class TestRunConfigValidate:
         cfg.ks = ()
         with pytest.raises(ConfigError, match="cutoff"):
             cfg.validate()
+
+
+class TestChecksAtTheBoundary:
+    """Settings are checked where they enter the program: config builds a
+    run's settings, cli varies them in a sweep, and generate_city is the
+    generator's way in. The library modules trust what they are handed."""
+
+    def test_no_library_module_calls_validate(self):
+        package = Path(sepgcn.__file__).parent
+        callers = [
+            f"{path.name}:{node.lineno}"
+            for path in sorted(package.glob("*.py"))
+            if path.name not in ("config.py", "cli.py", "synthetic.py")
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "validate"
+        ]
+        assert callers == []
 
 
 # values that have broken settings before: signs, zero, fractions, non-finite

@@ -24,7 +24,7 @@ from sepgcn.data import (
     parse_checkins,
     save_snapshot,
 )
-from sepgcn.errors import ConfigError, InputDataError
+from sepgcn.errors import InputDataError
 from sepgcn.geo import to_slot
 from sepgcn.synthetic import SyntheticConfig, generate_city, write_raw
 
@@ -475,8 +475,6 @@ class TestBuildDataset:
         assert (ds.item_lat[1], ds.item_lon[1]) == (1.0, 1.0)
 
     def test_bad_ratio_and_empty_input(self):
-        with pytest.raises(ConfigError):
-            dataset_of([rec("u", "p")], self.cfg(train_ratio=1.0))
         with pytest.raises(InputDataError):
             dataset_of([], self.cfg())
 

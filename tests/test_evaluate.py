@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from sepgcn.errors import ConfigError, NumericalError
+from sepgcn.errors import NumericalError
 from sepgcn.evaluate import (
     MetricsReport,
     evaluate_model,
@@ -101,11 +101,6 @@ class TestRankTopk:
         e_star = embed_for_scores([[1.0, 2.0, 3.0]])
         assert rank_all(e_star, as_matrix({0: {0, 2}}, 1, 3), 5).tolist() == [[1, -1, -1]]
         assert rank_one(e_star, {0, 2}, 5) == [1]
-
-    def test_validation(self):
-        e_star = embed_for_scores([[1.0, 2.0]])
-        with pytest.raises(ConfigError):
-            rank_one(e_star, set(), 0)
 
     def test_rank_all_matches_single_user_path(self):
         """Chunked many-user ranking equals ranking each user alone (chunks of one)."""
@@ -286,8 +281,8 @@ class TestEvaluateModel:
         scores = rng.normal(size=(4, 30))
         train = as_matrix({u: {0, 1} for u in range(4)}, 4, 30)
         test = as_matrix({u: {5, 9} for u in range(4)}, 4, 30)
-        base = evaluate_model(embed_for_scores(scores), train, test)
-        warped = evaluate_model(embed_for_scores(3.0 * scores + 7.0), train, test)
+        base = evaluate_model(embed_for_scores(scores), train, test, ks=(5, 20))
+        warped = evaluate_model(embed_for_scores(3.0 * scores + 7.0), train, test, ks=(5, 20))
         for k in base.ks:
             assert base.blocks[k] == warped.blocks[k]
 
@@ -298,15 +293,11 @@ class TestEvaluateModel:
         for u, ranked in enumerate(topk):
             assert not set(train[u].indices.tolist()).intersection(ranked.tolist())
 
-    def test_requires_some_cutoff(self):
-        with pytest.raises(ConfigError):
-            evaluate_model(np.zeros((3, 2)), as_matrix({}, 1, 2), as_matrix({0: {1}}, 1, 2), ks=())
-
     def test_user_without_test_items_is_excluded(self):
         rng = np.random.default_rng(10)
         e_star = embed_for_scores(rng.normal(size=(3, 12)))
         train = as_matrix({0: {0}, 1: {1}, 2: {2}}, 3, 12)
-        report = evaluate_model(e_star, train, as_matrix({0: {5}, 2: {7, 8}}, 3, 12))
+        report = evaluate_model(e_star, train, as_matrix({0: {5}, 2: {7, 8}}, 3, 12), ks=(5, 20))
         assert (report.n_evaluated_users, report.n_excluded_users) == (2, 1)
 
     def test_ranking_hook_matches_report(self):

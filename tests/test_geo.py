@@ -146,10 +146,6 @@ class TestSigma:
         vec = sigma(d, self.params())
         np.testing.assert_allclose(vec, [sigma(x, self.params()) for x in d], rtol=0, atol=0)
 
-    def test_requires_a_median(self):
-        with pytest.raises(NumericalError):
-            sigma(1.0, SimilarityParams(median_km=None))
-
     def test_parameter_validation(self):
         with pytest.raises(ConfigError):
             SimilarityParams(alpha_sim=1.0).validate()
@@ -178,10 +174,6 @@ class TestSigmaCutoff:
             p = SimilarityParams(alpha_sim=rng.uniform(0.1, 0.9), median_km=rng.uniform(0.5, 10))
             floor = rng.uniform(1e-4, p.alpha_sim * 0.5)
             np.testing.assert_allclose(sigma(sigma_cutoff_km(p, floor), p), floor, rtol=1e-12)
-
-    def test_requires_a_median(self):
-        with pytest.raises(NumericalError):
-            sigma_cutoff_km(SimilarityParams(median_km=None), sigma_floor=0.01)
 
 
 def make_dataset(item_coords, edges):
@@ -334,3 +326,9 @@ class TestMedianDistance:
         colocated = make_dataset([(5.0, 5.0), (5.0, 5.0)], [(0, 0, "train"), (0, 1, "train")])
         with pytest.raises(NumericalError):
             median_distance(colocated)
+        # each user's two venues differ by the smallest float: distinct, yet 0 km apart
+        apart = make_dataset([(float(u), lon) for u in range(3) for lon in (0.0, 5e-324)],
+                             [(k // 2, k, "train") for k in range(6)])
+        assert median_distance(apart) > 0
+        with pytest.raises(NumericalError, match="^degenerate median: "):
+            median_distance(apart, mode="per_user")

@@ -7,7 +7,7 @@ import scipy.sparse as sp
 
 from sepgcn.config import SplitConfig
 from sepgcn.data import Dataset
-from sepgcn.errors import ConfigError, InputDataError
+from sepgcn.errors import InputDataError
 from sepgcn.graph import (
     build_adjacency,
     entry_keys,
@@ -143,11 +143,6 @@ class TestSpmv:
         e = rng.normal(size=(g.n_nodes, 5))
         dense_sq = np.linalg.matrix_power(g.a_norm.toarray(), 2)
         np.testing.assert_allclose(spmv(g, spmv(g, e)), dense_sq @ e, atol=1e-10)
-
-    def test_dimension_mismatch(self):
-        g = build_adjacency(make_dataset(1, 1, [(0, 0, "train")]))
-        with pytest.raises(ConfigError):
-            spmv(g, np.zeros((5, 2)))
 
     def test_sym_normalize_scales_by_degree(self):
         a = sp.coo_matrix(np.array([[0.0, 2.0], [2.0, 0.0]]))

@@ -282,11 +282,10 @@ class TestCandidatePairs:
         assert peak < 128 * 2**20
 
     def test_pruning_validation(self):
-        index = make_index([40.0, 40.0], [-74.0, -74.0], [(0,), (0,)])
         with pytest.raises(ConfigError, match="sigma_floor"):
-            candidate_pairs(index, PARAMS, PruningParams(sigma_floor=0.5))
+            PruningParams(sigma_floor=0.5).validate(PARAMS.alpha_sim)
         with pytest.raises(ConfigError, match="max_neighbors"):
-            candidate_pairs(index, PARAMS, PruningParams(max_neighbors=0))
+            PruningParams(max_neighbors=0).validate(PARAMS.alpha_sim)
 
 
 def matrices_equal(a: SepMatrix, b: SepMatrix, tol=0.0):
