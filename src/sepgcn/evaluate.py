@@ -18,6 +18,10 @@ from .errors import NumericalError
 from .graph import entry_keys, has_entry, interaction_matrix
 
 METRIC_NAMES = ("precision", "recall", "ndcg", "accuracy")
+# bytes of one block of users' scores in rank_all; the partition's copy and the
+# mask add about as much again, so ranking's working memory does not grow with
+# the user count
+RANK_BLOCK_BYTES = 2 * 2**20
 
 
 @dataclass
@@ -41,17 +45,19 @@ class MetricsReport:
     config_hash: str | None = None
 
 
-def rank_all(e_star: np.ndarray, train: sp.csr_matrix, k: int, chunk: int = 256) -> np.ndarray:
+def rank_all(e_star: np.ndarray, train: sp.csr_matrix, k: int, chunk: int | None = None) -> np.ndarray:
     """Top-k item ids of every user, one row each: row u ranks user u.
 
     `train` is the binary user-by-item train matrix; a user's train items
     are never ranked. A user with fewer than k candidates gets a row that
-    ends in -1. Scores are computed `chunk` users at a time. A partition
+    ends in -1. Scores are computed `chunk` users at a time, by default as
+    many as fit RANK_BLOCK_BYTES (at least one). A partition
     finds each row's k-th largest score; every item scoring at least that
     much (ties at the boundary included) is then sorted by (-score, id), so
     no row is sorted in full. Non-finite scores raise `NumericalError`.
     """
     n_users, n_items = train.shape
+    chunk = chunk or max(1, RANK_BLOCK_BYTES // (8 * n_items))
     item_table = e_star[n_users:]
     width = min(k, n_items)
     out = np.full((n_users, width), -1, dtype=np.int64)

@@ -179,9 +179,9 @@ def forward(
             _check_finite(current, f"edge update at layer {k}")
         total += current
 
-    e_star = total / (cfg.layers + 1)
-    _check_finite(e_star, "the layer mean")
-    return EmbeddingState(e_star=e_star)
+    total /= cfg.layers + 1
+    _check_finite(total, "the layer mean")
+    return EmbeddingState(e_star=total)
 
 
 def save_checkpoint(e0: np.ndarray, config_echo: dict, path: str | Path) -> None:

@@ -77,9 +77,14 @@ class TripletSampler:
 class SgdOptimizer:
     def __init__(self, lr: float):
         self.lr = lr
+        self.scratch: np.ndarray | None = None
 
     def step(self, table: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        return table - self.lr * grad
+        """Subtract lr * grad from the table in place and return the table."""
+        if self.scratch is None:
+            self.scratch = np.empty_like(table)
+        table -= np.multiply(self.lr, grad, out=self.scratch)
+        return table
 
 
 class AdamOptimizer:
@@ -87,21 +92,33 @@ class AdamOptimizer:
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.m: np.ndarray | None = None
         self.v: np.ndarray | None = None
+        self.scratch: tuple[np.ndarray, np.ndarray] | None = None
         self.t = 0
 
     def step(self, table: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        """The updated table, a new array; the moment buffers change in place."""
+        """Update the table in place and return it; the moments change in place too.
+
+        Two scratch tables hold the step's numerator and denominator, each
+        computed in the order of `table - lr * m_hat / (sqrt(v_hat) + eps)`.
+        """
         if self.m is None:
-            self.m = np.zeros_like(table)
-            self.v = np.zeros_like(table)
+            self.m, self.v = np.zeros_like(table), np.zeros_like(table)
+            self.scratch = np.empty_like(table), np.empty_like(table)
+        num, den = self.scratch
         self.t += 1
         self.m *= self.beta1
-        self.m += (1.0 - self.beta1) * grad
+        self.m += np.multiply(1.0 - self.beta1, grad, out=num)
         self.v *= self.beta2
-        self.v += (1.0 - self.beta2) * grad * grad
-        m_hat = self.m / (1.0 - self.beta1**self.t)
-        v_hat = self.v / (1.0 - self.beta2**self.t)
-        return table - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        np.multiply(1.0 - self.beta2, grad, out=den)
+        self.v += np.multiply(den, grad, out=den)
+        np.divide(self.v, 1.0 - self.beta2**self.t, out=den)
+        np.sqrt(den, out=den)
+        den += self.eps
+        np.divide(self.m, 1.0 - self.beta1**self.t, out=num)
+        num *= self.lr
+        num /= den
+        table -= num
+        return table
 
 
 def make_optimizer(cfg: TrainConfig):
@@ -119,7 +136,9 @@ def ranking_grad_estar(e_star: np.ndarray, n_users: int, batch: TripletBatch) ->
     Returns (gradient, loss_rank_term). One sparse product scatters the
     per-triple terms onto their rows; each row sums its terms in batch order
     (users, then positives, then negatives), so repeated indices inside a
-    batch combine deterministically.
+    batch combine deterministically. The terms are computed in place in the
+    one gathered (3B x d) table, so the working memory is that table, the
+    gradient and per-triple vectors.
     """
     n = len(batch)
     targets = np.concatenate([batch.users, n_users + batch.positives, n_users + batch.negatives])
@@ -127,14 +146,18 @@ def ranking_grad_estar(e_star: np.ndarray, n_users: int, batch: TripletBatch) ->
     # one entry per column: column j adds term j to row targets[j], so each row
     # sums its terms in batch order
     scatter = sp.csc_matrix((signs, targets, np.arange(3 * n + 1)), shape=(len(e_star), 3 * n))
-    e_user, e_pos, e_neg = np.split(e_star[targets], 3)
-    diff = e_pos - e_neg
+    terms = e_star[targets]
+    e_user, diff, e_neg = terms[:n], terms[n : 2 * n], terms[2 * n :]
     with np.errstate(over="ignore", invalid="ignore"):
+        diff -= e_neg
         s = np.einsum("ij,ij->i", e_user, diff)
         loss = float(np.logaddexp(0.0, -s).sum())
         g_s = (expit(s) - 1.0)[:, None]
-        g_user = g_s * e_user
-        grad = scatter @ np.concatenate([g_s * diff, g_user, g_user])
+        # user rows take g_s*diff; positive and negative rows take g_s*e_user
+        np.multiply(g_s, e_user, out=e_neg)
+        np.multiply(g_s, diff, out=e_user)
+        diff[...] = e_neg
+        grad = scatter @ terms
     _check_finite(grad, "the ranking-loss layer")
     return grad, loss
 
@@ -151,8 +174,7 @@ def backward(
     mean directly, then passes through the edge-context step's transpose
     (Wᵀ @ grad, where the update applies) and the symmetric propagation.
     """
-    share = grad_estar / (model_cfg.layers + 1)
-    grad = share.copy()
+    grad = share = grad_estar / (model_cfg.layers + 1)
     for k in range(model_cfg.layers, 0, -1):
         if edge_step_at(model_cfg, operator, k):
             grad = operator.update_adjoint(grad)
@@ -240,7 +262,9 @@ def train(
     epoch = 0
     t0 = time.perf_counter()
 
-    good = e0
+    # the optimizer steps e0 in place; `good` holds the input of the last
+    # accepted step, and `spare` this step's input until the step is accepted
+    good, spare = e0.copy(), np.empty_like(e0)
     for epoch in range(1, train_cfg.epochs_max + 1):
         epoch_loss = 0.0
         evaluating = train_cfg.eval_every and epoch % train_cfg.eval_every == 0
@@ -250,12 +274,13 @@ def train(
                 grad, loss = loss_gradient(
                     e0, batch, model_cfg, graph, operator, train_cfg.l2_lambda
                 )
-                stepped = optimizer.step(e0, grad)
                 if not math.isfinite(loss):
                     raise NumericalError("non-finite loss")
-                if not np.isfinite(stepped).all():
+                np.copyto(spare, e0)
+                optimizer.step(e0, grad)
+                if not np.isfinite(e0).all():
                     raise NumericalError("non-finite values after the optimizer step")
-                good, e0 = e0, stepped
+                good, spare = spare, good
                 epoch_loss += loss
             if evaluating:
                 e_star = forward(model_cfg, graph, None, None, e0, operator=operator).e_star

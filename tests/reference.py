@@ -14,9 +14,14 @@ matrix X built from the stored pairs; `EdgeSpaceStep` holds that step and
 its hand-written transpose for one operator's pairs, edge index and
 alpha/beta, all built here and not read from the code under test. The
 model's node-space matrix W must agree with it.
+`adam_step` is one Adam step written as whole-array expressions, each
+making a new array; `AdamOptimizer.step` must match it bit for bit.
+`train_with_copies` is the trainer's batch loop with a new array for every
+table, so no table's storage is reused; `train` must keep the same table.
 """
 from __future__ import annotations
 
+import math
 from itertools import chain
 
 import numpy as np
@@ -24,6 +29,8 @@ import numpy as np
 from sepgcn.data import Interactions
 from sepgcn.errors import NumericalError
 from sepgcn.geo import haversine_km
+from sepgcn.model import init_embeddings
+from sepgcn.training import TripletSampler, loss_gradient
 
 
 def bpr_loss(scores_pos, scores_neg, e0: np.ndarray, l2_lambda: float) -> float:
@@ -36,6 +43,41 @@ def bpr_loss(scores_pos, scores_neg, e0: np.ndarray, l2_lambda: float) -> float:
     scores_neg = np.asarray(scores_neg, dtype=np.float64)
     rank_term = np.logaddexp(0.0, scores_neg - scores_pos).sum()
     return float(rank_term + l2_lambda * np.sum(e0 * e0))
+
+
+def adam_step(table, grad, m, v, t: int, lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Step t (from 1) of Adam; returns the new (table, m, v)."""
+    m = beta1 * m + (1.0 - beta1) * grad
+    v = beta2 * v + (1.0 - beta2) * grad * grad
+    m_hat = m / (1.0 - beta1**t)
+    v_hat = v / (1.0 - beta2**t)
+    return table - lr * m_hat / (np.sqrt(v_hat) + eps), m, v
+
+
+@np.errstate(all="ignore")
+def train_with_copies(dataset, graph, operator, model_cfg, train_cfg) -> np.ndarray:
+    """The table `train` returns for a run with plain SGD and no evaluation.
+
+    Each step makes a new table. Once a gradient, a loss or a stepped table
+    is non-finite, the input of the last step accepted before it is kept
+    (the initial table if none was); otherwise the last table.
+    """
+    e0 = init_embeddings(model_cfg, graph.n_nodes)
+    rng = np.random.default_rng(train_cfg.seed)
+    sampler = TripletSampler(dataset)
+    batches = max(1, math.ceil(len(sampler.users) / train_cfg.batch_size))
+    good = e0
+    for _ in range(train_cfg.epochs_max * batches):
+        batch = sampler.sample(train_cfg.batch_size, rng, train_cfg.neg_per_pos)
+        try:
+            grad, loss = loss_gradient(e0, batch, model_cfg, graph, operator, train_cfg.l2_lambda)
+        except NumericalError:
+            return good
+        stepped = e0 - train_cfg.lr * grad
+        if not (math.isfinite(loss) and np.isfinite(stepped).all()):
+            return good
+        good, e0 = e0, stepped
+    return e0
 
 
 def interactions(rows) -> Interactions:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -117,6 +118,22 @@ class TestRankTopk:
         for u in range(6):
             assert single[u].tolist() == sort_oracle(scores[u], train_sets[u], 10)
 
+    def test_working_memory_stays_within_the_block_budget(self):
+        """1,000 users x 20,000 items: all scores would take 160 MB, and the
+        default blocks of users keep ranking's peak under 8 MB."""
+        rng = np.random.default_rng(12)
+        n_users, n_items = 1000, 20_000
+        e_star = rng.normal(size=(n_users + n_items, 16))
+        train = sp.random(n_users, n_items, density=0.002, format="csr", random_state=13)
+        train.data[:] = 1.0
+        tracemalloc.start()
+        try:
+            topk = rank_all(e_star, train, 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert topk.shape == (n_users, 20)
+        assert peak < 8 * 2**20
 
     @pytest.mark.parametrize("chunk", [1, 3, 256])
     def test_boundary_ties_match_sort_oracle_on_every_row(self, chunk):

@@ -3,6 +3,7 @@ statistics, optimizer algebra, and checkpoint/early-stop behavior."""
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -27,7 +28,7 @@ from sepgcn.training import (
     write_training_log,
 )
 
-from reference import bpr_loss, interactions
+from reference import adam_step, bpr_loss, interactions, train_with_copies
 
 PARAMS = SimilarityParams(alpha_sim=0.5, median_km=2.0)
 
@@ -256,29 +257,29 @@ class TestOptimizers:
         rng = np.random.default_rng(0)
         table = rng.normal(size=(5, 3))
         grad = rng.normal(size=(5, 3))
-        out = SgdOptimizer(0.01).step(table, grad)
-        assert np.array_equal(out, table - 0.01 * grad)
+        expected = table - 0.01 * grad
+        assert np.array_equal(SgdOptimizer(0.01).step(table, grad), expected)
 
     def test_adam_first_step_closed_form(self):
         rng = np.random.default_rng(1)
         table = rng.normal(size=(4, 2))
         grad = rng.normal(size=(4, 2))
-        out = AdamOptimizer(0.002).step(table, grad)
         expected = table - 0.002 * grad / (np.abs(grad) + 1e-8)
+        out = AdamOptimizer(0.002).step(table, grad)
         np.testing.assert_allclose(out, expected, rtol=1e-12)
 
     def test_adam_matches_reference_loop(self):
+        """Bit for bit; the table starts at zero, so it holds the sum of the
+        steps and a rounding change in any step shows."""
         rng = np.random.default_rng(2)
-        table = rng.normal(size=(3, 4))
-        grads = [rng.normal(size=(3, 4)) for _ in range(5)]
+        table = np.zeros((6, 8))
+        grads = [rng.normal(size=(6, 8)) for _ in range(6)]
         opt = AdamOptimizer(0.01)
         ref, m, v = table.copy(), np.zeros_like(table), np.zeros_like(table)
         for t, g in enumerate(grads, start=1):
             table = opt.step(table, g)
-            m = 0.9 * m + 0.1 * g
-            v = 0.999 * v + 0.001 * g * g
-            ref = ref - 0.01 * (m / (1 - 0.9**t)) / (np.sqrt(v / (1 - 0.999**t)) + 1e-8)
-            np.testing.assert_allclose(table, ref, rtol=1e-12)
+            ref, m, v = adam_step(ref, g, m, v, t, 0.01)
+            assert np.array_equal(table, ref)
 
     def test_factory(self):
         assert isinstance(make_optimizer(TrainConfig(optimizer="adam")), AdamOptimizer)
@@ -392,6 +393,21 @@ class TestRankingGradScatter:
         assert np.array_equal(grad, add_at_gradient(e_star, 2, batch))
         assert grad[1].any() and grad[2 + 1].any()
 
+    def test_working_memory_is_the_gathered_table(self):
+        """B = 8192 triples, d = 32, 9,000 nodes: the terms are built inside the
+        gathered (3B x d) table (6 MB), so with the 2.2 MB gradient the peak
+        stays under 12 MB."""
+        rng = np.random.default_rng(11)
+        e_star = rng.normal(size=(9000, 32))
+        batch = random_batch(rng, 3000, 6000, 8192)
+        tracemalloc.start()
+        try:
+            ranking_grad_estar(e_star, 3000, batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
+
     def test_empty_batch(self):
         e_star = np.random.default_rng(10).normal(size=(6, 3))
         empty = TripletBatch(np.zeros(0, int), np.zeros(0, int), np.zeros(0, int))
@@ -446,14 +462,32 @@ class TestTrainLoop:
         restored = forward(cfg, graph, None, None, result.e0, operator=operator).e_star
         assert np.array_equal(restored, snapshots[1])
 
-    def test_divergence_keeps_finite_table(self):
+    def check_kept_table(self, reason, init_std=0.1, **settings):
+        """Training diverges for `reason` and keeps the table that a loop with
+        a new array for every table keeps."""
         ds, graph, index, sep = make_instance(np.random.default_rng(3))
-        cfg = ModelConfig(dim=4, layers=2, seed=6)
-        tc = TrainConfig(lr=1e30, optimizer="sgd", epochs_max=30, batch_size=8, eval_every=0, seed=4)
+        cfg = ModelConfig(dim=4, layers=2, init_std=init_std, seed=6)
+        tc = TrainConfig(optimizer="sgd", epochs_max=30, batch_size=8, eval_every=0, seed=4,
+                         **settings)
         result = train(ds, graph, sep, index, cfg, tc, constant_hook)
         assert result.diverged
-        assert result.divergence_reason
+        assert result.divergence_reason == reason
         assert np.isfinite(result.e0).all()
+        operator = build_operator(cfg, graph, sep, index)
+        assert np.array_equal(result.e0, train_with_copies(ds, graph, operator, cfg, tc))
+
+    def test_divergence_keeps_finite_table(self):
+        self.check_kept_table("non-finite gradient at the ranking-loss layer", lr=1e30)
+
+    @pytest.mark.parametrize(
+        "init_std, lr, l2",
+        [(0.1, 1e308, 1e10),  # the first step overflows
+         (1e-12, 1e162, 1.0)],  # the second step overflows
+    )
+    def test_overflowing_step_keeps_the_last_accepted_input(self, init_std, lr, l2):
+        self.check_kept_table(
+            "non-finite values after the optimizer step", init_std, lr=lr, l2_lambda=l2
+        )
 
     @pytest.mark.parametrize("failing_call", [1, 3])
     def test_failing_hook_ends_like_a_divergence(self, tmp_path, failing_call):
