@@ -137,7 +137,7 @@ def candidate_pairs(index: EdgeIndex, params: SimilarityParams, pruning: Pruning
     slot's ball sizes are counted first and bound its count from below, so
     distinct venues crowded within the pad stop before any ball is listed.
     """
-    # imported here: scipy.spatial adds about 10 MB to the peak memory of
+    # imported here: scipy.spatial adds about 16 MB to the peak memory of
     # every stage that imports this module, and only the builder needs it
     from scipy.spatial import cKDTree
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import datetime
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -51,7 +52,8 @@ START = datetime(2024, 1, 1)  # a Monday midnight, so slot 0 is hour 0
 class SyntheticConfig(_Settings):
     """The settings a city varies. Each key is the synth flag that sets it,
     or for the two only code sets, the field's name; validate() also checks
-    that every district's scenes fit its hours and its items."""
+    that users and items stay below 2**32 and that every district's scenes
+    fit its hours and its items."""
 
     n_users: int = setting("users", 1000, AT_LEAST_1)
     n_items: int = setting("items", 2000, AT_LEAST_1)
@@ -67,6 +69,11 @@ class SyntheticConfig(_Settings):
 
     def validate(self) -> None:
         super().validate()
+        # numpy draws a bound of 2**32 or more through a 64-bit path that
+        # _scalar_draws does not replay
+        for name in ("n_users", "n_items"):
+            if getattr(self, name) >= 1 << 32:
+                raise _error(self, name, "must be < 2**32")
         if self.themes_per_district * SLOTS_PER_SCENE > SLOTS_PER_WEEK:
             raise _error(self, "themes_per_district", f"must be <= {SLOTS_PER_WEEK // SLOTS_PER_SCENE}")
         per_district = self.n_items // self.n_districts
@@ -103,8 +110,9 @@ class SyntheticCity:
 
 def generate_city(cfg: SyntheticConfig) -> SyntheticCity:
     """Draw a full check-in log from the scene model, reproducibly."""
-    cfg.validate()
+    # a count no array can hold is out of memory before it is out of range
     check_size((cfg.n_users + cfg.n_items + 5 * cfg.n_checkins,), "the city")
+    cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     half_lat, half_lon = BOX_KM / 2.0 / KM_PER_DEG_LAT, BOX_KM / 2.0 / KM_PER_DEG_LON
     centers_lat = rng.uniform(CENTER_LAT - half_lat, CENTER_LAT + half_lat, cfg.n_districts)
@@ -132,32 +140,75 @@ def generate_city(cfg: SyntheticConfig) -> SyntheticCity:
     lon_jitter = rng.normal(0.0, JITTER_KM / KM_PER_DEG_LON, cfg.n_items)
     item_lat = centers_lat[item_district] + lat_jitter
     item_lon = centers_lon[item_district] + lon_jitter
-    scene_items = [np.flatnonzero(item_scene == s) for s in range(cfg.n_scenes)]
+    scene_items = [np.flatnonzero(item_scene == s).tolist() for s in range(cfg.n_scenes)]
     landmark_items = [
-        np.flatnonzero((item_scene == LANDMARK) & (item_district == d))
+        np.flatnonzero((item_scene == LANDMARK) & (item_district == d)).tolist()
         for d in range(cfg.n_districts)
     ]
     user_home = rng.integers(0, cfg.n_scenes, size=cfg.n_users)
 
+    # rng is not used after this loop, so the words its last block draws past
+    # the last check-in change nothing
+    random, integers = _scalar_draws(rng.bit_generator)
+    homes, hours = user_home.tolist(), [h.tolist() for h in scene_slots]
     user, item, slot, week, minute = np.empty((5, cfg.n_checkins), dtype=np.int64)
     for r in range(cfg.n_checkins):
-        user[r] = rng.integers(cfg.n_users)
-        home = user_home[user[r]]
-        if rng.random() < HOME_AFFINITY:
+        user[r] = visitor = integers(cfg.n_users)
+        home = homes[visitor]
+        if random() < HOME_AFFINITY:
             landmarks = landmark_items[home // cfg.themes_per_district]
-            pool = landmarks if rng.random() < LANDMARK_RATE else scene_items[home]
+            pool = landmarks if random() < LANDMARK_RATE else scene_items[home]
         else:
-            pool = scene_items[rng.integers(cfg.n_scenes)]
-        item[r] = pool[rng.integers(len(pool))]
+            pool = scene_items[integers(cfg.n_scenes)]
+        item[r] = pool[integers(len(pool))]
         # visits happen on the visitor's schedule, whatever the target
-        if rng.random() < SLOT_AFFINITY:
-            slot[r] = scene_slots[home][rng.integers(SLOTS_PER_SCENE)]
+        if random() < SLOT_AFFINITY:
+            slot[r] = hours[home][integers(SLOTS_PER_SCENE)]
         else:
-            slot[r] = rng.integers(SLOTS_PER_WEEK)
-        week[r] = rng.integers(WEEKS)
-        minute[r] = rng.integers(60)
+            slot[r] = integers(SLOTS_PER_WEEK)
+        week[r] = integers(WEEKS)
+        minute[r] = integers(60)
     columns = user, item, slot, week, minute, item_lat, item_lon
     return SyntheticCity(*columns, user_home, item_scene, item_district, scene_slots)
+
+
+_RAW_BLOCK = 1 << 16  # raw words drawn per refill
+_LOW_32 = (1 << 32) - 1
+
+
+def _scalar_draws(bit_generator):
+    """random() and integers(k), 1 <= k < 2**32, as numpy's Generator on this
+    PCG64 returns them from scalar calls, replayed from raw words a block at
+    a time. random() is a word's top 53 bits times 2**-53. integers(k) is
+    Lemire's bounded draw (ACM TOMACS 2019) on 32-bit halves: none for
+    k == 1; else x is the held-back high half if there is one, or the low
+    half of a new word, whose high half is then held; x * k is drawn again
+    while its low 32 bits are below (2**32 - k) % k, and its high 32 bits
+    are the value. The bit generator is left drawn ahead, of no further use.
+    """
+    state = bit_generator.state
+    held = state["uinteger"] if state["has_uint32"] else -1
+    blocks = map(lambda _: bit_generator.random_raw(_RAW_BLOCK).tolist(), repeat(None))
+    word = chain.from_iterable(blocks).__next__
+
+    def random() -> float:
+        return (word() >> 11) * 2.0**-53
+
+    def integers(k: int) -> int:
+        nonlocal held
+        if k == 1:
+            return 0
+        while True:
+            if held < 0:
+                x = word()
+                x, held = x & _LOW_32, x >> 32
+            else:
+                x, held = held, -1
+            m = x * k
+            if m & _LOW_32 >= ((1 << 32) - k) % k:
+                return m >> 32
+
+    return random, integers
 
 
 _WRITE_BLOCK = 1 << 16  # rows formatted per write

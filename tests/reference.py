@@ -18,6 +18,9 @@ model's node-space matrix W must agree with it.
 making a new array; `AdamOptimizer.step` must match it bit for bit.
 `train_with_copies` is the trainer's batch loop with a new array for every
 table, so no table's storage is reused; `train` must keep the same table.
+`scalar_city` draws a city's homes and check-ins with the Generator's own
+`integers` and `random` calls, one per draw; `generate_city` replays them
+from raw words and must return the same columns.
 """
 from __future__ import annotations
 
@@ -28,8 +31,23 @@ import numpy as np
 
 from sepgcn.data import Interactions
 from sepgcn.errors import NumericalError
-from sepgcn.geo import haversine_km
+from sepgcn.geo import SLOTS_PER_WEEK, haversine_km
 from sepgcn.model import init_embeddings
+from sepgcn.synthetic import (
+    BOX_KM,
+    CENTER_LAT,
+    CENTER_LON,
+    HOME_AFFINITY,
+    JITTER_KM,
+    KM_PER_DEG_LAT,
+    KM_PER_DEG_LON,
+    LANDMARK,
+    LANDMARK_FRAC,
+    LANDMARK_RATE,
+    SLOT_AFFINITY,
+    SLOTS_PER_SCENE,
+    WEEKS,
+)
 from sepgcn.training import TripletSampler, loss_gradient
 
 
@@ -218,3 +236,56 @@ class EdgeSpaceStep:
         grad[:n] += self.gu @ grad_rows[:, :d]
         grad[n:] += self.gi @ grad_rows[:, d:]
         return grad
+
+
+def scalar_city(cfg) -> dict:
+    """generate_city(cfg)'s user_home and five check-in columns, drawn by one
+    Generator call per draw, and whether the bit generator held back a 32-bit
+    half when the check-in loop began ("held")."""
+    rng = np.random.default_rng(cfg.seed)
+    half_lat, half_lon = BOX_KM / 2.0 / KM_PER_DEG_LAT, BOX_KM / 2.0 / KM_PER_DEG_LON
+    rng.uniform(CENTER_LAT - half_lat, CENTER_LAT + half_lat, cfg.n_districts)
+    rng.uniform(CENTER_LON - half_lon, CENTER_LON + half_lon, cfg.n_districts)
+    scene_slots = []
+    for _ in range(cfg.n_districts):
+        pool = rng.choice(SLOTS_PER_WEEK, cfg.themes_per_district * SLOTS_PER_SCENE, replace=False)
+        scene_slots += [
+            np.sort(pool[t * SLOTS_PER_SCENE : (t + 1) * SLOTS_PER_SCENE])
+            for t in range(cfg.themes_per_district)
+        ]
+    item_district = np.arange(cfg.n_items) % cfg.n_districts
+    position = np.arange(cfg.n_items) // cfg.n_districts
+    n_landmarks = math.ceil(cfg.n_items // cfg.n_districts * LANDMARK_FRAC)
+    item_scene = np.where(
+        position < n_landmarks,
+        LANDMARK,
+        item_district * cfg.themes_per_district + (position - n_landmarks) % cfg.themes_per_district,
+    )
+    rng.normal(0.0, JITTER_KM / KM_PER_DEG_LAT, cfg.n_items)
+    rng.normal(0.0, JITTER_KM / KM_PER_DEG_LON, cfg.n_items)
+    scene_items = [np.flatnonzero(item_scene == s) for s in range(cfg.n_scenes)]
+    landmark_items = [
+        np.flatnonzero((item_scene == LANDMARK) & (item_district == d))
+        for d in range(cfg.n_districts)
+    ]
+    user_home = rng.integers(0, cfg.n_scenes, size=cfg.n_users)
+    held = bool(rng.bit_generator.state["has_uint32"])
+
+    user, item, slot, week, minute = np.empty((5, cfg.n_checkins), dtype=np.int64)
+    for r in range(cfg.n_checkins):
+        user[r] = rng.integers(cfg.n_users)
+        home = user_home[user[r]]
+        if rng.random() < HOME_AFFINITY:
+            landmarks = landmark_items[home // cfg.themes_per_district]
+            pool = landmarks if rng.random() < LANDMARK_RATE else scene_items[home]
+        else:
+            pool = scene_items[rng.integers(cfg.n_scenes)]
+        item[r] = pool[rng.integers(len(pool))]
+        if rng.random() < SLOT_AFFINITY:
+            slot[r] = scene_slots[home][rng.integers(SLOTS_PER_SCENE)]
+        else:
+            slot[r] = rng.integers(SLOTS_PER_WEEK)
+        week[r] = rng.integers(WEEKS)
+        minute[r] = rng.integers(60)
+    columns = {"user": user, "item": item, "slot": slot, "week": week, "minute": minute}
+    return {**columns, "user_home": user_home, "held": held}

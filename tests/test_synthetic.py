@@ -19,9 +19,12 @@ from sepgcn.synthetic import (
     SLOTS_PER_SCENE,
     WEEKS,
     SyntheticConfig,
+    _scalar_draws,
     generate_city,
     write_raw,
 )
+
+from reference import scalar_city
 
 SMALL = SyntheticConfig(
     n_users=60,
@@ -31,6 +34,8 @@ SMALL = SyntheticConfig(
     themes_per_district=2,
     seed=5,
 )
+# one-item landmark pools draw integers(1), and 7 homes leave a 32-bit half held
+TINY = SyntheticConfig(7, 11, 500, n_districts=2, themes_per_district=1, seed=3)
 COLUMNS = ("user", "item", "slot", "week", "minute")
 
 
@@ -54,6 +59,9 @@ class TestConfig:
             {"n_checkins": 0},
             {"n_districts": 0},
             {"seed": -1},
+            # numpy draws these bounds through a path the replay does not reproduce
+            {"n_users": 2**32},
+            {"n_items": 2**32},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -132,6 +140,47 @@ class TestGenerate:
         assert set(city.slot.tolist()) <= set(range(168))
 
 
+class TestReplay:
+    """generate_city replays the Generator's scalar draws from raw words."""
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            *(SyntheticConfig(seed=seed) for seed in range(3)),
+            SMALL,
+            TINY,
+            SyntheticConfig(40, 30, 500, n_districts=1, themes_per_district=1, seed=4),
+            SyntheticConfig(1, 30, 500, n_districts=2, themes_per_district=2, seed=5),
+        ],
+        ids=["default-0", "default-1", "default-2", "small", "tiny", "one-scene", "one-user"],
+    )
+    def test_same_columns_as_the_scalar_calls(self, cfg):
+        city, expected = generate_city(cfg), scalar_city(cfg)
+        for name in (*COLUMNS, "user_home"):
+            assert np.array_equal(getattr(city, name), expected[name]), name
+
+    def test_cases_reach_a_held_half_and_one_item_pools(self):
+        assert scalar_city(TINY)["held"]
+        assert not scalar_city(SMALL)["held"]
+        city = generate_city(TINY)
+        assert all(np.sum((city.item_scene == LANDMARK) & (city.item_district == d)) == 1 for d in range(2))
+
+    @pytest.mark.parametrize("k", [2**31 + 1, 3 * 2**30 + 7])
+    @pytest.mark.parametrize("held", [False, True])
+    def test_bounded_draw_rejects_as_numpy_does(self, k, held):
+        """Bounds this large reject a quarter to a half of the first draws,
+        a branch no generated city reaches."""
+        rng = np.random.default_rng(11)
+        if held:
+            rng.integers(2)
+        replay = np.random.default_rng(0)
+        replay.bit_generator.state = rng.bit_generator.state
+        random, integers = _scalar_draws(replay.bit_generator)
+        assert [integers(k) for _ in range(2000)] == [rng.integers(k) for _ in range(2000)]
+        assert [random() for _ in range(3)] == [rng.random() for _ in range(3)]
+        assert [integers(k) for _ in range(5)] == [rng.integers(k) for _ in range(5)]
+
+
 class TestRoundTrip:
     def test_raw_file_parses_back_exactly(self, tmp_path):
         city = generate_city(SyntheticConfig(**{**SMALL.__dict__, "n_checkins": 500}))
@@ -149,6 +198,12 @@ class TestRoundTrip:
         write_raw(generate_city(SMALL), tmp_path / "raw.tsv")
         digest = hashlib.sha256((tmp_path / "raw.tsv").read_bytes()).hexdigest()
         assert digest == "14f315f17865c62dfe4e4e77afd91512b688a29b379dfa01f51cf47b197a9519"
+
+    def test_default_log_bytes_are_pinned(self, tmp_path):
+        """30k check-ins take about 160k raw words, so the replay refills its block."""
+        write_raw(generate_city(SyntheticConfig(seed=0)), tmp_path / "raw.tsv")
+        digest = hashlib.sha256((tmp_path / "raw.tsv").read_bytes()).hexdigest()
+        assert digest == "ebe1371efca2bc7ed73fd33ac2b51fc45461355b86e1c9db3da4859f7306b605"
 
     def test_pipeline_smoke(self, tmp_path):
         city = generate_city(SMALL)
