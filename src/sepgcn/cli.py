@@ -223,7 +223,7 @@ def cmd_build_sep(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     out = _require_path(cfg.paths.sep_matrix, "paths.sep", "--out")
     ds = _load_run_snapshot(cfg)
-    sep = _build_sep(cfg, ds, EdgeIndex.from_dataset(ds), brute=args.brute_force)
+    sep = _build_sep(cfg, ds, EdgeIndex.from_dataset(ds))
     save_sep_matrix(sep, out)
 
     median_km = float(sep.meta["median_km"])
@@ -436,7 +436,7 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     def same_entries(a: SepMatrix, b: SepMatrix) -> bool:
         return all(np.array_equal(getattr(a, f), getattr(b, f)) for f in ("rows", "cols", "values"))
 
-    fast = _build_sep(cfg, ds, index, brute=False)
+    fast = _build_sep(cfg, ds, index)
     slow = _build_sep(cfg, ds, index, brute=True)
     verdict("pair builder agreement (optimized vs brute force)", same_entries(fast, slow))
 
@@ -444,7 +444,7 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     tied = build_run_config({}, {**settings, "variant": "sep_temporal_only"})
     verdict(
         "pair builder agreement on tied weights (temporal only)",
-        same_entries(_build_sep(tied, ds, index, brute=False), _build_sep(tied, ds, index, brute=True)),
+        same_entries(_build_sep(tied, ds, index), _build_sep(tied, ds, index, brute=True)),
     )
 
     work = Path(args.workdir or tempfile.mkdtemp(prefix="sepgcn-oracle-"))
@@ -555,11 +555,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--snapshot", help="snapshot produced by prepare")
     p.add_argument("--out", dest="sep_matrix", help="matrix path to write")
-    p.add_argument(
-        "--brute-force",
-        action="store_true",
-        help="use the quadratic reference builder (identical output, slow)",
-    )
     p.set_defaults(func=cmd_build_sep)
 
     p = sub.add_parser("train", parents=[common], help="train and write a checkpoint")

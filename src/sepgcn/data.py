@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from datetime import datetime
 from pathlib import Path
 
@@ -17,7 +17,7 @@ from .config import SplitConfig
 from .errors import InputDataError, read_input
 from .geo import to_slot
 
-SNAPSHOT_MAGIC = "SEPDATA1"
+SNAPSHOT_MAGIC = "SEPDATA1\n"
 
 
 @dataclass(frozen=True, eq=False)
@@ -316,18 +316,14 @@ def save_snapshot(ds: Dataset, path: str | Path) -> None:
     rows a block at a time."""
     path = Path(path)
     with path.open("w", encoding="utf-8", newline="\n") as f:
-        f.write(SNAPSHOT_MAGIC + "\n")
         meta = {
             "n_users": ds.n_users,
             "n_items": ds.n_items,
             "n_interactions": len(ds.interactions),
             "n_checkins": ds.n_checkins,
-            "train_ratio": ds.split.train_ratio,
-            "seed": ds.split.seed,
-            "min_interactions": ds.split.min_interactions,
-            "kcore": ds.split.kcore,
+            **asdict(ds.split),
         }
-        f.write(json.dumps(meta, sort_keys=True) + "\n")
+        f.write(SNAPSHOT_MAGIC + json.dumps(meta, sort_keys=True) + "\n")
         f.write("".join(f"U\t{uid}\n" for uid in ds.user_ids))
         items = zip(ds.item_ids, ds.item_lat.tolist(), ds.item_lon.tolist())
         f.write("".join(map("I\t%s\t%r\t%r\n".__mod__, items)))

@@ -1,6 +1,6 @@
 """Exception taxonomy shared across the package, the checks every reader of
-a pipeline file shares (the file is there, its text, its JSON header), and
-the array size check.
+a pipeline file shares (the file is there, its text, its head of magic and
+JSON header), and the array size check.
 
 The CLI maps these onto exit codes: InputDataError -> 2,
 ConfigError -> 3, NumericalError -> 4; and OSError -> 2, MemoryError -> 3.
@@ -38,17 +38,43 @@ def read_input(path: Path, what: str) -> bytes:
         raise InputDataError(f"{what} cannot be read: {path} ({exc.strerror})") from None
 
 
-def json_object(path, text: str | bytes, what: str) -> dict:
-    """The JSON object that text, a header of the file at path, spells; an
-    InputDataError otherwise, whose excerpt shows the header as text."""
+def json_object(path, text: bytes, what: str) -> dict:
+    """The JSON object that text, a UTF-8 header of the file at path, spells;
+    an InputDataError otherwise, whose excerpt shows the header as text."""
     try:
-        meta = json.loads(text)
+        meta = json.loads(text.decode("utf-8"))
     except ValueError:
-        excerpt = text if isinstance(text, str) else text.decode("utf-8", "replace")
+        excerpt = text.decode("utf-8", "replace")
         raise InputDataError(f"{path}: {what} is not JSON: {excerpt[:60]!r}") from None
     if not isinstance(meta, dict):
         raise InputDataError(f"{path}: {what} must be a JSON object")
     return meta
+
+
+# conditions a header value must meet: (test, wording), as config.setting's
+COUNT = (lambda v: type(v) is int and 0 <= v < 2**63, "must be an integer in [0, 2**63)")
+POSITIVE = (lambda v: type(v) is int and v >= 1, "must be a positive integer")
+INTEGER = (lambda v: type(v) is int, "must be an integer")
+NUMBER = (lambda v: type(v) in (int, float), "must be a number")
+
+
+def read_head(path, data: bytes, magic: str, what: str, fields: dict) -> tuple[dict, int]:
+    """The JSON header of data, the bytes of the file at path, and the offset
+    of the body after it. data must start with magic, its separator included,
+    and then hold one JSON object up to the next newline. fields maps each
+    header key the reader needs to a (test, wording) pair; the first key the
+    header lacks or whose value fails its test is an InputDataError."""
+    if not data.startswith(magic.encode()):
+        found = data[: len(magic)].decode("utf-8", "replace")
+        raise InputDataError(f"{path}: bad {what} magic {found!r}, expected {magic!r}")
+    line = data[len(magic) :].partition(b"\n")[0]
+    meta = json_object(path, line, f"{what} header")
+    for key, (test, wording) in fields.items():
+        if key not in meta:
+            raise InputDataError(f"{path}: {what} header lacks {key!r}")
+        if not test(meta[key]):
+            raise InputDataError(f"{path}: {what} header {key} {wording}, got {meta[key]!r}")
+    return meta, len(magic) + len(line) + 1
 
 
 def check_text(path, data: bytes, what: str) -> None:

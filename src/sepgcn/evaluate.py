@@ -45,19 +45,19 @@ class MetricsReport:
     config_hash: str | None = None
 
 
-def rank_all(e_star: np.ndarray, train: sp.csr_matrix, k: int, chunk: int | None = None) -> np.ndarray:
+def rank_all(e_star: np.ndarray, train: sp.csr_matrix, k: int) -> np.ndarray:
     """Top-k item ids of every user, one row each: row u ranks user u.
 
     `train` is the binary user-by-item train matrix; a user's train items
     are never ranked. A user with fewer than k candidates gets a row that
-    ends in -1. Scores are computed `chunk` users at a time, by default as
-    many as fit RANK_BLOCK_BYTES (at least one). A partition
-    finds each row's k-th largest score; every item scoring at least that
-    much (ties at the boundary included) is then sorted by (-score, id), so
-    no row is sorted in full. Non-finite scores raise `NumericalError`.
+    ends in -1. Scores are computed a block of users at a time, as many as
+    fit RANK_BLOCK_BYTES (at least one). A partition finds each row's k-th
+    largest score; every item scoring at least that much (ties at the
+    boundary included) is then sorted by (-score, id), so no row is sorted
+    in full. Non-finite scores raise `NumericalError`.
     """
     n_users, n_items = train.shape
-    chunk = chunk or max(1, RANK_BLOCK_BYTES // (8 * n_items))
+    chunk = max(1, RANK_BLOCK_BYTES // (8 * n_items))
     item_table = e_star[n_users:]
     width = min(k, n_items)
     out = np.full((n_users, width), -1, dtype=np.int64)

@@ -14,11 +14,12 @@ import numpy as np
 import scipy.sparse as sp
 
 from .config import ModelConfig
-from .errors import ConfigError, InputDataError, NumericalError, json_object, read_input
+from .errors import POSITIVE, ConfigError, InputDataError, NumericalError, read_head, read_input
 from .graph import BipartiteGraph, spmv
 from .sep_graph import EdgeIndex, SepMatrix
 
-CHECKPOINT_MAGIC = b"SEPCKPT1"
+CHECKPOINT_MAGIC = "SEPCKPT1\n"
+CHECKPOINT_FIELDS = {"n_nodes": POSITIVE, "dim": POSITIVE}
 
 
 @dataclass
@@ -190,7 +191,7 @@ def save_checkpoint(e0: np.ndarray, config_echo: dict, path: str | Path) -> None
     meta = dict(config_echo)
     meta["n_nodes"], meta["dim"] = int(e0.shape[0]), int(e0.shape[1])
     with path.open("wb") as f:
-        f.write(CHECKPOINT_MAGIC + b"\n")
+        f.write(CHECKPOINT_MAGIC.encode())
         f.write(json.dumps(meta, sort_keys=True).encode("utf-8") + b"\n")
         f.write(np.ascontiguousarray(e0, dtype="<f8").tobytes())
 
@@ -198,17 +199,8 @@ def save_checkpoint(e0: np.ndarray, config_echo: dict, path: str | Path) -> None
 def load_checkpoint(path: str | Path) -> tuple[np.ndarray, dict]:
     path = Path(path)
     blob = read_input(path, "checkpoint")
-    head, _, rest = blob.partition(b"\n")
-    if head != CHECKPOINT_MAGIC:
-        raise InputDataError(f"{path}: bad checkpoint magic {head[:16]!r}")
-    meta_line, _, payload = rest.partition(b"\n")
-    meta = json_object(path, meta_line, "checkpoint header")
-    for key in ("n_nodes", "dim"):
-        if type(meta.get(key)) is not int or meta[key] < 1:
-            raise InputDataError(
-                f"{path}: checkpoint {key} must be a positive integer, got {meta.get(key)!r}"
-            )
-    n_nodes, dim = meta["n_nodes"], meta["dim"]
+    meta, start = read_head(path, blob, CHECKPOINT_MAGIC, "checkpoint", CHECKPOINT_FIELDS)
+    n_nodes, dim, payload = meta["n_nodes"], meta["dim"], blob[start:]
     expected = n_nodes * dim * 8
     if len(payload) != expected:
         raise InputDataError(f"{path}: payload holds {len(payload)} bytes, header promises {expected}")

@@ -25,12 +25,19 @@ import numpy as np
 import scipy.sparse as sp
 
 from .config import PruningParams, SimilarityParams
-from .errors import ConfigError, InputDataError, check_text, is_index, json_object, read_input
+from .errors import COUNT, ConfigError, InputDataError, check_text, is_index, read_head, read_input
 from .geo import SLOTS_PER_WEEK, haversine_km, sigma, sigma_cutoff_km
 
 logger = logging.getLogger(__name__)
 
-SEPMAT_MAGIC = "SEPMAT1"
+SEPMAT_MAGIC = "SEPMAT1 "
+# the header keys a matrix file's reader needs; the rest is SepMatrix.meta
+SEP_FIELDS = {
+    "n_edges": COUNT,
+    "n_pairs": COUNT,
+    "normalization": (lambda v: v == "sym_degree", "must be sym_degree"),
+    "storage": (lambda v: v == "upper", "must be upper"),
+}
 
 
 @dataclass
@@ -352,33 +359,17 @@ def save_sep_matrix(matrix: SepMatrix, path: str | Path) -> None:
     path = Path(path)
     meta = {
         "n_edges": matrix.n_edges,
+        "n_pairs": len(matrix.values),
         "normalization": matrix.normalization,
         "storage": "upper",
         **matrix.meta,
     }
     with path.open("w", encoding="utf-8", newline="\n") as f:
-        f.write(f"{SEPMAT_MAGIC} {json.dumps(meta, sort_keys=True)}\n")
+        f.write(SEPMAT_MAGIC + json.dumps(meta, sort_keys=True) + "\n")
         for at in range(0, len(matrix.values), _SAVE_BLOCK):
             block = slice(at, at + _SAVE_BLOCK)
             rows = zip(*(a[block].tolist() for a in (matrix.rows, matrix.cols, matrix.values)))
             f.write("".join(map("%d\t%d\t%r\n".__mod__, rows)))
-
-
-def _sep_header(path: Path, header: str) -> dict:
-    """The JSON header of a matrix file, with the keys load_sep_matrix reads checked."""
-    if not header.startswith(SEPMAT_MAGIC + " "):
-        raise InputDataError(f"{path}: bad header {header[:40]!r}")
-    meta = json_object(path, header[len(SEPMAT_MAGIC) + 1 :], "matrix header")
-    n_edges = meta.get("n_edges")
-    if type(n_edges) is not int or not 0 <= n_edges <= np.iinfo(np.int64).max:
-        raise InputDataError(f"{path}: n_edges must be an integer in [0, 2**63), got {n_edges!r}")
-    if meta.get("normalization") != "sym_degree":
-        raise InputDataError(
-            f"{path}: normalization must be sym_degree, got {meta.get('normalization')!r}"
-        )
-    if meta.get("storage") != "upper":
-        raise InputDataError(f"{path}: storage must be upper, got {meta.get('storage')!r}")
-    return meta
 
 
 def load_sep_matrix(path: str | Path) -> SepMatrix:
@@ -387,20 +378,21 @@ def load_sep_matrix(path: str | Path) -> SepMatrix:
     The writer's layout is the only form read: the SEPMAT1 header line, then
     one i<TAB>j<TAB>weight line per entry, in plain decimal, every line
     ending in a newline. The pairs must be i < j < n_edges, strictly
-    ascending by (i, j), each with a finite positive weight. Any other file
-    is an InputDataError that names the path; a fault in one line names it,
-    the first line off the layout or else the first entry that fails a check.
+    ascending by (i, j), each with a finite positive weight, and as many as
+    the header's n_pairs. Any other file is an InputDataError that names the
+    path; a fault in one line names it, the first line off the layout or
+    else the first entry that fails a check.
     """
     path = Path(path)
     data = read_input(path, "edge-pair matrix")
-    header, _, body = data.partition(b"\n")
+    header = data.partition(b"\n")[0]
     check_text(path, data[: len(header) + 1], "matrix file")
-    meta = _sep_header(path, header.decode("utf-8"))
-    n_edges = meta["n_edges"]
-    table = _entry_table(body)
+    meta, start = read_head(path, data, SEPMAT_MAGIC, "matrix", SEP_FIELDS)
+    n_edges, n_pairs = meta["n_edges"], meta["n_pairs"]
+    table = _entry_table(data[start:])
     if table is None:
         check_text(path, data, "matrix file")  # a carriage return or non-UTF-8 byte first
-        off = re.compile(_OFF_ENTRY_LAYOUT, re.M).search(data, len(header) + 1, len(data) - 1)
+        off = re.compile(_OFF_ENTRY_LAYOUT, re.M).search(data, start, len(data) - 1)
         raise _entry_error(path, data, off.start(), n_edges)
     rows, cols, values = (table[name].copy() for name in _SEP_ROW.names)
     bad = ~((0 <= rows) & (rows < cols) & (cols < n_edges) & np.isfinite(values) & (values > 0))
@@ -415,7 +407,9 @@ def load_sep_matrix(path: str | Path) -> SepMatrix:
         if np.any((rows[:k] == rows[k]) & (cols[:k] == cols[k])):
             raise InputDataError(f"{pair} is listed twice")
         raise InputDataError(f"{pair} follows ({rows[k - 1]}, {cols[k - 1]}); pairs must ascend")
-    extra = {k: v for k, v in meta.items() if k not in ("n_edges", "normalization", "storage")}
+    if len(values) != n_pairs:
+        raise InputDataError(f"{path}: matrix body holds {len(values)} pairs, header promises {n_pairs}")
+    extra = {k: v for k, v in meta.items() if k not in SEP_FIELDS}
     return SepMatrix(n_edges, rows, cols, values, "sym_degree", extra)
 
 

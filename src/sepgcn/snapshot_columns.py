@@ -15,17 +15,22 @@ prepare) do not compile it.
 from __future__ import annotations
 
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from .config import SplitConfig
 from .data import SNAPSHOT_MAGIC, Dataset, Interactions
-from .errors import InputDataError, check_text, is_index, json_object, read_input
+from .errors import COUNT, INTEGER, NUMBER, InputDataError, check_text, is_index, read_head, read_input
 from .geo import SLOTS_PER_WEEK
 
 _SNAPSHOT_COUNTS = ("n_users", "n_items", "n_interactions", "n_checkins")
-_SNAPSHOT_INTS = ("seed", "min_interactions", "kcore")
+# the header: the four counts and the SplitConfig the snapshot was made with
+SNAPSHOT_FIELDS = {
+    **dict.fromkeys(_SNAPSHOT_COUNTS, COUNT),
+    **{f.name: NUMBER if type(f.default) is float else INTEGER for f in fields(SplitConfig)},
+}
 # matches (with re.M) the start of a line off the E row layout, which are
 # exactly the lines _edge_block refuses; compiled only for a file with one
 _OFF_EDGE_LAYOUT = rb"^(?!E\t\d{1,18}\t\d{1,18}\t(?:train|test)\t(?:\d{1,18}(?:,\d{1,18})*)?$)"
@@ -38,11 +43,8 @@ def read_columns(path: Path) -> Dataset:
     of range, or else the first row that repeats an earlier row's pair."""
     data = read_input(path, "snapshot")
     check_text(path, data, "snapshot")
+    meta, _ = read_head(path, data, SNAPSHOT_MAGIC, "snapshot", SNAPSHOT_FIELDS)
     ends = np.flatnonzero(np.frombuffer(data, np.uint8) == ord("\n"))
-    if len(ends) < 2 or data[: ends[0]] != SNAPSHOT_MAGIC.encode():
-        magic = data[: ends[0]] if len(ends) else data[:40]
-        raise InputDataError(f"{path}: bad snapshot header {magic!r}")
-    meta = _snapshot_meta(path, data[ends[0] + 1 : ends[1]].decode("utf-8"))
     n_users, n_items, n_edges, n_checkins = (meta[k] for k in _SNAPSHOT_COUNTS)
     if len(ends) != 2 + n_users + n_items + n_edges:
         raise InputDataError(f"{path}: snapshot body does not match its header counts")
@@ -70,23 +72,8 @@ def read_columns(path: Path) -> Dataset:
     if len(edges.slot_vals) != n_checkins:
         raise InputDataError(f"{path}: snapshot body does not match its header counts")
     item_ids, lat, lon = list(zip(*items)) or [(), (), ()]
-    split = SplitConfig(**{k: meta[k] for k in ("train_ratio", *_SNAPSHOT_INTS)})
+    split = SplitConfig(**{f.name: meta[f.name] for f in fields(SplitConfig)})
     return Dataset(user_ids, list(item_ids), edges, np.array(lat), np.array(lon), split)
-
-
-def _snapshot_meta(path: Path, line: str) -> dict:
-    """The JSON header line, with every key read_columns reads type-checked."""
-    meta = json_object(path, line, "snapshot header")
-    for key in _SNAPSHOT_COUNTS + _SNAPSHOT_INTS + ("train_ratio",):
-        if key not in meta:
-            raise InputDataError(f"{path}: snapshot header lacks {key!r}")
-    bad = [k for k in _SNAPSHOT_COUNTS if type(meta[k]) is not int or meta[k] < 0]
-    bad += [k for k in _SNAPSHOT_INTS if type(meta[k]) is not int]
-    if type(meta["train_ratio"]) not in (int, float):
-        bad.append("train_ratio")
-    if bad:
-        raise InputDataError(f"{path}: snapshot header holds a bad value for {bad[0]!r}")
-    return meta
 
 
 def _snapshot_row(parts: list[str]):

@@ -1,5 +1,7 @@
 """The line-by-line snapshot and matrix readers the program once had, kept
-as the independent reference of the reader tests.
+as the independent reference of the reader tests. They check each file's
+head with the program's read_head and field tables; the bodies they read
+on their own.
 
 Each reads one line at a time and accepts more forms than the writers
 write (no final newline, CRLF, numbers that int() and float() take, rows or
@@ -14,10 +16,10 @@ import numpy as np
 
 from sepgcn.config import SplitConfig
 from sepgcn.data import SNAPSHOT_MAGIC, Dataset
-from sepgcn.errors import InputDataError
+from sepgcn.errors import InputDataError, read_head
 from sepgcn.geo import SLOTS_PER_WEEK
-from sepgcn.sep_graph import _sep_header
-from sepgcn.snapshot_columns import _SNAPSHOT_COUNTS, _snapshot_meta
+from sepgcn.sep_graph import SEP_FIELDS, SEPMAT_MAGIC
+from sepgcn.snapshot_columns import _SNAPSHOT_COUNTS, SNAPSHOT_FIELDS
 
 from reference import interactions
 
@@ -56,10 +58,8 @@ def _snapshot_lines(path: Path) -> Dataset:
     rows: dict[str, list] = {"U": [], "I": [], "E": []}
     try:
         with path.open("r", encoding="utf-8") as f:
-            magic = f.readline().rstrip("\n")
-            if magic != SNAPSHOT_MAGIC:
-                raise InputDataError(f"{path}: bad snapshot header {magic!r}")
-            meta = _snapshot_meta(path, f.readline())
+            head = (f.readline() + f.readline()).encode()
+            meta, _ = read_head(path, head, SNAPSHOT_MAGIC, "snapshot", SNAPSHOT_FIELDS)
             for lineno, line in enumerate(f, start=3):
                 try:
                     kind, value = _snapshot_row(line.rstrip("\n").split("\t"))
@@ -91,7 +91,7 @@ def _sep_lines(path: Path):
     each error naming path:lineno."""
     try:
         with path.open("r", encoding="utf-8") as f:
-            meta = _sep_header(path, f.readline().rstrip("\n"))
+            meta, _ = read_head(path, f.readline().encode(), SEPMAT_MAGIC, "matrix", SEP_FIELDS)
             n_edges = meta["n_edges"]
             ii: list[int] = []
             jj: list[int] = []
@@ -126,8 +126,11 @@ def _sep_lines(path: Path):
 
 def reference_sep(path: Path):
     """(meta, rows, cols, values) as the program's loader gave them with this
-    reader: pairs sorted by (i, j), a pair listed twice an error."""
+    reader: pairs sorted by (i, j), a pair listed twice or a count other than
+    the header's n_pairs an error."""
     meta, rows, cols, values = _sep_lines(path)
+    if len(rows) != meta["n_pairs"]:
+        raise InputDataError(f"{path}: {len(rows)} pairs where the header counts {meta['n_pairs']}")
     order = np.lexsort((cols, rows))
     rows, cols, values = rows[order], cols[order], values[order]
     if np.any((np.diff(rows) == 0) & (np.diff(cols) == 0)):

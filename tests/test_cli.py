@@ -139,15 +139,6 @@ class TestPrepare:
 
 
 class TestBuildSep:
-    def test_brute_force_flag_gives_identical_file(self, chain, tmp_path):
-        args = ["build-sep", "--snapshot", chain / "snap.txt", *SETTINGS]
-        assert main([str(a) for a in args + ["--out", tmp_path / "fast.sep"]]) == 0
-        assert main(
-            [str(a) for a in args + ["--out", tmp_path / "slow.sep", "--brute-force"]]
-        ) == 0
-        assert (tmp_path / "fast.sep").read_bytes() == (tmp_path / "slow.sep").read_bytes()
-        assert (tmp_path / "fast.sep").read_bytes() == (chain / "pairs.sep").read_bytes()
-
     def test_meta_carries_run_identity(self, chain):
         sep = load_sep_matrix(chain / "pairs.sep")
         assert sep.meta["seed"] == 3
@@ -981,6 +972,15 @@ class TestBadInputFiles:
         else:
             argv = ["eval", *common, "--checkpoint", tmp_path / "ck.bin", "--out", tmp_path / "r"]
         self.assert_exits(argv, 2, capsys)
+
+    def test_sep_cut_at_a_line_boundary(self, chain, tmp_path, capsys):
+        """The header counts the pairs, so half the lines are not a smaller graph."""
+        text = (chain / "pairs.sep").read_text()
+        cut = tmp_path / "pairs.sep"
+        cut.write_text(text[: text.index("\n", len(text) // 2) + 1])
+        argv = ["train", "--snapshot", chain / "snap.txt", "--sep", cut,
+                "--out", tmp_path / "ck.bin", *SETTINGS]
+        assert self.assert_exits(argv, 2, capsys).startswith(f"error: {cut}: matrix body holds ")
 
     @pytest.mark.parametrize(
         "name, code", [("raw.tsv", 2), ("run.cfg", 3), ("snap.txt", 2), ("pairs.sep", 2)]

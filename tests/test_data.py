@@ -109,7 +109,7 @@ def reference_snapshot(records, cfg):
         "min_interactions": cfg.min_interactions,
         "kcore": cfg.kcore,
     }
-    lines = [SNAPSHOT_MAGIC, json.dumps(meta, sort_keys=True)]
+    lines = [SNAPSHOT_MAGIC + json.dumps(meta, sort_keys=True)]
     lines += [f"U\t{u}" for u in user_ids]
     for i in item_ids:
         best = max(counts[i].items(), key=lambda kv: (kv[1], -first_seen[(i, *kv[0])]))
@@ -620,7 +620,7 @@ def carriage_return_in_an_id(body):
 
 ONE_ROW = (
     SNAPSHOT_MAGIC
-    + '\n{"kcore": 0, "min_interactions": 5, "n_checkins": 0, "n_interactions": 0, '
+    + '{"kcore": 0, "min_interactions": 5, "n_checkins": 0, "n_interactions": 0, '
     + '"n_items": 0, "n_users": 1, "seed": 0, "train_ratio": 0.7}\nU\tu1\n'
 )
 
@@ -676,7 +676,7 @@ class TestSnapshot:
     def test_header_is_checked(self, tmp_path):
         path = tmp_path / "x.sepdata"
         path.write_text("NOTDATA\n{}\n")
-        with pytest.raises(InputDataError, match="header"):
+        with pytest.raises(InputDataError, match="bad snapshot magic"):
             load_snapshot(path)
         with pytest.raises(InputDataError, match="not found"):
             load_snapshot(tmp_path / "missing.sepdata")

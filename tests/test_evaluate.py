@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from sepgcn import evaluate
 from sepgcn.errors import NumericalError
 from sepgcn.evaluate import (
     MetricsReport,
@@ -103,15 +104,17 @@ class TestRankTopk:
         assert rank_all(e_star, as_matrix({0: {0, 2}}, 1, 3), 5).tolist() == [[1, -1, -1]]
         assert rank_one(e_star, {0, 2}, 5) == [1]
 
-    def test_rank_all_matches_single_user_path(self):
+    def test_rank_all_matches_single_user_path(self, monkeypatch):
         """Chunked many-user ranking equals ranking each user alone (chunks of one)."""
         rng = np.random.default_rng(2)
         scores = rng.normal(size=(6, 40))
         e_star = embed_for_scores(scores)
         train_sets = {u: set(map(int, rng.choice(40, size=5, replace=False))) for u in range(6)}
         train = as_matrix(train_sets, 6, 40)
-        joint = rank_all(e_star, train, 10, chunk=4)
-        single = rank_all(e_star, train, 10, chunk=1)
+        monkeypatch.setattr(evaluate, "RANK_BLOCK_BYTES", 4 * 8 * 40)
+        joint = rank_all(e_star, train, 10)
+        monkeypatch.setattr(evaluate, "RANK_BLOCK_BYTES", 8 * 40)
+        single = rank_all(e_star, train, 10)
         assert len(joint) == 6
         assert joint.base is None  # owns its data: no row is a view into a chunk's argsort
         assert joint.tolist() == single.tolist()
@@ -136,7 +139,7 @@ class TestRankTopk:
         assert peak < 8 * 2**20
 
     @pytest.mark.parametrize("chunk", [1, 3, 256])
-    def test_boundary_ties_match_sort_oracle_on_every_row(self, chunk):
+    def test_boundary_ties_match_sort_oracle_on_every_row(self, chunk, monkeypatch):
         """Scores rounded to one decimal tie across the k-th score on many rows.
         Row 0 is all-equal, row 1 has fewer than k candidates, row 2 exactly k
         and row 3 none; k = 40 exceeds the catalogue."""
@@ -154,8 +157,9 @@ class TestRankTopk:
         e_star = embed_for_scores(scores)
         train = as_matrix(train_sets, n_users, n_items)
         straddling = 0
+        monkeypatch.setattr(evaluate, "RANK_BLOCK_BYTES", chunk * 8 * n_items)
         for k in (10, 40):
-            joint = rank_all(e_star, train, k, chunk=chunk)
+            joint = rank_all(e_star, train, k)
             assert joint.base is None
             width = min(k, n_items)
             for u in range(n_users):

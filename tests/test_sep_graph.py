@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import logging
 import tracemalloc
 from collections import Counter, defaultdict
@@ -14,6 +15,7 @@ from sepgcn.data import Dataset
 from sepgcn.errors import ConfigError, InputDataError
 from sepgcn.geo import haversine_km, sigma, sigma_cutoff_km
 from sepgcn.sep_graph import (
+    SEP_FIELDS,
     EdgeIndex,
     SepMatrix,
     build_sep_matrix,
@@ -509,7 +511,7 @@ class TestExport:
     def test_bad_header(self, tmp_path):
         path = tmp_path / "x.sepmat"
         path.write_text("SOMETHING {}\n")
-        with pytest.raises(InputDataError, match="header"):
+        with pytest.raises(InputDataError, match="bad matrix magic"):
             load_sep_matrix(path)
         with pytest.raises(InputDataError, match="not found"):
             load_sep_matrix(tmp_path / "none.sepmat")
@@ -531,7 +533,7 @@ def line_reader_outcome(path):
         meta, *entries = line_readers.reference_sep(path)
     except InputDataError as exc:
         return str(exc)
-    extra = {k: v for k, v in meta.items() if k not in ("n_edges", "normalization", "storage")}
+    extra = {k: v for k, v in meta.items() if k not in SEP_FIELDS}
     columns = ((a.dtype.str, a.tolist()) for a in entries)
     return (meta["n_edges"], meta["normalization"], extra, *columns)
 
@@ -544,6 +546,13 @@ def matches_the_line_reader(path) -> bool:
     if isinstance(outcome, str):
         return outcome.startswith(f"{path}") and "\n" not in outcome
     return outcome == line_reader_outcome(path)
+
+
+def with_count(lines):
+    """The file text of lines, its header's n_pairs set to the entry lines it holds."""
+    meta = json.loads(lines[0].split(" ", 1)[1])
+    meta["n_pairs"] = len(lines) - 1
+    return "\n".join([f"SEPMAT1 {json.dumps(meta, sort_keys=True)}", *lines[1:]]) + "\n"
 
 
 def with_odd_entry(saved, spell):
@@ -671,9 +680,11 @@ class TestLoadContract:
             lambda s: "\n".join([s[0].replace(", ", ",\r", 1), *s[1:]]) + "\n",
             False,
         ),
-        "header only": (lambda s: s[0] + "\n", True),
+        "header only": (lambda s: with_count(s[:1]), True),
         "header and a blank line": (lambda s: s[0] + "\n\n", False),
-        "one row": (lambda s: "\n".join(s[:2]) + "\n", True),
+        "one row": (lambda s: with_count(s[:2]), True),
+        "cut at a line": (lambda s: "\n".join(s[: len(s) // 2]) + "\n", False),
+        "one row dropped": (lambda s: "\n".join([s[0], *s[2:]]) + "\n", False),
         "unsorted": (lambda s: "\n".join([s[0], *s[:0:-1]]) + "\n", False),
         "repeated pair": (lambda s: "\n".join([*s, s[1]]) + "\n", False),
     }
