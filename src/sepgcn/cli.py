@@ -95,8 +95,11 @@ def _require_path(value: str | None, key: str, flag: str) -> str:
 
 
 def _load_run_snapshot(cfg: RunConfig):
-    """The snapshot named by the run's paths.snapshot."""
-    return load_snapshot(_require_path(cfg.paths.snapshot, "paths.snapshot", "--snapshot"))
+    """The snapshot named by the run's paths.snapshot, made with the run's split settings."""
+    ds = load_snapshot(_require_path(cfg.paths.snapshot, "paths.snapshot", "--snapshot"))
+    made, run = ({f"split.{k}": v for k, v in dataclasses.asdict(s).items()} for s in (ds.split, cfg.split))
+    _check_made_with(made, "snapshot was made", "; rerun prepare", **run)
+    return ds
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +141,9 @@ def _variant_index(cfg: RunConfig, index: EdgeIndex) -> EdgeIndex:
 def _sep_settings(cfg: RunConfig) -> dict:
     """The settings a .sep file records and a run must match to read it."""
     return dict(variant=cfg.variant, seed=cfg.seed, max_neighbors=cfg.pruning.max_neighbors,
-                sigma_floor=cfg.pruning.sigma_floor, alpha_sim=cfg.similarity.alpha_sim)
+                sigma_floor=cfg.pruning.sigma_floor, alpha_sim=cfg.similarity.alpha_sim,
+                median_mode=cfg.similarity.median_mode, sample_budget=cfg.similarity.sample_budget,
+                median_seed=cfg.median_seed)
 
 
 def _build_sep(cfg: RunConfig, ds, index: EdgeIndex, brute: bool = False) -> SepMatrix:
@@ -147,8 +152,7 @@ def _build_sep(cfg: RunConfig, ds, index: EdgeIndex, brute: bool = False) -> Sep
     builder = build_sep_matrix_bruteforce if brute else build_sep_matrix
     params = _sep_params(cfg, ds)
     raw = builder(_variant_index(cfg, index), params, cfg.pruning)
-    raw.meta.update(_sep_settings(cfg), config_hash=cfg.fingerprint(), median_km=params.median_km,
-                    unit_values=cfg.variant == "sep_temporal_only")
+    raw.meta.update(_sep_settings(cfg), config_hash=cfg.fingerprint(), median_km=params.median_km)
     return normalize_sep(raw)
 
 
@@ -395,6 +399,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if inputs is None or args.axis == "kcore":
             inputs = _model_inputs(run_cfg, ds, build=True)
         result = train(ds, *inputs, run_cfg.model, run_cfg.train, make_ranking_hook(ds))
+        if result.diverged:
+            raise NumericalError(
+                f"training diverged at {args.axis}={value} ({result.divergence_reason}); no table written"
+            )
         report = _report(run_cfg, ds, *inputs, result.e0)
         lines += [f"{value}\t{k}\t{metric_cells(report.blocks[k])}" for k in report.ks]
 

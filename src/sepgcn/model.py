@@ -14,7 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .config import ModelConfig
-from .errors import POSITIVE, ConfigError, InputDataError, NumericalError, read_head, read_input
+from .errors import POSITIVE, InputDataError, NumericalError, read_head, read_input
 from .graph import BipartiteGraph, spmv
 from .sep_graph import EdgeIndex, SepMatrix
 
@@ -75,14 +75,7 @@ class SepOperator:
         alpha_user: float,
         beta_item: float,
     ):
-        if sep.normalization == "raw":
-            raise ConfigError("normalize the edge-pair matrix before building the operator")
         n_edges = index.n_edges
-        self.n_users = n_users
-        self.n_items = n_items
-        self.alpha_user = alpha_user
-        self.beta_item = beta_item
-        self.index = index
         self.x = sep.to_csr()
         self.xt = self.x  # X is symmetric
         act = np.flatnonzero(sep.active_edges())

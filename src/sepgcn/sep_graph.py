@@ -87,15 +87,14 @@ class SepMatrix:
 
     rows/cols/values hold the linked pairs i < j, sorted by (i, j); the
     symmetric matrix, with both (i,j) and (j,i), exists only in to_csr().
-    normalization is "raw" for builder output and "sym_degree" once
-    normalize_sep has scaled it.
+    The builders give raw weights; the file and the operator take the ones
+    normalize_sep scales.
     """
 
     n_edges: int
     rows: np.ndarray
     cols: np.ndarray
     values: np.ndarray
-    normalization: str = "raw"
     meta: dict = field(default_factory=dict)
 
     @property
@@ -328,8 +327,6 @@ def normalize_sep(matrix: SepMatrix) -> SepMatrix:
     Divides each entry by sqrt(deg_i * deg_j), with deg the row sums of the
     symmetric matrix. Isolated edges have no entries, so they are untouched.
     """
-    if matrix.normalization != "raw":
-        raise ConfigError(f"cannot normalize a {matrix.normalization!r} matrix; need raw")
     # each row summed in column order, which fixes the rounding of the saved weights
     deg = matrix.to_csr() @ np.ones(matrix.n_edges)
     with np.errstate(divide="ignore"):
@@ -340,7 +337,6 @@ def normalize_sep(matrix: SepMatrix) -> SepMatrix:
         rows=matrix.rows.copy(),
         cols=matrix.cols.copy(),
         values=matrix.values * (inv[matrix.rows] * inv[matrix.cols]),
-        normalization="sym_degree",
         meta=dict(matrix.meta),
     )
 
@@ -354,13 +350,11 @@ def save_sep_matrix(matrix: SepMatrix, path: str | Path) -> None:
     Each pair is one i<TAB>j<TAB>repr(value) line, formatted a block of rows
     at a time.
     """
-    if matrix.normalization != "sym_degree":
-        raise ConfigError(f"only a normalized matrix is saved; this one is {matrix.normalization!r}")
     path = Path(path)
     meta = {
         "n_edges": matrix.n_edges,
         "n_pairs": len(matrix.values),
-        "normalization": matrix.normalization,
+        "normalization": "sym_degree",
         "storage": "upper",
         **matrix.meta,
     }
@@ -410,7 +404,7 @@ def load_sep_matrix(path: str | Path) -> SepMatrix:
     if len(values) != n_pairs:
         raise InputDataError(f"{path}: matrix body holds {len(values)} pairs, header promises {n_pairs}")
     extra = {k: v for k, v in meta.items() if k not in SEP_FIELDS}
-    return SepMatrix(n_edges, rows, cols, values, "sym_degree", extra)
+    return SepMatrix(n_edges, rows, cols, values, extra)
 
 
 _SEP_ROW = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])

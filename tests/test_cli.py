@@ -154,8 +154,6 @@ class TestBuildSep:
         assert code == 0
         cutoff = float(next(l for l in out.splitlines() if l.startswith("cutoff_km")).split("\t")[1])
         assert cutoff == pytest.approx(math.pi * EARTH_RADIUS_KM, abs=1e-6)
-        sep = load_sep_matrix(tmp_path / "t.sep")
-        assert sep.meta["unit_values"] is True
 
     def test_spatial_only_drops_slot_constraint(self, chain, tmp_path):
         assert main(["build-sep", "--snapshot", str(chain / "snap.txt"),
@@ -335,7 +333,10 @@ class TestMatrixOfAnotherRun:
             (["--set", "pruning.max_neighbors=8"], "max_neighbors"),
             (["--set", "pruning.sigma_floor=0.05"], "sigma_floor"),
             (["--set", "similarity.alpha=0.6"], "alpha_sim"),
-            (["--seed", "4"], "seed"),
+            (["--seed", "4", "--set", "split.seed=3"], "seed"),
+            (["--set", "similarity.median_mode=per_user"], "median_mode"),
+            (["--set", "similarity.sample_budget=500"], "sample_budget"),
+            (["--set", "similarity.seed=9"], "median_seed"),
         ],
     )
     def test_exits_3_with_one_error_line(self, chain, tmp_path, capsys, built_with, key):
@@ -351,6 +352,36 @@ class TestMatrixOfAnotherRun:
             assert f"edge-pair matrix was built with {key}=" in error
         assert not (tmp_path / "new.bin").exists()
         assert not (tmp_path / "r.tsv").exists()
+
+
+class TestSnapshotOfAnotherSplit:
+    """A snapshot made with other split settings than the run's ends every stage that reads it."""
+
+    @pytest.mark.parametrize(
+        "setting, made",
+        [("split.train_ratio=0.5", "0.7"), ("split.seed=9", "3"),
+         ("split.min_interactions=3", "2"), ("split.kcore=3", "0")],
+    )
+    def test_exits_3_with_one_error_line(self, chain, tmp_path, capsys, setting, made):
+        key, configured = setting.split("=")
+        common = ["--snapshot", chain / "snap.txt", *SETTINGS, "--set", setting]
+        for argv in (
+            ["build-sep", *common, "--out", tmp_path / "p.sep"],
+            ["train", *common, "--sep", chain / "pairs.sep", "--out", tmp_path / "ck.bin"],
+            ["eval", *common, "--sep", chain / "pairs.sep", "--checkpoint", chain / "ck.bin",
+             "--out", tmp_path / "r"],
+            ["sweep", *common, "--axis", "layers", "--values", "1", "--out", tmp_path / "sw"],
+        ):
+            error = TestBadInputFiles.assert_exits(argv, 3, capsys)
+            assert error == (f"error: snapshot was made with {key}={made} but the run "
+                             f"is configured for {key}={configured}; rerun prepare")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_training_seeds_may_vary_on_one_split(self, chain, tmp_path):
+        assert main([str(a) for a in ["train", "--snapshot", chain / "snap.txt",
+                                      "--sep", chain / "pairs.sep", "--out", tmp_path / "ck.bin",
+                                      *SETTINGS, "--set", "train.epochs_max=1",
+                                      "--set", "train.seed=9", "--set", "model.seed=9"]]) == 0
 
 
 class TestCheckpointOfAnotherRun:
@@ -599,6 +630,15 @@ class TestSweep:
                 *(f"{value}\t{row}\n" for value in ("0", "3") for row in rows),
             ]
         )
+
+    def test_diverged_value_exits_4_without_a_table(self, chain, tmp_path, capsys):
+        argv = ["sweep", "--snapshot", chain / "snap.txt", "--axis", "layers", "--values", "1",
+                "--out", tmp_path / "sw", *SETTINGS, "--set", "train.optimizer=sgd",
+                "--set", "train.lr=1e308", "--set", "train.l2=1e10"]
+        error = TestBadInputFiles.assert_exits(argv, 4, capsys)
+        assert error == ("error: training diverged at layers=1 (non-finite values after "
+                         "the optimizer step); no table written")
+        assert list(tmp_path.iterdir()) == []
 
     def test_empty_values_exit_3(self, chain, capsys):
         code = main(["sweep", "--snapshot", str(chain / "snap.txt"), "--axis", "layers",

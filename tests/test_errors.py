@@ -29,7 +29,7 @@ def _snapshot(path):
 
 def _sep(path):
     one = np.array([0])
-    save_sep_matrix(SepMatrix(3, one, one + 1, np.array([0.5]), "sym_degree"), path)
+    save_sep_matrix(SepMatrix(3, one, one + 1, np.array([0.5])), path)
 
 
 # file: (writer, reader, magic, what, fields, the key the faults edit)

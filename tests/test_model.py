@@ -180,7 +180,7 @@ def one_edge_per_node(sep, n_edges, alpha=0.5, beta=0.5):
 
 def empty_sep(n_edges):
     return SepMatrix(
-        n_edges, np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0), "sym_degree"
+        n_edges, np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0)
     )
 
 
@@ -199,7 +199,7 @@ class TestSepPropagate:
 
     def test_unit_pair_swaps_rows(self):
         sep = SepMatrix(
-            2, np.array([0]), np.array([1]), np.array([1.0]), "sym_degree"
+            2, np.array([0]), np.array([1]), np.array([1.0])
         )
         table = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]])
         out = one_edge_per_node(sep, 2, 0.0, 0.0).update(table)
@@ -240,7 +240,7 @@ class TestUpdateFromSep:
             lat=np.zeros(2), lon=np.zeros(2), slot_ptr=np.arange(3), slot_vals=np.zeros(2, np.int64),
         )
         sep = SepMatrix(
-            2, np.array([0]), np.array([1]), np.array([1.0]), "sym_degree"
+            2, np.array([0]), np.array([1]), np.array([1.0])
         )
         op = SepOperator(sep, index, 2, 2, 0.0, 0.0)
         # edge 0 = (user 0, item 0) and edge 1 = (user 1, item 1) swap rows
@@ -291,7 +291,7 @@ class TestNodeSpaceOperator:
             )
             alpha, beta = rng.uniform(0.0, 1.0, size=2)
             keep = rng.random(len(full.values)) < 0.05
-            thin = SepMatrix(index.n_edges, full.rows[keep], full.cols[keep], full.values[keep], "sym_degree")
+            thin = SepMatrix(index.n_edges, full.rows[keep], full.cols[keep], full.values[keep])
             for sep in (full, thin):
                 op = SepOperator(sep, index, graph.n_users, graph.n_items, alpha, beta)
                 ref = EdgeSpaceStep(sep, index, graph.n_users, graph.n_items, alpha, beta)
@@ -354,7 +354,7 @@ class TestNodeSpaceOperator:
         rng = np.random.default_rng(439)
         _, graph, index, _ = make_instance(rng)
         sep = SepMatrix(
-            index.n_edges, np.array([0]), np.array([1]), np.array([1.0]), "sym_degree"
+            index.n_edges, np.array([0]), np.array([1]), np.array([1.0])
         )
         op = SepOperator(sep, index, graph.n_users, graph.n_items, 0.3, 0.6)
         live = np.zeros(graph.n_nodes, dtype=bool)
@@ -392,7 +392,7 @@ class TestForward:
         rng = np.random.default_rng(193)
         ds, graph, index, _ = make_instance(rng)
         empty = SepMatrix(
-            index.n_edges, np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0), "sym_degree"
+            index.n_edges, np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0)
         )
         cfg = ModelConfig(dim=4, layers=3, alpha_user=0.3, beta_item=0.3, seed=7)
         e0 = init_embeddings(cfg, graph.n_nodes)
@@ -471,14 +471,6 @@ class TestForward:
         cfg = ModelConfig(dim=2, layers=3, sep_enabled=False)
         with pytest.raises(NumericalError, match="after the layer mean"):
             forward(cfg, build_adjacency(ds), None, None, np.full((2, 2), 1e308))
-
-    def test_raw_matrix_is_rejected(self):
-        rng = np.random.default_rng(233)
-        ds, graph, index, _ = make_instance(rng)
-        raw = build_sep_matrix(index, PARAMS, PruningParams())
-        cfg = ModelConfig(dim=4, layers=2)
-        with pytest.raises(ConfigError, match="normalize"):
-            forward(cfg, graph, raw, index, np.zeros((graph.n_nodes, 4)))
 
 
 class TestCheckpoint:

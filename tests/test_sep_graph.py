@@ -445,12 +445,6 @@ class TestNormalize:
         inv = np.array([1.0 / np.sqrt(d) if d > 0 else 0.0 for d in deg])
         np.testing.assert_allclose(got, np.diag(inv) @ x @ np.diag(inv), atol=1e-12)
 
-    def test_normalizing_twice_is_rejected(self):
-        index = make_index([40.0, 40.0], [-74.0, -74.0], [(0,), (0,)])
-        m = normalize_sep(build_sep_matrix(index, PARAMS))
-        with pytest.raises(ConfigError):
-            normalize_sep(m)
-
     def test_pairs_and_active_edges_survive(self):
         index = make_index([40.0, 40.0, 40.0], [-74.0, -74.0, -74.0], [(0,), (0,), (9,)])
         raw = build_sep_matrix(index, PARAMS)
@@ -469,14 +463,7 @@ class TestExport:
         save_sep_matrix(m, path)
         back = load_sep_matrix(path)
         matrices_equal(m, back)
-        assert back.normalization == m.normalization
         assert back.meta == m.meta
-
-    def test_raw_matrix_is_not_saved(self, tmp_path):
-        index = make_index([40.0, 40.0], [-74.0, -74.0], [(0,), (0,)])
-        with pytest.raises(ConfigError, match="normalized"):
-            save_sep_matrix(build_sep_matrix(index, PARAMS), tmp_path / "raw.sepmat")
-        assert not (tmp_path / "raw.sepmat").exists()
 
     def test_bruteforce_and_optimized_exports_are_byte_identical(self, tmp_path):
         rng = np.random.default_rng(149)
@@ -524,7 +511,7 @@ def sep_outcome(path):
     except InputDataError as exc:
         return str(exc)
     columns = ((a.dtype.str, a.tolist()) for a in (m.rows, m.cols, m.values))
-    return (m.n_edges, m.normalization, m.meta, *columns)
+    return (m.n_edges, m.meta, *columns)
 
 
 def line_reader_outcome(path):
@@ -535,7 +522,7 @@ def line_reader_outcome(path):
         return str(exc)
     extra = {k: v for k, v in meta.items() if k not in SEP_FIELDS}
     columns = ((a.dtype.str, a.tolist()) for a in entries)
-    return (meta["n_edges"], meta["normalization"], extra, *columns)
+    return (meta["n_edges"], extra, *columns)
 
 
 def matches_the_line_reader(path) -> bool:
