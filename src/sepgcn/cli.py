@@ -139,11 +139,14 @@ def _variant_index(cfg: RunConfig, index: EdgeIndex) -> EdgeIndex:
 
 
 def _sep_settings(cfg: RunConfig) -> dict:
-    """The settings a .sep file records and a run must match to read it."""
-    return dict(variant=cfg.variant, seed=cfg.seed, max_neighbors=cfg.pruning.max_neighbors,
-                sigma_floor=cfg.pruning.sigma_floor, alpha_sim=cfg.similarity.alpha_sim,
-                median_mode=cfg.similarity.median_mode, sample_budget=cfg.similarity.sample_budget,
-                median_seed=cfg.median_seed)
+    """The settings a .sep file records and a run must match to read it: the
+    median's only when the run measures one (see _sep_params)."""
+    settings = dict(variant=cfg.variant, seed=cfg.seed, max_neighbors=cfg.pruning.max_neighbors,
+                    sigma_floor=cfg.pruning.sigma_floor, alpha_sim=cfg.similarity.alpha_sim)
+    if cfg.similarity.median_km is None and cfg.variant != "sep_temporal_only":
+        settings.update(median_mode=cfg.similarity.median_mode,
+                        sample_budget=cfg.similarity.sample_budget, median_seed=cfg.median_seed)
+    return settings
 
 
 def _build_sep(cfg: RunConfig, ds, index: EdgeIndex, brute: bool = False) -> SepMatrix:

@@ -70,7 +70,7 @@ def rank_all(e_star: np.ndarray, train: sp.csr_matrix, k: int) -> np.ndarray:
             raise NumericalError("non-finite values in the ranking scores")
         scores[np.repeat(np.arange(len(n_seen)), n_seen), block.indices] = -np.inf
         kth = np.partition(scores, n_items - width, axis=1)[:, n_items - width]
-        rows, items = np.nonzero(scores >= kth[:, None])
+        rows, items = np.divmod(np.flatnonzero(scores >= kth[:, None]), n_items)
         order = np.lexsort((items, -scores[rows, items], rows))
         rows, items = rows[order], items[order]
         rank = np.arange(len(rows)) - np.searchsorted(rows, rows)

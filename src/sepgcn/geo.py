@@ -13,8 +13,8 @@ from .config import EARTH_RADIUS_KM, SimilarityParams
 from .errors import InputDataError, NumericalError
 
 SLOTS_PER_WEEK = 168
-# pairs per haversine call in the median: each temporary (128 KB) stays below
-# glibc's mmap threshold, so the chunks reuse heap pages instead of faulting in
+# pairs per haversine call in the median and the pair builder: each temporary
+# (128 KB) stays below glibc's mmap threshold, so chunks reuse heap pages
 MEDIAN_CHUNK = 16_384
 
 
@@ -68,9 +68,8 @@ def median_distance(dataset, mode: str = "global", sample_budget: int = 1_000_00
     of train edges. The full pair set is quadratic in the edge count, so
     when it exceeds `sample_budget` a seeded uniform sample of pairs is
     used instead; below the budget the computation is exhaustive. Either
-    way it holds the pair indices and one distance per pair, about 24
-    bytes a pair, and computes the distances MEDIAN_CHUNK pairs at a time.
-    Returns a float.
+    way it holds one float64 distance per pair, 8 bytes a pair: the pairs
+    are drawn and measured MEDIAN_CHUNK at a time. Returns a float.
 
     per_user mode: the median over users of the median distance among each
     user's distinct visited locations; a user with a single location counts
@@ -103,22 +102,34 @@ def median_distance(dataset, mode: str = "global", sample_budget: int = 1_000_00
 
 
 def _global_median(lat: np.ndarray, lon: np.ndarray, sample_budget: int, seed: int) -> float:
+    """Median over _median_pairs' distances, the one array it keeps, selected in place."""
     n = len(lat)
     if n < 2:
         raise NumericalError("degenerate median: fewer than two edges")
-    n_pairs = n * (n - 1) // 2
-    if n_pairs <= sample_budget:
-        ii, jj = np.triu_indices(n, k=1)
-    else:
-        rng = np.random.default_rng(seed)
-        ii = rng.integers(0, n, size=sample_budget)
-        jj = rng.integers(0, n - 1, size=sample_budget)
-        jj += jj >= ii  # uniform over ordered pairs with i != j
-    d = np.empty(len(ii))
-    for s in range(0, len(ii), MEDIAN_CHUNK):
-        i, j = ii[s : s + MEDIAN_CHUNK], jj[s : s + MEDIAN_CHUNK]
+    d = np.empty(min(n * (n - 1) // 2, sample_budget))
+    for s, (i, j) in zip(range(0, len(d), MEDIAN_CHUNK), _median_pairs(n, len(d), seed)):
         d[s : s + MEDIAN_CHUNK] = haversine_km((lat[i], lon[i]), (lat[j], lon[j]))
     med = float(np.median(d, overwrite_input=True))
     if not med > 0:
         raise NumericalError("degenerate median: all sampled edge pairs are co-located")
     return med
+
+
+def _median_pairs(n: int, n_pairs: int, seed: int):
+    """Every pair i < j or, when n_pairs is fewer, a seeded sample of ordered
+    pairs, in (i, j) chunks of MEDIAN_CHUNK. The sample is the draws of
+    integers() for all ii, then all jj, on one generator; the bit generator
+    buffers bounded draws, so a second one advanced past ii deals jj."""
+    starts = range(0, n_pairs, MEDIAN_CHUNK)
+    if n_pairs == n * (n - 1) // 2:
+        ii, jj = np.triu_indices(n, k=1)
+        yield from ((ii[s : s + MEDIAN_CHUNK], jj[s : s + MEDIAN_CHUNK]) for s in starts)
+        return
+    draw_i, draw_j = np.random.default_rng(seed), np.random.default_rng(seed)
+    for s in starts:
+        draw_j.integers(0, n, size=min(MEDIAN_CHUNK, n_pairs - s))
+    for s in starts:
+        size = min(MEDIAN_CHUNK, n_pairs - s)
+        i, j = draw_i.integers(0, n, size=size), draw_j.integers(0, n - 1, size=size)
+        j += j >= i  # uniform over ordered pairs with i != j
+        yield i, j

@@ -26,7 +26,7 @@ import scipy.sparse as sp
 
 from .config import PruningParams, SimilarityParams
 from .errors import COUNT, ConfigError, InputDataError, check_text, is_index, read_head, read_input
-from .geo import SLOTS_PER_WEEK, haversine_km, sigma, sigma_cutoff_km
+from .geo import MEDIAN_CHUNK, SLOTS_PER_WEEK, haversine_km, sigma, sigma_cutoff_km
 
 logger = logging.getLogger(__name__)
 
@@ -142,6 +142,8 @@ def candidate_pairs(index: EdgeIndex, params: SimilarityParams, pruning: Pruning
     stops with a ConfigError while its working memory stays bounded. A
     slot's ball sizes are counted first and bound its count from below, so
     distinct venues crowded within the pad stop before any ball is listed.
+    The keys are deduplicated by an in-place sort and measured MEDIAN_CHUNK
+    at a time: the keys and their distances are the only whole-list arrays.
     """
     # imported here: scipy.spatial adds about 16 MB to the peak memory of
     # every stage that imports this module, and only the builder needs it
@@ -165,7 +167,7 @@ def candidate_pairs(index: EdgeIndex, params: SimilarityParams, pruning: Pruning
     by_slot = np.argsort(index.slot_vals, kind="stable")
     starts = np.flatnonzero(np.diff(index.slot_vals[by_slot], prepend=-1))
     n_entries = 0
-    keys = [np.zeros(0, np.int64)]
+    keys = [np.array([-1])]  # a sentinel below every key
     for members in np.split(np.repeat(np.arange(n), np.diff(index.slot_ptr))[by_slot], starts[1:]):
         m = len(members)  # ascending edge ids
         if m < 2:
@@ -197,12 +199,19 @@ def candidate_pairs(index: EdgeIndex, params: SimilarityParams, pruning: Pruning
         q = np.repeat(q, sizes[p])  # the venue q of each (member, q) entry
         b = grouped[_ranges(first[q], taken[q])]
         a = np.repeat(a, taken[q])
-        keys.append(np.minimum(a, b) * n + np.maximum(a, b))
-    keys = np.unique(np.concatenate(keys))  # sorted by (i, j)
-    ii, jj = keys // n, keys % n
-    dd = haversine_km((index.lat[ii], index.lon[ii]), (index.lat[jj], index.lon[jj]), radius)
-    keep = (ii != jj) & (dd <= d_max)
-    return ii[keep], jj[keep], dd[keep]
+        keys.append((np.minimum(a, b) * n + np.maximum(a, b))[a != b])
+    keys = np.concatenate(keys)
+    keys.sort()  # by (i, j)
+    keys = keys[1:][keys[1:] != keys[:-1]]  # each key once, without the sentinel
+    dd = np.empty(len(keys))
+    for s in range(0, len(keys), MEDIAN_CHUNK):
+        ii, jj = np.divmod(keys[s : s + MEDIAN_CHUNK], n)
+        dd[s : s + MEDIAN_CHUNK] = haversine_km(
+            (index.lat[ii], index.lon[ii]), (index.lat[jj], index.lon[jj]), radius
+        )
+    keep = dd <= d_max
+    ii, jj = np.divmod(keys[keep], n)
+    return ii, jj, dd[keep]
 
 
 def _check_budget(n_entries: int, pair_budget: int) -> None:
@@ -232,15 +241,15 @@ def _neighbor_cap(ii, jj, vals, n_edges, max_neighbors):
     if len(ii) == 0:
         return ii, jj, vals
     by_weight = np.argsort(-vals, kind="stable")
-    ends = np.empty(2 * len(ii), dtype=np.int64)
+    ends = np.empty(2 * len(ii), dtype=np.int32 if max(n_edges, 2 * len(ii)) < 2**31 else np.int64)
     ends[0::2] = ii[by_weight]
     ends[1::2] = jj[by_weight]
-    grouped = np.argsort(ends, kind="stable")
     counts = np.bincount(ends, minlength=n_edges)
-    # positions in `grouped` of each edge's first max_neighbors links
-    firsts = _ranges(np.cumsum(counts) - counts, np.minimum(counts, max_neighbors))
-    top = np.zeros(len(ends), dtype=bool)
-    top[grouped[firsts]] = True
+    grouped = np.argsort(ends, kind="stable").astype(ends.dtype, copy=False)
+    del ends
+    top = np.zeros(len(grouped), dtype=bool)
+    # each edge's first max_neighbors links, by their positions in `grouped`
+    top[grouped[_ranges(np.cumsum(counts) - counts, np.minimum(counts, max_neighbors))]] = True
     keep = np.zeros(len(ii), dtype=bool)
     keep[by_weight[top[0::2] & top[1::2]]] = True
     return ii[keep], jj[keep], vals[keep]
@@ -259,8 +268,8 @@ def build_sep_matrix(
     cap then keeps links by neighbour id alone.
     """
     pruning = pruning or PruningParams()
-    ii, jj, dd = candidate_pairs(index, params, pruning)
-    vals = sigma(dd, params) if len(dd) else np.zeros(0)
+    ii, jj, vals = candidate_pairs(index, params, pruning)
+    vals = sigma(vals, params) if len(vals) else np.zeros(0)
     cap = min(pruning.max_neighbors, index.n_edges)  # a larger cap keeps every link
     ii, jj, vals = _neighbor_cap(ii, jj, vals, index.n_edges, cap)
     if len(ii) == 0:
@@ -322,20 +331,21 @@ def build_sep_matrix_bruteforce(
 
 
 def normalize_sep(matrix: SepMatrix) -> SepMatrix:
-    """Scale the raw weights for propagation.
+    """Scale the raw weights for propagation; the pairs are shared, not copied.
 
     Divides each entry by sqrt(deg_i * deg_j), with deg the row sums of the
-    symmetric matrix. Isolated edges have no entries, so they are untouched.
+    symmetric matrix: one bincount over (cols, rows) adds each row's entries
+    in column order, as to_csr() @ ones would. Isolated edges have no
+    entries, so they are untouched.
     """
-    # each row summed in column order, which fixes the rounding of the saved weights
-    deg = matrix.to_csr() @ np.ones(matrix.n_edges)
+    deg = np.bincount(np.r_[matrix.cols, matrix.rows], np.tile(matrix.values, 2), minlength=matrix.n_edges)
     with np.errstate(divide="ignore"):
         inv = 1.0 / np.sqrt(deg)
     inv[~np.isfinite(inv)] = 0.0
     return SepMatrix(
         n_edges=matrix.n_edges,
-        rows=matrix.rows.copy(),
-        cols=matrix.cols.copy(),
+        rows=matrix.rows,
+        cols=matrix.cols,
         values=matrix.values * (inv[matrix.rows] * inv[matrix.cols]),
         meta=dict(matrix.meta),
     )

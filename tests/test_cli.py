@@ -353,6 +353,16 @@ class TestMatrixOfAnotherRun:
         assert not (tmp_path / "new.bin").exists()
         assert not (tmp_path / "r.tsv").exists()
 
+    def test_median_settings_of_a_set_median_are_not_compared(self, chain, tmp_path):
+        """similarity.median_km set: no median is measured, so the median's
+        settings shape nothing and neither build-sep nor train records them."""
+        fixed = tmp_path / "fixed.sep"
+        common = ["--snapshot", chain / "snap.txt", *SETTINGS, "--set", "similarity.median_km=2.0"]
+        assert main([str(a) for a in ["build-sep", *common, "--out", fixed]]) == 0
+        assert not {"median_mode", "sample_budget", "median_seed"} & load_sep_matrix(fixed).meta.keys()
+        assert main([str(a) for a in ["train", *common, "--sep", fixed, "--out", tmp_path / "ck.bin",
+                                      "--set", "similarity.median_mode=per_user"]]) == 0
+
 
 class TestSnapshotOfAnotherSplit:
     """A snapshot made with other split settings than the run's ends every stage that reads it."""

@@ -15,6 +15,7 @@ from sepgcn.geo import (
     EARTH_RADIUS_KM,
     MEDIAN_CHUNK,
     SLOTS_PER_WEEK,
+    _median_pairs,
     haversine_km,
     median_distance,
     sigma,
@@ -266,6 +267,19 @@ class TestMedianDistance:
             got = median_distance(ds, sample_budget=budget, seed=seed)
             assert got == global_median(lat, lon, budget, seed)
 
+    @pytest.mark.parametrize("n", [3, 2001, 2**31 + 3, 2**32, 4_000_000_000, 2**32 + 7])
+    def test_chunked_draws_are_the_two_whole_calls(self, n):
+        """Over 32-bit bounds, at the 32-bit edge and past it, an odd budget
+        over several chunks is dealt the draws of integers(size=budget) for
+        ii and then for jj on one generator."""
+        budget = min(2 * MEDIAN_CHUNK + 3, n * (n - 1) // 2 - 1)
+        rng = np.random.default_rng(7)
+        ii, jj = rng.integers(0, n, size=budget), rng.integers(0, n - 1, size=budget)
+        got = list(_median_pairs(n, budget, 7))
+        assert max(len(i) for i, _ in got) <= MEDIAN_CHUNK
+        np.testing.assert_array_equal(np.concatenate([i for i, _ in got]), ii)
+        np.testing.assert_array_equal(np.concatenate([j for _, j in got]), np.where(jj >= ii, jj + 1, jj))
+
     def test_per_user_global_equals_the_whole_array_reference(self):
         """50 users of 40 venues each and one user of one venue, who counts
         the sampled global median."""
@@ -277,8 +291,8 @@ class TestMedianDistance:
         assert got == per_user_median(users, lat, lon, global_median(lat, lon, 1_000_000, 3))
 
     def test_sampled_median_stays_within_its_budget(self):
-        """The default 1 M sample over 2,000 edges holds two index arrays and
-        one distance array (24 MB), not the sample's gathered coordinates."""
+        """The default 1 M sample over 2,000 edges holds one float64 distance
+        per pair (8 MB); its pairs are drawn and measured a chunk at a time."""
         ds, _, _ = self.city(2000)
         tracemalloc.start()
         try:
@@ -286,7 +300,7 @@ class TestMedianDistance:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 32 * 2**20
+        assert peak < 12 * 2**20
 
     def test_per_user_medians(self):
         coords = [(40.0, -74.0), (40.2, -74.0), (40.4, -74.0), (41.0, -74.0)]

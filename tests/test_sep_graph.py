@@ -10,10 +10,11 @@ from collections import Counter, defaultdict
 import numpy as np
 import pytest
 
+from sepgcn.cli import main
 from sepgcn.config import PruningParams, SimilarityParams, SplitConfig
-from sepgcn.data import Dataset
+from sepgcn.data import Dataset, load_snapshot
 from sepgcn.errors import ConfigError, InputDataError
-from sepgcn.geo import haversine_km, sigma, sigma_cutoff_km
+from sepgcn.geo import haversine_km, median_distance, sigma, sigma_cutoff_km
 from sepgcn.sep_graph import (
     SEP_FIELDS,
     EdgeIndex,
@@ -27,6 +28,7 @@ from sepgcn.sep_graph import (
 )
 
 import line_readers
+import peak_rss
 from reference import interactions
 
 
@@ -427,6 +429,49 @@ class TestBuildSepMatrix:
         np.testing.assert_array_equal(m.active_edges(), [True, True, False])
 
 
+class TestDeskCityMemory:
+    """The criterion-6 desk city at seed 0 with max_neighbors 16, as the
+    desk benchmark builds it: about 200 k candidates, 116 k kept pairs."""
+
+    SETTINGS = ("--seed", "0", "--set", "pruning.max_neighbors=16")
+
+    @pytest.fixture(scope="class")
+    def snapshot(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("desk")
+        assert main(["synth", "--out", str(d / "raw.tsv"), "--seed", "0"]) == 0
+        assert main(["prepare", "--raw", str(d / "raw.tsv"), "--out", str(d / "snap.txt"),
+                     *self.SETTINGS]) == 0
+        return d / "snap.txt"
+
+    def test_builder_holds_little_more_than_its_pairs(self, snapshot):
+        """Candidate keys, distances and the neighbour cap's ranks, each in
+        one array at a time; the distances are measured a chunk at a time."""
+        from scipy.spatial import cKDTree  # noqa: F401  imported outside the traced peak
+
+        ds = load_snapshot(snapshot)
+        index = EdgeIndex.from_dataset(ds)
+        params = SimilarityParams(median_km=median_distance(ds, seed=3))
+        tracemalloc.start()
+        try:
+            m = build_sep_matrix(index, params, PruningParams(max_neighbors=16))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(m.values) > 100_000
+        assert peak <= 18 * 2**20
+
+    def test_build_sep_stage_peak_over_its_imports(self, snapshot, tmp_path):
+        """The whole stage in a child process, as RSS: the only check that
+        also sees memory tracemalloc does not, such as numpy's hash-set
+        unique. The imports alone are subtracted."""
+        stage = peak_rss.child_peak_mb(
+            "-m", "sepgcn.cli", "build-sep", "--snapshot", str(snapshot), "--out", str(tmp_path / "p.sep"),
+            *self.SETTINGS,
+        )
+        imports = peak_rss.child_peak_mb("-c", "import sepgcn.cli, sepgcn.sep_graph, scipy.spatial")
+        assert stage - imports <= 30.0, (stage, imports)
+
+
 class TestNormalize:
     def test_single_pair_normalizes_to_one(self):
         """deg_i = deg_j = sigma, so the entry becomes sigma/sigma = 1."""
@@ -444,6 +489,22 @@ class TestNormalize:
         deg = x.sum(axis=1)
         inv = np.array([1.0 / np.sqrt(d) if d > 0 else 0.0 for d in deg])
         np.testing.assert_allclose(got, np.diag(inv) @ x @ np.diag(inv), atol=1e-12)
+
+    @pytest.mark.parametrize("n_edges", [1, 7, 60, 300])
+    def test_degrees_are_the_csr_row_sums_bit_for_bit(self, n_edges):
+        """Random upper-triangle pairs with some edges left isolated (one
+        edge gives the empty matrix): the scaled weights equal those of the
+        symmetric CSR matrix's row sums."""
+        rng = np.random.default_rng(n_edges)
+        for _ in range(5):
+            rows, cols = np.divmod(np.unique(rng.integers(0, n_edges**2, size=3 * n_edges)), n_edges)
+            upper = rows < cols
+            raw = SepMatrix(n_edges, rows[upper], cols[upper], rng.uniform(0.01, 1.0, upper.sum()))
+            deg = raw.to_csr() @ np.ones(n_edges)
+            with np.errstate(divide="ignore"):
+                inv = np.where(deg > 0, 1.0 / np.sqrt(deg), 0.0)
+            expected = raw.values * (inv[raw.rows] * inv[raw.cols])
+            np.testing.assert_array_equal(normalize_sep(raw).values, expected)
 
     def test_pairs_and_active_edges_survive(self):
         index = make_index([40.0, 40.0, 40.0], [-74.0, -74.0, -74.0], [(0,), (0,), (9,)])
