@@ -139,11 +139,16 @@ def _variant_index(cfg: RunConfig, index: EdgeIndex) -> EdgeIndex:
 
 
 def _sep_settings(cfg: RunConfig) -> dict:
-    """The settings a .sep file records and a run must match to read it: the
-    median's only when the run measures one (see _sep_params)."""
+    """The settings a .sep file records and a run must match to read it. The
+    temporal-only variant takes no median (see _sep_params); the others record
+    similarity.median_km as set_median_km, None when measured, and a measured
+    median's settings."""
     settings = dict(variant=cfg.variant, seed=cfg.seed, max_neighbors=cfg.pruning.max_neighbors,
                     sigma_floor=cfg.pruning.sigma_floor, alpha_sim=cfg.similarity.alpha_sim)
-    if cfg.similarity.median_km is None and cfg.variant != "sep_temporal_only":
+    if cfg.variant == "sep_temporal_only":
+        return settings
+    settings.update(set_median_km=cfg.similarity.median_km)
+    if cfg.similarity.median_km is None:
         settings.update(median_mode=cfg.similarity.median_mode,
                         sample_budget=cfg.similarity.sample_budget, median_seed=cfg.median_seed)
     return settings

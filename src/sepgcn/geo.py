@@ -69,7 +69,8 @@ def median_distance(dataset, mode: str = "global", sample_budget: int = 1_000_00
     when it exceeds `sample_budget` a seeded uniform sample of pairs is
     used instead; below the budget the computation is exhaustive. Either
     way it holds one float64 distance per pair, 8 bytes a pair: the pairs
-    are drawn and measured MEDIAN_CHUNK at a time. Returns a float.
+    are listed or drawn, and measured, MEDIAN_CHUNK at a time. Returns a
+    float.
 
     per_user mode: the median over users of the median distance among each
     user's distinct visited locations; a user with a single location counts
@@ -122,8 +123,14 @@ def _median_pairs(n: int, n_pairs: int, seed: int):
     buffers bounded draws, so a second one advanced past ii deals jj."""
     starts = range(0, n_pairs, MEDIAN_CHUNK)
     if n_pairs == n * (n - 1) // 2:
-        ii, jj = np.triu_indices(n, k=1)
-        yield from ((ii[s : s + MEDIAN_CHUNK], jj[s : s + MEDIAN_CHUNK]) for s in starts)
+        # pair k of np.triu_indices(n, k=1) lies in the last row i whose first
+        # pair, i * (2n - 1 - i) / 2, is at most k
+        rows = np.arange(n)
+        firsts = rows * (2 * n - 1 - rows) // 2
+        for s in starts:
+            k = np.arange(s, min(s + MEDIAN_CHUNK, n_pairs))
+            i = np.searchsorted(firsts, k, side="right") - 1
+            yield i, k - firsts[i] + i + 1
         return
     draw_i, draw_j = np.random.default_rng(seed), np.random.default_rng(seed)
     for s in starts:

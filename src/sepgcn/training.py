@@ -25,6 +25,9 @@ from .model import SepOperator, build_operator, edge_step_at, forward, init_embe
 
 logger = logging.getLogger(__name__)
 
+# rows of the table an optimizer step works through at a time, as bytes
+STEP_BLOCK_BYTES = 256 * 2**10
+
 
 @dataclass
 class TripletBatch:
@@ -77,14 +80,11 @@ class TripletSampler:
 class SgdOptimizer:
     def __init__(self, lr: float):
         self.lr = lr
-        self.scratch: np.ndarray | None = None
 
     def step(self, table: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        """Subtract lr * grad from the table in place and return the table."""
-        if self.scratch is None:
-            self.scratch = np.empty_like(table)
-        table -= np.multiply(self.lr, grad, out=self.scratch)
-        return table
+        """Write table - lr * grad over grad and return it; table is left unchanged."""
+        grad *= self.lr
+        return np.subtract(table, grad, out=grad)
 
 
 class AdamOptimizer:
@@ -92,33 +92,39 @@ class AdamOptimizer:
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.m: np.ndarray | None = None
         self.v: np.ndarray | None = None
-        self.scratch: tuple[np.ndarray, np.ndarray] | None = None
+        self.scratch: np.ndarray | None = None
         self.t = 0
 
     def step(self, table: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        """Update the table in place and return it; the moments change in place too.
+        """Write the stepped table over grad and return it; table is left
+        unchanged and the moments change in place.
 
-        Two scratch tables hold the step's numerator and denominator, each
-        computed in the order of `table - lr * m_hat / (sqrt(v_hat) + eps)`.
+        Works STEP_BLOCK_BYTES of rows at a time through one block of scratch,
+        each element in the order of `table - lr * m_hat / (sqrt(v_hat) + eps)`.
         """
         if self.m is None:
             self.m, self.v = np.zeros_like(table), np.zeros_like(table)
-            self.scratch = np.empty_like(table), np.empty_like(table)
-        num, den = self.scratch
+            rows = max(1, min(len(table), STEP_BLOCK_BYTES // (table.itemsize * table.shape[1])))
+            self.scratch = np.empty((rows, table.shape[1]))
         self.t += 1
-        self.m *= self.beta1
-        self.m += np.multiply(1.0 - self.beta1, grad, out=num)
-        self.v *= self.beta2
-        np.multiply(1.0 - self.beta2, grad, out=den)
-        self.v += np.multiply(den, grad, out=den)
-        np.divide(self.v, 1.0 - self.beta2**self.t, out=den)
-        np.sqrt(den, out=den)
-        den += self.eps
-        np.divide(self.m, 1.0 - self.beta1**self.t, out=num)
-        num *= self.lr
-        num /= den
-        table -= num
-        return table
+        fix1, fix2 = 1.0 - self.beta1**self.t, 1.0 - self.beta2**self.t
+        rows = len(self.scratch)
+        for r in range(0, len(table), rows):
+            g, m, v = grad[r : r + rows], self.m[r : r + rows], self.v[r : r + rows]
+            s = self.scratch[: len(g)]
+            m *= self.beta1
+            m += np.multiply(1.0 - self.beta1, g, out=s)
+            v *= self.beta2
+            np.multiply(1.0 - self.beta2, g, out=s)
+            v += np.multiply(s, g, out=s)
+            np.divide(v, fix2, out=s)
+            np.sqrt(s, out=s)
+            s += self.eps
+            np.divide(m, fix1, out=g)
+            g *= self.lr
+            g /= s
+            np.subtract(table[r : r + rows], g, out=g)
+        return grad
 
 
 def make_optimizer(cfg: TrainConfig):
@@ -146,7 +152,7 @@ def ranking_grad_estar(e_star: np.ndarray, n_users: int, batch: TripletBatch) ->
     # one entry per column: column j adds term j to row targets[j], so each row
     # sums its terms in batch order
     scatter = sp.csc_matrix((signs, targets, np.arange(3 * n + 1)), shape=(len(e_star), 3 * n))
-    terms = e_star[targets]
+    terms = np.take(e_star, targets, axis=0)
     e_user, diff, e_neg = terms[:n], terms[n : 2 * n], terms[2 * n :]
     with np.errstate(over="ignore", invalid="ignore"):
         diff -= e_neg
@@ -173,8 +179,10 @@ def backward(
     Walks the layers in reverse: each layer contributes its share of the
     mean directly, then passes through the edge-context step's transpose
     (Wᵀ @ grad, where the update applies) and the symmetric propagation.
+    grad_estar is divided into that share in place.
     """
-    grad = share = grad_estar / (model_cfg.layers + 1)
+    grad_estar /= model_cfg.layers + 1
+    grad = share = grad_estar
     for k in range(model_cfg.layers, 0, -1):
         if edge_step_at(model_cfg, operator, k):
             grad = operator.update_adjoint(grad)
@@ -194,8 +202,10 @@ def loss_gradient(
     l2_lambda: float,
 ) -> tuple[np.ndarray, float]:
     """Exact gradient of the full objective at e0, plus the loss value."""
-    state = forward(model_cfg, graph, None, None, e0, operator=operator)
-    g_star, rank_loss = ranking_grad_estar(state.e_star, graph.n_users, batch)
+    # the forward sum lives only while the ranking gradient is taken from it
+    g_star, rank_loss = ranking_grad_estar(
+        forward(model_cfg, graph, None, None, e0, operator=operator).e_star, graph.n_users, batch
+    )
     grad = backward(g_star, model_cfg, graph, operator)
     grad += (2.0 * l2_lambda) * e0
     loss = rank_loss + l2_lambda * float(np.sum(e0 * e0))
@@ -238,8 +248,9 @@ def train(
     least "recall@20" (used for model selection) and "ndcg@20" (logged).
     Divergence (a non-finite value in a step, in an evaluation's forward
     pass or in eval_hook's scores) aborts the loop and keeps the best table
-    seen so far, or else the input of the last step whose forward pass,
-    gradient and loss were finite.
+    seen so far, or else the input of the last accepted step (the initial
+    table if none was): a step is accepted when its forward pass, gradient,
+    loss and stepped table are all finite.
     """
     # the largest arrays the settings size: the table, and a batch's gathered rows
     triples = train_cfg.batch_size * train_cfg.neg_per_pos
@@ -262,9 +273,10 @@ def train(
     epoch = 0
     t0 = time.perf_counter()
 
-    # the optimizer steps e0 in place; `good` holds the input of the last
-    # accepted step, and `spare` this step's input until the step is accepted
-    good, spare = e0.copy(), np.empty_like(e0)
+    # each step makes a new table in its gradient's storage and no table is
+    # written once made, so `good` (the input of the last accepted step) and
+    # `best_e0` are references, not copies
+    good = e0
     for epoch in range(1, train_cfg.epochs_max + 1):
         epoch_loss = 0.0
         evaluating = train_cfg.eval_every and epoch % train_cfg.eval_every == 0
@@ -276,15 +288,15 @@ def train(
                 )
                 if not math.isfinite(loss):
                     raise NumericalError("non-finite loss")
-                np.copyto(spare, e0)
-                optimizer.step(e0, grad)
-                if not np.isfinite(e0).all():
+                stepped = optimizer.step(e0, grad)  # in grad's storage
+                if not np.isfinite(stepped).all():
                     raise NumericalError("non-finite values after the optimizer step")
-                good, spare = spare, good
+                good, e0 = e0, stepped
                 epoch_loss += loss
             if evaluating:
-                e_star = forward(model_cfg, graph, None, None, e0, operator=operator).e_star
-                metrics = eval_hook(e_star)
+                metrics = eval_hook(
+                    forward(model_cfg, graph, None, None, e0, operator=operator).e_star
+                )
         except NumericalError as exc:
             diverged, reason, e0 = True, str(exc), good
             break
@@ -293,8 +305,7 @@ def train(
             ndcg = float(metrics.get("ndcg@20", math.nan))
             rows.append((epoch, epoch_loss, recall, ndcg, time.perf_counter() - t0))
             if recall > best_recall:
-                best_recall, best_epoch, stale_evals = recall, epoch, 0
-                best_e0 = e0.copy()
+                best_recall, best_epoch, stale_evals, best_e0 = recall, epoch, 0, e0
             else:
                 stale_evals += 1
                 if stale_evals >= train_cfg.early_stop_patience:

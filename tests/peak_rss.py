@@ -48,3 +48,10 @@ def child_peak_mb(*args: str) -> float:
     )
     assert proc.returncode == 0, proc.stderr
     return int(proc.stdout) / 1024.0
+
+
+def peak_over_imports_mb(modules: str, *args: str) -> float:
+    """child_peak_mb(*args), such as a stage of `-m sepgcn.cli`, less the
+    peak of a child that only runs `import <modules>`: what the stage's work
+    adds to the modules it loads."""
+    return child_peak_mb(*args) - child_peak_mb("-c", f"import {modules}")

@@ -353,13 +353,36 @@ class TestMatrixOfAnotherRun:
         assert not (tmp_path / "new.bin").exists()
         assert not (tmp_path / "r.tsv").exists()
 
+    @pytest.mark.parametrize("built, configured", [(2.0, None), (None, 5.0), (2.0, 5.0)])
+    def test_another_set_median_exits_3(self, chain, tmp_path, capsys, built, configured):
+        """The median sets the cutoff and every weight: a file built with a set
+        similarity.median_km is read only by runs that set the same value."""
+        def median(value):
+            return [] if value is None else ["--set", f"similarity.median_km={value}"]
+
+        other = tmp_path / "other.sep"
+        assert main([str(a) for a in ["build-sep", "--snapshot", chain / "snap.txt",
+                                      "--out", other, *SETTINGS, *median(built)]]) == 0
+        common = ["--snapshot", chain / "snap.txt", "--sep", other, *SETTINGS, *median(configured)]
+        for argv in (
+            ["train", *common, "--out", tmp_path / "new.bin"],
+            ["eval", *common, "--checkpoint", chain / "ck.bin", "--out", tmp_path / "r"],
+        ):
+            error = TestBadInputFiles.assert_exits(argv, 3, capsys)
+            assert error == (f"error: edge-pair matrix was built with set_median_km={built!r} but the "
+                             f"run is configured for set_median_km={configured!r}; rebuild it with build-sep")
+        assert not (tmp_path / "new.bin").exists()
+        assert not (tmp_path / "r.tsv").exists()
+
     def test_median_settings_of_a_set_median_are_not_compared(self, chain, tmp_path):
         """similarity.median_km set: no median is measured, so the median's
         settings shape nothing and neither build-sep nor train records them."""
         fixed = tmp_path / "fixed.sep"
         common = ["--snapshot", chain / "snap.txt", *SETTINGS, "--set", "similarity.median_km=2.0"]
         assert main([str(a) for a in ["build-sep", *common, "--out", fixed]]) == 0
-        assert not {"median_mode", "sample_budget", "median_seed"} & load_sep_matrix(fixed).meta.keys()
+        meta = load_sep_matrix(fixed).meta
+        assert not {"median_mode", "sample_budget", "median_seed"} & meta.keys()
+        assert meta["set_median_km"] == 2.0
         assert main([str(a) for a in ["train", *common, "--sep", fixed, "--out", tmp_path / "ck.bin",
                                       "--set", "similarity.median_mode=per_user"]]) == 0
 

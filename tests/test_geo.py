@@ -260,6 +260,33 @@ class TestMedianDistance:
         ds, lat, lon = self.city(300)
         assert median_distance(ds) == global_median(lat, lon, 1_000_000, 0)
 
+    def test_exhaustive_median_of_1414_edges_equals_the_reference(self):
+        """999,191 pairs, just under the default budget: every pair is measured."""
+        ds, lat, lon = self.city(1414)
+        assert median_distance(ds) == global_median(lat, lon, 1_000_000, 0)
+
+    @pytest.mark.parametrize("n", [2, 3, 181, 182, 1414])
+    def test_exhaustive_chunks_are_the_upper_triangle_in_order(self, n):
+        """Row by row, as np.triu_indices(n, k=1) lists them; 182 edges give
+        16,471 pairs, just over one chunk, and 181 edges 16,290, just under."""
+        got = list(_median_pairs(n, n * (n - 1) // 2, 0))
+        assert max(len(i) for i, _ in got) <= MEDIAN_CHUNK
+        ii, jj = np.triu_indices(n, k=1)
+        np.testing.assert_array_equal(np.concatenate([i for i, _ in got]), ii)
+        np.testing.assert_array_equal(np.concatenate([j for _, j in got]), jj)
+
+    def test_exhaustive_median_stays_within_its_pairs(self):
+        """1,414 edges give 999,191 pairs: one float64 distance each (8 MB),
+        not np.triu_indices' two int64 indices each on top (24.8 MB)."""
+        ds, _, _ = self.city(1414)
+        tracemalloc.start()
+        try:
+            median_distance(ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * 2**20
+
     @pytest.mark.parametrize("budget", [MEDIAN_CHUNK, MEDIAN_CHUNK + 1, 200_003, 1_000_000])
     def test_sampled_equals_the_whole_array_reference(self, budget):
         ds, lat, lon = self.city(2000)

@@ -464,12 +464,12 @@ class TestDeskCityMemory:
         """The whole stage in a child process, as RSS: the only check that
         also sees memory tracemalloc does not, such as numpy's hash-set
         unique. The imports alone are subtracted."""
-        stage = peak_rss.child_peak_mb(
+        added = peak_rss.peak_over_imports_mb(
+            "sepgcn.cli, sepgcn.sep_graph, scipy.spatial",
             "-m", "sepgcn.cli", "build-sep", "--snapshot", str(snapshot), "--out", str(tmp_path / "p.sep"),
             *self.SETTINGS,
         )
-        imports = peak_rss.child_peak_mb("-c", "import sepgcn.cli, sepgcn.sep_graph, scipy.spatial")
-        assert stage - imports <= 30.0, (stage, imports)
+        assert added <= 30.0
 
 
 class TestNormalize:

@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+from sepgcn import training
+from sepgcn.cli import main
 from sepgcn.config import ModelConfig, PruningParams, SimilarityParams, SplitConfig, TrainConfig
 from sepgcn.data import Dataset
 from sepgcn.errors import ConfigError, InputDataError, NumericalError
@@ -28,6 +30,7 @@ from sepgcn.training import (
     write_training_log,
 )
 
+import peak_rss
 from reference import adam_step, bpr_loss, interactions, train_with_copies
 
 PARAMS = SimilarityParams(alpha_sim=0.5, median_km=2.0)
@@ -270,16 +273,42 @@ class TestOptimizers:
 
     def test_adam_matches_reference_loop(self):
         """Bit for bit; the table starts at zero, so it holds the sum of the
-        steps and a rounding change in any step shows."""
+        steps and a rounding change in any step shows. The reference steps
+        first, since the step writes its result over g."""
         rng = np.random.default_rng(2)
         table = np.zeros((6, 8))
         grads = [rng.normal(size=(6, 8)) for _ in range(6)]
         opt = AdamOptimizer(0.01)
         ref, m, v = table.copy(), np.zeros_like(table), np.zeros_like(table)
         for t, g in enumerate(grads, start=1):
-            table = opt.step(table, g)
             ref, m, v = adam_step(ref, g, m, v, t, 0.01)
+            table = opt.step(table, g)
             assert np.array_equal(table, ref)
+
+    @pytest.mark.parametrize("name", ["adam", "sgd"])
+    def test_row_blocks_step_like_whole_arrays_into_the_gradient(self, monkeypatch, name):
+        """A 1,001-row table in blocks of 64 rows, the last one ragged: each
+        step equals the whole-array reference bit for bit, writes its result
+        over the gradient and leaves its input table as it was."""
+        monkeypatch.setattr(training, "STEP_BLOCK_BYTES", 64 * 8 * 5)
+        rng = np.random.default_rng(3)
+        table = rng.normal(size=(1001, 5))
+        opt = make_optimizer(TrainConfig(optimizer=name, lr=0.01))
+        m, v = np.zeros_like(table), np.zeros_like(table)
+        for t in range(1, 5):
+            grad = rng.normal(size=table.shape) * 10.0 ** rng.uniform(-3, 3, (1001, 1))
+            if name == "adam":
+                expected, m, v = adam_step(table, grad, m, v, t, 0.01)
+            else:
+                expected = table - 0.01 * grad
+            before = table.copy()
+            stepped = opt.step(table, grad)
+            assert stepped is grad
+            assert np.array_equal(stepped, expected)
+            assert np.array_equal(table, before)
+            table = stepped
+        if name == "adam":
+            assert len(opt.scratch) == 64
 
     def test_factory(self):
         assert isinstance(make_optimizer(TrainConfig(optimizer="adam")), AdamOptimizer)
@@ -552,3 +581,28 @@ class TestTrainLoop:
         assert result.log_rows == []
         assert result.best_epoch == 0
         assert np.isfinite(result.e0).all()
+
+
+class TestTrainStageMemory:
+    """The train stage on a generated 3,000 x 6,000 city with 90,000
+    check-ins, as the city3x benchmark trains it: 9,000 node tables of 32
+    columns, 2.3 MB each."""
+
+    SETTINGS = ("--seed", "1", "--variant", "lightgcn", "--set", "model.dim=32",
+                "--set", "model.layers=3", "--set", "train.batch_size=8192",
+                "--set", "train.lr=0.01", "--set", "train.epochs_max=2", "--set", "train.eval_every=1")
+
+    def test_train_stage_peak_over_its_imports(self, tmp_path):
+        """Between steps the loop holds e0, the last accepted e0 and Adam's
+        two moments; each step's table is made in its gradient's storage. The
+        imports alone are subtracted."""
+        assert main(["synth", "--out", str(tmp_path / "raw.tsv"), "--seed", "1", "--users", "3000",
+                     "--items", "6000", "--checkins", "90000"]) == 0
+        assert main(["prepare", "--raw", str(tmp_path / "raw.tsv"),
+                     "--out", str(tmp_path / "snap.txt"), *self.SETTINGS]) == 0
+        added = peak_rss.peak_over_imports_mb(
+            "sepgcn.cli, sepgcn.evaluate, sepgcn.model, sepgcn.training",
+            "-m", "sepgcn.cli", "train", "--snapshot", str(tmp_path / "snap.txt"),
+            "--out", str(tmp_path / "ck.bin"), *self.SETTINGS,
+        )
+        assert added <= 42.0
