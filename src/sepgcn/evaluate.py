@@ -62,13 +62,14 @@ def rank_all(e_star: np.ndarray, train: sp.csr_matrix, k: int) -> np.ndarray:
     width = min(k, n_items)
     out = np.full((n_users, width), -1, dtype=np.int64)
     for start in range(0, n_users, chunk):
-        block = train[start : start + chunk]
-        n_seen = np.diff(block.indptr)
+        bounds = train.indptr[start : start + chunk + 1]
+        n_seen = np.diff(bounds)
         with np.errstate(over="ignore", invalid="ignore"):
             scores = e_star[start : start + len(n_seen)] @ item_table.T
         if not np.isfinite(scores).all():
             raise NumericalError("non-finite values in the ranking scores")
-        scores[np.repeat(np.arange(len(n_seen)), n_seen), block.indices] = -np.inf
+        seen = train.indices[bounds[0] : bounds[-1]]
+        scores[np.repeat(np.arange(len(n_seen)), n_seen), seen] = -np.inf
         kth = np.partition(scores, n_items - width, axis=1)[:, n_items - width]
         rows, items = np.divmod(np.flatnonzero(scores >= kth[:, None]), n_items)
         order = np.lexsort((items, -scores[rows, items], rows))

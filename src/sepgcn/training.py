@@ -16,7 +16,6 @@ from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import expit
 
 from .config import ModelConfig, TrainConfig
 from .errors import InputDataError, NumericalError, check_size
@@ -136,6 +135,17 @@ def _check_finite(arr: np.ndarray, stage: str) -> None:
         raise NumericalError(f"non-finite gradient at {stage}")
 
 
+def expit_minus_one(s: np.ndarray) -> np.ndarray:
+    """`scipy.special.expit(s) - 1.0` bit for bit, for a 1-d float64 array.
+
+    expit is `1 / (1 + exp(-s))` with libm's exp, which `math.exp` calls;
+    numpy's own exp rounds some values differently. -s is clipped at 709,
+    where exp is still finite and the result is already -1.0.
+    """
+    e = np.fromiter(map(math.exp, np.minimum(-s, 709.0).tolist()), np.float64, len(s))
+    return 1.0 / (1.0 + e) - 1.0
+
+
 def ranking_grad_estar(e_star: np.ndarray, n_users: int, batch: TripletBatch) -> tuple[np.ndarray, float]:
     """Gradient of the summed ranking loss with respect to the final table.
 
@@ -158,7 +168,7 @@ def ranking_grad_estar(e_star: np.ndarray, n_users: int, batch: TripletBatch) ->
         diff -= e_neg
         s = np.einsum("ij,ij->i", e_user, diff)
         loss = float(np.logaddexp(0.0, -s).sum())
-        g_s = (expit(s) - 1.0)[:, None]
+        g_s = expit_minus_one(s)[:, None]
         # user rows take g_s*diff; positive and negative rows take g_s*e_user
         np.multiply(g_s, e_user, out=e_neg)
         np.multiply(g_s, diff, out=e_user)

@@ -955,6 +955,29 @@ class TestStageImports:
         assert "scipy.special" not in loaded
         assert "sepgcn.snapshot_columns" in loaded
 
+    @pytest.mark.parametrize("stage", ["train", "sweep"])
+    def test_training_stages_load_no_scipy_special(self, chain, tmp_path, stage):
+        """A sweep on an edge-update variant builds its matrix and so loads
+        scipy.spatial (and with it scipy.special), as build-sep does; this
+        one sweeps lightgcn."""
+        common = ["--snapshot", chain / "snap.txt", *SETTINGS]
+        argv = {
+            "train": ["train", *common, "--sep", chain / "pairs.sep",
+                      "--out", tmp_path / "ck.bin", "--log", tmp_path / "train.log"],
+            "sweep": ["sweep", *common, "--variant", "lightgcn", "--axis", "layers",
+                      "--values", "2", "--out", tmp_path / "sw"],
+        }[stage]
+        loaded = _modules_after(
+            f"from sepgcn.cli import main\nassert main({[str(a) for a in argv]!r}) == 0"
+        )
+        if stage == "train":
+            assert (tmp_path / "ck.bin").read_bytes() == (chain / "ck.bin").read_bytes()
+        else:
+            assert (tmp_path / "sw.sweep.tsv").exists()
+        assert "sepgcn.training" in loaded
+        assert "scipy.sparse" in loaded
+        assert "scipy.special" not in loaded
+
 
 class TestSynth:
     def test_round_trips_through_prepare(self, tmp_path, capsys):

@@ -169,6 +169,27 @@ class TestRankTopk:
                     straddling += scores[u, ranked[k - 1]] == scores[u, ranked[k]]
         assert straddling >= 5  # the data really ties across the k-th score
 
+    @pytest.mark.parametrize("chunk", [1, 2, 5, 64])
+    def test_blocks_read_their_rows_of_the_train_matrix(self, chunk, monkeypatch):
+        """Users 0, 4, 5 and 11 have empty train rows, at and inside block
+        bounds; user 7 has seen every item but one, user 8 every item."""
+        rng = np.random.default_rng(17)
+        n_users, n_items = 12, 25
+        scores = rng.normal(size=(n_users, n_items))
+        train_sets = {
+            u: set(map(int, rng.choice(n_items, size=rng.integers(1, 8), replace=False)))
+            for u in range(n_users) if u not in (0, 4, 5, 11)
+        }
+        train_sets[7] = set(range(n_items)) - {13}
+        train_sets[8] = set(range(n_items))
+        e_star = embed_for_scores(scores)
+        monkeypatch.setattr(evaluate, "RANK_BLOCK_BYTES", chunk * 8 * n_items)
+        topk = rank_all(e_star, as_matrix(train_sets, n_users, n_items), 5)
+        for u in range(n_users):
+            ranked = sort_oracle(scores[u], train_sets.get(u, set()), 5)
+            assert topk[u].tolist() == ranked + [-1] * (5 - len(ranked))
+        assert topk[7].tolist() == [13, -1, -1, -1, -1]
+
     @pytest.mark.parametrize("user_scale, score", [(1e308, 2.0), (1.0, np.nan)])
     def test_non_finite_scores_raise(self, user_scale, score, recwarn):
         """Scores that overflow from a finite table, and a NaN score: one error, no warning."""

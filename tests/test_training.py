@@ -23,6 +23,7 @@ from sepgcn.training import (
     SgdOptimizer,
     TripletBatch,
     TripletSampler,
+    expit_minus_one,
     loss_gradient,
     make_optimizer,
     ranking_grad_estar,
@@ -401,8 +402,45 @@ def add_at_gradient(e_star, n_users, batch):
     return grad
 
 
+class TestExpitMinusOne:
+    """The ranking gradient's logistic, against scipy.special.expit as the oracle."""
+
+    EDGES = [np.inf, np.nan, 0.0, 709.0, 709.78, 710.0, 745.0, 746.0, 5e-324, 1e308]
+
+    @staticmethod
+    def assert_same_bits(s):
+        with np.errstate(all="ignore"):
+            want = expit(s) - 1.0
+        got = expit_minus_one(s)
+        assert got.dtype == np.float64 and got.shape == s.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_normal_draws_at_every_scale(self):
+        """10^6 draws in all, at 20 scales from 1e-3 to 800."""
+        rng = np.random.default_rng(21)
+        for scale in np.geomspace(1e-3, 800.0, 20):
+            self.assert_same_bits(rng.normal(size=50_000) * scale)
+
+    def test_edge_values(self):
+        edges = np.array(self.EDGES)
+        self.assert_same_bits(np.concatenate([edges, -edges]))
+
+
 class TestRankingGradScatter:
     """The one-product scatter sums in np.add.at's order, so it matches bit for bit."""
+
+    def test_score_gaps_beyond_709(self):
+        """One user row of ones scores each triple's gap as the difference of two
+        item rows' sums; the items sit on both sides of ±709, ±710 and ±746."""
+        values = np.array([0.0, 354.6, 354.8, 355.0, 373.0, 600.0, -0.5, -354.6, -355.0, -400.0])
+        e_star = np.vstack([np.ones((1, 2)), np.repeat(values[:, None], 2, axis=1)])
+        rng = np.random.default_rng(5)
+        batch = random_batch(rng, 1, len(values), 400)
+        gaps = 2 * (values[batch.positives] - values[batch.negatives])
+        assert gaps.max() > 746 and gaps.min() < -746
+        assert (np.abs(gaps) > 709).sum() > 50 and (np.abs(gaps) < 709).sum() > 50
+        grad, _ = ranking_grad_estar(e_star, 1, batch)
+        assert np.array_equal(grad, add_at_gradient(e_star, 1, batch))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_duplicate_heavy_batches(self, seed):
