@@ -8,7 +8,6 @@ reads/writes only through the paths in the run configuration:
 - ``train``        snapshot (+ matrix) -> embedding checkpoint
 - ``eval``         checkpoint -> ranking report (TSV and key=value)
 - ``sweep``        train/eval across one axis, combined table
-- ``oracle-check`` end-to-end self test on a small generated city
 - ``synth``        generate a synthetic check-in log
 
 Each subcommand imports the modules it runs, the scipy-backed ones
@@ -28,7 +27,6 @@ import dataclasses
 import logging
 import math
 import sys
-import tempfile
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -39,7 +37,6 @@ from .config import (
     PathsConfig,
     RunConfig,
     SimilarityParams,
-    SplitConfig,
     build_run_config,
     load_config_file,
     parse_overrides,
@@ -154,12 +151,11 @@ def _sep_settings(cfg: RunConfig) -> dict:
     return settings
 
 
-def _build_sep(cfg: RunConfig, ds, index: EdgeIndex, brute: bool = False) -> SepMatrix:
-    from .sep_graph import build_sep_matrix, build_sep_matrix_bruteforce, normalize_sep
+def _build_sep(cfg: RunConfig, ds, index: EdgeIndex) -> SepMatrix:
+    from .sep_graph import build_sep_matrix, normalize_sep
 
-    builder = build_sep_matrix_bruteforce if brute else build_sep_matrix
     params = _sep_params(cfg, ds)
-    raw = builder(_variant_index(cfg, index), params, cfg.pruning)
+    raw = build_sep_matrix(_variant_index(cfg, index), params, cfg.pruning)
     raw.meta.update(_sep_settings(cfg), config_hash=cfg.fingerprint(), median_km=params.median_km)
     return normalize_sep(raw)
 
@@ -424,98 +420,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_oracle_check(args: argparse.Namespace) -> int:
-    """Cross-check the optimized pair builder and every file format."""
-    from .checkin_columns import read_columns
-    from .data import _checkin_lines
-    from .graph import build_adjacency
-    from .model import forward, load_checkpoint, save_checkpoint
-    from .sep_graph import EdgeIndex, load_sep_matrix, save_sep_matrix
-
-    seed = args.seed if args.seed is not None else 0
-    failures: list[str] = []
-
-    def verdict(name: str, ok: bool) -> None:
-        print(f"{'PASS' if ok else 'FAIL'} {name}")
-        if not ok:
-            failures.append(name)
-
-    city = generate_city(SyntheticConfig(
-        n_users=40, n_items=80, n_checkins=700, n_districts=3, themes_per_district=2, seed=seed
-    ))
-    split = SplitConfig(train_ratio=0.7, seed=seed, min_interactions=2)
-    ds = build_dataset(city.checkins(), split)
-    index = EdgeIndex.from_dataset(ds)
-    settings = {"seed": str(seed), "pruning.max_neighbors": "16"}
-    cfg = build_run_config({}, settings)
-
-    def same_entries(a: SepMatrix, b: SepMatrix) -> bool:
-        return all(np.array_equal(getattr(a, f), getattr(b, f)) for f in ("rows", "cols", "values"))
-
-    fast = _build_sep(cfg, ds, index)
-    slow = _build_sep(cfg, ds, index, brute=True)
-    verdict("pair builder agreement (optimized vs brute force)", same_entries(fast, slow))
-
-    # every weight is 1 here, so the neighbour cap keeps links by id alone
-    tied = build_run_config({}, {**settings, "variant": "sep_temporal_only"})
-    verdict(
-        "pair builder agreement on tied weights (temporal only)",
-        same_entries(_build_sep(tied, ds, index), _build_sep(tied, ds, index, brute=True)),
-    )
-
-    work = Path(args.workdir or tempfile.mkdtemp(prefix="sepgcn-oracle-"))
-    work.mkdir(parents=True, exist_ok=True)
-
-    def same_bytes(a: str, b: str) -> bool:
-        return (work / a).read_bytes() == (work / b).read_bytes()
-
-    save_sep_matrix(fast, work / "fast.sep")
-    save_sep_matrix(slow, work / "slow.sep")
-    verdict("matrix file determinism (both builders, identical bytes)", same_bytes("fast.sep", "slow.sep"))
-
-    # each round trip saves what it loads beside the file, and is exact when
-    # both files hold the same bytes
-    save_snapshot(ds, work / "snap.txt")
-    save_snapshot(load_snapshot(work / "snap.txt"), work / "snap2.txt")
-    verdict("snapshot round trip", same_bytes("snap.txt", "snap2.txt"))
-
-    # the raw log through each reader; both must write the snapshot above
-    write_raw(city, work / "raw.tsv")
-    raw = (work / "raw.tsv").read_bytes()
-
-    def raw_snapshot(checkins, name: str) -> bytes:
-        save_snapshot(build_dataset(checkins, split), work / name)
-        return (work / name).read_bytes()
-
-    try:
-        whole = raw_snapshot(read_columns(raw), "snap_whole.txt")
-    except ValueError:  # the whole-file reader refused the log
-        whole = None
-    lines = raw_snapshot(_checkin_lines(work / "raw.tsv", raw)[0], "snap_lines.txt")
-    verdict(
-        "raw log round trip (whole-file reader vs line reader)",
-        whole == lines == (work / "snap.txt").read_bytes(),
-    )
-
-    save_sep_matrix(load_sep_matrix(work / "fast.sep"), work / "fast2.sep")
-    verdict("matrix round trip", same_bytes("fast.sep", "fast2.sep"))
-
-    rng = np.random.default_rng(seed)
-    e0 = rng.normal(0.0, 0.1, size=(ds.n_users + ds.n_items, cfg.model.dim))
-    save_checkpoint(e0, {"config_hash": cfg.fingerprint()}, work / "ck.bin")
-    save_checkpoint(*load_checkpoint(work / "ck.bin"), work / "ck2.bin")
-    verdict("checkpoint round trip", same_bytes("ck.bin", "ck2.bin"))
-
-    state_a = forward(cfg.model, build_adjacency(ds), fast, index, e0)
-    state_b = forward(cfg.model, build_adjacency(ds), fast, index, e0)
-    verdict("forward determinism", np.array_equal(state_a.e_star, state_b.e_star))
-
-    if failures:
-        raise NumericalError(f"oracle check failed: {', '.join(failures)}")
-    print(f"all checks passed (work files in {work})")
-    return 0
-
-
 def cmd_synth(args: argparse.Namespace) -> int:
     cfg = SyntheticConfig(
         n_users=args.users,
@@ -597,14 +501,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--values", required=True, help="comma-separated axis values")
     p.add_argument("--out", dest="report_prefix", help="combined table path (or prefix)")
     p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser(
-        "oracle-check",
-        parents=[seeded],
-        help="self test: brute-force cross-checks and file round trips",
-    )
-    p.add_argument("--workdir", help="directory for the scratch files (default: temp)")
-    p.set_defaults(func=cmd_oracle_check)
 
     p = sub.add_parser("synth", parents=[seeded], help="generate a synthetic check-in log")
     p.add_argument("--out", required=True, help="raw TSV path to write")

@@ -7,7 +7,8 @@ kept links, about max_neighbors + 1 per edge and slot, rather than every linked
 pair. Each slot's ball sizes are counted against the pair budget before its
 ball lists are built, so what the builder holds stays within the budget. The
 neighbour cap then ranks each edge's links with one weight sort and one stable
-grouping by edge. A literal double-loop builder is the reference.
+grouping by edge. The tests check it against a literal double-loop builder,
+`tests/reference.py::build_sep_matrix_bruteforce`.
 """
 from __future__ import annotations
 
@@ -16,7 +17,6 @@ import json
 import logging
 import math
 import re
-from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -277,57 +277,6 @@ def build_sep_matrix(
             "edge-pair graph is empty; propagation will behave like the plain baseline"
         )
     return SepMatrix(index.n_edges, ii, jj, vals)
-
-
-def build_sep_matrix_bruteforce(
-    index: EdgeIndex,
-    params: SimilarityParams,
-    pruning: PruningParams | None = None,
-) -> SepMatrix:
-    """Reference builder: the literal double loop over every edge pair.
-
-    Quadratic and slow by design; exists so the optimized builder has an
-    independent implementation to be checked against entrywise. The
-    neighbour cap is re-derived here with plain sorting rather than shared
-    with the fast path.
-    """
-    pruning = pruning or PruningParams()
-    d_max = sigma_cutoff_km(params, pruning.sigma_floor)
-    n = index.n_edges
-    slot_sets = [set(s.tolist()) for s in np.split(index.slot_vals, index.slot_ptr[1:-1])]
-
-    weights: dict[tuple[int, int], float] = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not slot_sets[i] & slot_sets[j]:
-                continue
-            # one-element slices, so the distance and the weight come from the
-            # same array kernels as the fast builder's, to the last bit
-            d = haversine_km(
-                (index.lat[i : i + 1], index.lon[i : i + 1]),
-                (index.lat[j : j + 1], index.lon[j : j + 1]),
-                params.earth_radius_km,
-            )
-            if d[0] <= d_max:
-                weights[(i, j)] = float(sigma(d, params)[0])
-
-    by_edge: dict[int, list[tuple[float, int]]] = defaultdict(list)
-    for (i, j), w in weights.items():
-        by_edge[i].append((w, j))
-        by_edge[j].append((w, i))
-    kept: set[tuple[int, int]] = set()
-    for e, links in by_edge.items():
-        links.sort(key=lambda t: (-t[0], t[1]))
-        for w, other in links[: pruning.max_neighbors]:
-            kept.add((e, other))
-
-    survivors = [
-        (i, j, w) for (i, j), w in sorted(weights.items()) if (i, j) in kept and (j, i) in kept
-    ]
-    ii = np.array([i for i, _, _ in survivors], dtype=np.int64)
-    jj = np.array([j for _, j, _ in survivors], dtype=np.int64)
-    vals = np.array([w for _, _, w in survivors], dtype=np.float64)
-    return SepMatrix(n, ii, jj, vals)
 
 
 def normalize_sep(matrix: SepMatrix) -> SepMatrix:

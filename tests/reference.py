@@ -18,6 +18,8 @@ model's node-space matrix W must agree with it.
 making a new array; `AdamOptimizer.step` must match it bit for bit.
 `train_with_copies` is the trainer's batch loop with a new array for every
 table, so no table's storage is reused; `train` must keep the same table.
+`build_sep_matrix_bruteforce` is the edge-pair builder as a literal double
+loop over every edge pair; `build_sep_matrix` must give the same entries.
 `scalar_city` draws a city's homes and check-ins with the Generator's own
 `integers` and `random` calls, one per draw; `generate_city` replays them
 from raw words and must return the same columns.
@@ -25,14 +27,17 @@ from raw words and must return the same columns.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from itertools import chain
 
 import numpy as np
 
+from sepgcn.config import PruningParams, SimilarityParams
 from sepgcn.data import Interactions
 from sepgcn.errors import NumericalError
-from sepgcn.geo import SLOTS_PER_WEEK, haversine_km
+from sepgcn.geo import SLOTS_PER_WEEK, haversine_km, sigma, sigma_cutoff_km
 from sepgcn.model import init_embeddings
+from sepgcn.sep_graph import EdgeIndex, SepMatrix
 from sepgcn.synthetic import (
     BOX_KM,
     CENTER_LAT,
@@ -236,6 +241,57 @@ class EdgeSpaceStep:
         grad[:n] += self.gu @ grad_rows[:, :d]
         grad[n:] += self.gi @ grad_rows[:, d:]
         return grad
+
+
+def build_sep_matrix_bruteforce(
+    index: EdgeIndex,
+    params: SimilarityParams,
+    pruning: PruningParams | None = None,
+) -> SepMatrix:
+    """Reference builder: the literal double loop over every edge pair.
+
+    Quadratic and slow by design; exists so the optimized builder has an
+    independent implementation to be checked against entrywise. The
+    neighbour cap is re-derived here with plain sorting rather than shared
+    with the fast path.
+    """
+    pruning = pruning or PruningParams()
+    d_max = sigma_cutoff_km(params, pruning.sigma_floor)
+    n = index.n_edges
+    slot_sets = [set(s.tolist()) for s in np.split(index.slot_vals, index.slot_ptr[1:-1])]
+
+    weights: dict[tuple[int, int], float] = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            if not slot_sets[i] & slot_sets[j]:
+                continue
+            # one-element slices, so the distance and the weight come from the
+            # same array kernels as the fast builder's, to the last bit
+            d = haversine_km(
+                (index.lat[i : i + 1], index.lon[i : i + 1]),
+                (index.lat[j : j + 1], index.lon[j : j + 1]),
+                params.earth_radius_km,
+            )
+            if d[0] <= d_max:
+                weights[(i, j)] = float(sigma(d, params)[0])
+
+    by_edge: dict[int, list[tuple[float, int]]] = defaultdict(list)
+    for (i, j), w in weights.items():
+        by_edge[i].append((w, j))
+        by_edge[j].append((w, i))
+    kept: set[tuple[int, int]] = set()
+    for e, links in by_edge.items():
+        links.sort(key=lambda t: (-t[0], t[1]))
+        for w, other in links[: pruning.max_neighbors]:
+            kept.add((e, other))
+
+    survivors = [
+        (i, j, w) for (i, j), w in sorted(weights.items()) if (i, j) in kept and (j, i) in kept
+    ]
+    ii = np.array([i for i, _, _ in survivors], dtype=np.int64)
+    jj = np.array([j for _, j, _ in survivors], dtype=np.int64)
+    vals = np.array([w for _, _, w in survivors], dtype=np.float64)
+    return SepMatrix(n, ii, jj, vals)
 
 
 def scalar_city(cfg) -> dict:

@@ -8,6 +8,8 @@ per criterion.
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
 import time
 from collections import Counter
 from datetime import datetime, timedelta
@@ -33,14 +35,13 @@ from sepgcn.sep_graph import (
     EdgeIndex,
     SepMatrix,
     build_sep_matrix,
-    build_sep_matrix_bruteforce,
     normalize_sep,
 )
 from sepgcn.synthetic import SyntheticConfig, generate_city
 from sepgcn.training import TripletBatch, loss_gradient, train
 from sepgcn.evaluate import make_ranking_hook
 
-from reference import bpr_loss, interactions
+from reference import bpr_loss, build_sep_matrix_bruteforce, interactions
 
 
 def make_dataset(n_users, n_items, pairs, slots, coord_seed=0):
@@ -286,42 +287,53 @@ def test_criterion_5_ranking_metrics_match_loop_oracle():
 # criterion 6 — the edge-pair update beats the plain backbone at desk scale
 
 
-@pytest.mark.slow
-def test_criterion_6_edge_pair_updates_beat_plain_backbone():
-    t0 = time.perf_counter()
-    gains = []
-    for seed in range(5):
-        city = generate_city(SyntheticConfig(seed=seed))
-        ds = build_dataset(city.checkins(), SplitConfig(train_ratio=0.7, seed=seed))
-        graph = build_adjacency(ds)
-        index = EdgeIndex.from_dataset(ds)
-        med = median_distance(ds, "global", 1_000_000, seed=seed + 100)
-        params = SimilarityParams(alpha_sim=0.5, median_km=float(med))
-        sep = normalize_sep(build_sep_matrix(index, params, PruningParams(max_neighbors=16)))
-        hook = make_ranking_hook(ds)
-        train_cfg = TrainConfig(
-            lr=0.01,
-            l2_lambda=1e-5,
-            epochs_max=200,
-            batch_size=8192,
-            eval_every=10,
-            early_stop_patience=8,
-            seed=seed + 200,
+def criterion_6_gain(seed: int) -> float:
+    """Relative recall@20 gain of the edge-pair update over the plain backbone
+    on the desk city of one seed."""
+    city = generate_city(SyntheticConfig(seed=seed))
+    ds = build_dataset(city.checkins(), SplitConfig(train_ratio=0.7, seed=seed))
+    graph = build_adjacency(ds)
+    index = EdgeIndex.from_dataset(ds)
+    med = median_distance(ds, "global", 1_000_000, seed=seed + 100)
+    params = SimilarityParams(alpha_sim=0.5, median_km=float(med))
+    sep = normalize_sep(build_sep_matrix(index, params, PruningParams(max_neighbors=16)))
+    hook = make_ranking_hook(ds)
+    train_cfg = TrainConfig(
+        lr=0.01,
+        l2_lambda=1e-5,
+        epochs_max=200,
+        batch_size=8192,
+        eval_every=10,
+        early_stop_patience=8,
+        seed=seed + 200,
+    )
+    recall = {}
+    for enabled in (True, False):
+        model_cfg = ModelConfig(dim=32, layers=3, sep_enabled=enabled, seed=seed + 300)
+        result = train(
+            ds,
+            graph,
+            sep if enabled else None,
+            index if enabled else None,
+            model_cfg,
+            train_cfg,
+            hook,
         )
-        recall = {}
-        for enabled in (True, False):
-            model_cfg = ModelConfig(dim=32, layers=3, sep_enabled=enabled, seed=seed + 300)
-            result = train(
-                ds,
-                graph,
-                sep if enabled else None,
-                index if enabled else None,
-                model_cfg,
-                train_cfg,
-                hook,
-            )
-            recall[enabled] = result.best_recall
-        gains.append((recall[True] - recall[False]) / recall[False])
+        recall[enabled] = result.best_recall
+    return (recall[True] - recall[False]) / recall[False]
+
+
+@pytest.mark.slow
+def test_criterion_6_edge_pair_updates_beat_plain_backbone(monkeypatch):
+    """The seeds are independent, so they run in a pool of spawned processes,
+    each with one BLAS thread."""
+    t0 = time.perf_counter()
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(name, "1")  # a spawned process reads them when it loads numpy
+    with multiprocessing.get_context("spawn").Pool(min(2, os.cpu_count() or 1)) as pool:
+        gains = pool.map_async(criterion_6_gain, range(5)).get(timeout=20 * 60)
+        pool.close()
+        pool.join()
 
     mean_gain = sum(gains) / len(gains)
     assert mean_gain >= 0.03, f"mean relative recall@20 gain {mean_gain:+.2%}, per seed {gains}"

@@ -2,7 +2,6 @@
 
 import argparse
 import dataclasses
-import importlib
 import inspect
 import json
 import logging
@@ -685,48 +684,6 @@ class TestSweep:
         assert error.startswith("error: bad value for 'model.layers': ")
 
 
-class TestOracleCheck:
-    def test_all_pass(self, tmp_path, capsys):
-        code, out = run(["oracle-check", "--seed", "7", "--workdir", tmp_path / "oc"], capsys)
-        assert code == 0
-        verdicts = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
-        assert len(verdicts) == 8
-        assert all(v.startswith("PASS") for v in verdicts)
-
-    # each loader is patched where cmd_oracle_check looks it up; values(loaded)
-    # is the array whose first value the patched loader moves by one ulp
-    @pytest.mark.parametrize(
-        "module, loader, values, name",
-        [("sepgcn.cli", "load_snapshot", lambda ds: ds.item_lat, "snapshot round trip"),
-         ("sepgcn.sep_graph", "load_sep_matrix", lambda sep: sep.values, "matrix round trip"),
-         ("sepgcn.model", "load_checkpoint", lambda loaded: loaded[0][0], "checkpoint round trip")],
-        ids=["snapshot", "matrix", "checkpoint"],
-    )
-    def test_a_round_trip_one_ulp_off_fails(self, tmp_path, capsys, monkeypatch,
-                                            module, loader, values, name):
-        real = getattr(importlib.import_module(module), loader)
-
-        def nudged(path):
-            loaded = real(path)
-            values(loaded)[0] = np.nextafter(values(loaded)[0], np.inf)
-            return loaded
-
-        monkeypatch.setattr(f"{module}.{loader}", nudged)
-        code = main(["oracle-check", "--seed", "7", "--workdir", str(tmp_path / "oc")])
-        assert code == 4
-        out, err = capsys.readouterr()
-        verdicts = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
-        assert len(verdicts) == 8
-        assert [v for v in verdicts if not v.startswith("PASS")] == [f"FAIL {name}"]
-        assert err == f"error: oracle check failed: {name}\n"
-
-    def test_seed_with_last_bit_distances_passes(self, tmp_path, capsys):
-        """At seed 6 a per-pair distance taken on numpy scalars differs in its last bit
-        from the array kernel; both builders must still agree entry for entry."""
-        code, out = run(["oracle-check", "--seed", "6", "--workdir", tmp_path / "oc"], capsys)
-        assert code == 0, out
-
-
 class TestConfigPrecedence:
     def test_flags_beat_set_beat_file(self, chain, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -830,17 +787,14 @@ class TestPathSettings:
         error = TestBadInputFiles.assert_exits(argv, 3, capsys)
         assert error.startswith(f"error: no path configured for {key}; ")
 
-    @pytest.mark.parametrize("stage", ["synth", "oracle-check"])
+    @pytest.mark.parametrize("stage", ["synth"])
     @pytest.mark.parametrize(
         "flag",
         [["--config", "/nonexistent.cfg"], ["--set", "bogus.key=1"], ["--variant", "lightgcn"]],
         ids=["config", "set", "variant"],
     )
     def test_stage_without_run_settings_refuses_them(self, chain, tmp_path, capsys, stage, flag):
-        argv = {
-            "synth": _stage_argv(chain, "synth", tmp_path / "raw.tsv"),
-            "oracle-check": ["oracle-check", "--workdir", tmp_path / "oc"],
-        }[stage]
+        argv = _stage_argv(chain, stage, tmp_path / "raw.tsv")
         with pytest.raises(SystemExit) as stop:
             main([str(a) for a in [*argv, *flag]])
         assert stop.value.code == 2
@@ -861,14 +815,13 @@ class TestNegativeSeed:
             ["eval", "--snapshot", "snap.txt", "--sep", "pairs.sep", "--checkpoint", "ck.bin",
              "--out", "rep", "--seed", "-1"],
             ["synth", "--out", "new.tsv", "--seed", "-1"],
-            ["oracle-check", "--workdir", "oc", "--seed", "-1"],
         ],
     )
     def test_exits_3_with_one_error_line(self, chain, tmp_path, capsys, argv):
         inputs = ("raw.tsv", "snap.txt", "pairs.sep", "ck.bin")
         for f in inputs:
             shutil.copy(chain / f, tmp_path / f)
-        argv = [str(tmp_path / a) if a in (*inputs, "rep", "new.tsv", "oc") else a for a in argv]
+        argv = [str(tmp_path / a) if a in (*inputs, "rep", "new.tsv") else a for a in argv]
         error = TestBadInputFiles.assert_exits(argv, 3, capsys)
         assert "seed must be >= 0" in error
         assert not (tmp_path / "new.tsv").exists() and not (tmp_path / "rep.tsv").exists()

@@ -10,9 +10,9 @@ from collections import Counter, defaultdict
 import numpy as np
 import pytest
 
-from sepgcn.cli import main
-from sepgcn.config import PruningParams, SimilarityParams, SplitConfig
-from sepgcn.data import Dataset, load_snapshot
+from sepgcn.cli import _sep_params, _variant_index, main
+from sepgcn.config import PruningParams, SimilarityParams, SplitConfig, build_run_config
+from sepgcn.data import Dataset, build_dataset, load_snapshot
 from sepgcn.errors import ConfigError, InputDataError
 from sepgcn.geo import haversine_km, median_distance, sigma, sigma_cutoff_km
 from sepgcn.sep_graph import (
@@ -20,16 +20,16 @@ from sepgcn.sep_graph import (
     EdgeIndex,
     SepMatrix,
     build_sep_matrix,
-    build_sep_matrix_bruteforce,
     candidate_pairs,
     load_sep_matrix,
     normalize_sep,
     save_sep_matrix,
 )
+from sepgcn.synthetic import SyntheticConfig, generate_city
 
 import line_readers
 import peak_rss
-from reference import interactions
+from reference import build_sep_matrix_bruteforce, interactions
 
 
 def make_index(lat, lon, slots):
@@ -326,7 +326,9 @@ class TestBuildSepMatrix:
     )
     def test_random_instances_match_bruteforce(self, tied, one_slot):
         """Ties (every edge at one point, shared venues) and single-slot
-        indexes, max_neighbors from 1 up to beyond the slot size."""
+        indexes, max_neighbors from 1 up to beyond the slot size; then, for
+        the weighted and tied cases, a small generated city at seeds 0-8 as
+        build-sep indexes it for sepgcn and sep_temporal_only."""
         rng = np.random.default_rng(167)
         for case in range(6):
             index = random_index(
@@ -350,6 +352,19 @@ class TestBuildSepMatrix:
                 build_sep_matrix_bruteforce(index, PARAMS, pruning),
                 tol=1e-12,
             )
+        if one_slot:
+            return
+        variant = "sep_temporal_only" if tied else "sepgcn"
+        for seed in range(9):
+            city = generate_city(SyntheticConfig(
+                n_users=40, n_items=80, n_checkins=700, n_districts=3, themes_per_district=2, seed=seed
+            ))
+            ds = build_dataset(city.checkins(), SplitConfig(train_ratio=0.7, seed=seed, min_interactions=2))
+            cfg = build_run_config({}, {"seed": str(seed), "pruning.max_neighbors": "16", "variant": variant})
+            index, params = _variant_index(cfg, EdgeIndex.from_dataset(ds)), _sep_params(cfg, ds)
+            fast = build_sep_matrix(index, params, cfg.pruning)
+            assert len(fast.values) > 1000, f"seed {seed}"
+            matrices_equal(fast, build_sep_matrix_bruteforce(index, params, cfg.pruning))
 
     def test_neighbor_cap_tie_break_prefers_low_ids(self):
         """Five co-located edges tie at weight 1; the cap keeps the smallest ids."""
