@@ -27,7 +27,6 @@ import dataclasses
 import logging
 import math
 import sys
-from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -50,7 +49,7 @@ from .data import (
     parse_checkins,
     save_snapshot,
 )
-from .errors import ConfigError, InputDataError, NumericalError
+from .errors import ConfigError, InputDataError, NumericalError, written
 from .geo import median_distance, sigma_cutoff_km
 from .synthetic import SyntheticConfig, generate_city, write_raw
 
@@ -415,7 +414,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     out = cfg.paths.report_prefix
     if out:
         out_path = f"{out}.sweep.tsv" if not out.endswith(".tsv") else out
-        Path(out_path).write_text(table, encoding="utf-8")
+        with written(out_path, "sweep table") as f:
+            f.write(table)
         print(f"sweep table written to {out_path}")
     return 0
 

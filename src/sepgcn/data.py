@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import SplitConfig
-from .errors import InputDataError, read_input
+from .errors import InputDataError, read_input, written
 from .geo import to_slot
 
 SNAPSHOT_MAGIC = "SEPDATA1\n"
@@ -314,8 +314,7 @@ _SAVE_BLOCK = 1 << 16  # E rows formatted per write
 def save_snapshot(ds: Dataset, path: str | Path) -> None:
     """Write the dataset as a line-based snapshot (header SEPDATA1), the E
     rows a block at a time."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="\n") as f:
+    with written(path, "snapshot") as f:
         meta = {
             "n_users": ds.n_users,
             "n_items": ds.n_items,

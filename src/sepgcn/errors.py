@@ -1,13 +1,16 @@
 """Exception taxonomy shared across the package, the checks every reader of
 a pipeline file shares (the file is there, its text, its head of magic and
-JSON header), and the array size check.
+JSON header), the one way every writer writes a file, and the array size
+check.
 
 The CLI maps these onto exit codes: InputDataError -> 2,
 ConfigError -> 3, NumericalError -> 4; and OSError -> 2, MemoryError -> 3.
 """
 import json
 import math
+import os
 import sys
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 
@@ -36,6 +39,37 @@ def read_input(path: Path, what: str) -> bytes:
         raise InputDataError(f"{what} not found: {path}") from None
     except OSError as exc:
         raise InputDataError(f"{what} cannot be read: {path} ({exc.strerror})") from None
+
+
+@contextmanager
+def written(path, what: str, mode: str = "w"):
+    """The file to write what into at path, opened in mode "w" (UTF-8 text,
+    lines ending in a bare newline) or "wb". It is a sibling temporary file
+    that replaces path once it is whole, so path holds the whole file or
+    what it held before; on any error the temporary file is removed. An
+    OSError becomes an InputDataError naming what and path. A path that
+    exists and is not a regular file, as a FIFO or /dev/stdout, is written
+    in place."""
+    path = Path(path)
+    if path.exists() and not path.is_file():
+        target = part = path
+    else:
+        target = path.resolve()  # a link keeps pointing at its file
+        part = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    text = {} if "b" in mode else {"encoding": "utf-8", "newline": "\n"}
+    try:
+        try:
+            with part.open(mode, **text) as f:
+                yield f
+            if part != target:
+                part.replace(target)
+        except BaseException:
+            if part != target:
+                with suppress(OSError):
+                    part.unlink()
+            raise
+    except OSError as exc:
+        raise InputDataError(f"{what} cannot be written: {path} ({exc.strerror or exc})") from None
 
 
 def json_object(path, text: bytes, what: str) -> dict:

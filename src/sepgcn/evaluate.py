@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import NumericalError
+from .errors import NumericalError, written
 from .graph import entry_keys, has_entry, interaction_matrix
 
 METRIC_NAMES = ("precision", "recall", "ndcg", "accuracy")
@@ -161,7 +161,7 @@ def write_report_tsv(report: MetricsReport, path: str | Path) -> None:
     """One row per cutoff; floats written with full repr precision."""
     config_hash = report.config_hash if report.config_hash is not None else "-"
     seed = report.seed if report.seed is not None else "-"
-    with Path(path).open("w", encoding="utf-8", newline="\n") as f:
+    with written(path, "report") as f:
         f.write(f"# config_hash={config_hash}  seed={seed}  n_users={report.n_evaluated_users}"
                 f"  n_excluded={report.n_excluded_users}\n")
         f.write("k\t" + "\t".join(METRIC_NAMES) + "\n")
@@ -171,7 +171,7 @@ def write_report_tsv(report: MetricsReport, path: str | Path) -> None:
 
 def write_report_kv(report: MetricsReport, path: str | Path) -> None:
     """Flat dotted-key rendering of the same report."""
-    with Path(path).open("w", encoding="utf-8", newline="\n") as f:
+    with written(path, "report") as f:
         f.write(f"config_hash = {report.config_hash if report.config_hash is not None else '-'}\n")
         f.write(f"seed = {report.seed if report.seed is not None else '-'}\n")
         f.write(f"n_users = {report.n_evaluated_users}\n")

@@ -14,7 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .config import ModelConfig
-from .errors import POSITIVE, InputDataError, NumericalError, read_head, read_input
+from .errors import POSITIVE, InputDataError, NumericalError, read_head, read_input, written
 from .graph import BipartiteGraph, spmv
 from .sep_graph import EdgeIndex, SepMatrix
 
@@ -180,10 +180,9 @@ def forward(
 
 def save_checkpoint(e0: np.ndarray, config_echo: dict, path: str | Path) -> None:
     """Versioned binary checkpoint: magic, JSON config echo, raw table bytes."""
-    path = Path(path)
     meta = dict(config_echo)
     meta["n_nodes"], meta["dim"] = int(e0.shape[0]), int(e0.shape[1])
-    with path.open("wb") as f:
+    with written(path, "checkpoint", "wb") as f:
         f.write(CHECKPOINT_MAGIC.encode())
         f.write(json.dumps(meta, sort_keys=True).encode("utf-8") + b"\n")
         f.write(np.ascontiguousarray(e0, dtype="<f8").tobytes())

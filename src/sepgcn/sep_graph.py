@@ -25,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .config import PruningParams, SimilarityParams
-from .errors import COUNT, ConfigError, InputDataError, check_text, is_index, read_head, read_input
+from .errors import COUNT, ConfigError, InputDataError, check_text, is_index, read_head, read_input, written
 from .geo import MEDIAN_CHUNK, SLOTS_PER_WEEK, haversine_km, sigma, sigma_cutoff_km
 
 logger = logging.getLogger(__name__)
@@ -309,7 +309,6 @@ def save_sep_matrix(matrix: SepMatrix, path: str | Path) -> None:
     Each pair is one i<TAB>j<TAB>repr(value) line, formatted a block of rows
     at a time.
     """
-    path = Path(path)
     meta = {
         "n_edges": matrix.n_edges,
         "n_pairs": len(matrix.values),
@@ -317,7 +316,7 @@ def save_sep_matrix(matrix: SepMatrix, path: str | Path) -> None:
         "storage": "upper",
         **matrix.meta,
     }
-    with path.open("w", encoding="utf-8", newline="\n") as f:
+    with written(path, "edge-pair matrix") as f:
         f.write(SEPMAT_MAGIC + json.dumps(meta, sort_keys=True) + "\n")
         for at in range(0, len(matrix.values), _SAVE_BLOCK):
             block = slice(at, at + _SAVE_BLOCK)

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .config import ModelConfig, TrainConfig
-from .errors import InputDataError, NumericalError, check_size
+from .errors import InputDataError, NumericalError, check_size, written
 from .graph import BipartiteGraph, entry_keys, has_entry, interaction_matrix, spmv
 from .model import SepOperator, build_operator, edge_step_at, forward, init_embeddings
 
@@ -235,7 +235,7 @@ class TrainResult:
 
 def write_training_log(rows, path: str | Path) -> None:
     """Tab-separated: epoch, loss, recall@20, ndcg@20, wallclock seconds."""
-    with Path(path).open("w", encoding="utf-8", newline="\n") as f:
+    with written(path, "training log") as f:
         f.write("epoch\tloss\trecall@20\tndcg@20\twallclock_s\n")
         for epoch, loss, recall, ndcg, wallclock in rows:
             f.write(f"{epoch}\t{loss!r}\t{recall!r}\t{ndcg!r}\t{wallclock:.3f}\n")

@@ -23,6 +23,9 @@ loop over every edge pair; `build_sep_matrix` must give the same entries.
 `scalar_city` draws a city's homes and check-ins with the Generator's own
 `integers` and `random` calls, one per draw; `generate_city` replays them
 from raw words and must return the same columns.
+`scalar_checkins` is generate_city's former check-in loop, one
+`_scalar_draws` call per draw, over any bit generator's state and raw words;
+`synthetic._checkin_columns` must draw the same columns from them.
 """
 from __future__ import annotations
 
@@ -52,6 +55,7 @@ from sepgcn.synthetic import (
     SLOT_AFFINITY,
     SLOTS_PER_SCENE,
     WEEKS,
+    _scalar_draws,
 )
 from sepgcn.training import TripletSampler, loss_gradient
 
@@ -345,3 +349,33 @@ def scalar_city(cfg) -> dict:
         minute[r] = rng.integers(60)
     columns = {"user": user, "item": item, "slot": slot, "week": week, "minute": minute}
     return {**columns, "user_home": user_home, "held": held}
+
+
+def scalar_checkins(bit_generator, cfg, user_home, item_scene, item_district, scene_slots):
+    """The five check-in columns that generate_city's loop drew, one
+    _scalar_draws call per draw, from bit_generator's state and raw words."""
+    scene_items = [np.flatnonzero(item_scene == s).tolist() for s in range(cfg.n_scenes)]
+    landmark_items = [
+        np.flatnonzero((item_scene == LANDMARK) & (item_district == d)).tolist()
+        for d in range(cfg.n_districts)
+    ]
+    random, integers = _scalar_draws(bit_generator)
+    homes, hours = user_home.tolist(), [h.tolist() for h in scene_slots]
+    user, item, slot, week, minute = np.empty((5, cfg.n_checkins), dtype=np.int64)
+    for r in range(cfg.n_checkins):
+        user[r] = visitor = integers(cfg.n_users)
+        home = homes[visitor]
+        if random() < HOME_AFFINITY:
+            landmarks = landmark_items[home // cfg.themes_per_district]
+            pool = landmarks if random() < LANDMARK_RATE else scene_items[home]
+        else:
+            pool = scene_items[integers(cfg.n_scenes)]
+        item[r] = pool[integers(len(pool))]
+        # visits happen on the visitor's schedule, whatever the target
+        if random() < SLOT_AFFINITY:
+            slot[r] = hours[home][integers(SLOTS_PER_SCENE)]
+        else:
+            slot[r] = integers(SLOTS_PER_WEEK)
+        week[r] = integers(WEEKS)
+        minute[r] = integers(60)
+    return np.stack([user, item, slot, week, minute])

@@ -1166,6 +1166,68 @@ class TestHostLimits:
         assert error.startswith("error: out of memory: ")
         assert error.removeprefix("error: out of memory: ").strip()
 
+    # each writer, the file it writes, its name in the error, and a file-size
+    # limit under that file's size but above the stage's earlier outputs
+    @pytest.mark.parametrize(
+        "stage, name, what, limit",
+        [
+            ("synth", "raw.tsv", "raw check-in file", 64),
+            ("prepare", "snap.txt", "snapshot", 64),
+            ("build-sep", "pairs.sep", "edge-pair matrix", 64),
+            ("train", "train.log", "training log", 64),
+            ("train", "ck.bin", "checkpoint", 1024),
+            ("eval", "rep.tsv", "report", 64),
+            ("eval", "rep.kv", "report", 256),
+            ("sweep", "sw.sweep.tsv", "sweep table", 64),
+        ],
+    )
+    @pytest.mark.parametrize("earlier", [False, True], ids=["absent", "earlier"])
+    def test_a_write_cut_short_leaves_no_part_of_it(self, chain, tmp_path, stage, name, what, limit, earlier):
+        """Under a file-size limit the write fails: the stage exits 2 with one
+        line naming the file, and leaves no file there or the earlier one."""
+        path = tmp_path / name
+        if earlier:
+            path.write_bytes(b"earlier\n")
+        out = {"train": tmp_path / "ck.bin", "eval": tmp_path / "rep", "sweep": tmp_path / "sw"}
+        argv = [str(a) for a in _stage_argv(chain, stage, out.get(stage, path))]
+        if stage == "train":
+            argv += ["--log", str(tmp_path / "train.log")]
+        code = (
+            "import resource, sys\n"
+            f"resource.setrlimit(resource.RLIMIT_FSIZE, ({limit}, {limit}))\n"
+            "from sepgcn.cli import main\n"
+            f"sys.exit(main({argv!r}))"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1", "PYTHONDONTWRITEBYTECODE": "1"}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.splitlines() == [f"error: {what} cannot be written: {path} (File too large)"]
+        assert path.read_bytes() == b"earlier\n" if earlier else not path.exists()
+        assert not [f for f in os.listdir(tmp_path) if f.endswith(".tmp")]
+
+    def test_a_path_that_is_no_regular_file_is_written_in_place(self, chain, tmp_path):
+        """synth --out /dev/stdout writes the log to the pipe, as to a file."""
+        argv = [str(a) for a in _stage_argv(chain, "synth", "/dev/stdout")]
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "sepgcn.cli", *argv], env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert main([str(a) for a in _stage_argv(chain, "synth", tmp_path / "raw.tsv")]) == 0
+        log = (tmp_path / "raw.tsv").read_bytes()
+        assert proc.stdout.startswith(log) and proc.stdout[len(log):].startswith(b"wrote 300 check-ins")
+
+    def test_a_link_keeps_pointing_at_the_file_it_names(self, chain, tmp_path):
+        (tmp_path / "raw.tsv").write_text("earlier\n")
+        (tmp_path / "link.tsv").symlink_to("raw.tsv")
+        assert main([str(a) for a in _stage_argv(chain, "synth", tmp_path / "link.tsv")]) == 0
+        assert (tmp_path / "link.tsv").is_symlink()
+        assert (tmp_path / "raw.tsv").read_text().startswith("u00")
+
     # the child caps its own address space at 1 GB, so a cutoff that sizes an
     # array or a list by k ends there instead of filling the host
     @pytest.mark.parametrize("ks", ["5,20,100000000", f"5,{10**30}"])

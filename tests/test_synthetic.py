@@ -2,10 +2,12 @@
 from __future__ import annotations
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from sepgcn import synthetic
 from sepgcn.config import SplitConfig
 from sepgcn.data import build_dataset, parse_checkins
 from sepgcn.errors import ConfigError
@@ -24,7 +26,7 @@ from sepgcn.synthetic import (
     write_raw,
 )
 
-from reference import scalar_city
+from reference import scalar_checkins, scalar_city
 
 SMALL = SyntheticConfig(
     n_users=60,
@@ -36,6 +38,9 @@ SMALL = SyntheticConfig(
 )
 # one-item landmark pools draw integers(1), and 7 homes leave a 32-bit half held
 TINY = SyntheticConfig(7, 11, 500, n_districts=2, themes_per_district=1, seed=3)
+# 6 items per district: 2 landmarks and one item for each of 4 scenes
+ONE_ITEM_SCENES = SyntheticConfig(50, 30, 20_000, seed=3)
+HELD = SyntheticConfig(n_checkins=10_000, seed=7)
 COLUMNS = ("user", "item", "slot", "week", "minute")
 
 
@@ -151,8 +156,13 @@ class TestReplay:
             TINY,
             SyntheticConfig(40, 30, 500, n_districts=1, themes_per_district=1, seed=4),
             SyntheticConfig(1, 30, 500, n_districts=2, themes_per_district=2, seed=5),
+            ONE_ITEM_SCENES,
+            SyntheticConfig(1, 30, 10_000, n_districts=2, themes_per_district=2, seed=5),
+            SyntheticConfig(40, 30, 10_000, n_districts=1, themes_per_district=1, seed=4),
+            HELD,
         ],
-        ids=["default-0", "default-1", "default-2", "small", "tiny", "one-scene", "one-user"],
+        ids=["default-0", "default-1", "default-2", "small", "tiny", "one-scene", "one-user",
+             "one-item-scenes-20k", "one-user-10k", "one-scene-10k", "held-10k"],
     )
     def test_same_columns_as_the_scalar_calls(self, cfg):
         city, expected = generate_city(cfg), scalar_city(cfg)
@@ -164,6 +174,10 @@ class TestReplay:
         assert not scalar_city(SMALL)["held"]
         city = generate_city(TINY)
         assert all(np.sum((city.item_scene == LANDMARK) & (city.item_district == d)) == 1 for d in range(2))
+        assert scalar_city(HELD)["held"]
+        city = generate_city(ONE_ITEM_SCENES)
+        scene_sizes = np.bincount(city.item_scene[city.item_scene != LANDMARK])
+        assert scene_sizes.tolist() == [1] * ONE_ITEM_SCENES.n_scenes
 
     @pytest.mark.parametrize("k", [2**31 + 1, 3 * 2**30 + 7])
     @pytest.mark.parametrize("held", [False, True])
@@ -179,6 +193,86 @@ class TestReplay:
         assert [integers(k) for _ in range(2000)] == [rng.integers(k) for _ in range(2000)]
         assert [random() for _ in range(3)] == [rng.random() for _ in range(3)]
         assert [integers(k) for _ in range(5)] == [rng.integers(k) for _ in range(5)]
+
+
+class PlantedWords:
+    """A PCG64 stream's state and raw words, with all-zero words at the
+    given positions, counted from the first word it serves. A zero low half
+    is rejected by every bound that is not a power of two. held_zero makes
+    the state hold back a zero half. With one_word it serves one word per
+    call, so `served` counts the words a lazy reader has read."""
+
+    def __init__(self, zeros=(), held_zero=False, one_word=False):
+        self.source = np.random.default_rng(7).bit_generator
+        self.state = self.source.state
+        if held_zero:
+            self.state = {**self.state, "has_uint32": 1, "uinteger": 0}
+        self.zeros, self.one_word, self.served = set(zeros), one_word, 0
+
+    def random_raw(self, size):
+        size = 1 if self.one_word else size
+        words = self.source.random_raw(size)
+        words[[z - self.served for z in self.zeros if 0 <= z - self.served < size]] = 0
+        self.served += size
+        return words
+
+
+class TestPlantedRejections:
+    """A check-in whose draw is rejected is replayed alone and the walk
+    resumes after it; the columns are those of the scalar loop."""
+
+    CFG = SyntheticConfig(seed=1)  # 30k check-ins read about 160k words
+
+    @pytest.fixture(scope="class")
+    def city(self):
+        return generate_city(self.CFG)
+
+    def inputs(self, city, checkins):
+        cfg = SyntheticConfig(**{**self.CFG.__dict__, "n_checkins": checkins})
+        return cfg, city.user_home, city.item_scene, city.item_district, city.scene_slots
+
+    @pytest.mark.parametrize("case", ["none", "first", "last", "block-boundary", "held-half"])
+    def test_same_columns_as_the_scalar_loop(self, case, city, monkeypatch):
+        """Each plant makes one check-in's draws rejected, and so one replay;
+        this stream has no rejection of its own."""
+        inputs = self.inputs(city, self.CFG.n_checkins)
+        # block-boundary: 20,000 zero words from inside the first 65,536-word
+        # block past its end, so the replay reads on past the words drawn
+        planted = {"first": {"zeros": [0]}, "held-half": {"held_zero": True},
+                   "block-boundary": {"zeros": range(50_000, 70_000)}}.get(case, {})
+        if case == "last":
+            # the words the check-ins before the last one read
+            counter = PlantedWords(one_word=True)
+            scalar_checkins(counter, *self.inputs(city, self.CFG.n_checkins - 1))
+            planted = {"zeros": range(counter.served, counter.served + 6)}
+        replays = []
+        scalar_draws = synthetic._scalar_draws
+        monkeypatch.setattr(synthetic, "_scalar_draws", lambda bg: replays.append(bg) or scalar_draws(bg))
+        drawn = synthetic._checkin_columns(PlantedWords(**planted), *inputs)
+        expected = scalar_checkins(PlantedWords(**planted), *inputs)
+        assert np.array_equal(drawn, expected)
+        assert len(replays) == (case != "none")
+        if case == "last":
+            plain = scalar_checkins(PlantedWords(), *inputs)
+            assert np.array_equal(expected[:, :-1], plain[:, :-1])
+
+
+class TestMemory:
+    def test_working_memory_does_not_grow_with_the_checkins(self):
+        """generate_city's traced peak, less its five int64 columns, was
+        3.4 MB at 30k, 90k and 300k check-ins before the whole-array draws
+        and 3.8 MB with them."""
+        generate_city(SyntheticConfig(n_checkins=100))  # first-call allocations
+        extra = {}
+        for n in (30_000, 300_000):
+            tracemalloc.start()
+            try:
+                generate_city(SyntheticConfig(n_checkins=n))
+                extra[n] = (tracemalloc.get_traced_memory()[1] - 5 * 8 * n) / 2**20
+            finally:
+                tracemalloc.stop()
+        assert extra[300_000] < extra[30_000] + 0.5, extra
+        assert extra[30_000] < 5.0, extra
 
 
 class TestRoundTrip:
