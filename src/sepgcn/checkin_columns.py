@@ -1,7 +1,8 @@
-"""Whole-file reader of the raw check-in layout synth writes.
+"""Reader of the raw check-in layout synth writes, a block of lines at a time.
 
-parse_checkins tries it first and hands every other form, and every file
-with a line to reject, to its line-by-line reader. It lives apart from
+parse_checkins streams a log through read_blocks and hands the first block
+read_columns refuses, with the rest of the log, to its line-by-line reader,
+which reads every other form and every line to reject. It lives apart from
 sepgcn.data so that synth, which imports that module, does not compile it.
 """
 from __future__ import annotations
@@ -13,6 +14,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .data import Checkins, _index
 
+_READ_BLOCK = 1 << 20  # bytes read per block, then up to the end of that line
 _BOM = b"\xef\xbb\xbf"
 # every byte the layout may hold: graphic ASCII, tab and newline
 _LAYOUT_BYTES = bytes(range(0x21, 0x7F)) + b"\t\n"
@@ -21,13 +23,44 @@ _TIME_PATTERN = np.frombuffer(b"0000-00-00T00:00:00", np.uint8)
 _TIME_FIELDS = ((0, 4), (5, 7), (8, 10), (11, 13), (14, 16), (17, 19))
 
 
-def read_columns(data: bytes) -> Checkins:
-    """The log in data as columns, when every line is
+def read_blocks(f) -> tuple[Checkins, bytes | None]:
+    """(checkins, rest): the check-ins of the blocks of whole lines that
+    read_columns reads from the binary stream f, and the rest of the stream
+    from the first block it refuses on, or None when it refuses none. One
+    byte-order mark is dropped from the stream's start and nowhere else.
+
+    Ids are kept as their bytes until the end, then numbered in order of
+    first appearance."""
+    # each column's parts; the empty first part fixes its dtype
+    columns = [[np.empty(0, t)] for t in ("S1", "S1", np.int64, np.float64, np.float64)]
+    first = True
+    while block := f.read(_READ_BLOCK):
+        if not block.endswith(b"\n"):
+            block += f.readline()
+        if first:
+            block, first = block.removeprefix(_BOM), False
+        try:
+            parts = read_columns(block)
+        except ValueError:
+            rest = block + f.read()
+            break
+        for column, part in zip(columns, parts):
+            column.append(part)
+    else:
+        rest = None
+    users, user_ids = _ids(np.concatenate(columns.pop(0)))
+    items, item_ids = _ids(np.concatenate(columns.pop(0)))
+    slots, lat, lon = map(np.concatenate, columns)
+    return Checkins(users, items, slots, lat, lon, user_ids, item_ids), rest
+
+
+def read_columns(data: bytes) -> tuple[np.ndarray, ...]:
+    """(users, items, slots, lat, lon) of the lines in data, the ids as
+    fixed-width bytes, when every line is
     user<TAB>item<TAB>YYYY-MM-DDTHH:MM:SS<TAB>lat<TAB>lon<LF> with ASCII
-    graphic ids, plain-decimal coordinates in range and a valid civil time,
-    after at most one byte-order mark. ValueError on any other form,
-    including ones the line reader accepts or rejects line by line."""
-    data = data.removeprefix(_BOM)
+    graphic ids, plain-decimal coordinates in range and a valid civil time.
+    ValueError on any other form, including ones the line reader accepts or
+    rejects line by line."""
     if not data.endswith(b"\n") or data.translate(None, _LAYOUT_BYTES):
         raise ValueError("not tab-separated ASCII lines")
     a = np.frombuffer(data, np.uint8)
@@ -51,17 +84,7 @@ def read_columns(data: bytes) -> Checkins:
     lat, lon = table["lat"], table["lon"]
     if len(table) != len(ends) or not (np.all(np.abs(lat) <= 90.0) and np.all(np.abs(lon) <= 180.0)):
         raise ValueError("coordinates out of range")
-    users, user_ids = _ids(table["user"])
-    items, item_ids = _ids(table["item"])
-    return Checkins(
-        users=users,
-        items=items,
-        slots=slots,
-        lat=np.ascontiguousarray(lat),
-        lon=np.ascontiguousarray(lon),
-        user_ids=user_ids,
-        item_ids=item_ids,
-    )
+    return table["user"], table["item"], slots, lat, lon
 
 
 def _ids(column: np.ndarray) -> tuple[np.ndarray, list[str]]:

@@ -21,37 +21,45 @@ included), 4 numerical failure.
 
 from __future__ import annotations
 
-import argparse
-import copy
-import dataclasses
-import logging
-import math
 import sys
-from typing import TYPE_CHECKING
 
-import numpy as np
+try:
+    import argparse
+    import copy
+    import dataclasses
+    import logging
+    import math
+    from typing import TYPE_CHECKING
 
-from .config import (
-    VARIANTS,
-    PathsConfig,
-    RunConfig,
-    SimilarityParams,
-    build_run_config,
-    load_config_file,
-    parse_overrides,
-    set_key,
-)
-from .data import (
-    Checkins,
-    build_dataset,
-    dataset_stats,
-    load_snapshot,
-    parse_checkins,
-    save_snapshot,
-)
-from .errors import ConfigError, InputDataError, NumericalError, written
-from .geo import median_distance, sigma_cutoff_km
-from .synthetic import SyntheticConfig, generate_city, write_raw
+    import numpy as np
+
+    from .config import (
+        VARIANTS,
+        PathsConfig,
+        RunConfig,
+        SimilarityParams,
+        build_run_config,
+        load_config_file,
+        parse_overrides,
+        set_key,
+    )
+    from .data import (
+        Checkins,
+        build_dataset,
+        dataset_stats,
+        load_snapshot,
+        parse_checkins,
+        save_snapshot,
+    )
+    from .errors import ConfigError, InputDataError, NumericalError, written
+    from .geo import median_distance, sigma_cutoff_km
+    from .synthetic import SyntheticConfig, generate_city, write_raw
+except MemoryError as exc:
+    # a memory limit too small for the modules themselves: exit 3, as main
+    # does for a MemoryError, before main can run
+    reason = str(exc) or "the program's modules do not fit in the memory it may use"
+    print(f"error: out of memory: {reason}", file=sys.stderr)
+    sys.exit(3)
 
 if TYPE_CHECKING:
     from .sep_graph import EdgeIndex, SepMatrix

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import SplitConfig
-from .errors import InputDataError, read_input, written
+from .errors import InputDataError, reading, written
 from .geo import to_slot
 
 SNAPSHOT_MAGIC = "SEPDATA1\n"
@@ -47,21 +47,25 @@ class Checkins:
         )
 
     @classmethod
-    def from_rows(cls, rows) -> "Checkins":
-        """Columns from (user id, item id, slot, lat, lon) rows."""
+    def from_rows(cls, rows, head: "Checkins | None" = None) -> "Checkins":
+        """Columns from (user id, item id, slot, lat, lon) rows, after the
+        check-ins of head when it is given."""
         users, items, slots, lat, lon = list(zip(*rows)) or [()] * 5
-        user_ids, item_ids = list(dict.fromkeys(users)), list(dict.fromkeys(items))
+        head = head or cls(*(np.empty(0, t) for t in (np.int64,) * 3 + (np.float64,) * 2), [], [])
 
-        def codes(ids, names):
+        def codes(before, names, ids):
+            names = list(dict.fromkeys([*names, *ids]))
             code = {name: k for k, name in enumerate(names)}
-            return np.fromiter(map(code.__getitem__, ids), np.int64, len(ids))
+            return np.concatenate([before, np.fromiter(map(code.__getitem__, ids), np.int64, len(ids))]), names
 
+        users, user_ids = codes(head.users, head.user_ids, users)
+        items, item_ids = codes(head.items, head.item_ids, items)
         return cls(
-            users=codes(users, user_ids),
-            items=codes(items, item_ids),
-            slots=np.array(slots, dtype=np.int64),
-            lat=np.array(lat, dtype=np.float64),
-            lon=np.array(lon, dtype=np.float64),
+            users=users,
+            items=items,
+            slots=np.concatenate([head.slots, np.array(slots, dtype=np.int64)]),
+            lat=np.concatenate([head.lat, np.array(lat, dtype=np.float64)]),
+            lon=np.concatenate([head.lon, np.array(lon, dtype=np.float64)]),
             user_ids=user_ids,
             item_ids=item_ids,
         )
@@ -124,34 +128,37 @@ def parse_checkins(path: str | Path) -> tuple[Checkins, list[tuple[int, str]]]:
     (line_number, reason). Raises when more than 10% of non-empty lines are
     rejected, which almost always means the file has another layout.
 
-    The layout synth writes is parsed as whole columns. Any other form, or a
-    file with a line to reject, goes to the line-by-line reader, whose
-    result, rejects or error stand.
+    The file or pipe is read a block of lines at a time, and the layout
+    synth writes is parsed as whole columns (see sepgcn.checkin_columns).
+    The first block in any other form, or with a line to reject, goes with
+    the rest of the log to the line-by-line reader, whose result, rejects or
+    error stand.
     """
     path = Path(path)
-    data = read_input(path, "raw check-in file")
     # imported here: synth, which imports this module, never compiles it
-    from .checkin_columns import read_columns
+    from .checkin_columns import read_blocks
 
-    try:
-        return read_columns(data), []
-    except ValueError:
-        return _checkin_lines(path, data)
+    with reading(path, "raw check-in file") as f:
+        head, rest = read_blocks(f)
+    if rest is None:
+        return head, []
+    return _checkin_lines(path, rest, head)
 
 
-def _checkin_lines(path: Path, data: bytes) -> tuple[Checkins, list[tuple[int, str]]]:
+def _checkin_lines(path: Path, data: bytes, head: Checkins) -> tuple[Checkins, list[tuple[int, str]]]:
     """The reference reader: one line at a time, accepting every form
-    parse_checkins documents."""
+    parse_checkins documents. data is the log after the lines of head, one
+    check-in each, so its lines are numbered and counted on from them."""
     try:
-        text = data.decode("utf-8").removeprefix("\ufeff")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise InputDataError(f"{path}: raw check-in file is not UTF-8 text ({exc.reason})") from None
     rows: list[tuple] = []
     rejects: list[tuple[int, str]] = []
-    n_seen = 0
+    n_seen = len(head)
     # universal newlines, as a file opened in text mode reads them
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(lines, start=len(head) + 1):
         if not line.strip():
             continue
         n_seen += 1
@@ -163,7 +170,7 @@ def _checkin_lines(path: Path, data: bytes) -> tuple[Checkins, list[tuple[int, s
             f"{len(rejects)}/{n_seen} lines rejected (>10%); check the column layout "
             f"(first reject: line {rejects[0][0]}: {rejects[0][1]})"
         )
-    return Checkins.from_rows(rows), rejects
+    return Checkins.from_rows(rows, head), rejects
 
 
 def _parse_line(line: str, out: list[tuple]) -> str | None:
@@ -242,39 +249,45 @@ def build_dataset(checkins: Checkins, cfg: SplitConfig) -> Dataset:
     test item is unseen at training time.
     """
     users, items = checkins.users, checkins.items
-    # users with enough distinct items, then the k-core of what they leave
+    # users with enough distinct items, then the k-core of what they leave;
+    # each array the size of the log is dropped once it has been used
     keep = np.bincount(_pairs(users, items)[0])[users] >= cfg.min_interactions
     keep[keep] = kcore_filter(users[keep], items[keep], cfg.kcore)
     rows = np.flatnonzero(keep)
+    del keep
     if not len(rows):
         raise InputDataError("no records left after filtering")
 
     users, user_first = _index(users[rows])
     items, item_first = _index(items[rows])
+    item_lat, item_lon = _canonical_coords(items, checkins.lat[rows], checkins.lon[rows])
     edges, edge_first = _index(users * len(item_first) + items)
     edge_users, edge_items = users[edge_first], items[edge_first]
+    del users, items
+    user_ids = [checkins.user_ids[u] for u in checkins.users[rows[user_first]].tolist()]
+    item_ids = [checkins.item_ids[i] for i in checkins.items[rows[item_first]].tolist()]
 
     # one permutation per user, users in index order, over its edges in edge order
     rng = np.random.default_rng(cfg.seed)
-    by_user = np.argsort(edge_users, kind="stable")
     counts = np.bincount(edge_users)
-    held_out = [
+    held_out = np.concatenate([
         start + rng.permutation(count)[max(1, math.floor(cfg.train_ratio * count)) :]
         for start, count in zip((np.cumsum(counts) - counts).tolist(), counts.tolist())
-    ]
+    ])
     is_test = np.zeros(len(edge_first), dtype=bool)
-    is_test[by_user[np.concatenate(held_out)]] = True
+    is_test[np.argsort(edge_users, kind="stable")[held_out]] = True
+    del held_out
     # Promote the first edge of each train-absent item so every item the
     # evaluator can score has been seen during training.
     untrained = np.bincount(edge_items[~is_test], minlength=len(item_first)) == 0
     is_test[edges[item_first[untrained]]] = False
 
     slot_ptr = np.concatenate([[0], np.cumsum(np.bincount(edges))])
-    slot_vals = checkins.slots[rows][np.argsort(edges, kind="stable")]
+    order = np.argsort(edges, kind="stable")
+    del edges
+    slot_vals = checkins.slots[rows[order]]
+    del order
     interactions = Interactions(edge_users, edge_items, is_test, slot_ptr, slot_vals)
-    item_lat, item_lon = _canonical_coords(items, checkins.lat[rows], checkins.lon[rows])
-    user_ids = [checkins.user_ids[u] for u in checkins.users[rows[user_first]].tolist()]
-    item_ids = [checkins.item_ids[i] for i in checkins.items[rows[item_first]].tolist()]
     return Dataset(user_ids, item_ids, interactions, item_lat, item_lon, cfg)
 
 
@@ -284,9 +297,18 @@ def _canonical_coords(items: np.ndarray, lat: np.ndarray, lon: np.ndarray):
     items numbers the records' items 0..n-1. Equal coordinates count as one
     location (so -0.0 joins 0.0), spelled as first seen.
     """
-    # complex numbers sort and compare as (lat, lon) pairs
-    loc = np.unique(lat + 1j * lon, return_inverse=True)[1]
-    _, first, count = np.unique(items * len(loc) + loc, return_index=True, return_counts=True)
+    # the records by item, then location; the sort is stable, so each
+    # location's run starts at its first record
+    order = np.lexsort((lon, lat, items))
+    starts = np.zeros(len(order), dtype=bool)
+    starts[0] = True
+    for key in (items, lat, lon):
+        ordered = key[order]
+        starts[1:] |= ordered[1:] != ordered[:-1]
+    del ordered
+    starts = np.flatnonzero(starts)
+    first, count = order[starts], np.diff(starts, append=len(order))
+    del order
     ranked = first[np.lexsort((first, -count, items[first]))]
     best = ranked[np.flatnonzero(np.diff(items[ranked], prepend=-1))]
     return lat[best], lon[best]
@@ -308,7 +330,7 @@ def dataset_stats(ds: Dataset) -> dict:
     }
 
 
-_SAVE_BLOCK = 1 << 16  # E rows formatted per write
+_SAVE_BLOCK = 1 << 13  # E rows formatted per write
 
 
 def save_snapshot(ds: Dataset, path: str | Path) -> None:
@@ -327,13 +349,23 @@ def save_snapshot(ds: Dataset, path: str | Path) -> None:
         items = zip(ds.item_ids, ds.item_lat.tolist(), ds.item_lon.tolist())
         f.write("".join(map("I\t%s\t%r\t%r\n".__mod__, items)))
         edges = ds.interactions
+        n_slots = int(edges.slot_vals.max(initial=-1)) + 1
+        # each number's text, formatted once for the whole file
+        texts = (
+            _texts("E\t%d\t", ds.n_users),
+            _texts("%d\t", ds.n_items),
+            np.array(["train\t", "test\t"], dtype=object),
+            _texts("%d,", n_slots),
+            _texts("%d", n_slots),
+        )
         for at in range(0, len(edges), _SAVE_BLOCK):
-            f.write(_edge_rows(edges, at, at + _SAVE_BLOCK))
+            f.write(_edge_rows(edges, at, at + _SAVE_BLOCK, texts))
 
 
-def _edge_rows(edges: Interactions, start: int, stop: int) -> str:
+def _edge_rows(edges: Interactions, start: int, stop: int, texts) -> str:
     """Snapshot lines E<TAB>user<TAB>item<TAB>split<TAB>slot,...,slot of edges
-    start to stop, each distinct number formatted once."""
+    start to stop, each number's text taken from texts."""
+    user_texts, item_texts, split_texts, slot_texts, last_slot_texts = texts
     ptr = edges.slot_ptr[start : stop + 1]
     slots, ptr = edges.slot_vals[ptr[0] : ptr[-1]], ptr - ptr[0]
     n, counts = len(ptr) - 1, np.diff(ptr)
@@ -341,19 +373,18 @@ def _edge_rows(edges: Interactions, start: int, stop: int) -> str:
     # split, its slots and a newline
     first = 4 * np.arange(n) + ptr[:-1]
     tokens = np.full(4 * n + ptr[-1], "\n", dtype=object)
-    tokens[first] = _texts(edges.users[start:stop], "E\t%d\t")
-    tokens[first + 1] = _texts(edges.items[start:stop], "%d\t")
-    tokens[first + 2] = np.where(edges.is_test[start:stop], "test\t", "train\t")
-    tokens[np.repeat(first + 3 - ptr[:-1], counts) + np.arange(ptr[-1])] = _texts(slots, "%d,")
+    tokens[first] = user_texts[edges.users[start:stop]]
+    tokens[first + 1] = item_texts[edges.items[start:stop]]
+    tokens[first + 2] = split_texts[edges.is_test[start:stop].view(np.uint8)]
+    tokens[np.repeat(first + 3 - ptr[:-1], counts) + np.arange(ptr[-1])] = slot_texts[slots]
     filled = counts > 0  # a row's last slot takes no comma
-    tokens[(first + 2 + counts)[filled]] = _texts(slots[ptr[1:][filled] - 1], "%d")
+    tokens[(first + 2 + counts)[filled]] = last_slot_texts[slots[ptr[1:][filled] - 1]]
     return "".join(tokens.tolist())
 
 
-def _texts(values: np.ndarray, form: str) -> np.ndarray:
-    """form % v for each value v, as an object array; each distinct value is formatted once."""
-    distinct, inverse = np.unique(values, return_inverse=True)
-    return np.array([form % v for v in distinct.tolist()], dtype=object)[inverse]
+def _texts(form: str, n: int) -> np.ndarray:
+    """form % v for v in 0..n-1, as an object array."""
+    return np.array([form % v for v in range(n)], dtype=object)
 
 
 def load_snapshot(path: str | Path) -> Dataset:

@@ -30,15 +30,24 @@ class NumericalError(SepGcnError):
     """A numerical invariant was violated (NaN/Inf, degenerate statistic)."""
 
 
-def read_input(path: Path, what: str) -> bytes:
-    """The bytes of the file (or pipe) at path; an InputDataError naming what
-    and the path when there is none or it cannot be read, as a directory."""
+@contextmanager
+def reading(path: Path, what: str):
+    """The file (or pipe) at path, opened to read bytes; an InputDataError
+    naming what and the path when there is none or it cannot be read, as a
+    directory."""
     try:
-        return path.read_bytes()
+        with path.open("rb") as f:
+            yield f
     except FileNotFoundError:
         raise InputDataError(f"{what} not found: {path}") from None
     except OSError as exc:
         raise InputDataError(f"{what} cannot be read: {path} ({exc.strerror})") from None
+
+
+def read_input(path: Path, what: str) -> bytes:
+    """The bytes of the file (or pipe) at path, read as reading opens it."""
+    with reading(path, what) as f:
+        return f.read()
 
 
 @contextmanager

@@ -356,11 +356,14 @@ def _scalar_draws(bit_generator):
     return random, integers
 
 
-_WRITE_BLOCK = 1 << 16  # rows formatted per write
+_WRITE_BLOCK = 1 << 13  # rows formatted per write
 
 
 def write_raw(city: SyntheticCity, path: str | Path) -> None:
-    """Tab-separated log in the default ingest layout, a block of rows per write."""
+    """Tab-separated log in the default ingest layout, a block of rows per
+    write; each id and each item's coordinates are formatted once."""
+    user_texts = _texts(USER_ID + "\t", len(city.user_home))
+    item_texts = _texts(ITEM_ID + "\t", len(city.item_lat))
     coords = zip(city.item_lat.tolist(), city.item_lon.tolist())
     coord_texts = np.array(list(map("\t%r\t%r\n".__mod__, coords)), dtype=object)
     start = np.datetime64(START, "m")
@@ -369,8 +372,8 @@ def write_raw(city: SyntheticCity, path: str | Path) -> None:
         for at in range(0, len(minutes), _WRITE_BLOCK):
             rows = slice(at, at + _WRITE_BLOCK)
             tokens = (
-                _texts(city.user[rows], USER_ID + "\t"),
-                _texts(city.item[rows], ITEM_ID + "\t"),
+                user_texts[city.user[rows]],
+                item_texts[city.item[rows]],
                 np.datetime_as_string(start + minutes[rows], unit="s").astype(object),
                 coord_texts[city.item[rows]],
             )

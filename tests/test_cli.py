@@ -7,6 +7,7 @@ import json
 import logging
 import math
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -1165,6 +1166,58 @@ class TestHostLimits:
         error = TestBadInputFiles.assert_exits(_stage_argv(chain, "synth", tmp_path / "raw.tsv"), 3, capsys)
         assert error.startswith("error: out of memory: ")
         assert error.removeprefix("error: out of memory: ").strip()
+
+    def test_a_memory_error_while_loading_the_modules_exits_3(self, tmp_path):
+        """The modules load above main's handler; a MemoryError there, here
+        from a finder that fails numpy's import, still ends in one line."""
+        out = tmp_path / "raw.tsv"
+        code = (
+            "import runpy, sys\n"
+            "class NoMemory:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name == 'numpy':\n"
+            "            raise MemoryError\n"
+            "sys.meta_path.insert(0, NoMemory())\n"
+            f"sys.argv = ['sepgcn.cli', 'synth', '--out', {str(out)!r}]\n"
+            "runpy.run_module('sepgcn.cli', run_name='__main__', alter_sys=True)"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.splitlines() == [
+            "error: out of memory: the program's modules do not fit in the memory it may use"
+        ]
+        assert not out.exists()
+
+    # the city3x stages under a cap on their address space. On a 2-core
+    # x86-64 Linux host with numpy 2.4, each limit gave the same outcome in
+    # 30 or more runs and lies 3 MB or more from where the outcome changes;
+    # at 99 MB synth fails in `import numpy`, above main's handler.
+    @pytest.mark.parametrize(
+        "stage, limit_mb, code",
+        [("synth", 124, 0), ("synth", 99, 3), ("prepare", 128, 0), ("prepare", 112, 3)],
+    )
+    def test_a_city3x_stage_under_an_address_space_limit(self, tmp_path, stage, limit_mb, code):
+        raw = tmp_path / "raw.tsv"
+        synth = ["synth", "--out", str(raw), "--users", "3000", "--items", "6000", "--checkins", "90000",
+                 "--seed", "1"]
+        argv = synth if stage == "synth" else ["prepare", "--raw", str(raw), "--out", str(tmp_path / "snap.txt"),
+                                               "--seed", "1"]
+        if stage == "prepare":
+            assert main(synth) == 0
+        limit = limit_mb << 20
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+        proc = subprocess.run(
+            [sys.executable, "-m", "sepgcn.cli", *argv], env=env, capture_output=True, text=True, timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert proc.returncode == code, proc.stderr
+        errors = proc.stderr.splitlines()
+        assert errors == [] if code == 0 else len(errors) == 1 and errors[0].startswith("error: out of memory: ")
 
     # each writer, the file it writes, its name in the error, and a file-size
     # limit under that file's size but above the stage's earlier outputs

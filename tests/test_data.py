@@ -4,7 +4,9 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 import re
+import threading
 from collections import Counter
 from datetime import datetime
 
@@ -29,6 +31,7 @@ from sepgcn.geo import to_slot
 from sepgcn.synthetic import SyntheticConfig, generate_city, write_raw
 
 import line_readers
+import peak_rss
 
 
 def rec(u, i, ts="2024-01-01T10:00:00", lat=40.0, lon=-74.0):
@@ -240,11 +243,10 @@ def line_parse_outcome(path, monkeypatch):
 
 
 def whole_log_reads(path) -> bool:
-    try:
-        checkin_columns.read_columns(path.read_bytes())
-    except ValueError:
-        return False
-    return True
+    """Whether the column reader reads every block of the log, handing none
+    of it to the line reader."""
+    with path.open("rb") as f:
+        return checkin_columns.read_blocks(f)[1] is None
 
 
 def set_field(field, value, k=7):
@@ -262,8 +264,17 @@ def joined(lines):
     return "".join(line + "\n" for line in lines)
 
 
+@pytest.fixture(params=[None, 40], ids=["1MiB-blocks", "40-byte-blocks"])
+def read_block(request, monkeypatch):
+    """The column reader's block size: its own, or 40 bytes, under one line
+    of a synth log, so that every line straddles the edge of a read."""
+    if request.param is not None:
+        monkeypatch.setattr(checkin_columns, "_READ_BLOCK", request.param)
+    return request.param
+
+
 class TestRawLogReader:
-    """The whole-file reader against the line reader it falls back to."""
+    """The column reader against the line reader it hands a log to."""
 
     def test_reads_the_synth_layout(self, tmp_path):
         path = tmp_path / "raw.tsv"
@@ -274,17 +285,28 @@ class TestRawLogReader:
         assert rejects == [] and checkins == city.checkins()
 
     def test_mutations_match_the_line_reader(self, tmp_path, mutate, monkeypatch):
-        """On 300 mutated copies of a synth log the whole-file reader gives the
-        line reader's columns, rejects and errors, or leaves the file to it."""
+        """On 300 mutated copies of a synth log the column reader gives the
+        line reader's columns, rejects and errors, or hands the log to it."""
+        self.check_mutations(tmp_path, mutate, monkeypatch, 300)
+
+    def test_mutations_match_the_line_reader_in_40_byte_blocks(self, tmp_path, mutate, monkeypatch):
+        """As above in blocks of 40 bytes, under one line of the log: each
+        line is then a block of its own, read at about a millisecond a block,
+        so 60 copies of the log's first 60 lines are read."""
+        monkeypatch.setattr(checkin_columns, "_READ_BLOCK", 40)
+        self.check_mutations(tmp_path, mutate, monkeypatch, 60)
+
+    @staticmethod
+    def check_mutations(tmp_path, mutate, monkeypatch, copies):
         rng = np.random.default_rng(83)
-        lines = synth_lines(tmp_path)
+        lines = synth_lines(tmp_path)[:copies]
         path = tmp_path / "raw.tsv"
         whole = 0
-        for _ in range(300):
+        for _ in range(copies):
             path.write_text(joined(mutate(lines, rng)), encoding="utf-8")
             assert parse_outcome(path) == line_parse_outcome(path, monkeypatch)
             whole += whole_log_reads(path)
-        assert 0 < whole < 300
+        assert 0 < whole < copies
 
     CASES = {
         # name: (file text from the synth lines, whole-file read, rejected lines)
@@ -324,6 +346,14 @@ class TestRawLogReader:
 
     @pytest.mark.parametrize("case", CASES)
     def test_hand_cases_match_the_line_reader(self, tmp_path, monkeypatch, case):
+        self.check_case(tmp_path, monkeypatch, case)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_hand_cases_match_the_line_reader_in_40_byte_blocks(self, tmp_path, monkeypatch, case):
+        monkeypatch.setattr(checkin_columns, "_READ_BLOCK", 40)
+        self.check_case(tmp_path, monkeypatch, case)
+
+    def check_case(self, tmp_path, monkeypatch, case):
         text, whole, rejected = self.CASES[case]
         path = tmp_path / "raw.tsv"
         path.write_bytes(text(synth_lines(tmp_path)).encode("utf-8"))
@@ -340,6 +370,87 @@ class TestRawLogReader:
             plain.write_bytes(text.encode())
             marked.write_bytes(("\ufeff" + text).encode())
             assert parse_checkins(marked) == parse_checkins(plain)
+
+    @pytest.mark.parametrize("block", [40, 1000, 1 << 20])
+    @pytest.mark.parametrize("bad", [1, 12])
+    def test_a_refused_line_in_the_last_block(self, tmp_path, monkeypatch, block, bad):
+        """100 synth lines, a line by a new user, one by the first user, then
+        bad lines out of range: the last block is refused, at 40 bytes that
+        block alone. The rejects' line numbers and the 10% rule count the
+        lines the column reader read, and the ids run in one sequence. At
+        1000 bytes the two id lines are handed over behind the column
+        reader's lines; at 1 MiB the whole log is one block."""
+        monkeypatch.setattr(checkin_columns, "_READ_BLOCK", block)
+        lines = synth_lines(tmp_path)[:100]
+        first_user = lines[0].split("\t")[0]
+        lines += [
+            "\t".join(["new-user", *lines[5].split("\t")[1:]]),
+            "\t".join([first_user, *lines[6].split("\t")[1:]]),
+            *[set_field(3, "95.0", k=k)(lines)[k] for k in range(bad)],
+        ]
+        path = tmp_path / "raw.tsv"
+        path.write_text(joined(lines), encoding="utf-8")
+        with path.open("rb") as f:
+            head, rest = checkin_columns.read_blocks(f)
+        assert (len(head) > 0, b"new-user" in rest) == (block < 1 << 20, block > 40)
+        outcome = parse_outcome(path)
+        assert outcome == line_parse_outcome(path, monkeypatch)
+        if bad == 12:  # 12 of 114 lines
+            assert outcome == (
+                "12/114 lines rejected (>10%); check the column layout "
+                "(first reject: line 103: latitude out of range)"
+            )
+            return
+        checkins, rejects = parse_checkins(path)
+        assert rejects == [(103, "latitude out of range")]
+        assert checkins.user_ids[-1] == "new-user"
+        assert checkins.users[-2:].tolist() == [len(checkins.user_ids) - 1, checkins.users[0]]
+
+    @pytest.mark.parametrize("refused", [False, True], ids=["clean", "refused-line"])
+    def test_a_log_through_a_fifo(self, tmp_path, monkeypatch, read_block, refused):
+        """A pipe is read a block at a time, as a file is, and handed over."""
+        lines = synth_lines(tmp_path)
+        if refused:
+            lines = set_field(3, "95.0", k=250)(lines)
+        plain, fifo = tmp_path / "raw.tsv", tmp_path / "raw.fifo"
+        plain.write_text(joined(lines), encoding="utf-8")
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(plain.read_bytes(),))
+        writer.start()
+        try:
+            outcome = parse_outcome(fifo)
+        finally:
+            writer.join(timeout=60)
+        assert not writer.is_alive()
+        assert outcome == parse_outcome(plain) == line_parse_outcome(plain, monkeypatch)
+        assert len(outcome[1]) == refused
+
+    def test_a_byte_order_mark_past_the_first_block_is_kept(self, tmp_path, monkeypatch, read_block):
+        """A mark that begins line 100, a block of its own at 40 bytes, is part
+        of that line's user id, as the line reader reads it."""
+        lines = synth_lines(tmp_path)
+        lines[99] = "\ufeff" + lines[99]
+        path = tmp_path / "raw.tsv"
+        path.write_text(joined(lines), encoding="utf-8")
+        outcome = parse_outcome(path)
+        assert outcome == line_parse_outcome(path, monkeypatch)
+        checkins, rejects = parse_checkins(path)
+        assert rejects == [] and checkins.user_ids[checkins.users[99]] == lines[99].split("\t")[0]
+
+
+class TestPrepareStageMemory:
+    def test_prepare_stage_peak_over_its_imports(self, tmp_path):
+        """prepare on a 3,000 x 6,000 city with 90,000 check-ins, a 6.2 MB
+        log, as the city3x benchmark prepares it: the log is read a block at
+        a time, and only its columns, 3.6 MB, are held whole. The imports
+        alone are subtracted; with the whole log held, and its temporaries,
+        the stage added about 29 MB."""
+        raw, snap = tmp_path / "raw.tsv", tmp_path / "snap.txt"
+        write_raw(generate_city(SyntheticConfig(n_users=3000, n_items=6000, n_checkins=90_000, seed=1)), raw)
+        added = peak_rss.peak_over_imports_mb(
+            "sepgcn.cli", "-m", "sepgcn.cli", "prepare", "--raw", str(raw), "--out", str(snap), "--seed", "1"
+        )
+        assert added <= 23.0
 
 
 class TestKCore:

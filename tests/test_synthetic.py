@@ -293,6 +293,13 @@ class TestRoundTrip:
         digest = hashlib.sha256((tmp_path / "raw.tsv").read_bytes()).hexdigest()
         assert digest == "14f315f17865c62dfe4e4e77afd91512b688a29b379dfa01f51cf47b197a9519"
 
+    def test_block_boundaries_change_no_byte(self, tmp_path, monkeypatch):
+        city = generate_city(SMALL)
+        write_raw(city, tmp_path / "one_block.tsv")
+        monkeypatch.setattr(synthetic, "_WRITE_BLOCK", 3)
+        write_raw(city, tmp_path / "blocks.tsv")
+        assert (tmp_path / "blocks.tsv").read_bytes() == (tmp_path / "one_block.tsv").read_bytes()
+
     def test_default_log_bytes_are_pinned(self, tmp_path):
         """30k check-ins take about 160k raw words, so the replay refills its block."""
         write_raw(generate_city(SyntheticConfig(seed=0)), tmp_path / "raw.tsv")
