@@ -23,6 +23,19 @@ from __future__ import annotations
 
 import sys
 
+# the loader's reason when a shared object does not fit in the memory left
+UNMAPPED = "failed to map segment from shared object"
+
+
+def _memory_reason(exc: BaseException, default: str) -> str | None:
+    """Why exc is out of memory: a MemoryError's message, or default when it
+    has none; for an ImportError, the line that says the loader could not
+    map a shared object. None for any other ImportError."""
+    if isinstance(exc, MemoryError):
+        return str(exc) or default
+    return next((line.strip() for line in str(exc).splitlines() if UNMAPPED in line), None)
+
+
 try:
     import argparse
     import copy
@@ -54,10 +67,12 @@ try:
     from .errors import ConfigError, InputDataError, NumericalError, written
     from .geo import median_distance, sigma_cutoff_km
     from .synthetic import SyntheticConfig, generate_city, write_raw
-except MemoryError as exc:
+except (MemoryError, ImportError) as exc:
     # a memory limit too small for the modules themselves: exit 3, as main
     # does for a MemoryError, before main can run
-    reason = str(exc) or "the program's modules do not fit in the memory it may use"
+    reason = _memory_reason(exc, "the program's modules do not fit in the memory it may use")
+    if reason is None:
+        raise
     print(f"error: out of memory: {reason}", file=sys.stderr)
     sys.exit(3)
 
@@ -528,6 +543,7 @@ EXIT_CODES = {
     NumericalError: 4,
     OSError: 2,  # a path that cannot be read or written
     MemoryError: 3,  # a setting too large for this host
+    ImportError: 3,  # a module the loader cannot map into memory; any other is raised
 }
 
 
@@ -541,8 +557,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except tuple(EXIT_CODES) as exc:
         reason = str(exc)
-        if isinstance(exc, MemoryError):
-            reason = reason or "a setting asks for more memory than this host can give"
+        if isinstance(exc, (MemoryError, ImportError)):
+            reason = _memory_reason(exc, "a setting asks for more memory than this host can give")
+            if reason is None:
+                raise
             reason = f"out of memory: {reason}"
         print(f"error: {reason}", file=sys.stderr)
         return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))

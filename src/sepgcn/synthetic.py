@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import datetime
-from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -70,7 +69,7 @@ class SyntheticConfig(_Settings):
     def validate(self) -> None:
         super().validate()
         # numpy draws a bound of 2**32 or more through a 64-bit path that
-        # the replay of its draws does not follow
+        # the check-ins' draws do not follow
         for name in ("n_users", "n_items"):
             if getattr(self, name) >= 1 << 32:
                 raise _error(self, name, "must be < 2**32")
@@ -146,7 +145,7 @@ def generate_city(cfg: SyntheticConfig) -> SyntheticCity:
     return SyntheticCity(*columns, item_lat, item_lon, user_home, item_scene, item_district, scene_slots)
 
 
-_RAW_BLOCK = 1 << 16  # raw words drawn per refill
+_RAW_BLOCK = 1 << 16  # raw words drawn per refill, doubled for a redraw that runs past them
 _LOW_32 = (1 << 32) - 1
 _MOST_WORDS = 6  # words a check-in reads when none of its draws is rejected, at most
 
@@ -165,10 +164,12 @@ def _checkin_columns(bit_generator, cfg, user_home, item_scene, item_district, s
     The raw words are drawn a block at a time. A check-in starts at a state
     s = 2 p + h: p is the next word to read, and h whether the high half of
     word p - 1 is held back. The walk follows the states through a table of
-    each state's successor, made for the whole block at once; then every
-    draw of the walked check-ins is made as a whole array. A check-in with a
-    draw that Lemire's step rejects is replayed alone by _scalar_draws, and
-    the walk resumes where that replay ends.
+    each state's successor, made for the whole block at once and as if no
+    value were redrawn; then every draw of the walked check-ins is made as a
+    whole array. The first walked check-in with a draw that Lemire's step
+    rejects is the last one kept, and the walk resumes from the state after
+    it. When its redraws run past the block, the walk starts again at it
+    with a block twice as long.
     """
     draws = _CheckinDraws(cfg, user_home, item_scene, item_district, scene_slots)
     state = bit_generator.state
@@ -176,23 +177,24 @@ def _checkin_columns(bit_generator, cfg, user_home, item_scene, item_district, s
     words = np.array([state["uinteger"] << 32], dtype=np.uint64)
     s = 2 + state["has_uint32"]
     columns = np.empty((5, cfg.n_checkins), dtype=np.int64)
-    done = 0
+    done, block = 0, _RAW_BLOCK
     while done < cfg.n_checkins:
         p = s >> 1
-        if len(words) - p < _RAW_BLOCK:
-            words = np.concatenate([words[p - 1 :], bit_generator.random_raw(_RAW_BLOCK)])
+        if len(words) - p < block:
+            words = np.concatenate([words[p - 1 :], bit_generator.random_raw(block)])
             s -= 2 * (p - 1)
         # every walked check-in ends inside the block
         count = min(cfg.n_checkins - done, (len(words) - (s >> 1)) // _MOST_WORDS - 1)
         states, s = _walk(draws.successors(words), s, count)
-        values, rejected, _ = draws.draw(words, states)
-        rejects = np.flatnonzero(rejected)
-        kept = rejects[0] if len(rejects) else count
+        values, first, after = draws.draw(words, states)
+        kept = first
+        if first < count:
+            if after[first] < 0:  # its redraws ran past the block
+                s, block = int(states[first]), 2 * block
+            else:
+                s, kept = int(after[first]), first + 1
         columns[:, done : done + kept] = values[:, :kept]
         done += kept
-        if kept < count:
-            columns[:, done], s, words = draws.replay(bit_generator, words, int(states[kept]))
-            done += 1
     return columns
 
 
@@ -208,9 +210,7 @@ def _walk(successor: np.ndarray, s: int, count: int) -> tuple[np.ndarray, int]:
 
 
 class _CheckinDraws:
-    """What a check-in's draws choose from, and the draws made from raw
-    words: for whole arrays of states (draw, successors), or one check-in at
-    a time (replay)."""
+    """What a check-in's draws choose from, and the draws for whole arrays of states."""
 
     def __init__(self, cfg, user_home, item_scene, item_district, scene_slots):
         self.n_users, self.n_scenes, self.themes = cfg.n_users, cfg.n_scenes, cfg.themes_per_district
@@ -229,14 +229,17 @@ class _CheckinDraws:
         # a check-in read the same number of words on each branch
         self.every_bound_draws = min(self.n_users, self.n_scenes, self.size.min()) > 1
 
-    def draw(self, words: np.ndarray, s: np.ndarray):
-        """The five columns of the check-ins that start at states s, whether
-        one of their bounded draws is rejected, and the state after each. A
-        rejected draw leaves its check-in's values and the state after it
-        meaningless."""
+    def draw(self, words: np.ndarray, s: np.ndarray, redraw=True):
+        """The five columns of the check-ins that start at states s, the
+        first of them with a draw that Lemire's step rejects (len(s) if
+        none), and the state after each. Up to that first one, values and
+        states are exact: its rejected draws are made again, one 32-bit half
+        at a time, and its state is -1 if they run past the words. Later
+        check-ins are left as if no draw were rejected, as every one is
+        without redraw."""
         p = s >> 1
         held = np.where(s & 1, p - 1, -1)  # the word whose high half is held
-        rejected = np.zeros(len(s), dtype=bool)
+        first, lost = len(s), False
 
         def random(read=True):
             nonlocal p
@@ -244,14 +247,35 @@ class _CheckinDraws:
             return (words[p - read] >> 11) * 2.0**-53
 
         def integers(k):
-            nonlocal p, held, rejected
+            nonlocal p, held
             k = np.asarray(k, dtype=np.uint64)
             drawn, from_held = k > 1, held >= 0
             m = np.where(from_held, words[held] >> 32, words[p] & _LOW_32) * k
-            rejected |= drawn & ((m & _LOW_32) < ((1 << 32) - k) % k)
             p = p + (drawn & ~from_held)
             held = np.where(drawn, np.where(from_held, -1, p - 1), held)
-            return (m >> 32).astype(np.int64)
+            value = (m >> 32).astype(np.int64)
+            rejected = np.flatnonzero(drawn & ((m & _LOW_32) < ((1 << 32) - k) % k))
+            if redraw and len(rejected) and rejected[0] <= first:
+                r = int(rejected[0])
+                value[r] = redrawn(r, int(np.broadcast_to(k, p.shape)[r]))
+            return value
+
+        def redrawn(r, k):
+            """Lemire's step on the 32-bit halves after check-in r's rejected one."""
+            nonlocal first, lost
+            first, lost = r, lost and r == first
+            at, half = int(p[r]), int(held[r])
+            x = 0  # a bound that rejects a draw rejects 0 too
+            while x * k & _LOW_32 < ((1 << 32) - k) % k:
+                if half >= 0:
+                    x, half = int(words[half]) >> 32, -1
+                elif at < len(words) - _MOST_WORDS:
+                    x, half, at = int(words[at]) & _LOW_32, at, at + 1
+                else:  # its later draws would read past the words: any will do
+                    lost, at = True, 1
+                    break
+            p[r], held[r] = at, half
+            return x * k >> 32
 
         user = integers(self.n_users)
         home = self.homes[user]
@@ -264,14 +288,18 @@ class _CheckinDraws:
         hour = integers(np.where(own_hours, SLOTS_PER_SCENE, SLOTS_PER_WEEK))
         slot = np.where(own_hours, self.hours[home, hour % SLOTS_PER_SCENE], hour)
         values = np.stack([user, item, slot, integers(WEEKS), integers(60)])
-        return values, rejected, 2 * p + (held >= 0)
+        after = 2 * p + (held >= 0)
+        if lost:
+            after[first] = -1
+        return values, first, after
 
     def successors(self, words: np.ndarray) -> np.ndarray:
         """The state after the check-in that starts at each state s, for
-        every s below 2 (len(words) - _MOST_WORDS)."""
+        every s below 2 (len(words) - _MOST_WORDS), as if no draw were
+        rejected."""
         n = len(words) - _MOST_WORDS
         if not self.every_bound_draws:
-            return self.draw(words, np.arange(2 * n))[2]
+            return self.draw(words, np.arange(2 * n), redraw=False)[2]
         # a check-in reads its HOME_AFFINITY random() at word p + 1 - h; a
         # home visit reads 6 - h words in all and flips h, an away visit 5
         # words and keeps h
@@ -280,80 +308,6 @@ class _CheckinDraws:
         successor[0::2] = np.arange(10, 2 * n + 10, 2) + 3 * home[1:]
         successor[1::2] = np.arange(11, 2 * n + 11, 2) - home[:-1]
         return successor
-
-    def replay(self, bit_generator, words: np.ndarray, s: int):
-        """The check-in at state s drawn by _scalar_draws, one call per draw:
-        its values, the state after it, and words with the raw words the
-        replay read past them."""
-        source = _WordsFrom(words, s, bit_generator)
-        random, integers = _scalar_draws(source)
-        visitor = integers(self.n_users)
-        home = int(self.homes[visitor])
-        if random() < HOME_AFFINITY:
-            pool = self.n_scenes + home // self.themes if random() < LANDMARK_RATE else home
-        else:
-            pool = integers(self.n_scenes)
-        item = self.items[self.start[pool] + integers(int(self.size[pool]))]
-        if random() < SLOT_AFFINITY:
-            slot = self.hours[home, integers(SLOTS_PER_SCENE)]
-        else:
-            slot = integers(SLOTS_PER_WEEK)
-        values = visitor, item, slot, integers(WEEKS), integers(60)
-        p = source.at
-        integers(2)  # a bound of 2 is never rejected: this reads a word just when no half is held
-        return values, 2 * p + (source.at == p), source.words
-
-
-class _WordsFrom:
-    """What _scalar_draws replays one check-in from: a bit generator's face
-    over the state s's held half, words from word p on, and then more raw
-    blocks, served a word per call so that `at` is the next word to read."""
-
-    def __init__(self, words: np.ndarray, s: int, bit_generator):
-        self.words, self.at, self.source = words, s >> 1, bit_generator
-        self.state = {"has_uint32": s & 1, "uinteger": int(words[self.at - 1] >> 32)}
-
-    def random_raw(self, _size):
-        if self.at == len(self.words):
-            self.words = np.concatenate([self.words, self.source.random_raw(_RAW_BLOCK)])
-        self.at += 1
-        return self.words[self.at - 1 : self.at]
-
-
-def _scalar_draws(bit_generator):
-    """random() and integers(k), 1 <= k < 2**32, as numpy's Generator on this
-    PCG64 returns them from scalar calls, replayed from raw words a block at
-    a time. random() is a word's top 53 bits times 2**-53. integers(k) is
-    Lemire's bounded draw (ACM TOMACS 2019) on 32-bit halves: none for
-    k == 1; else x is the held-back high half if there is one, or the low
-    half of a new word, whose high half is then held; x * k is drawn again
-    while its low 32 bits are below (2**32 - k) % k, and its high 32 bits
-    are the value. The bit generator is left drawn ahead, of no further use.
-    _checkin_columns replays a check-in with a rejected draw through these.
-    """
-    state = bit_generator.state
-    held = state["uinteger"] if state["has_uint32"] else -1
-    blocks = map(lambda _: bit_generator.random_raw(_RAW_BLOCK).tolist(), repeat(None))
-    word = chain.from_iterable(blocks).__next__
-
-    def random() -> float:
-        return (word() >> 11) * 2.0**-53
-
-    def integers(k: int) -> int:
-        nonlocal held
-        if k == 1:
-            return 0
-        while True:
-            if held < 0:
-                x = word()
-                x, held = x & _LOW_32, x >> 32
-            else:
-                x, held = held, -1
-            m = x * k
-            if m & _LOW_32 >= ((1 << 32) - k) % k:
-                return m >> 32
-
-    return random, integers
 
 
 _WRITE_BLOCK = 1 << 13  # rows formatted per write

@@ -23,15 +23,18 @@ loop over every edge pair; `build_sep_matrix` must give the same entries.
 `scalar_city` draws a city's homes and check-ins with the Generator's own
 `integers` and `random` calls, one per draw; `generate_city` replays them
 from raw words and must return the same columns.
-`scalar_checkins` is generate_city's former check-in loop, one
-`_scalar_draws` call per draw, over any bit generator's state and raw words;
+`_scalar_draws` is numpy's `Generator.random()` and bounded
+`Generator.integers(k)` replayed one call at a time from a bit generator's
+state and raw words; it is checked against numpy's own calls, and
+`scalar_checkins`, generate_city's former check-in loop, draws through it
+from any bit generator, planted words included;
 `synthetic._checkin_columns` must draw the same columns from them.
 """
 from __future__ import annotations
 
 import math
 from collections import defaultdict
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -55,7 +58,6 @@ from sepgcn.synthetic import (
     SLOT_AFFINITY,
     SLOTS_PER_SCENE,
     WEEKS,
-    _scalar_draws,
 )
 from sepgcn.training import TripletSampler, loss_gradient
 
@@ -379,3 +381,42 @@ def scalar_checkins(bit_generator, cfg, user_home, item_scene, item_district, sc
         week[r] = integers(WEEKS)
         minute[r] = integers(60)
     return np.stack([user, item, slot, week, minute])
+
+
+_RAW_BLOCK = 1 << 16  # raw words drawn per refill
+_LOW_32 = (1 << 32) - 1
+
+
+def _scalar_draws(bit_generator):
+    """random() and integers(k), 1 <= k < 2**32, as numpy's Generator on this
+    PCG64 returns them from scalar calls, replayed from raw words a block at
+    a time. random() is a word's top 53 bits times 2**-53. integers(k) is
+    Lemire's bounded draw (ACM TOMACS 2019) on 32-bit halves: none for
+    k == 1; else x is the held-back high half if there is one, or the low
+    half of a new word, whose high half is then held; x * k is drawn again
+    while its low 32 bits are below (2**32 - k) % k, and its high 32 bits
+    are the value. The bit generator is left drawn ahead, of no further use.
+    """
+    state = bit_generator.state
+    held = state["uinteger"] if state["has_uint32"] else -1
+    blocks = map(lambda _: bit_generator.random_raw(_RAW_BLOCK).tolist(), repeat(None))
+    word = chain.from_iterable(blocks).__next__
+
+    def random() -> float:
+        return (word() >> 11) * 2.0**-53
+
+    def integers(k: int) -> int:
+        nonlocal held
+        if k == 1:
+            return 0
+        while True:
+            if held < 0:
+                x = word()
+                x, held = x & _LOW_32, x >> 32
+            else:
+                x, held = held, -1
+            m = x * k
+            if m & _LOW_32 >= ((1 << 32) - k) % k:
+                return m >> 32
+
+    return random, integers

@@ -21,12 +21,11 @@ from sepgcn.synthetic import (
     SLOTS_PER_SCENE,
     WEEKS,
     SyntheticConfig,
-    _scalar_draws,
     generate_city,
     write_raw,
 )
 
-from reference import scalar_checkins, scalar_city
+from reference import _scalar_draws, scalar_checkins, scalar_city
 
 SMALL = SyntheticConfig(
     n_users=60,
@@ -64,7 +63,7 @@ class TestConfig:
             {"n_checkins": 0},
             {"n_districts": 0},
             {"seed": -1},
-            # numpy draws these bounds through a path the replay does not reproduce
+            # numpy draws these bounds through a path the array draws do not follow
             {"n_users": 2**32},
             {"n_items": 2**32},
         ],
@@ -146,7 +145,9 @@ class TestGenerate:
 
 
 class TestReplay:
-    """generate_city replays the Generator's scalar draws from raw words."""
+    """generate_city draws from raw words what the Generator's scalar calls
+    draw; _scalar_draws, the oracle of the planted streams, replays those
+    calls and is checked against numpy's own."""
 
     @pytest.mark.parametrize(
         "cfg",
@@ -200,17 +201,19 @@ class PlantedWords:
     given positions, counted from the first word it serves. A zero low half
     is rejected by every bound that is not a power of two. held_zero makes
     the state hold back a zero half. With one_word it serves one word per
-    call, so `served` counts the words a lazy reader has read."""
+    call, so `served` counts the words a lazy reader has read; `largest` is
+    the most words asked for in one call."""
 
     def __init__(self, zeros=(), held_zero=False, one_word=False):
         self.source = np.random.default_rng(7).bit_generator
         self.state = self.source.state
         if held_zero:
             self.state = {**self.state, "has_uint32": 1, "uinteger": 0}
-        self.zeros, self.one_word, self.served = set(zeros), one_word, 0
+        self.zeros, self.one_word, self.served, self.largest = set(zeros), one_word, 0, 0
 
     def random_raw(self, size):
         size = 1 if self.one_word else size
+        self.largest = max(self.largest, size)
         words = self.source.random_raw(size)
         words[[z - self.served for z in self.zeros if 0 <= z - self.served < size]] = 0
         self.served += size
@@ -218,8 +221,10 @@ class PlantedWords:
 
 
 class TestPlantedRejections:
-    """A check-in whose draw is rejected is replayed alone and the walk
-    resumes after it; the columns are those of the scalar loop."""
+    """The first walked check-in with a rejected draw makes that draw again
+    inside the array draw, and the walk resumes after it; a redraw that
+    runs past the block starts the walk again there with a block twice as
+    long. The columns are those of the scalar loop."""
 
     CFG = SyntheticConfig(seed=1)  # 30k check-ins read about 160k words
 
@@ -231,27 +236,32 @@ class TestPlantedRejections:
         cfg = SyntheticConfig(**{**self.CFG.__dict__, "n_checkins": checkins})
         return cfg, city.user_home, city.item_scene, city.item_district, city.scene_slots
 
-    @pytest.mark.parametrize("case", ["none", "first", "last", "block-boundary", "held-half"])
-    def test_same_columns_as_the_scalar_loop(self, case, city, monkeypatch):
-        """Each plant makes one check-in's draws rejected, and so one replay;
-        this stream has no rejection of its own."""
+    @pytest.mark.parametrize(
+        "case", ["none", "first", "last", "block-boundary", "held-half", "doubled-block", "scattered"]
+    )
+    def test_same_columns_as_the_scalar_loop(self, case, city):
+        """Each plant but the scattered one makes one check-in's draws
+        rejected; this stream has no rejection of its own."""
         inputs = self.inputs(city, self.CFG.n_checkins)
         # block-boundary: 20,000 zero words from inside the first 65,536-word
-        # block past its end, so the replay reads on past the words drawn
+        # block past its end, so the redraws read on past the words drawn;
+        # doubled-block: a streak that the block doubles twice to hold;
+        # scattered: 200 zero words among the 160k the check-ins read
+        scattered = np.random.default_rng(34).choice(160_000, 200, replace=False)
         planted = {"first": {"zeros": [0]}, "held-half": {"held_zero": True},
-                   "block-boundary": {"zeros": range(50_000, 70_000)}}.get(case, {})
+                   "block-boundary": {"zeros": range(50_000, 70_000)},
+                   "doubled-block": {"zeros": range(30_000, 300_000)},
+                   "scattered": {"zeros": scattered.tolist()}}.get(case, {})
         if case == "last":
             # the words the check-ins before the last one read
             counter = PlantedWords(one_word=True)
             scalar_checkins(counter, *self.inputs(city, self.CFG.n_checkins - 1))
             planted = {"zeros": range(counter.served, counter.served + 6)}
-        replays = []
-        scalar_draws = synthetic._scalar_draws
-        monkeypatch.setattr(synthetic, "_scalar_draws", lambda bg: replays.append(bg) or scalar_draws(bg))
-        drawn = synthetic._checkin_columns(PlantedWords(**planted), *inputs)
+        source = PlantedWords(**planted)
+        drawn = synthetic._checkin_columns(source, *inputs)
         expected = scalar_checkins(PlantedWords(**planted), *inputs)
         assert np.array_equal(drawn, expected)
-        assert len(replays) == (case != "none")
+        assert (source.largest >= 4 * synthetic._RAW_BLOCK) == (case == "doubled-block")
         if case == "last":
             plain = scalar_checkins(PlantedWords(), *inputs)
             assert np.array_equal(expected[:, :-1], plain[:, :-1])
@@ -301,7 +311,7 @@ class TestRoundTrip:
         assert (tmp_path / "blocks.tsv").read_bytes() == (tmp_path / "one_block.tsv").read_bytes()
 
     def test_default_log_bytes_are_pinned(self, tmp_path):
-        """30k check-ins take about 160k raw words, so the replay refills its block."""
+        """30k check-ins take about 160k raw words, so the draws refill their block."""
         write_raw(generate_city(SyntheticConfig(seed=0)), tmp_path / "raw.tsv")
         digest = hashlib.sha256((tmp_path / "raw.tsv").read_bytes()).hexdigest()
         assert digest == "ebe1371efca2bc7ed73fd33ac2b51fc45461355b86e1c9db3da4859f7306b605"
