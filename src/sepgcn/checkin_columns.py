@@ -1,7 +1,7 @@
 """Reader of the raw check-in layout synth writes, a block of lines at a time.
 
 parse_checkins streams a log through read_blocks and hands the first block
-read_columns refuses, with the rest of the log, to its line-by-line reader,
+read_columns refuses, and the blocks after it, to its line-by-line reader,
 which reads every other form and every line to reject. It lives apart from
 sepgcn.data so that synth, which imports that module, does not compile it.
 """
@@ -23,35 +23,42 @@ _TIME_PATTERN = np.frombuffer(b"0000-00-00T00:00:00", np.uint8)
 _TIME_FIELDS = ((0, 4), (5, 7), (8, 10), (11, 13), (14, 16), (17, 19))
 
 
+def line_blocks(f):
+    """The rest of the binary stream f in blocks of whole lines: _READ_BLOCK
+    bytes, then up to the end of that line. Only the stream's last block may
+    end without a newline."""
+    while block := f.read(_READ_BLOCK):
+        if not block.endswith(b"\n"):
+            block += f.readline()
+        yield block
+
+
 def read_blocks(f) -> tuple[Checkins, bytes | None]:
-    """(checkins, rest): the check-ins of the blocks of whole lines that
-    read_columns reads from the binary stream f, and the rest of the stream
-    from the first block it refuses on, or None when it refuses none. One
-    byte-order mark is dropped from the stream's start and nowhere else.
+    """(checkins, refused): the check-ins of the line_blocks that
+    read_columns reads from the binary stream f, and the first block it
+    refuses, or None when it refuses none. After a refused block f is left
+    open at the block after it. One byte-order mark is dropped from the
+    stream's start and nowhere else.
 
     Ids are kept as their bytes until the end, then numbered in order of
     first appearance."""
     # each column's parts; the empty first part fixes its dtype
     columns = [[np.empty(0, t)] for t in ("S1", "S1", np.int64, np.float64, np.float64)]
-    first = True
-    while block := f.read(_READ_BLOCK):
-        if not block.endswith(b"\n"):
-            block += f.readline()
-        if first:
-            block, first = block.removeprefix(_BOM), False
+    refused = None
+    for k, block in enumerate(line_blocks(f)):
+        if k == 0:
+            block = block.removeprefix(_BOM)
         try:
             parts = read_columns(block)
         except ValueError:
-            rest = block + f.read()
+            refused = block
             break
         for column, part in zip(columns, parts):
             column.append(part)
-    else:
-        rest = None
     users, user_ids = _ids(np.concatenate(columns.pop(0)))
     items, item_ids = _ids(np.concatenate(columns.pop(0)))
     slots, lat, lon = map(np.concatenate, columns)
-    return Checkins(users, items, slots, lat, lon, user_ids, item_ids), rest
+    return Checkins(users, items, slots, lat, lon, user_ids, item_ids), refused
 
 
 def read_columns(data: bytes) -> tuple[np.ndarray, ...]:

@@ -9,6 +9,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, fields
 from datetime import datetime
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -47,28 +48,22 @@ class Checkins:
         )
 
     @classmethod
-    def from_rows(cls, rows, head: "Checkins | None" = None) -> "Checkins":
-        """Columns from (user id, item id, slot, lat, lon) rows, after the
-        check-ins of head when it is given."""
-        users, items, slots, lat, lon = list(zip(*rows)) or [()] * 5
-        head = head or cls(*(np.empty(0, t) for t in (np.int64,) * 3 + (np.float64,) * 2), [], [])
+    def from_rows(cls, rows) -> "Checkins":
+        """Columns from (user id, item id, slot, lat, lon) rows."""
+        columns, codes = [[] for _ in range(5)], ({}, {})
+        _append_rows(rows, columns, codes)
+        return cls(*map(np.concatenate, columns), *map(list, codes))
 
-        def codes(before, names, ids):
-            names = list(dict.fromkeys([*names, *ids]))
-            code = {name: k for k, name in enumerate(names)}
-            return np.concatenate([before, np.fromiter(map(code.__getitem__, ids), np.int64, len(ids))]), names
 
-        users, user_ids = codes(head.users, head.user_ids, users)
-        items, item_ids = codes(head.items, head.item_ids, items)
-        return cls(
-            users=users,
-            items=items,
-            slots=np.concatenate([head.slots, np.array(slots, dtype=np.int64)]),
-            lat=np.concatenate([head.lat, np.array(lat, dtype=np.float64)]),
-            lon=np.concatenate([head.lon, np.array(lon, dtype=np.float64)]),
-            user_ids=user_ids,
-            item_ids=item_ids,
-        )
+def _append_rows(rows, columns: list[list], codes: tuple[dict, dict]) -> None:
+    """Append the (user id, item id, slot, lat, lon) rows to the parts of
+    the five columns, each id coded by codes (id to code, in order of first
+    appearance), where a new id takes the next code."""
+    users, items, slots, lat, lon = list(zip(*rows)) or [()] * 5
+    for column, code, ids in zip(columns, codes, (users, items)):
+        column.append(np.fromiter((code.setdefault(i, len(code)) for i in ids), np.int64, len(ids)))
+    for column, values, dtype in zip(columns[2:], (slots, lat, lon), (np.int64, np.float64, np.float64)):
+        column.append(np.array(values, dtype=dtype))
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,47 +125,56 @@ def parse_checkins(path: str | Path) -> tuple[Checkins, list[tuple[int, str]]]:
 
     The file or pipe is read a block of lines at a time, and the layout
     synth writes is parsed as whole columns (see sepgcn.checkin_columns).
-    The first block in any other form, or with a line to reject, goes with
-    the rest of the log to the line-by-line reader, whose result, rejects or
+    The first block in any other form, or with a line to reject, and the
+    blocks after it go to the line-by-line reader, whose result, rejects or
     error stand.
     """
     path = Path(path)
     # imported here: synth, which imports this module, never compiles it
-    from .checkin_columns import read_blocks
+    from .checkin_columns import line_blocks, read_blocks
 
     with reading(path, "raw check-in file") as f:
-        head, rest = read_blocks(f)
-    if rest is None:
-        return head, []
-    return _checkin_lines(path, rest, head)
+        head, refused = read_blocks(f)
+        if refused is None:
+            return head, []
+        return _checkin_lines(path, chain([refused], line_blocks(f)), head)
 
 
-def _checkin_lines(path: Path, data: bytes, head: Checkins) -> tuple[Checkins, list[tuple[int, str]]]:
+def _checkin_lines(path: Path, blocks, head: Checkins) -> tuple[Checkins, list[tuple[int, str]]]:
     """The reference reader: one line at a time, accepting every form
-    parse_checkins documents. data is the log after the lines of head, one
-    check-in each, so its lines are numbered and counted on from them."""
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise InputDataError(f"{path}: raw check-in file is not UTF-8 text ({exc.reason})") from None
-    rows: list[tuple] = []
+    parse_checkins documents. blocks hold the log after the lines of head,
+    one check-in each, in blocks of whole lines; its lines are numbered and
+    counted on from head's. Each block is decoded, parsed and made columns
+    before the next one is read."""
+    columns = [[head.users], [head.items], [head.slots], [head.lat], [head.lon]]
+    codes = tuple({name: k for k, name in enumerate(ids)} for ids in (head.user_ids, head.item_ids))
     rejects: list[tuple[int, str]] = []
-    n_seen = len(head)
-    # universal newlines, as a file opened in text mode reads them
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    for lineno, line in enumerate(lines, start=len(head) + 1):
-        if not line.strip():
-            continue
-        n_seen += 1
-        reason = _parse_line(line, rows)
-        if reason is not None:
-            rejects.append((lineno, reason))
+    n_seen = lineno = len(head)
+    for block in blocks:
+        try:
+            text = block.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise InputDataError(f"{path}: raw check-in file is not UTF-8 text ({exc.reason})") from None
+        # universal newlines, as a file opened in text mode reads them; only
+        # the log's last block may end without a newline, so no CRLF pair
+        # is split between two blocks
+        lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+        rows: list[tuple] = []
+        for lineno, line in enumerate(lines, start=lineno + 1):
+            if not line.strip():
+                continue
+            n_seen += 1
+            reason = _parse_line(line, rows)
+            if reason is not None:
+                rejects.append((lineno, reason))
+        lineno -= 1  # the text after the block's last newline: nothing, or the log's last line
+        _append_rows(rows, columns, codes)
     if n_seen and len(rejects) > 0.10 * n_seen:
         raise InputDataError(
             f"{len(rejects)}/{n_seen} lines rejected (>10%); check the column layout "
             f"(first reject: line {rejects[0][0]}: {rejects[0][1]})"
         )
-    return Checkins.from_rows(rows, head), rejects
+    return Checkins(*map(np.concatenate, columns), *map(list, codes)), rejects
 
 
 def _parse_line(line: str, out: list[tuple]) -> str | None:

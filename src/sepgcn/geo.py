@@ -42,14 +42,17 @@ def haversine_km(a, b, radius_km: float = EARTH_RADIUS_KM):
     return 2.0 * radius_km * np.arcsin(np.sqrt(np.clip(s, 0.0, 1.0)))
 
 
-def sigma(d_km, params: SimilarityParams):
+def sigma(d_km, params: SimilarityParams, out=None):
     """Distance-decay similarity: exp((d / median) * ln(alpha)).
 
     Equals 1 at distance 0, alpha_sim at the median distance, and decays
     strictly monotonically toward 0 beyond it. median_km is positive, as
-    median_distance() and the similarity.median_km setting make sure.
+    median_distance() and the similarity.median_km setting make sure. With
+    out, a float64 array such as d_km itself, each step writes there, with
+    the same operations and so the same bits.
     """
-    return np.exp((np.asarray(d_km, dtype=np.float64) / params.median_km) * np.log(params.alpha_sim))
+    w = np.divide(d_km, params.median_km, out=out, dtype=np.float64)
+    return np.exp(np.multiply(w, np.log(params.alpha_sim), out=out), out=out)
 
 
 def sigma_cutoff_km(params: SimilarityParams, sigma_floor: float) -> float:

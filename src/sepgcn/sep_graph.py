@@ -6,8 +6,11 @@ each edge's nearest slot-sharing edges, so it lists a small superset of the
 kept links, about max_neighbors + 1 per edge and slot, rather than every linked
 pair. Each slot's ball sizes are counted against the pair budget before its
 ball lists are built, so what the builder holds stays within the budget. The
-neighbour cap then ranks each edge's links with one weight sort and one stable
-grouping by edge. The tests check it against a literal double-loop builder,
+neighbour cap then sorts the links by weight once and ranks them in one pass
+in that order, with a running count per edge of the links it has ranked.
+At its peak the builder holds about 28 bytes per candidate pair: two int32
+edge ids, a float64 weight, the int64 weight order and a keep flag. The tests
+check it against a literal double-loop builder,
 `tests/reference.py::build_sep_matrix_bruteforce`.
 """
 from __future__ import annotations
@@ -16,7 +19,9 @@ import io
 import json
 import logging
 import math
+import mmap
 import re
+import sys
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -26,11 +31,14 @@ import scipy.sparse as sp
 
 from .config import PruningParams, SimilarityParams
 from .errors import COUNT, ConfigError, InputDataError, check_text, is_index, read_head, read_input, written
-from .geo import MEDIAN_CHUNK, SLOTS_PER_WEEK, haversine_km, sigma, sigma_cutoff_km
+from .geo import SLOTS_PER_WEEK, haversine_km, sigma, sigma_cutoff_km
 
 logger = logging.getLogger(__name__)
 
 SEPMAT_MAGIC = "SEPMAT1 "
+# candidate pairs per step of the distance pass and of the ranking pass; the
+# temporaries of a step come to about half a megabyte
+_PAIR_CHUNK = 4096
 # the header keys a matrix file's reader needs; the rest is SepMatrix.meta
 SEP_FIELDS = {
     "n_edges": COUNT,
@@ -142,14 +150,42 @@ def candidate_pairs(index: EdgeIndex, params: SimilarityParams, pruning: Pruning
     stops with a ConfigError while its working memory stays bounded. A
     slot's ball sizes are counted first and bound its count from below, so
     distinct venues crowded within the pad stop before any ball is listed.
-    The keys are deduplicated by an in-place sort and measured MEDIAN_CHUNK
-    at a time: the keys and their distances are the only whole-list arrays.
-    """
-    # imported here: scipy.spatial adds about 16 MB to the peak memory of
-    # every stage that imports this module, and only the builder needs it
-    from scipy.spatial import cKDTree
 
+    It holds 16 bytes per candidate, besides chunk-sized temporaries. Each
+    slot keeps its keys i * n + j once each, 8 bytes a pair, and the slots'
+    keys are joined (16 bytes a pair for that moment) and sorted in place.
+    They are then read _PAIR_CHUNK at a time: a key that an earlier slot
+    also listed is skipped, the rest are measured, and the pairs within the
+    cutoff are written back over the keys already read, as two int32 ids in
+    the place of one key, with their distances in one float64 array. The
+    int32 ids returned are views into the keys' buffer.
+    """
     d_max = sigma_cutoff_km(params, pruning.sigma_floor)
+    n = index.n_edges
+    keys = np.concatenate(_slot_keys(index, params, pruning, d_max))
+    keys.sort()  # by (i, j)
+    pairs = keys.view(np.int32).reshape(-1, 2)  # pair t takes the place of key t, once read
+    dd = np.empty(len(keys))
+    kept, last = 0, -1  # -1: below every key
+    for s in range(0, len(keys), _PAIR_CHUNK):
+        block = keys[s : s + _PAIR_CHUNK]
+        ii, jj = np.divmod(block[np.diff(block, prepend=last) > 0], n)
+        last = int(block[-1])
+        d = haversine_km(
+            (index.lat[ii], index.lon[ii]), (index.lat[jj], index.lon[jj]), params.earth_radius_km
+        )
+        near = d <= d_max
+        end = kept + np.count_nonzero(near)
+        pairs[kept:end, 0], pairs[kept:end, 1], dd[kept:end] = ii[near], jj[near], d[near]
+        kept = end
+    return pairs[:kept, 0], pairs[:kept, 1], dd[:kept]
+
+
+def _slot_keys(index: EdgeIndex, params: SimilarityParams, pruning: PruningParams, d_max: float):
+    """candidate_pairs' keys i * n_edges + j, i < j, one sorted array of
+    distinct keys per slot; a function of its own, so that the trees' inputs
+    are freed before the keys are joined."""
+    cKDTree = _kd_tree()
     n = index.n_edges
     radius = params.earth_radius_km
     lat, lon = np.radians(index.lat), np.radians(index.lon)
@@ -166,9 +202,10 @@ def candidate_pairs(index: EdgeIndex, params: SimilarityParams, pruning: Pruning
 
     by_slot = np.argsort(index.slot_vals, kind="stable")
     starts = np.flatnonzero(np.diff(index.slot_vals[by_slot], prepend=-1))
+    slots = np.split(np.repeat(np.arange(n), np.diff(index.slot_ptr))[by_slot], starts[1:])
     n_entries = 0
-    keys = [np.array([-1])]  # a sentinel below every key
-    for members in np.split(np.repeat(np.arange(n), np.diff(index.slot_ptr))[by_slot], starts[1:]):
+    keys = [np.empty(0, np.int64)]  # fixes the dtype when no slot has two members
+    for counted, members in enumerate(slots, start=1):  # counted: slots reached, this one included
         m = len(members)  # ascending edge ids
         if m < 2:
             continue
@@ -188,38 +225,57 @@ def candidate_pairs(index: EdgeIndex, params: SimilarityParams, pruning: Pruning
         lengths = tree.query_ball_point(pts, balls, return_length=True)
         taken = np.minimum(sizes, k)  # the smallest ids a member takes from each venue
         # a lower bound: each venue in a ball gives each member at least one entry
-        _check_budget(n_entries + int(sizes @ lengths) - int(taken.sum()), pruning.pair_budget)
+        bound = n_entries + int(sizes @ lengths) - int(taken.sum())
+        _check_budget(bound, pruning.pair_budget, counted, len(slots))
         hits = tree.query_ball_point(pts, balls)
         p = np.repeat(np.arange(len(pts)), lengths)
         q = np.fromiter(chain.from_iterable(hits), dtype=np.int64, count=len(p))
         n_entries += int(sizes[p] @ taken[q]) - int(taken.sum())  # less each member's own entry
-        _check_budget(n_entries, pruning.pair_budget)
+        _check_budget(n_entries, pruning.pair_budget, counted, len(slots))
         # every member of venue p against the smallest ids of venue q
         a = grouped[_ranges(first[p], sizes[p])]
         q = np.repeat(q, sizes[p])  # the venue q of each (member, q) entry
         b = grouped[_ranges(first[q], taken[q])]
         a = np.repeat(a, taken[q])
-        keys.append((np.minimum(a, b) * n + np.maximum(a, b))[a != b])
-    keys = np.concatenate(keys)
-    keys.sort()  # by (i, j)
-    keys = keys[1:][keys[1:] != keys[:-1]]  # each key once, without the sentinel
-    dd = np.empty(len(keys))
-    for s in range(0, len(keys), MEDIAN_CHUNK):
-        ii, jj = np.divmod(keys[s : s + MEDIAN_CHUNK], n)
-        dd[s : s + MEDIAN_CHUNK] = haversine_km(
-            (index.lat[ii], index.lon[ii]), (index.lat[jj], index.lon[jj]), radius
-        )
-    keep = dd <= d_max
-    ii, jj = np.divmod(keys[keep], n)
-    return ii, jj, dd[keep]
+        key = (np.minimum(a, b) * n + np.maximum(a, b))[a != b]
+        key.sort()
+        keys.append(key[np.diff(key, prepend=-1) > 0])  # each once
+    return keys
 
 
-def _check_budget(n_entries: int, pair_budget: int) -> None:
+# what importing scipy.spatial maps into the address space, with room to
+# spare: 82 MB with scipy 1.17.1, whose OpenBLAS maps a work buffer as it
+# loads and, when that fails, retries without end
+_KD_TREE_IMPORT_BYTES = 96 << 20
+
+
+def _kd_tree():
+    """scipy.spatial's cKDTree, imported on first use: scipy.spatial adds
+    about 16 MB to the peak memory of every stage that imports this module,
+    and only the builder needs it. Under a memory limit with no room for
+    what the import maps, a MemoryError first, where the import would hang."""
+    if "scipy.spatial" not in sys.modules:
+        # a read-only mapping: charged to the address space, never filled
+        flags = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS
+        try:
+            mmap.mmap(-1, _KD_TREE_IMPORT_BYTES, flags=flags, prot=mmap.PROT_READ).close()
+        except OSError:
+            raise MemoryError("the pair builder's modules do not fit in the memory it may use") from None
+    from scipy.spatial import cKDTree
+
+    return cKDTree
+
+
+def _check_budget(n_entries: int, pair_budget: int, counted: int, n_slots: int) -> None:
+    """ConfigError when n_entries, the count or a lower bound of it over the
+    first `counted` of the n_slots weekly slots with train check-ins, is past
+    the budget; the message gives how far the count got."""
     if n_entries > pair_budget:
         raise ConfigError(
-            f"candidate pair count exceeds pair_budget={pair_budget}; each edge "
-            "lists about max_neighbors + 1 slot mates per slot: lower "
-            "pruning.max_neighbors or raise pruning.pair_budget"
+            f"candidate pair count exceeds pair_budget={pair_budget}: it reached at least "
+            f"{n_entries} in {counted} of the {n_slots} weekly slots with train check-ins; each "
+            "edge lists about max_neighbors + 1 slot mates per slot: lower pruning.max_neighbors "
+            "or raise pruning.pair_budget"
         )
 
 
@@ -234,25 +290,46 @@ def _neighbor_cap(ii, jj, vals, n_edges, max_neighbors):
     Each edge ranks its links by weight, descending, and ties break toward
     the smaller neighbour id so the result never depends on input order.
     The pairs arrive sorted by (i, j), so a stable sort by weight lists every
-    edge's links in exactly that order; grouping the endpoints stably by
-    edge id then gives each link its rank at both of its ends. The kept
-    pairs stay in (i, j) order.
+    edge's links in exactly that order. One pass over the pairs in that
+    order, _PAIR_CHUNK at a time, keeps a running count per edge of the
+    links ranked so far: a link's rank at an end is that end's count before
+    the chunk plus its earlier links within the chunk. Besides the pairs (8
+    bytes of ids and 8 of weight each) it holds the weight order (8 bytes a
+    pair), a keep flag (1 byte a pair), the counts (4 bytes an edge) and
+    chunk-sized temporaries; the kept pairs are then copied out, in (i, j)
+    order.
     """
-    if len(ii) == 0:
-        return ii, jj, vals
-    by_weight = np.argsort(-vals, kind="stable")
-    ends = np.empty(2 * len(ii), dtype=np.int32 if max(n_edges, 2 * len(ii)) < 2**31 else np.int64)
-    ends[0::2] = ii[by_weight]
-    ends[1::2] = jj[by_weight]
-    counts = np.bincount(ends, minlength=n_edges)
-    grouped = np.argsort(ends, kind="stable").astype(ends.dtype, copy=False)
-    del ends
-    top = np.zeros(len(grouped), dtype=bool)
-    # each edge's first max_neighbors links, by their positions in `grouped`
-    top[grouped[_ranges(np.cumsum(counts) - counts, np.minimum(counts, max_neighbors))]] = True
-    keep = np.zeros(len(ii), dtype=bool)
-    keep[by_weight[top[0::2] & top[1::2]]] = True
+    keep = _top_at_both_ends(ii, jj, vals, n_edges, max_neighbors)
     return ii[keep], jj[keep], vals[keep]
+
+
+def _top_at_both_ends(ii, jj, vals, n_edges, max_neighbors):
+    """_neighbor_cap's keep flags, one per pair, from one pass in weight
+    order; a function of its own, so that the weight order is freed before
+    the kept pairs are copied."""
+    np.negative(vals, out=vals)  # exact, and undone below
+    by_weight = np.argsort(vals, kind="stable")
+    np.negative(vals, out=vals)
+    ranked = np.zeros(n_edges, dtype=np.int32)  # each edge's links ranked so far
+    keep = np.zeros(len(vals), dtype=bool)
+    for s in range(0, len(by_weight), _PAIR_CHUNK):
+        chunk = by_weight[s : s + _PAIR_CHUNK]
+        # (edge << 32) | place of each end, in weight order: a pair's two
+        # ends are two edges, so sorting these groups each edge's ends in order
+        ends = np.empty(2 * len(chunk), dtype=np.int64)
+        ends[0::2], ends[1::2] = ii[chunk], jj[chunk]
+        ends <<= 32
+        ends |= np.arange(len(ends))
+        ends.sort()
+        edge, at = ends >> 32, ends & 0xFFFFFFFF
+        first = np.flatnonzero(np.diff(edge, prepend=-1))
+        sizes = np.diff(first, append=len(edge))
+        rank = np.empty(len(ends), dtype=np.int64)
+        rank[at] = ranked[edge] + (np.arange(len(edge)) - np.repeat(first, sizes))
+        ranked[edge[first]] += sizes
+        top = rank < max_neighbors
+        keep[chunk[top[0::2] & top[1::2]]] = True
+    return keep
 
 
 def build_sep_matrix(
@@ -269,7 +346,7 @@ def build_sep_matrix(
     """
     pruning = pruning or PruningParams()
     ii, jj, vals = candidate_pairs(index, params, pruning)
-    vals = sigma(vals, params) if len(vals) else np.zeros(0)
+    sigma(vals, params, out=vals)  # the distances become weights in place
     cap = min(pruning.max_neighbors, index.n_edges)  # a larger cap keeps every link
     ii, jj, vals = _neighbor_cap(ii, jj, vals, index.n_edges, cap)
     if len(ii) == 0:
@@ -287,7 +364,9 @@ def normalize_sep(matrix: SepMatrix) -> SepMatrix:
     in column order, as to_csr() @ ones would. Isolated edges have no
     entries, so they are untouched.
     """
-    deg = np.bincount(np.r_[matrix.cols, matrix.rows], np.tile(matrix.values, 2), minlength=matrix.n_edges)
+    ends = np.concatenate([matrix.cols, matrix.rows], dtype=np.intp)  # bincount would copy other ids to intp
+    deg = np.bincount(ends, np.tile(matrix.values, 2), minlength=matrix.n_edges)
+    del ends
     with np.errstate(divide="ignore"):
         inv = 1.0 / np.sqrt(deg)
     inv[~np.isfinite(inv)] = 0.0

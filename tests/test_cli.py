@@ -1220,25 +1220,36 @@ class TestHostLimits:
         assert proc.stderr.splitlines()[-1] == "ImportError: /lib/mtrand.so: undefined symbol: f"
         assert not out.exists()
 
-    # the city3x stages under a cap on their address space. On a 2-core
-    # x86-64 Linux host with numpy 2.4, each limit gave the same outcome in
-    # 30 or more runs and lies 3 MB or more from where the outcome changes;
-    # at 99 MB synth fails in `import numpy`, above main's handler. At 106 MB
+    # the city3x stages under a cap on their address space, build-sep with
+    # the desk benchmark's max_neighbors=16. On a 2-core x86-64 Linux host
+    # with numpy 2.4 and scipy 1.17, each limit gave the same outcome in 30
+    # or more runs and lies 3 MB or more from where the outcome changes; at
+    # 99 MB synth fails in `import numpy`, above main's handler. At 106 MB
     # (the same in 33 runs; synth exits 3 at every limit from 94 to 116 MB)
     # the loader cannot map numpy.random's shared objects when synth's first
-    # draw loads them.
+    # draw loads them. build-sep exits 0 from 246 MB up; at 220 MB there is
+    # no room for what importing scipy.spatial maps, where the import would
+    # spin in scipy's OpenBLAS.
     @pytest.mark.parametrize(
         "stage, limit_mb, code",
-        [("synth", 124, 0), ("synth", 106, 3), ("synth", 99, 3), ("prepare", 128, 0), ("prepare", 112, 3)],
+        [("synth", 124, 0), ("synth", 106, 3), ("synth", 99, 3), ("prepare", 128, 0), ("prepare", 112, 3),
+         ("build-sep", 256, 0), ("build-sep", 220, 3)],
     )
     def test_a_city3x_stage_under_an_address_space_limit(self, tmp_path, stage, limit_mb, code):
-        raw = tmp_path / "raw.tsv"
+        raw, snap = tmp_path / "raw.tsv", tmp_path / "snap.txt"
         synth = ["synth", "--out", str(raw), "--users", "3000", "--items", "6000", "--checkins", "90000",
                  "--seed", "1"]
-        argv = synth if stage == "synth" else ["prepare", "--raw", str(raw), "--out", str(tmp_path / "snap.txt"),
-                                               "--seed", "1"]
-        if stage == "prepare":
-            assert main(synth) == 0
+        prepare = ["prepare", "--raw", str(raw), "--out", str(snap), "--seed", "1"]
+        argvs = {
+            "synth": synth,
+            "prepare": prepare,
+            "build-sep": ["build-sep", "--snapshot", str(snap), "--out", str(tmp_path / "pairs.sep"), "--seed", "1",
+                          "--set", "pruning.max_neighbors=16"],
+        }
+        stages = list(argvs)
+        for earlier in stages[: stages.index(stage)]:
+            assert main(argvs[earlier]) == 0
+        argv = argvs[stage]
         limit = limit_mb << 20
         src = Path(__file__).resolve().parents[1] / "src"
         env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}

@@ -337,6 +337,11 @@ class TestRawLogReader:
         "non-ASCII id": (lambda s: joined(set_field(1, "v\u00e90001")(s)), False, 0),
         "id ending in U+00A0": (lambda s: joined(set_field(0, "u0001\u00a0")(s)), False, 0),
         "crlf": (lambda s: "\r\n".join(s) + "\r\n", False, 0),
+        "crlf with a line out of range": (lambda s: "\r\n".join(set_field(3, "95.0", k=250)(s)) + "\r\n", False, 1),
+        "lone carriage returns": (lambda s: "\r".join(s) + "\r", False, 0),
+        "crlf and lf mixed, with blank lines": (
+            lambda s: "".join(line + ("\r\n" if k % 3 else "\n\r\n") for k, line in enumerate(s)), False, 0
+        ),
         "blank lines": (lambda s: joined([s[0], "", *s[1:], "  "]), False, 0),
         "no final newline": (lambda s: "\n".join(s), False, 0),
         "sixth column": (lambda s: joined(set_field(4, "-73.5\textra")(s)), False, 0),
@@ -352,6 +357,19 @@ class TestRawLogReader:
     def test_hand_cases_match_the_line_reader_in_40_byte_blocks(self, tmp_path, monkeypatch, case):
         monkeypatch.setattr(checkin_columns, "_READ_BLOCK", 40)
         self.check_case(tmp_path, monkeypatch, case)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_the_line_reader_reads_40_byte_blocks_as_one_block(self, tmp_path, monkeypatch, case):
+        """The line reader decodes and parses a block of whole lines at a
+        time: in 40-byte blocks, under one line, it gives the columns,
+        rejects with their line numbers, or error that it gives with the
+        whole log as one block."""
+        text = self.CASES[case][0]
+        path = tmp_path / "raw.tsv"
+        path.write_bytes(text(synth_lines(tmp_path)).encode("utf-8"))
+        whole = line_parse_outcome(path, monkeypatch)
+        monkeypatch.setattr(checkin_columns, "_READ_BLOCK", 40)
+        assert line_parse_outcome(path, monkeypatch) == whole
 
     def check_case(self, tmp_path, monkeypatch, case):
         text, whole, rejected = self.CASES[case]
@@ -391,7 +409,8 @@ class TestRawLogReader:
         path = tmp_path / "raw.tsv"
         path.write_text(joined(lines), encoding="utf-8")
         with path.open("rb") as f:
-            head, rest = checkin_columns.read_blocks(f)
+            head, refused = checkin_columns.read_blocks(f)
+            rest = refused + f.read()  # what goes to the line reader
         assert (len(head) > 0, b"new-user" in rest) == (block < 1 << 20, block > 40)
         outcome = parse_outcome(path)
         assert outcome == line_parse_outcome(path, monkeypatch)
@@ -447,6 +466,19 @@ class TestPrepareStageMemory:
         the stage added about 29 MB."""
         raw, snap = tmp_path / "raw.tsv", tmp_path / "snap.txt"
         write_raw(generate_city(SyntheticConfig(n_users=3000, n_items=6000, n_checkins=90_000, seed=1)), raw)
+        added = peak_rss.peak_over_imports_mb(
+            "sepgcn.cli", "-m", "sepgcn.cli", "prepare", "--raw", str(raw), "--out", str(snap), "--seed", "1"
+        )
+        assert added <= 23.0
+
+    def test_a_log_with_crlf_line_ends_in_bounded_memory(self, tmp_path):
+        """The same log with CRLF line ends, which the line reader reads: it
+        decodes, parses and turns into columns one block at a time, so the
+        stage adds about what it adds for the LF log, under the same bound.
+        With the whole log handed to the line reader it added about 57 MB."""
+        raw, snap = tmp_path / "raw.tsv", tmp_path / "snap.txt"
+        write_raw(generate_city(SyntheticConfig(n_users=3000, n_items=6000, n_checkins=90_000, seed=1)), raw)
+        raw.write_bytes(raw.read_bytes().replace(b"\n", b"\r\n"))
         added = peak_rss.peak_over_imports_mb(
             "sepgcn.cli", "-m", "sepgcn.cli", "prepare", "--raw", str(raw), "--out", str(snap), "--seed", "1"
         )

@@ -10,6 +10,7 @@ from collections import Counter, defaultdict
 import numpy as np
 import pytest
 
+from sepgcn import sep_graph
 from sepgcn.cli import _sep_params, _variant_index, main
 from sepgcn.config import PruningParams, SimilarityParams, SplitConfig, build_run_config
 from sepgcn.data import Dataset, build_dataset, load_snapshot
@@ -227,8 +228,13 @@ class TestCandidatePairs:
         )
         ii, jj, _ = candidate_pairs(index, PARAMS, PruningParams(max_neighbors=1, pair_budget=6))
         assert list(zip(ii.tolist(), jj.tolist())) == [(0, 1), (0, 2), (1, 2)]
-        with pytest.raises(ConfigError, match="exceeds pair_budget=5"):
+        with pytest.raises(ConfigError, match="exceeds pair_budget=5") as err:
             candidate_pairs(index, PARAMS, PruningParams(max_neighbors=1, pair_budget=5))
+        # slots 5 and 7 count 2 entries, slot 70 then brings the count to 6
+        assert str(err.value).startswith(
+            "candidate pair count exceeds pair_budget=5: it reached at least 6 in 3 of the 4 "
+            "weekly slots with train check-ins; "
+        )
         # at one point a member pairs with the slot's two smallest ids
         # whatever the distance: 2 entries in slot 5, 2 in slot 7, 4 in slot 70
         collapsed = at_one_point(index)
@@ -266,6 +272,36 @@ class TestCandidatePairs:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+    def test_venues_a_hair_apart_build_with_the_default_settings(self):
+        """1,500 distinct venues 1e-12 degrees apart in one slot, with the
+        default settings: each ball's pad holds dozens of venues, and the
+        weights tie in runs (98 distinct weights among the kept links). The
+        slot's ball lists, about 196 k entries of which 98 k are distinct
+        candidates, set the peak at about 22 MB."""
+        from scipy.spatial import cKDTree  # noqa: F401  imported outside the traced peak
+
+        m = 1500
+        index = make_index(40.0 + 1e-12 * np.arange(m), [-74.0] * m, [(0,)] * m)
+        assert len(np.unique(index.lat)) == m
+        tracemalloc.start()
+        try:
+            sep = build_sep_matrix(index, PARAMS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        degree = np.bincount(np.r_[sep.rows, sep.cols], minlength=m)
+        assert degree.max() <= PruningParams().max_neighbors
+        assert len(np.unique(sep.values)) < len(sep.values) // 100
+        assert peak < 24 * 2**20
+
+    def test_venues_a_hair_apart_match_bruteforce(self):
+        """The layout above at 300 venues, against the double loop."""
+        m = 300
+        index = make_index(40.0 + 1e-12 * np.arange(m), [-74.0] * m, [(0,)] * m)
+        fast = build_sep_matrix(index, PARAMS)
+        assert len(fast.values) > 5000
+        matrices_equal(fast, build_sep_matrix_bruteforce(index, PARAMS))
 
     def test_busy_venue_costs_max_neighbors_plus_one_entries_per_edge(self):
         """10,000 edges at one venue in one slot, with the default settings:
@@ -366,6 +402,28 @@ class TestBuildSepMatrix:
             assert len(fast.values) > 1000, f"seed {seed}"
             matrices_equal(fast, build_sep_matrix_bruteforce(index, params, cfg.pruning))
 
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+    def test_chunk_ends_change_nothing(self, monkeypatch, chunk):
+        """The distance pass, the weight order's runs of equal weights and the
+        ranking pass carry their state across chunk ends: in chunks of a few
+        pairs the builder still lists each candidate once and matches the
+        double loop, on instances whose pairs share several slots, or
+        venues and so weights."""
+        rng = np.random.default_rng(173)
+        monkeypatch.setattr(sep_graph, "_PAIR_CHUNK", chunk)
+        for case in range(4):
+            index = random_index(rng, 60, box_deg=0.05, max_slots=6, slot_pool=4)
+            if case % 2:
+                venue = rng.integers(0, 12, size=index.n_edges)
+                index = dataclasses.replace(index, lat=index.lat[venue], lon=index.lon[venue])
+            pruning = PruningParams(max_neighbors=[2, 5][case % 2])
+            check_candidates(index, PARAMS, pruning)
+            matrices_equal(
+                build_sep_matrix(index, PARAMS, pruning),
+                build_sep_matrix_bruteforce(index, PARAMS, pruning),
+                tol=1e-12,
+            )
+
     def test_neighbor_cap_tie_break_prefers_low_ids(self):
         """Five co-located edges tie at weight 1; the cap keeps the smallest ids."""
         index = make_index([40.0] * 5, [-74.0] * 5, [(0,)] * 5)
@@ -459,8 +517,10 @@ class TestDeskCityMemory:
         return d / "snap.txt"
 
     def test_builder_holds_little_more_than_its_pairs(self, snapshot):
-        """Candidate keys, distances and the neighbour cap's ranks, each in
-        one array at a time; the distances are measured a chunk at a time."""
+        """About 28 bytes per candidate: two int32 ids, a float64 weight,
+        the int64 weight order and a keep flag, with chunk-sized
+        temporaries. The build peaks at 5.5 MiB (13.5 MiB with a whole-list
+        rank table); the bound leaves 1.5 MiB."""
         from scipy.spatial import cKDTree  # noqa: F401  imported outside the traced peak
 
         ds = load_snapshot(snapshot)
@@ -473,18 +533,20 @@ class TestDeskCityMemory:
         finally:
             tracemalloc.stop()
         assert len(m.values) > 100_000
-        assert peak <= 18 * 2**20
+        assert peak <= 7 * 2**20
 
     def test_build_sep_stage_peak_over_its_imports(self, snapshot, tmp_path):
         """The whole stage in a child process, as RSS: the only check that
         also sees memory tracemalloc does not, such as numpy's hash-set
-        unique. The imports alone are subtracted."""
+        unique. The imports alone are subtracted. The stage adds 14.5-14.7
+        MB (23.2-23.6 MB with a whole-list rank table); the bound leaves 3.3
+        MB for where the heap places its blocks."""
         added = peak_rss.peak_over_imports_mb(
             "sepgcn.cli, sepgcn.sep_graph, scipy.spatial",
             "-m", "sepgcn.cli", "build-sep", "--snapshot", str(snapshot), "--out", str(tmp_path / "p.sep"),
             *self.SETTINGS,
         )
-        assert added <= 30.0
+        assert added <= 18.0
 
 
 class TestNormalize:
